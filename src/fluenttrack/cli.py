@@ -28,12 +28,10 @@ from .solver import (
     OracleLimitError,
     OracleLimits,
     brute_force_oracle,
-    build_graph,
     joint_solve,
-    solve_containers,
+    pipeline_graph,
     solve_objects,
 )
-from .tracklets import build_gap_links, generate_tracklets
 
 log = logging.getLogger("fluenttrack")
 
@@ -309,12 +307,7 @@ def cmd_oracle(args) -> int:
     detections = fileio.read_detections(detections_path)
     camera = fileio.read_camera(camera_path)
 
-    vehicles = [d for d in detections if d.object_class.value == "vehicle"]
-    others = [d for d in detections if d.object_class.value != "vehicle"]
-    containers = solve_containers(vehicles, camera, params)
-    tracks = generate_tracklets(others, camera, params)
-    links = build_gap_links(tracks, params, camera.frame_rate)
-    graph = build_graph(others, tracks, links, containers, camera, params)
+    graph = pipeline_graph(detections, camera, params)
     limits = OracleLimits(
         max_nodes_per_frame=int(_setting(args, config, "max_nodes_per_frame", 12)),
         max_frames=int(_setting(args, config, "max_frames", 10)),

@@ -6,6 +6,7 @@ instances can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Sequence, Tuple
@@ -97,7 +98,9 @@ class Detection:
     def __post_init__(self) -> None:
         if self.frame < 0:
             raise ValueError("frame index must be >= 0")
-        x, y, w, h = (float(v) for v in self.bbox)
+        x, y, w, h = map(float, self.bbox)
+        if not all(map(math.isfinite, (x, y, w, h))):
+            raise ValueError("bbox values must be finite")
         if w <= 0 or h <= 0:
             raise ValueError("bbox width and height must be positive")
         object.__setattr__(self, "bbox", (x, y, w, h))

@@ -2,9 +2,12 @@
 
 Containers (vehicles) are tracked first by min-cost flow; objects are then
 solved on a graph whose nodes carry a visibility state: visible nodes come
-from tracklets and leftover detections, occluded nodes from spline virtual
-paths and container-adjacent vestibules, contained nodes ride the container
-trajectories. Trajectories are extracted one at a time by dynamic programming
+from tracklet endpoints and leftover detections, occluded nodes from
+container-adjacent vestibules, contained nodes ride the container
+trajectories. Graph nodes exist only where a trajectory can make a choice:
+tracklet interiors and the occluded frames of spline gap links are pure
+chains, contracted into super-edges that keep those frames as interior
+stops. Trajectories are extracted one at a time by dynamic programming
 over the DAG while an exhaustive oracle bounds the optimality gap on small
 instances.
 
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -181,7 +184,9 @@ class GraphNode:
     frame: int
     location: np.ndarray
     state: VisibilityState
-    kind: str  # head | tail | single | detection | virtual | vestibule | contained
+    # head | tail | single | detection | vestibule | contained; spline gap
+    # frames are not nodes but interior stops of a tail -> head super-edge
+    kind: str
     object_class: ObjectClass
     reward: float
     capacity: int
@@ -222,7 +227,8 @@ class GraphEdge:
     net_cost: float
     capacity: int
     is_container_chain: bool = False
-    interior: Tuple[Tuple[int, np.ndarray], ...] = ()  # contracted tracklet frames
+    # contracted chain stops between src and dst: (frame, location, state, action)
+    interior: Tuple[Tuple[int, np.ndarray, VisibilityState, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -245,30 +251,41 @@ class TransitionGraph:
             out[e.src].append(e.id)
         object.__setattr__(self, "_out", tuple(tuple(v) for v in out))
 
-    @property
-    def container_chain_edge_ids(self) -> Tuple[int, ...]:
-        return tuple(e.id for e in self.edges if e.is_container_chain)
-
 
 def _strip_likelihood(breakdown: EnergyBreakdown) -> EnergyBreakdown:
     return EnergyBreakdown.build(breakdown.displacement, breakdown.transition, 0.0, 0.0)
 
 
+class _Stop(NamedTuple):
+    """One interior frame of a contracted chain: where the trajectory passes,
+    in which state, and the evidence its outgoing hop is priced with."""
+
+    frame: int
+    location: np.ndarray
+    state: VisibilityState
+    reward: float
+    detection_score: Optional[float] = None
+    gap_similarity: Optional[float] = None
+    pose_feature: Optional[np.ndarray] = None
+    container_score: Optional[float] = None
+
+
 class _GraphBuilder:
-    def __init__(self, camera, params, grammar, containers, mode):
+    def __init__(self, camera, params, grammar, mode):
         if mode not in SOLVE_MODES:
             raise ValueError(f"unknown solve mode {mode!r}")
         self.camera = camera
         self.params = params
-        self.grammar = grammar
-        self.containers = containers
         self.mode = mode
-        self.table = params.transition_table
         self.nodes: List[GraphNode] = []
         self.edges: List[GraphEdge] = []
         self.exit_costs: Dict[int, float] = {}
-        self.psi_occluded = min_inertial_energy(self.table, grammar, VisibilityState.OCCLUDED)
-        self.psi_contained = min_inertial_energy(self.table, grammar, VisibilityState.CONTAINED)
+        table = params.transition_table
+        self.psi_occluded = min_inertial_energy(table, grammar, VisibilityState.OCCLUDED)
+        self.psi_contained = min_inertial_energy(table, grammar, VisibilityState.CONTAINED)
+        # grammar-legal action names per (from, to) state pair
+        self.legal = {(u, v): tuple(a.name for a in grammar.legal_actions(u, v))
+                      for u in VisibilityState for v in VisibilityState}
 
     # -- node constructors ---------------------------------------------------
 
@@ -277,7 +294,7 @@ class _GraphBuilder:
         self.nodes.append(node)
         return node.id
 
-    def occluded_reward(self, similarity: float) -> float:
+    def occluded_reward(self) -> float:
         """Covers displacement, inertial transition, and the neutral action
         term, but not the appearance-discrepancy energy: every occluded frame
         costs its own evidence deficit."""
@@ -290,11 +307,13 @@ class _GraphBuilder:
             return 1.0 + self.psi_contained
         return 1.0 + self.psi_contained + (1.0 - score) + 1.0
 
-    # -- edge constructor ------------------------------------------------------
+    # -- edge constructors -----------------------------------------------------
 
-    def connect(self, src: GraphNode, dst: GraphNode, fluent=None) -> Optional[int]:
-        actions = self.grammar.legal_actions(src.state, dst.state)
-        if not actions:
+    def price(self, src, dst, fluent=None) -> Optional[Tuple[EnergyBreakdown, str]]:
+        """Energy and best action of one hop between nodes or chain stops;
+        the hop pays ``src``'s evidence. None if no action is legal."""
+        legal = self.legal[(src.state, dst.state)]
+        if not legal:
             return None
         ctx = EdgeContext(
             from_state=src.state,
@@ -303,7 +322,7 @@ class _GraphBuilder:
             to_location=dst.location,
             dt_frames=dst.frame - src.frame,
             frame_rate=self.camera.frame_rate,
-            legal_actions=tuple(a.name for a in actions),
+            legal_actions=legal,
             detection_score=src.detection_score,
             container_score=src.container_score,
             gap_similarity=src.gap_similarity,
@@ -313,19 +332,50 @@ class _GraphBuilder:
         breakdown, action = edge_cost(ctx, self.params)
         if self.mode == "prior_only":
             breakdown = _strip_likelihood(breakdown)
-        edge = GraphEdge(
-            id=len(self.edges),
-            src=src.id,
-            dst=dst.id,
-            dt=dst.frame - src.frame,
-            breakdown=breakdown,
-            action=action,
-            net_cost=breakdown.total - src.reward,
-            capacity=1,
-            is_container_chain=False,
-        )
-        self.edges.append(edge)
-        return edge.id
+        return breakdown, action
+
+    def append_edge(self, src: GraphNode, dst: GraphNode, breakdown: EnergyBreakdown,
+                    action: str, net_cost: float, capacity: int = 1,
+                    is_container_chain: bool = False, interior=()) -> None:
+        self.edges.append(GraphEdge(len(self.edges), src.id, dst.id, dst.frame - src.frame,
+                                    breakdown, action, net_cost, capacity,
+                                    is_container_chain, interior))
+
+    def connect(self, src: GraphNode, dst: GraphNode, fluent=None, capacity: int = 1,
+                is_container_chain: bool = False) -> None:
+        priced = self.price(src, dst, fluent)
+        if priced is not None:
+            breakdown, action = priced
+            self.append_edge(src, dst, breakdown, action, breakdown.total - src.reward,
+                             capacity, is_container_chain)
+
+    def contract(self, src: GraphNode, dst: GraphNode, stops: Sequence[_Stop],
+                 gate: Optional[float] = None) -> None:
+        """One ``src -> dst`` super-edge over a pure chain through ``stops``.
+
+        Every hop is priced as if the stops were nodes, and the stops are
+        kept on the edge's interior. A hop with no legal action, or longer
+        than ``gate`` metres, drops the whole chain.
+        """
+        displacement = transition = visibility = action_term = total = net = 0.0
+        actions = []
+        for u, v in zip((src, *stops), (*stops, dst)):
+            if gate is not None and ground_distance(u.location, v.location) > gate:
+                return
+            priced = self.price(u, v)
+            if priced is None:
+                return
+            step, action = priced
+            displacement += step.displacement
+            transition += step.transition
+            visibility += step.visibility
+            action_term += step.action
+            total += step.total
+            net += step.total - u.reward
+            actions.append(action)
+        breakdown = EnergyBreakdown(displacement, transition, visibility, action_term, total)
+        interior = tuple((s.frame, s.location, s.state, a) for s, a in zip(stops, actions[1:]))
+        self.append_edge(src, dst, breakdown, actions[0], net, interior=interior)
 
     def add_exit(self, node: GraphNode) -> None:
         breakdown, _ = node_exit_cost(
@@ -365,7 +415,7 @@ def build_graph(
     grammar = grammar or default_grammar()
     if params.transition_table is None:
         raise ValueError("params.transition_table is required to build the graph")
-    b = _GraphBuilder(camera, params, grammar, containers, mode)
+    b = _GraphBuilder(camera, params, grammar, mode)
     fps = camera.frame_rate
 
     # contained nodes: one per container per frame
@@ -390,98 +440,47 @@ def build_graph(
     # tracklet endpoint nodes
     head_ids: Dict[int, int] = {}
     tail_ids: Dict[int, int] = {}
-    tracklet_by_id = {t.id: t for t in tracklets}
     det_list = list(detections)
     for t in sorted(tracklets, key=lambda t: t.id):
-        n = len(t.positions)
-        first_pose = last_pose = None
-        first_score = t.scores[0] if t.scores else 0.5
-        last_score = t.scores[-1] if t.scores else 0.5
-        if t.detection_indices:
-            first_pose = det_list[t.detection_indices[0]].pose_feature
-            last_pose = det_list[t.detection_indices[-1]].pose_feature
-        if n == 1:
-            nid = b.add_node(
-                frame=t.start_frame,
-                location=t.positions[0],
+        ends = [(0, "head"), (-1, "tail")] if len(t.positions) > 1 else [(0, "single")]
+        ids = []
+        for i, kind in ends:
+            score = t.scores[i] if t.scores else 0.5
+            ids.append(b.add_node(
+                frame=t.start_frame if i == 0 else t.end_frame,
+                location=t.positions[i],
                 state=VisibilityState.VISIBLE,
-                kind="single",
+                kind=kind,
                 object_class=t.object_class,
-                reward=log_odds(first_score, params),
+                reward=log_odds(score, params),
                 capacity=1,
-                detection_score=first_score,
-                pose_feature=first_pose,
+                detection_score=score,
+                pose_feature=(det_list[t.detection_indices[i]].pose_feature
+                              if t.detection_indices else None),
                 tracklet_id=t.id,
-            )
-            head_ids[t.id] = tail_ids[t.id] = nid
-        else:
-            head_ids[t.id] = b.add_node(
-                frame=t.start_frame,
-                location=t.positions[0],
-                state=VisibilityState.VISIBLE,
-                kind="head",
-                object_class=t.object_class,
-                reward=log_odds(first_score, params),
-                capacity=1,
-                detection_score=first_score,
-                pose_feature=first_pose,
-                tracklet_id=t.id,
-            )
-            tail_ids[t.id] = b.add_node(
-                frame=t.end_frame,
-                location=t.positions[-1],
-                state=VisibilityState.VISIBLE,
-                kind="tail",
-                object_class=t.object_class,
-                reward=log_odds(last_score, params),
-                capacity=1,
-                detection_score=last_score,
-                pose_feature=last_pose,
-                tracklet_id=t.id,
-            )
+            ))
+        head_ids[t.id], tail_ids[t.id] = ids[0], ids[-1]
 
     # leftover detections (non-vehicle, unused by any tracklet)
     used = set()
     for t in tracklets:
         if t.detection_indices:
             used.update(t.detection_indices)
-    leftover_ids: List[int] = []
     for idx, det in enumerate(det_list):
         if idx in used or det.object_class is ObjectClass.VEHICLE:
             continue
-        leftover_ids.append(
-            b.add_node(
-                frame=det.frame,
-                location=project_to_ground(camera, det.bbox),
-                state=VisibilityState.VISIBLE,
-                kind="detection",
-                object_class=det.object_class,
-                reward=log_odds(det.score, params),
-                capacity=1,
-                detection_score=det.score,
-                pose_feature=det.pose_feature,
-                detection_index=idx,
-            )
+        b.add_node(
+            frame=det.frame,
+            location=project_to_ground(camera, det.bbox),
+            state=VisibilityState.VISIBLE,
+            kind="detection",
+            object_class=det.object_class,
+            reward=log_odds(det.score, params),
+            capacity=1,
+            detection_score=det.score,
+            pose_feature=det.pose_feature,
+            detection_index=idx,
         )
-
-    # spline virtual-path nodes, one per missing frame of each gap link
-    virtual_chains: List[Tuple[GapLink, List[int]]] = []
-    if mode == "full":
-        for link in sorted(gap_links, key=lambda l: (l.before_id, l.after_id)):
-            chain = [
-                b.add_node(
-                    frame=frame,
-                    location=loc,
-                    state=VisibilityState.OCCLUDED,
-                    kind="virtual",
-                    object_class=tracklet_by_id[link.before_id].object_class,
-                    reward=b.occluded_reward(link.similarity),
-                    capacity=1,
-                    gap_similarity=link.similarity,
-                )
-                for frame, loc in link.virtual_path
-            ]
-            virtual_chains.append((link, chain))
 
     # containment vestibules: occluded nodes riding each compatible container
     vestibule_chains: List[Tuple[Tracklet, Tracklet, int, List[int]]] = []
@@ -497,7 +496,7 @@ def build_graph(
                         state=VisibilityState.OCCLUDED,
                         kind="vestibule",
                         object_class=before.object_class,
-                        reward=b.occluded_reward(similarity),
+                        reward=b.occluded_reward(),
                         capacity=1,
                         gap_similarity=similarity,
                         container_id=cid,
@@ -512,48 +511,19 @@ def build_graph(
         n = len(t.positions)
         if n < 2:
             continue
-        total = ZERO_BREAKDOWN
-        net = 0.0
-        for i in range(n - 1):
+        stops = []
+        for i in range(1, n - 1):
             score = t.scores[i] if t.scores else 0.5
-            pose = None
-            if t.detection_indices:
-                pose = det_list[t.detection_indices[i]].pose_feature
-            ctx = EdgeContext(
-                from_state=VisibilityState.VISIBLE,
-                to_state=VisibilityState.VISIBLE,
-                from_location=t.positions[i],
-                to_location=t.positions[i + 1],
-                dt_frames=1,
-                frame_rate=fps,
-                legal_actions=tuple(
-                    a.name
-                    for a in grammar.legal_actions(VisibilityState.VISIBLE, VisibilityState.VISIBLE)
-                ),
+            stops.append(_Stop(
+                frame=t.start_frame + i,
+                location=t.positions[i],
+                state=VisibilityState.VISIBLE,
+                reward=log_odds(score, params),
                 detection_score=score,
-                pose_feature=pose,
-            )
-            step, _ = edge_cost(ctx, params)
-            if mode == "prior_only":
-                step = _strip_likelihood(step)
-            total = total.add(step)
-            net += step.total - log_odds(score, params)
-        head, tail = b.nodes[head_ids[t.id]], b.nodes[tail_ids[t.id]]
-        b.edges.append(
-            GraphEdge(
-                id=len(b.edges),
-                src=head.id,
-                dst=tail.id,
-                dt=tail.frame - head.frame,
-                breakdown=total,
-                action=INERTIAL_ACTION,
-                net_cost=net,
-                capacity=1,
-                interior=tuple(
-                    (t.start_frame + i, t.positions[i]) for i in range(1, n - 1)
-                ),
-            )
-        )
+                pose_feature=(det_list[t.detection_indices[i]].pose_feature
+                              if t.detection_indices else None),
+            ))
+        b.contract(b.nodes[head_ids[t.id]], b.nodes[tail_ids[t.id]], stops)
 
     # visible adjacency (dt == 1) between emitting and receiving visible nodes
     visible_nodes = [n for n in b.nodes if n.state is VisibilityState.VISIBLE]
@@ -574,19 +544,17 @@ def build_graph(
                 continue
             b.connect(src, dst)
 
-    # spline bridges
-    for link, chain in virtual_chains:
-        before_tail = b.nodes[tail_ids[link.before_id]]
-        after_head = b.nodes[head_ids[link.after_id]]
-        speed_bound = LINK_GATE_SLACK * params.speed_bound(before_tail.object_class) / fps
-        nodes_chain = [b.nodes[i] for i in chain]
-        if ground_distance(before_tail.location, nodes_chain[0].location) <= speed_bound:
-            b.connect(before_tail, nodes_chain[0])
-        for u, v in zip(nodes_chain, nodes_chain[1:]):
-            if ground_distance(u.location, v.location) <= speed_bound:
-                b.connect(u, v)
-        if ground_distance(nodes_chain[-1].location, after_head.location) <= speed_bound:
-            b.connect(nodes_chain[-1], after_head)
+    # spline bridges: one super-edge per gap link, its missing frames occluded
+    if mode == "full":
+        reward = b.occluded_reward()
+        for link in sorted(gap_links, key=lambda l: (l.before_id, l.after_id)):
+            before_tail = b.nodes[tail_ids[link.before_id]]
+            stops = [
+                _Stop(frame, loc, VisibilityState.OCCLUDED, reward, gap_similarity=link.similarity)
+                for frame, loc in link.virtual_path
+            ]
+            gate = LINK_GATE_SLACK * params.speed_bound(before_tail.object_class) / fps
+            b.contract(before_tail, b.nodes[head_ids[link.after_id]], stops, gate)
 
     # containment vestibule bridges; crossing into or out of a container
     # additionally requires the container's fluent evidence to support a
@@ -621,15 +589,9 @@ def build_graph(
             dst_id = contained_ids.get((traj.object_id, f + 1))
             if src_id is None or dst_id is None:
                 continue
-            src, dst = b.nodes[src_id], b.nodes[dst_id]
-            eid = b.connect(src, dst, fluent=containers.evidence[traj.object_id][f][1])
-            if eid is not None:
-                e = b.edges[eid]
-                b.edges[eid] = GraphEdge(
-                    id=e.id, src=e.src, dst=e.dst, dt=e.dt, breakdown=e.breakdown,
-                    action=e.action, net_cost=e.net_cost,
-                    capacity=params.max_contained, is_container_chain=True,
-                )
+            b.connect(b.nodes[src_id], b.nodes[dst_id],
+                      fluent=containers.evidence[traj.object_id][f][1],
+                      capacity=params.max_contained, is_container_chain=True)
 
     # exits (births/deaths live on visible evidence only)
     for n in b.nodes:
@@ -713,7 +675,6 @@ class FlowSolution:
     """Extracted unit flows, their objective, and the decoded trajectories."""
 
     object_flows: Mapping[int, int]
-    container_flows: Mapping[int, int]
     objective: float
     trajectories: Tuple[Trajectory, ...]
     paths: Tuple[Tuple[int, ...], ...] = ()
@@ -822,10 +783,8 @@ def solve_objects(graph: TransitionGraph, params: ModelParameters) -> FlowSoluti
     trajectories = tuple(
         _decode_path(graph, path, object_id=i) for i, path in enumerate(paths)
     )
-    container_flows = {eid: 1 for eid in graph.container_chain_edge_ids}
     solution = FlowSolution(
         object_flows=object_flows,
-        container_flows=container_flows,
         objective=objective,
         trajectories=trajectories,
         paths=tuple(paths),
@@ -852,13 +811,9 @@ def _decode_path(graph: TransitionGraph, path: Sequence[int], object_id: int) ->
             )
         )
         if i < len(edge_ids):
-            edge = graph.edges[edge_ids[i]]
-            for frame, loc in edge.interior:
-                points.append(
-                    TrajectoryPoint(frame=frame, location=loc,
-                                    state=VisibilityState.VISIBLE, action=INERTIAL_ACTION)
-                )
-    points.sort(key=lambda p: p.frame)
+            for frame, loc, state, action in graph.edges[edge_ids[i]].interior:
+                points.append(TrajectoryPoint(frame=frame, location=loc, state=state,
+                                              action=action))
     return Trajectory(object_id=object_id, object_class=cls, points=tuple(points))
 
 
@@ -998,7 +953,6 @@ def brute_force_oracle(
     )
     return FlowSolution(
         object_flows=flows,
-        container_flows={eid: 1 for eid in graph.container_chain_edge_ids},
         objective=-best_total,
         trajectories=trajectories,
         paths=tuple(candidates[idx][1] for idx in best_subset),
@@ -1018,6 +972,23 @@ class JointResult:
     summary: Dict
 
 
+def pipeline_graph(
+    detections: Sequence[Detection],
+    camera: CameraModel,
+    params: ModelParameters,
+    grammar: Optional[VisibilityGrammar] = None,
+    mode: str = "full",
+) -> TransitionGraph:
+    """Containers, tracklets, gap links (full mode only), and the transition
+    graph over them; the solved containers ride on ``graph.containers``."""
+    vehicles = [d for d in detections if d.object_class is ObjectClass.VEHICLE]
+    others = [d for d in detections if d.object_class is not ObjectClass.VEHICLE]
+    containers = solve_containers(vehicles, camera, params)
+    tracks = generate_tracklets(others, camera, params)
+    links = build_gap_links(tracks, params, camera.frame_rate) if mode == "full" else []
+    return build_graph(others, tracks, links, containers, camera, params, grammar, mode)
+
+
 def joint_solve(
     detections: Sequence[Detection],
     camera: CameraModel,
@@ -1027,14 +998,8 @@ def joint_solve(
 ) -> JointResult:
     """Containers, tracklets, graph, object solve, and parse extraction."""
     grammar = grammar or default_grammar()
-    det_list = list(detections)
-    vehicles = [d for d in det_list if d.object_class is ObjectClass.VEHICLE]
-    others = [d for d in det_list if d.object_class is not ObjectClass.VEHICLE]
-
-    containers = solve_containers(vehicles, camera, params)
-    tracks = generate_tracklets(others, camera, params)
-    links = build_gap_links(tracks, params, camera.frame_rate) if mode == "full" else []
-    graph = build_graph(others, tracks, links, containers, camera, params, grammar, mode)
+    graph = pipeline_graph(detections, camera, params, grammar, mode)
+    containers = graph.containers
     solution = solve_objects(graph, params)
 
     n_containers = len(containers.trajectories)
@@ -1057,7 +1022,7 @@ def joint_solve(
 
     # pose features for visible points, recovered from the source detections
     det_by_key: Dict[Tuple[int, ObjectClass], List[Detection]] = {}
-    for d in others:
+    for d in detections:
         if d.pose_feature is not None:
             det_by_key.setdefault((d.frame, d.object_class), []).append(d)
     for traj in trajectories[n_containers:]:

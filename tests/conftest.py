@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fluenttrack import core, grammar, solver, tracklets
+from fluenttrack import core, grammar
 
 
 @pytest.fixture(scope="session")
@@ -58,13 +58,3 @@ def random_walk_instance(seed, n_agents=1, agent_spacing=8.0):
             score=float(rng.uniform(0.3, 0.6)), descriptor=unit_vector(rng)))
     return dets
 
-
-def pipeline_graph(detections, camera, params, mode="full"):
-    """Tracklets, gap links, and the transition graph for a detection set."""
-    vehicles = [d for d in detections if d.object_class is core.ObjectClass.VEHICLE]
-    others = [d for d in detections if d.object_class is not core.ObjectClass.VEHICLE]
-    containers = solver.solve_containers(vehicles, camera, params)
-    tracks = tracklets.generate_tracklets(others, camera, params)
-    links = tracklets.build_gap_links(tracks, params, camera.frame_rate)
-    graph = solver.build_graph(others, tracks, links, containers, camera, params, mode=mode)
-    return graph

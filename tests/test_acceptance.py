@@ -29,9 +29,9 @@ from fluenttrack.metrics import (
     match_frames,
 )
 from fluenttrack.simulator import default_camera, scenario_by_name, simulate, standard_suite
-from fluenttrack.solver import brute_force_oracle, joint_solve, solve_objects
+from fluenttrack.solver import brute_force_oracle, joint_solve, pipeline_graph, solve_objects
 
-from conftest import pipeline_graph, random_walk_instance
+from conftest import random_walk_instance
 
 
 def report(criterion: int, name: str, detail: str = "") -> None:

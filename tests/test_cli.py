@@ -75,6 +75,18 @@ class TestTrackCommand:
                     "--camera", tmp_path / "missing.json", "--out", tmp_path / "x"])
         assert code == EXIT_INPUT
 
+    def test_non_finite_box_is_input_error(self, simulated, tmp_path):
+        lines = (simulated / "detections.jsonl").read_text().splitlines()
+        record = json.loads(lines[0])
+        record["bbox"][0] = float("nan")
+        bad = tmp_path / "detections.jsonl"
+        bad.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+        out = tmp_path / "tracked_nan"
+        code = run(["track", "--detections", bad,
+                    "--camera", simulated / "camera.json", "--out", out])
+        assert code == EXIT_INPUT
+        assert not (out / "trajectories.jsonl").exists()
+
     def test_batch_sequence_dirs(self, simulated, tmp_path):
         out = tmp_path / "batch"
         code = run(["track", simulated, "--out", out, "--jobs", 2])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             Detection(0, ObjectClass.PERSON, (0, 0, 1, 2), 0.5, v,
                       vehicle_fluent_feature=np.array([1.0]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_detection_rejects_non_finite_bbox(self, slot, value):
+        bbox = [0.0, 0.0, 1.0, 2.0]
+        bbox[slot] = value
+        with pytest.raises(ValueError, match="finite"):
+            Detection(0, ObjectClass.PERSON, tuple(bbox), 0.5, np.array([1.0, 0.0]))
 
     def test_trajectory_contiguity(self):
         from fluenttrack.core import Trajectory, TrajectoryPoint, VisibilityState

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fluenttrack.core import CameraModel, ObjectClass, VisibilityState
+from fluenttrack.core import CameraModel, ObjectClass, Tracklet, VisibilityState
 from fluenttrack.grammar import default_grammar, default_parameters
 from fluenttrack.solver import (
     ContainerSolution,
@@ -17,11 +17,13 @@ from fluenttrack.solver import (
     brute_force_oracle,
     build_graph,
     joint_solve,
+    pipeline_graph,
     solve_containers,
     solve_objects,
 )
+from fluenttrack.tracklets import LINK_GATE_SLACK, GapLink
 
-from conftest import make_detection, pipeline_graph, random_walk_instance, unit_vector
+from conftest import make_detection, random_walk_instance, unit_vector
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +378,38 @@ class TestInvariants:
         assert VisibilityState.OCCLUDED in states
         assert states[0] is VisibilityState.VISIBLE
         assert states[-1] is VisibilityState.VISIBLE
+        assert [p.frame for p in persons[0].points] == list(range(30))
+        # the gap is one tail -> head super-edge, not a chain of nodes
+        graph = pipeline_graph(dets, camera, params)
+        assert not [n for n in graph.nodes if 12 <= n.frame <= 17]
+        bridges = [e for e in graph.edges
+                   if graph.nodes[e.src].kind == "tail" and graph.nodes[e.dst].kind == "head"]
+        assert len(bridges) == 1
+        interior = bridges[0].interior
+        assert [frame for frame, _, _, _ in interior] == list(range(12, 18))
+        assert all(state is VisibilityState.OCCLUDED for _, _, state, _ in interior)
+
+    def test_spline_hop_over_speed_gate_drops_bridge(self, camera, params):
+        # only the tail -> first-stop hop of the spline exceeds the speed gate
+        # when the gap and the later tracklet are shifted by ``offset``
+        proto = unit_vector(np.random.default_rng(3))
+        gate = LINK_GATE_SLACK * params.tau_s / camera.frame_rate
+        before = Tracklet(0, ObjectClass.PERSON, 0, [[0.3 * f, 5.0] for f in range(5)], proto)
+
+        def bridges(offset):
+            after = Tracklet(1, ObjectClass.PERSON, 8,
+                             [[0.3 * f + offset, 5.0] for f in range(8, 13)], proto)
+            path = tuple((f, np.array([0.3 * f + offset, 5.0])) for f in range(5, 8))
+            link = GapLink(0, 1, 3, 1.0, path)
+            graph = build_graph([], [before, after], [link],
+                                ContainerSolution((), {}, 0.0, 0.0), camera, params)
+            assert not [n for n in graph.nodes if 5 <= n.frame <= 7]
+            return [e for e in graph.edges
+                    if graph.nodes[e.src].tracklet_id == 0 and graph.nodes[e.dst].tracklet_id == 1]
+
+        assert len(bridges(0.0)) == 1
+        assert gate > 0.3  # the unshifted hops stay under the gate
+        assert bridges(gate) == []
 
 
 class TestJointSolve:

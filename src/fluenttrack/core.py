@@ -62,10 +62,12 @@ class CameraModel:
         h = np.asarray(self.homography, dtype=float)
         if h.shape != (3, 3):
             raise ValueError(f"homography must be 3x3, got {h.shape}")
+        if not np.isfinite(h).all():
+            raise ValueError("homography entries must be finite")
         if abs(float(np.linalg.det(h))) <= 1e-12:
             raise ValueError("homography must be invertible (|det| > 1e-12)")
-        if not self.frame_rate > 0:
-            raise ValueError("frame_rate must be positive")
+        if not (math.isfinite(self.frame_rate) and self.frame_rate > 0):
+            raise ValueError("frame_rate must be finite and positive")
         h.setflags(write=False)
         object.__setattr__(self, "homography", h)
         object.__setattr__(self, "frame_rate", float(self.frame_rate))
@@ -75,6 +77,8 @@ def _as_readonly_vector(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} entries must be finite")
     arr.setflags(write=False)
     return arr
 

@@ -17,9 +17,7 @@ import numpy as np
 from .core import (
     ActionModel,
     ModelParameters,
-    Tracklet,
     VisibilityState,
-    descriptor_similarity,
     ground_distance,
 )
 from .grammar import VEHICLE_ACTIONS, ActionStateTable
@@ -72,13 +70,13 @@ def visibility_likelihood(
     state: VisibilityState,
     detection_score: Optional[float] = None,
     container_score: Optional[float] = None,
-    gap_pair: Optional[Tuple[Tracklet, Tracklet]] = None,
+    gap_similarity: Optional[float] = None,
 ) -> float:
     """Evidence energy for a node's visibility state.
 
     Visible nodes cost 1 - detection score, contained nodes 1 - container
     score, and occluded nodes the sigmoid of the appearance discrepancy
-    between the two tracklets they bridge.
+    (1 - pooled-descriptor similarity) between the two tracklets they bridge.
     """
     if state is VisibilityState.VISIBLE:
         if detection_score is None:
@@ -88,18 +86,9 @@ def visibility_likelihood(
         if container_score is None:
             raise ValueError("contained state requires a container score")
         return 1.0 - float(container_score)
-    if gap_pair is None:
-        raise ValueError("occluded state requires the bridged tracklet pair")
-    before, after = gap_pair
-    discrepancy = 1.0 - descriptor_similarity(
-        before.pooled_descriptor, after.pooled_descriptor
-    )
-    return sigmoid(discrepancy)
-
-
-def occlusion_likelihood_from_similarity(similarity: float) -> float:
-    """Occluded-node energy given a precomputed pooled-descriptor similarity."""
-    return sigmoid(1.0 - float(similarity))
+    if gap_similarity is None:
+        raise ValueError("occluded state requires a gap similarity")
+    return sigmoid(1.0 - float(gap_similarity))
 
 
 def pose_distance(pose_feature: np.ndarray, model: ActionModel) -> float:
@@ -245,16 +234,12 @@ def edge_cost(ctx: EdgeContext, params: ModelParameters) -> Tuple[EnergyBreakdow
     displacement = displacement_energy(
         ctx.to_location, ctx.from_location, ctx.from_state, params, ctx.dt_frames, ctx.frame_rate
     )
-    if ctx.from_state is VisibilityState.OCCLUDED:
-        if ctx.gap_similarity is None:
-            raise ValueError("occluded node requires a gap similarity")
-        visibility = occlusion_likelihood_from_similarity(ctx.gap_similarity)
-    else:
-        visibility = visibility_likelihood(
-            ctx.from_state,
-            detection_score=ctx.detection_score,
-            container_score=ctx.container_score,
-        )
+    visibility = visibility_likelihood(
+        ctx.from_state,
+        detection_score=ctx.detection_score,
+        container_score=ctx.container_score,
+        gap_similarity=ctx.gap_similarity,
+    )
 
     best_action = None
     best_transition = 0.0
@@ -288,14 +273,10 @@ def node_exit_cost(
     pose_feature: Optional[np.ndarray] = None,
 ) -> Tuple[EnergyBreakdown, str]:
     """Likelihood terms paid when a trajectory ends at a node (no transition)."""
-    if state is VisibilityState.OCCLUDED:
-        if gap_similarity is None:
-            raise ValueError("occluded node requires a gap similarity")
-        visibility = occlusion_likelihood_from_similarity(gap_similarity)
-    else:
-        visibility = visibility_likelihood(
-            state, detection_score=detection_score, container_score=container_score
-        )
+    visibility = visibility_likelihood(
+        state, detection_score=detection_score, container_score=container_score,
+        gap_similarity=gap_similarity,
+    )
     action_term = action_likelihood("walking", params, pose_feature=pose_feature)
     return EnergyBreakdown.build(0.0, 0.0, visibility, action_term), "walking"
 

@@ -1,7 +1,7 @@
 """Readers and writers for every on-disk format.
 
 JSON Lines is used for anything sequence-shaped (detections, ground truth,
-tracklets, trajectories) so files stream, diff, and append well. Malformed
+trajectories) so files stream, diff, and append well. Malformed
 input raises :class:`InputFormatError` carrying the path and line number.
 """
 
@@ -20,7 +20,6 @@ from .core import (
     CameraModel,
     Detection,
     ObjectClass,
-    Tracklet,
     Trajectory,
     TrajectoryPoint,
     VisibilityState,
@@ -135,50 +134,6 @@ def read_camera(path) -> CameraModel:
                            float(payload["frame_rate"]))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         _fail(path, None, f"bad camera file: {exc}")
-
-
-# -- tracklets ----------------------------------------------------------------
-
-def write_tracklets(path, tracklets: Sequence[Tracklet]) -> None:
-    def record(t: Tracklet) -> dict:
-        r = {
-            "id": t.id,
-            "class": t.object_class.value,
-            "frames": [t.start_frame, t.end_frame],
-            "positions": [p.tolist() for p in t.positions],
-            "pooled_descriptor": t.pooled_descriptor.tolist(),
-        }
-        if t.scores is not None:
-            r["scores"] = list(t.scores)
-        if t.detection_indices is not None:
-            r["detection_indices"] = list(t.detection_indices)
-        return r
-
-    _write_jsonl(path, (record(t) for t in tracklets))
-
-
-def read_tracklets(path) -> List[Tracklet]:
-    out = []
-    for lineno, r in _read_jsonl(path):
-        try:
-            out.append(
-                Tracklet(
-                    id=int(r["id"]),
-                    object_class=ObjectClass(r["class"]),
-                    start_frame=int(r["frames"][0]),
-                    positions=np.asarray(r["positions"], dtype=float),
-                    pooled_descriptor=_vector(r["pooled_descriptor"], path, lineno,
-                                              "pooled_descriptor"),
-                    scores=tuple(r["scores"]) if "scores" in r else None,
-                    detection_indices=tuple(r["detection_indices"])
-                    if "detection_indices" in r else None,
-                )
-            )
-        except InputFormatError:
-            raise
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            _fail(path, lineno, f"bad tracklet record: {exc}")
-    return out
 
 
 # -- trajectories ---------------------------------------------------------------

@@ -1,16 +1,16 @@
 """Action-conditioned visibility-state grammar.
 
 Declares which (state, action, next state) transitions are physically legal,
-holds the fitted transition probabilities, and turns solved trajectories into
-per-frame parses with action labels. The topology is declared; only the
-probabilities are fitted.
+holds the fitted transition probabilities, and groups solved trajectories
+into per-frame parses, checking each solved step against the grammar. The
+topology is declared; only the probabilities are fitted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -150,9 +150,6 @@ class ActionStateTable:
             )
         return float(self.rows[key].get(s_next, 0.0))
 
-    def has_row(self, s_cur: VisibilityState, action: str) -> bool:
-        return (s_cur, action) in self.rows
-
 
 def fit_transition_table(
     events: Iterable[Triple],
@@ -237,73 +234,32 @@ def min_inertial_energy(
 # parse extraction
 # ---------------------------------------------------------------------------
 
-ActionEnergyFn = Callable[[str, int, int], float]
-# (action name, object id, frame) -> action likelihood energy for that step.
-
-
-def _label_transition(
-    s_cur: VisibilityState,
-    s_next: VisibilityState,
-    object_id: int,
-    frame: int,
-    table: ActionStateTable,
-    grammar: VisibilityGrammar,
-    action_energy: Optional[ActionEnergyFn],
-) -> str:
-    candidates = grammar.legal_actions(s_cur, s_next)
-    if not candidates:
-        raise IllegalTransitionError(
-            f"object {object_id}: illegal state transition "
-            f"{s_cur.value} -> {s_next.value} at frame {frame}"
-        )
-    best_name = None
-    best_score = -math.inf
-    for action in candidates:  # ordered by id, so ties keep the lowest id
-        p = table.probability(s_next, s_cur, action.name)
-        energy = action_energy(action.name, object_id, frame) if action_energy else 0.0
-        score = p * math.exp(-energy)
-        if score > best_score + 1e-15:
-            best_score = score
-            best_name = action.name
-    assert best_name is not None
-    return best_name
-
-
 def extract_frame_parses(
     trajectories: Sequence[Trajectory],
-    table: ActionStateTable,
     grammar: Optional[VisibilityGrammar] = None,
-    action_energy: Optional[ActionEnergyFn] = None,
 ) -> List[FrameParse]:
-    """Label every per-frame transition with its most plausible action.
+    """Group solved trajectory points by frame into per-frame parses.
 
-    The label for the step t -> t+1 is the legal action maximizing
-    p(s_{t+1} | s_t, a) weighted by exp(-action energy) at frame t; ties go to
-    the lowest action id. The final frame of each trajectory keeps the
-    inertial action. States are never altered.
+    Each entry keeps its point's location, state, action and container: the
+    action of a step is the one the solver chose and priced for it. Every
+    step ``(state, action, next state)`` must be legal in ``grammar``,
+    otherwise :class:`IllegalTransitionError` is raised.
     """
     grammar = grammar or default_grammar()
     by_frame: Dict[int, List[ParseEntry]] = {}
     for traj in trajectories:
-        points = traj.points
-        for i, point in enumerate(points):
-            if i + 1 < len(points):
-                action = _label_transition(
-                    point.state,
-                    points[i + 1].state,
-                    traj.object_id,
-                    point.frame,
-                    table,
-                    grammar,
-                    action_energy,
+        for point, succ in zip(traj.points, traj.points[1:]):
+            if not grammar.is_legal(point.state, point.action, succ.state):
+                raise IllegalTransitionError(
+                    f"object {traj.object_id}: illegal transition {point.state.value} "
+                    f"-{point.action}-> {succ.state.value} at frame {point.frame}"
                 )
-            else:
-                action = INERTIAL_ACTION
+        for point in traj.points:
             entry = ParseEntry(
                 object_id=traj.object_id,
                 location=point.location,
                 state=point.state,
-                action=action,
+                action=point.action,
                 container_id=point.container_id,
             )
             by_frame.setdefault(point.frame, []).append(entry)

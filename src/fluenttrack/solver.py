@@ -9,7 +9,10 @@ tracklet interiors and the occluded frames of spline gap links are pure
 chains, contracted into super-edges that keep those frames as interior
 stops. Trajectories are extracted one at a time by dynamic programming
 over the DAG while an exhaustive oracle bounds the optimality gap on small
-instances.
+instances. Each extraction returns the edges it walked, and a trajectory is
+decoded from those edges alone: every point keeps the action its outgoing
+edge was priced with, so the frame parses are the solved paths grouped by
+frame, not a second labelling pass.
 
 Maximizing the raw edge scores is degenerate (every term is non-positive, so
 the empty solution would win); nodes therefore carry log-odds evidence
@@ -685,8 +688,9 @@ def _shortest_path(
     graph: TransitionGraph,
     node_cap: List[int],
     edge_cap: List[int],
-) -> Tuple[float, List[int]]:
-    """One DP sweep in topological order; returns (net cost, node id path)."""
+) -> Tuple[float, List[int], List[int]]:
+    """One DP sweep in topological order; returns (net cost, node id path,
+    the edge ids walked between those nodes)."""
     order = sorted(range(len(graph.nodes)), key=lambda i: (graph.nodes[i].frame, i))
     dist = [math.inf] * len(graph.nodes)
     parent_edge: List[Optional[int]] = [None] * len(graph.nodes)
@@ -721,28 +725,16 @@ def _shortest_path(
             best_cost = total
             best_node = nid
     if best_node is None:
-        return math.inf, []
+        return math.inf, [], []
     path = [best_node]
+    edge_ids: List[int] = []
     while parent_edge[path[-1]] is not None:
-        edge = graph.edges[parent_edge[path[-1]]]
-        path.append(edge.src)
+        eid = parent_edge[path[-1]]
+        edge_ids.append(eid)
+        path.append(graph.edges[eid].src)
     path.reverse()
-    return best_cost, path
-
-
-def _path_edges(graph: TransitionGraph, path: Sequence[int]) -> List[int]:
-    """Recover the edge ids along a node path (cheapest edge per hop)."""
-    edges = []
-    for u, v in zip(path, path[1:]):
-        best = None
-        for eid in graph.out_edges(u):
-            if graph.edges[eid].dst == v:
-                if best is None or graph.edges[eid].net_cost < graph.edges[best].net_cost:
-                    best = eid
-        if best is None:
-            raise InternalInvariantError(f"no edge between path nodes {u} -> {v}")
-        edges.append(best)
-    return edges
+    edge_ids.reverse()
+    return best_cost, path, edge_ids
 
 
 def solve_objects(graph: TransitionGraph, params: ModelParameters) -> FlowSolution:
@@ -759,14 +751,14 @@ def solve_objects(graph: TransitionGraph, params: ModelParameters) -> FlowSoluti
     edge_cap = [e.capacity for e in graph.edges]
     object_flows: Dict[int, int] = {}
     paths: List[Tuple[int, ...]] = []
+    trajectories: List[Trajectory] = []
     objective = 0.0
     totals = ZERO_BREAKDOWN
 
     for _ in range(len(graph.nodes) + 1):
-        cost, path = _shortest_path(graph, node_cap, edge_cap)
+        cost, path, edge_ids = _shortest_path(graph, node_cap, edge_cap)
         if not path or cost >= -1e-12:
             break
-        edge_ids = _path_edges(graph, path)
         for nid in path:
             node_cap[nid] -= 1
             if node_cap[nid] < 0:
@@ -779,14 +771,12 @@ def solve_objects(graph: TransitionGraph, params: ModelParameters) -> FlowSoluti
             totals = totals.add(graph.edges[eid].breakdown)
         objective += -cost
         paths.append(tuple(path))
+        trajectories.append(_decode_path(graph, path, edge_ids, object_id=len(trajectories)))
 
-    trajectories = tuple(
-        _decode_path(graph, path, object_id=i) for i, path in enumerate(paths)
-    )
     solution = FlowSolution(
         object_flows=object_flows,
         objective=objective,
-        trajectories=trajectories,
+        trajectories=tuple(trajectories),
         paths=tuple(paths),
         energy_totals=totals,
     )
@@ -794,8 +784,13 @@ def solve_objects(graph: TransitionGraph, params: ModelParameters) -> FlowSoluti
     return solution
 
 
-def _decode_path(graph: TransitionGraph, path: Sequence[int], object_id: int) -> Trajectory:
-    edge_ids = _path_edges(graph, path)
+def _decode_path(graph: TransitionGraph, path: Sequence[int], edge_ids: Sequence[int],
+                 object_id: int) -> Trajectory:
+    """The trajectory along ``path``, whose hops are the edges ``edge_ids``.
+
+    Each point keeps the action its outgoing edge was priced with; the last
+    point keeps the inertial action.
+    """
     points: List[TrajectoryPoint] = []
     cls = graph.nodes[path[0]].object_class
     for i, nid in enumerate(path):
@@ -948,7 +943,7 @@ def brute_force_oracle(
         for eid in candidates[idx][2]:
             flows[eid] = flows.get(eid, 0) + 1
     trajectories = tuple(
-        _decode_path(graph, candidates[idx][1], object_id=i)
+        _decode_path(graph, candidates[idx][1], candidates[idx][2], object_id=i)
         for i, idx in enumerate(best_subset)
     )
     return FlowSolution(
@@ -1004,49 +999,10 @@ def joint_solve(
 
     n_containers = len(containers.trajectories)
     trajectories = list(containers.trajectories)
-    pose_lookup: Dict[Tuple[int, int], np.ndarray] = {}
-    fluent_lookup: Dict[Tuple[int, int], np.ndarray] = {}
     for traj in solution.trajectories:
-        oid = traj.object_id + n_containers
-        trajectories.append(
-            Trajectory(object_id=oid, object_class=traj.object_class, points=traj.points)
-        )
-        for i, point in enumerate(traj.points):
-            cid = point.container_id
-            if cid is None and i + 1 < len(traj.points):
-                cid = traj.points[i + 1].container_id
-            if cid is not None:
-                ev = containers.evidence[cid].get(point.frame)
-                if ev is not None and ev[1] is not None:
-                    fluent_lookup[(oid, point.frame)] = ev[1]
-
-    # pose features for visible points, recovered from the source detections
-    det_by_key: Dict[Tuple[int, ObjectClass], List[Detection]] = {}
-    for d in detections:
-        if d.pose_feature is not None:
-            det_by_key.setdefault((d.frame, d.object_class), []).append(d)
-    for traj in trajectories[n_containers:]:
-        for point in traj.points:
-            if point.state is not VisibilityState.VISIBLE:
-                continue
-            for d in det_by_key.get((point.frame, traj.object_class), ()):
-                if ground_distance(project_to_ground(camera, d.bbox), point.location) < 1e-6:
-                    pose_lookup[(traj.object_id, point.frame)] = d.pose_feature
-                    break
-
-    from .energy import action_likelihood
-
-    def action_energy(action: str, object_id: int, frame: int) -> float:
-        return action_likelihood(
-            action,
-            params,
-            pose_feature=pose_lookup.get((object_id, frame)),
-            vehicle_fluent_feature=fluent_lookup.get((object_id, frame)),
-        )
-
-    parses = extract_frame_parses(
-        trajectories, params.transition_table, grammar, action_energy
-    )
+        trajectories.append(Trajectory(object_id=traj.object_id + n_containers,
+                                       object_class=traj.object_class, points=traj.points))
+    parses = extract_frame_parses(trajectories, grammar)
 
     summary = {
         "objective": solution.objective,

@@ -87,6 +87,31 @@ class TestTrackCommand:
         assert code == EXIT_INPUT
         assert not (out / "trajectories.jsonl").exists()
 
+    def test_infinite_frame_rate_is_input_error(self, simulated, tmp_path):
+        camera = json.loads((simulated / "camera.json").read_text())
+        camera["frame_rate"] = float("inf")
+        bad = tmp_path / "camera.json"
+        bad.write_text(json.dumps(camera))
+        out = tmp_path / "tracked_inf"
+        code = run(["track", "--detections", simulated / "detections.jsonl",
+                    "--camera", bad, "--out", out])
+        assert code == EXIT_INPUT
+        assert not out.exists()
+
+    def test_non_finite_pose_is_input_error(self, simulated, tmp_path):
+        lines = (simulated / "detections.jsonl").read_text().splitlines()
+        index = next(i for i, line in enumerate(lines) if "pose_feature" in json.loads(line))
+        record = json.loads(lines[index])
+        record["pose_feature"][0] = float("nan")
+        lines[index] = json.dumps(record)
+        bad = tmp_path / "detections.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "tracked_nan_pose"
+        code = run(["track", "--detections", bad,
+                    "--camera", simulated / "camera.json", "--out", out])
+        assert code == EXIT_INPUT
+        assert not out.exists()
+
     def test_batch_sequence_dirs(self, simulated, tmp_path):
         out = tmp_path / "batch"
         code = run(["track", simulated, "--out", out, "--jobs", 2])

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from fluenttrack.core import (
+    ActionModel,
     CameraModel,
     DegenerateProjectionError,
     Detection,
     ObjectClass,
+    Tracklet,
     descriptor_similarity,
     ground_distance,
     pool_descriptors,
@@ -161,6 +163,38 @@ class TestTypes:
         bbox[slot] = value
         with pytest.raises(ValueError, match="finite"):
             Detection(0, ObjectClass.PERSON, tuple(bbox), 0.5, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_camera_rejects_non_finite_homography(self, value):
+        h = np.eye(3)
+        h[0, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            CameraModel(h, 30.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_camera_rejects_non_finite_frame_rate(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            CameraModel(np.eye(3), value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["descriptor", "pose_feature",
+                                       "vehicle_fluent_feature"])
+    def test_detection_rejects_non_finite_vector(self, field, value):
+        fields = {"descriptor": np.array([1.0, 0.0])}
+        fields[field] = np.array([value, 0.0])
+        cls = ObjectClass.VEHICLE if field == "vehicle_fluent_feature" else ObjectClass.PERSON
+        with pytest.raises(ValueError, match="finite"):
+            Detection(0, cls, (0.0, 0.0, 1.0, 2.0), 0.5, **fields)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_tracklet_rejects_non_finite_descriptor(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            Tracklet(0, ObjectClass.PERSON, 0, np.zeros((1, 2)), np.array([value, 0.0]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_action_model_rejects_non_finite_mean(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            ActionModel("walking", np.array([value, 0.0]), np.eye(2))
 
     def test_trajectory_contiguity(self):
         from fluenttrack.core import Trajectory, TrajectoryPoint, VisibilityState

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fluenttrack.core import ActionModel, ObjectClass, Tracklet, VisibilityState
+from fluenttrack.core import ActionModel, VisibilityState, descriptor_similarity
 from fluenttrack.energy import (
     EdgeContext,
     EnergyBreakdown,
@@ -17,17 +17,19 @@ from fluenttrack.energy import (
     vehicle_fluent_distance,
     visibility_likelihood,
 )
-from fluenttrack.grammar import default_parameters
+from fluenttrack.grammar import (
+    C,
+    O,
+    default_grammar,
+    default_parameters,
+    default_vehicle_templates,
+    fit_transition_table,
+)
 
 
 @pytest.fixture(scope="module")
 def params():
     return default_parameters()
-
-
-def tracklet_with_descriptor(tid, desc):
-    return Tracklet(id=tid, object_class=ObjectClass.PERSON, start_frame=0,
-                    positions=np.zeros((1, 2)), pooled_descriptor=desc)
 
 
 class TestSigmoid:
@@ -108,8 +110,8 @@ class TestVisibilityLikelihood:
     def test_occluded_identical_descriptors(self):
         v = np.zeros(4)
         v[0] = 1.0
-        pair = (tracklet_with_descriptor(0, v), tracklet_with_descriptor(1, v))
-        assert visibility_likelihood(VisibilityState.OCCLUDED, gap_pair=pair) == 0.5
+        assert visibility_likelihood(VisibilityState.OCCLUDED,
+                                     gap_similarity=descriptor_similarity(v, v)) == 0.5
 
     def test_missing_evidence_rejected(self):
         with pytest.raises(ValueError):
@@ -131,8 +133,8 @@ class TestVisibilityLikelihood:
             a /= np.linalg.norm(a)
             b = rng.normal(size=5)
             b /= np.linalg.norm(b)
-            pair = (tracklet_with_descriptor(0, a), tracklet_with_descriptor(1, b))
-            occ = visibility_likelihood(VisibilityState.OCCLUDED, gap_pair=pair)
+            occ = visibility_likelihood(VisibilityState.OCCLUDED,
+                                        gap_similarity=descriptor_similarity(a, b))
             assert 0.0 < occ < 1.0
 
 
@@ -275,6 +277,29 @@ class TestEdgeCost:
                      breakdown.visibility, breakdown.action)
             assert breakdown.total == pytest.approx(sum(parts), abs=1e-9)
             assert math.isfinite(breakdown.total)
+
+    def enter_ctx(self, params, **kw):
+        """An occluded -> contained hop, offered every grammar-legal action."""
+        legal = tuple(a.name for a in default_grammar().legal_actions(O, C))
+        return self.ctx(params, from_state=O, to_state=C, legal_actions=legal,
+                        detection_score=None, gap_similarity=0.9, **kw)
+
+    def test_occluded_to_contained_is_enter(self, params):
+        # enter_vehicle and load_baggage price equally; ties go to the lower id
+        _, action = edge_cost(self.enter_ctx(params), params)
+        assert action == "enter_vehicle"
+
+    def test_tie_broken_by_lowest_action_id(self):
+        g = default_grammar()
+        uniform = default_parameters(transition_table=fit_transition_table([], 1.0, g))
+        assert g.action_by_name("enter_vehicle").id < g.action_by_name("load_baggage").id
+        _, action = edge_cost(self.enter_ctx(uniform), uniform)
+        assert action == "enter_vehicle"
+
+    def test_evidence_changes_label(self, params):
+        fluent = default_vehicle_templates()["load_baggage"] + 0.1
+        _, action = edge_cost(self.enter_ctx(params, container_fluent_feature=fluent), params)
+        assert action == "load_baggage"
 
     def test_temporal_precondition(self, params):
         with pytest.raises(ValueError):

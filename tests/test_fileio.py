@@ -8,7 +8,6 @@ from fluenttrack.core import (
     CameraModel,
     Detection,
     ObjectClass,
-    Tracklet,
     Trajectory,
     TrajectoryPoint,
     VisibilityState,
@@ -118,21 +117,6 @@ class TestGroundTruthRoundTrip:
             assert (a.frame, a.object_id, a.state, a.container_id) == (
                 b.frame, b.object_id, b.state, b.container_id)
             np.testing.assert_array_equal(a.location, b.location)
-
-
-class TestTrackletsRoundTrip:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        t = Tracklet(id=2, object_class=ObjectClass.SUITCASE, start_frame=7,
-                     positions=np.array([[0.0, 1.0], [0.25, 1.0]]),
-                     pooled_descriptor=unit_vector(rng),
-                     scores=(0.5, 0.625), detection_indices=(4, 9))
-        path = tmp_path / "tracklets.jsonl"
-        fileio.write_tracklets(path, [t])
-        loaded = fileio.read_tracklets(path)[0]
-        assert loaded.id == 2 and loaded.start_frame == 7
-        assert loaded.scores == t.scores and loaded.detection_indices == (4, 9)
-        np.testing.assert_array_equal(loaded.positions, t.positions)
 
 
 class TestTableAndModels:

@@ -97,11 +97,18 @@ class TestFitTransitionTable:
         assert t1.rows == t2.rows
 
 
-def straight_trajectory(states, object_id=0, container_id=None):
+def straight_trajectory(states, actions=None, object_id=0, container_id=None, start=0):
+    """A trajectory through ``states``; by default each step takes its
+    lowest-id legal action (walking where none is legal) and the last point
+    walks."""
+    g = default_grammar()
+    if actions is None:
+        actions = [next(iter(g.legal_actions(s, t)), DEFAULT_ACTIONS[0]).name
+                   for s, t in zip(states, states[1:])] + ["walking"]
     points = []
-    for i, s in enumerate(states):
+    for i, (s, a) in enumerate(zip(states, actions)):
         points.append(TrajectoryPoint(
-            frame=i, location=np.array([float(i), 0.0]), state=s,
+            frame=start + i, location=np.array([float(i), 0.0]), state=s, action=a,
             container_id=container_id if s is VisibilityState.CONTAINED else None,
         ))
     return Trajectory(object_id=object_id, object_class=ObjectClass.PERSON,
@@ -111,54 +118,48 @@ def straight_trajectory(states, object_id=0, container_id=None):
 class TestExtractFrameParses:
     def test_constant_visible_labeled_walking(self):
         traj = straight_trajectory([V] * 5)
-        parses = extract_frame_parses([traj], default_transition_table())
+        parses = extract_frame_parses([traj])
         assert all(p.entries[0].action == "walking" for p in parses)
 
-    def test_occluded_to_contained_is_enter(self):
-        traj = straight_trajectory([V, O, C, C], container_id=7)
-        parses = extract_frame_parses([traj], default_transition_table())
-        assert parses[1].entries[0].action == "enter_vehicle"  # ties break to low id
-
-    def test_tie_broken_by_lowest_action_id(self):
-        g = default_grammar()
-        table = fit_transition_table([], alpha=1.0, grammar=g)  # uniform rows
-        traj = straight_trajectory([V, O, C, C], container_id=3)
-        parses = extract_frame_parses([traj], table, g)
-        enter = g.action_by_name("enter_vehicle")
-        load = g.action_by_name("load_baggage")
-        assert enter.id < load.id
-        assert parses[1].entries[0].action == "enter_vehicle"
+    def test_points_grouped_by_frame(self):
+        late = straight_trajectory([V, V, V], object_id=4, start=2)
+        early = straight_trajectory([V, O, C, C], object_id=1, container_id=7)
+        parses = extract_frame_parses([late, early])
+        assert [p.frame for p in parses] == [0, 1, 2, 3, 4]
+        assert [[e.object_id for e in p.entries] for p in parses] == [
+            [1], [1], [1, 4], [1, 4], [4]]
+        entry = parses[2].entries[0]
+        assert (entry.state, entry.container_id) == (C, 7)
+        np.testing.assert_array_equal(entry.location, early.points[2].location)
 
     def test_states_never_altered(self):
+        # states and solved actions pass through unchanged, including
+        # actions that are not the lowest-id label for their step
         rng = np.random.default_rng(2)
         g = default_grammar()
-        table = default_transition_table(g)
         for _ in range(50):
             states = [V]
+            actions = []
             for _ in range(10):
-                nxt = [s for s in (V, O, C)
-                       if any(g.is_legal(states[-1], a.name, s) for a in g.actions)]
-                states.append(nxt[int(rng.integers(0, len(nxt)))])
-            traj = straight_trajectory(states, container_id=0)
-            parses = extract_frame_parses([traj], table, g)
-            extracted = [p.entries[0].state for p in parses]
-            assert extracted == states
+                options = [(a.name, s) for s in (V, O, C) for a in g.legal_actions(states[-1], s)]
+                action, nxt = options[int(rng.integers(0, len(options)))]
+                actions.append(action)
+                states.append(nxt)
+            traj = straight_trajectory(states, actions + ["walking"], container_id=0)
+            parses = extract_frame_parses([traj], g)
+            assert [p.entries[0].state for p in parses] == states
+            assert [p.entries[0].action for p in parses] == actions + ["walking"]
 
     def test_illegal_transition_rejected(self):
         traj = straight_trajectory([V, C], container_id=1)
         with pytest.raises(IllegalTransitionError):
-            extract_frame_parses([traj], default_transition_table())
+            extract_frame_parses([traj])
 
-    def test_evidence_changes_label(self):
-        # with load-favoring evidence the O -> C step is labeled load_baggage
-        traj = straight_trajectory([V, O, C, C], container_id=2)
-
-        def action_energy(action, object_id, frame):
-            return 0.0 if action == "load_baggage" else 5.0
-
-        parses = extract_frame_parses([traj], default_transition_table(),
-                                      action_energy=action_energy)
-        assert parses[1].entries[0].action == "load_baggage"
+    def test_illegal_action_rejected(self):
+        # V -> O is a legal state pair, but only by walking
+        traj = straight_trajectory([V, O], ["enter_vehicle", "walking"])
+        with pytest.raises(IllegalTransitionError):
+            extract_frame_parses([traj])
 
 
 class TestTableValidation:

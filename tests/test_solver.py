@@ -428,6 +428,8 @@ class TestJointSolve:
                          if e.object_id == traj.object_id]
                 assert len(entry) == 1
                 assert entry[0].state is point.state
+                assert entry[0].action == point.action
+                assert entry[0].container_id == point.container_id
 
     def test_summary_fields(self, camera, params):
         dets = containment_setup(camera, params)

@@ -227,7 +227,6 @@ class ParseEntry:
     location: np.ndarray
     state: VisibilityState
     action: str
-    bbox: Optional[Tuple[float, float, float, float]] = None
     container_id: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -253,20 +252,36 @@ class FrameParse:
 
 @dataclass(frozen=True)
 class ActionModel:
-    """Gaussian pose model for one action (mean + positive-definite covariance)."""
+    """Gaussian pose model for one action (mean + positive-definite covariance).
+
+    ``log_det`` caches the covariance's log-determinant.
+    """
 
     name: str
     mean: np.ndarray
     covariance: np.ndarray
+    log_det: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mean = _as_readonly_vector(self.mean, "mean")
         cov = np.asarray(self.covariance, dtype=float)
         if cov.shape != (mean.shape[0], mean.shape[0]):
             raise ValueError("covariance shape must match mean dimension")
+        if not np.isfinite(cov).all():
+            raise ValueError(f"covariance entries for action {self.name!r} must be finite")
+        not_positive_definite = f"covariance for action {self.name!r} is not positive definite"
+        try:
+            # a positive determinant alone would admit -I in even dimensions
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise ValueError(not_positive_definite) from None
+        sign, log_det = np.linalg.slogdet(cov)
+        if sign <= 0:
+            raise ValueError(not_positive_definite)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "log_det", float(log_det))
 
 
 @dataclass(frozen=True)

@@ -97,16 +97,12 @@ def pose_distance(pose_feature: np.ndarray, model: ActionModel) -> float:
     mean = model.mean
     if x.shape != mean.shape:
         raise ValueError(f"pose feature dimension {x.shape} != model dimension {mean.shape}")
-    cov = model.covariance
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0:
-        raise ValueError(f"covariance for action {model.name!r} is not positive definite")
     diff = x - mean
-    quad = float(diff @ np.linalg.solve(cov, diff))
+    quad = float(diff @ np.linalg.solve(model.covariance, diff))
     if quad < 0:
         raise ValueError(f"covariance for action {model.name!r} is not positive definite")
     d = mean.shape[0]
-    return 0.5 * (quad + float(logdet) + d * math.log(2.0 * math.pi))
+    return 0.5 * (quad + model.log_det + d * math.log(2.0 * math.pi))
 
 
 def vehicle_fluent_distance(fluent_feature: np.ndarray, template: np.ndarray) -> float:

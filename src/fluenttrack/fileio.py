@@ -245,14 +245,20 @@ def write_transition_table(path, table: ActionStateTable, alpha: float = 1.0) ->
                           encoding="utf-8")
 
 
+def _table_from_rows(records) -> ActionStateTable:
+    """Zero entries are dropped; negative and non-finite ones reach
+    ``ActionStateTable``, which rejects them."""
+    rows = {}
+    for r in records:
+        key = (VisibilityState(r["state"]), str(r["action"]))
+        rows[key] = {VisibilityState(s): float(p) for s, p in r["next"].items() if p != 0}
+    return ActionStateTable(rows=rows)
+
+
 def read_transition_table(path) -> ActionStateTable:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        rows = {}
-        for r in payload["rows"]:
-            key = (VisibilityState(r["state"]), str(r["action"]))
-            rows[key] = {VisibilityState(s): float(p) for s, p in r["next"].items() if p > 0}
-        return ActionStateTable(rows=rows)
+        return _table_from_rows(payload["rows"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         _fail(path, None, f"bad transition table: {exc}")
 
@@ -306,11 +312,7 @@ def read_action_models(path):
                 )
             if "vehicle_template" in entry:
                 templates[name] = np.asarray(entry["vehicle_template"], dtype=float)
-        rows = {}
-        for r in payload["transition_table"]["rows"]:
-            key = (VisibilityState(r["state"]), str(r["action"]))
-            rows[key] = {VisibilityState(s): float(p) for s, p in r["next"].items() if p > 0}
-        return models, templates, ActionStateTable(rows=rows)
+        return models, templates, _table_from_rows(payload["transition_table"]["rows"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         _fail(path, None, f"bad action models file: {exc}")
 

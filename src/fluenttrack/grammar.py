@@ -136,6 +136,8 @@ class ActionStateTable:
 
     def __post_init__(self) -> None:
         for key, row in self.rows.items():
+            if not all(math.isfinite(p) for p in row.values()):
+                raise ValueError(f"row {key} has a non-finite probability")
             total = sum(row.values())
             if abs(total - 1.0) > ROW_SUM_TOL:
                 raise ValueError(f"row {key} sums to {total}, expected 1")

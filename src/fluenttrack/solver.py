@@ -199,7 +199,6 @@ class GraphNode:
     pose_feature: Optional[np.ndarray] = None
     container_id: Optional[int] = None
     tracklet_id: Optional[int] = None
-    detection_index: Optional[int] = None
 
     @property
     def can_emit(self) -> bool:
@@ -359,13 +358,30 @@ class _GraphBuilder:
         Every hop is priced as if the stops were nodes, and the stops are
         kept on the edge's interior. A hop with no legal action, or longer
         than ``gate`` metres, drops the whole chain.
+
+        A hop that leaves an occluded or contained stop with no pose
+        evidence costs displacement 1 whatever its length, so its price
+        depends only on the state pair and the stop's gap similarity or
+        container score; each such distinct hop is priced once. The five
+        components are still added hop by hop, in hop order.
         """
+        chain = (src, *stops, dst)
+        if gate is not None:
+            points = np.array([s.location for s in chain], dtype=float)
+            if (np.linalg.norm(np.diff(points, axis=0), axis=1) > gate).any():
+                return
         displacement = transition = visibility = action_term = total = net = 0.0
         actions = []
-        for u, v in zip((src, *stops), (*stops, dst)):
-            if gate is not None and ground_distance(u.location, v.location) > gate:
-                return
-            priced = self.price(u, v)
+        priced_once: Dict[tuple, Optional[Tuple[EnergyBreakdown, str]]] = {}
+        for u, v in zip(chain, chain[1:]):
+            if (u.state is VisibilityState.VISIBLE or u.pose_feature is not None
+                    or v.frame - u.frame < 1):
+                priced = self.price(u, v)
+            else:
+                key = (u.state, v.state, u.gap_similarity, u.container_score)
+                if key not in priced_once:
+                    priced_once[key] = self.price(u, v)
+                priced = priced_once[key]
             if priced is None:
                 return
             step, action = priced
@@ -482,7 +498,6 @@ def build_graph(
             capacity=1,
             detection_score=det.score,
             pose_feature=det.pose_feature,
-            detection_index=idx,
         )
 
     # containment vestibules: occluded nodes riding each compatible container

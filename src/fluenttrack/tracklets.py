@@ -2,8 +2,11 @@
 
 Detections are linked into short high-confidence fragments by an exact
 successive-shortest-paths min-cost flow (log-odds node rewards against entry,
-exit, and motion costs). Gaps between appearance-compatible tracklets are
-filled with interpolating cubic splines to propose virtual paths.
+exit, and motion costs), solved on each weak component of the link graph
+separately: components share only the source and the sink, so the union of
+their optimal paths is the optimum of the whole. Gaps between
+appearance-compatible tracklets are filled with interpolating cubic splines
+to propose virtual paths.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
@@ -33,47 +36,116 @@ LINK_GATE_SLACK = 2.0  # structural distance gate, in multiples of tau_s * dt
 
 class MinCostFlowTracker:
     """Unit-capacity min-cost flow over a detection DAG, solved exactly by
-    successive shortest paths with Johnson potentials.
+    successive shortest paths (SSP) with Johnson potentials, one weak
+    component of the link graph at a time.
 
     Items are added with individual rewards; links carry nonnegative motion
-    costs. Every accepted source->sink path has strictly negative true cost,
-    and augmentation stops at the first nonnegative one, which is the exact
-    optimum for convex unit flows.
+    costs. Items that no chain of links joins share no arc but the source's
+    and the sink's unit arcs, so the optimum is the union of the optima of
+    the weak components, and each component's SSP runs its Dijkstras over
+    that component alone. Every accepted source->sink path has strictly
+    negative true cost, and augmentation stops at the first nonnegative one,
+    which is the exact optimum for convex unit flows.
     """
 
     def __init__(self, num_items: int, entry_cost: float, exit_cost: float):
         self.num_items = num_items
-        self.source = 0
-        self.sink = 1
-        self.num_nodes = 2 + 2 * num_items
-        self.graph: List[List[List[float]]] = [[] for _ in range(self.num_nodes)]
         self.entry_cost = entry_cost
         self.exit_cost = exit_cost
-
-    def _in(self, item: int) -> int:
-        return 2 + 2 * item
-
-    def _out(self, item: int) -> int:
-        return 3 + 2 * item
-
-    def _add_arc(self, u: int, v: int, cap: int, cost: float) -> None:
-        self.graph[u].append([v, cap, cost, len(self.graph[v]), True])
-        self.graph[v].append([u, 0, -cost, len(self.graph[u]) - 1, False])
+        self.rewards: Dict[int, float] = {}
+        self.links: List[Tuple[int, int, float]] = []
 
     def add_item(self, item: int, reward: float) -> None:
-        self._add_arc(self.source, self._in(item), 1, self.entry_cost)
-        self._add_arc(self._in(item), self._out(item), 1, -reward)
-        self._add_arc(self._out(item), self.sink, 1, self.exit_cost)
+        self.rewards[item] = reward
 
     def add_link(self, item_from: int, item_to: int, cost: float) -> None:
-        self._add_arc(self._out(item_from), self._in(item_to), 1, cost)
+        self.links.append((item_from, item_to, cost))
 
-    def _initial_potentials(self, order: Sequence[int]) -> List[float]:
+    def _components(
+        self, topo_order: Sequence[int]
+    ) -> List[Tuple[List[int], List[Tuple[int, int, float]]]]:
+        """Weak components of the link graph as (items in ``topo_order``
+        order, links) pairs, listed by first appearance in ``topo_order``.
+
+        Only added items count; a link touching an item that was never added
+        cannot carry flow and is left out.
+        """
+        root = list(range(self.num_items))
+
+        def find(i: int) -> int:
+            while root[i] != i:
+                root[i] = root[root[i]]
+                i = root[i]
+            return i
+
+        for a, b, _ in self.links:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                root[max(ra, rb)] = min(ra, rb)
+        components: Dict[int, Tuple[List[int], List[Tuple[int, int, float]]]] = {}
+        for node in topo_order:
+            item = (node - 2) // 2
+            if node >= 2 and node % 2 == 0 and item in self.rewards:
+                components.setdefault(find(item), ([], []))[0].append(item)
+        for link in self.links:
+            if link[0] in self.rewards and link[1] in self.rewards:
+                components[find(link[0])][1].append(link)
+        return list(components.values())
+
+    def solve(self, topo_order: Sequence[int]) -> Tuple[List[List[int]], float]:
+        """Run SSP on each weak component; returns (paths as item-index
+        lists, total flow cost summed over the components). ``topo_order``
+        lists the in- and out-node of every added item, as
+        ``_topological_order`` builds it."""
+        paths: List[List[int]] = []
+        total_cost = 0.0
+        for items, links in self._components(topo_order):
+            flow = _UnitFlow(items, self.rewards, links, self.entry_cost, self.exit_cost)
+            component_paths, cost = flow.solve()
+            paths.extend(component_paths)
+            total_cost += cost
+        return paths, total_cost
+
+
+class _UnitFlow:
+    """The residual graph of one weak component and its SSP solve.
+
+    ``items`` come in topological order. Local node ids: 0 is the source,
+    1 the sink, and the k-th item by global index gets in-node 2 + 2k and
+    out-node 3 + 2k, so node order, arc order and heap tie-breaks follow the
+    global item order.
+    """
+
+    def __init__(self, items: Sequence[int], rewards: Mapping[int, float],
+                 links: Sequence[Tuple[int, int, float]], entry_cost: float,
+                 exit_cost: float):
+        self.items = sorted(items)
+        local = {item: k for k, item in enumerate(self.items)}
+        self.source = 0
+        self.sink = 1
+        self.num_nodes = 2 + 2 * len(self.items)
+        self.graph: List[List[list]] = [[] for _ in range(self.num_nodes)]
+        for k, item in enumerate(self.items):
+            self._add_arc(self.source, 2 + 2 * k, entry_cost)
+            self._add_arc(2 + 2 * k, 3 + 2 * k, -rewards[item])
+            self._add_arc(3 + 2 * k, self.sink, exit_cost)
+        for a, b, cost in links:
+            self._add_arc(3 + 2 * local[a], 2 + 2 * local[b], cost)
+        self.topo_order = [self.source]
+        for item in items:
+            self.topo_order += [2 + 2 * local[item], 3 + 2 * local[item]]
+        self.topo_order.append(self.sink)
+
+    def _add_arc(self, u: int, v: int, cost: float) -> None:
+        self.graph[u].append([v, 1, cost, len(self.graph[v]), True])
+        self.graph[v].append([u, 0, -cost, len(self.graph[u]) - 1, False])
+
+    def _initial_potentials(self) -> List[float]:
         # Zero flow means the residual graph is the original DAG; one
         # relaxation sweep in topological order yields exact distances.
         dist = [math.inf] * self.num_nodes
         dist[self.source] = 0.0
-        for u in order:
+        for u in self.topo_order:
             if not math.isfinite(dist[u]):
                 continue
             for arc in self.graph[u]:
@@ -82,9 +154,8 @@ class MinCostFlowTracker:
                     dist[v] = dist[u] + cost
         return dist
 
-    def solve(self, topo_order: Sequence[int]) -> Tuple[List[List[int]], float]:
-        """Run SSP; returns (paths as item-index lists, total flow cost)."""
-        potential = self._initial_potentials(topo_order)
+    def solve(self) -> Tuple[List[List[int]], float]:
+        potential = self._initial_potentials()
         total_cost = 0.0
         n = self.num_nodes
         while True:
@@ -145,7 +216,7 @@ class MinCostFlowTracker:
                 v, rev = step
                 self.graph[v][rev][1] -= 1
                 if u >= 2 and (u - 2) % 2 == 0 and v == u + 1:
-                    path_items.append((u - 2) // 2)
+                    path_items.append(self.items[(u - 2) // 2])
                 u = v
             if u != self.sink or not path_items:
                 break

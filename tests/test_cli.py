@@ -112,6 +112,27 @@ class TestTrackCommand:
         assert code == EXIT_INPUT
         assert not out.exists()
 
+    def test_non_finite_sigma_is_input_error(self, simulated, tmp_path):
+        from fluenttrack.grammar import (
+            default_action_models,
+            default_transition_table,
+            default_vehicle_templates,
+        )
+
+        models_path = tmp_path / "models.json"
+        fileio.write_action_models(models_path, default_action_models(),
+                                   default_vehicle_templates(), default_transition_table())
+        payload = json.loads(models_path.read_text())
+        entry = next(e for e in payload["actions"] if e["name"] == "close_trunk")
+        entry["sigma"][0][0] = float("nan")
+        models_path.write_text(json.dumps(payload))
+        out = tmp_path / "tracked_nan_sigma"
+        code = run(["track", "--detections", simulated / "detections.jsonl",
+                    "--camera", simulated / "camera.json", "--out", out,
+                    "--action-models", models_path])
+        assert code == EXIT_INPUT
+        assert not out.exists()
+
     def test_batch_sequence_dirs(self, simulated, tmp_path):
         out = tmp_path / "batch"
         code = run(["track", simulated, "--out", out, "--jobs", 2])

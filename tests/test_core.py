@@ -196,6 +196,22 @@ class TestTypes:
         with pytest.raises(ValueError, match="finite"):
             ActionModel("walking", np.array([value, 0.0]), np.eye(2))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_action_model_rejects_non_finite_covariance(self, value):
+        cov = np.eye(2)
+        cov[0, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            ActionModel("walking", np.zeros(2), cov)
+
+    @pytest.mark.parametrize("cov", [np.zeros((2, 2)), np.diag([1.0, -1.0]), -np.eye(2)])
+    def test_action_model_rejects_non_positive_definite(self, cov):
+        with pytest.raises(ValueError, match="positive definite"):
+            ActionModel("walking", np.zeros(2), cov)
+
+    def test_action_model_caches_log_determinant(self):
+        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+        assert ActionModel("walking", np.zeros(2), cov).log_det == np.linalg.slogdet(cov)[1]
+
     def test_trajectory_contiguity(self):
         from fluenttrack.core import Trajectory, TrajectoryPoint, VisibilityState
         p0 = TrajectoryPoint(0, np.zeros(2), VisibilityState.VISIBLE)

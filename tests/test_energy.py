@@ -175,9 +175,9 @@ class TestPoseDistance:
             pose_distance(np.zeros(3), model)
 
     def test_non_pd_covariance(self):
-        model = ActionModel("walking", np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
-        with pytest.raises(ValueError):
-            pose_distance(np.zeros(2), model)
+        # rejected when the model is built, before any pose is scored
+        with pytest.raises(ValueError, match="positive definite"):
+            ActionModel("walking", np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
 class TestVehicleFluentDistance:

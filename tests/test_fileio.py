@@ -130,6 +130,19 @@ class TestTableAndModels:
             for state, p in row.items():
                 assert loaded.rows[key].get(state, 0.0) == pytest.approx(p, abs=1e-12)
 
+    @pytest.mark.parametrize("value", [float("nan"), -0.5])
+    def test_transition_table_bad_probability_rejected(self, tmp_path, value):
+        # {Visible: 1.0} alone is a valid row, so the bad entry must not be dropped
+        path = tmp_path / "table.json"
+        fileio.write_transition_table(path, default_transition_table())
+        payload = json.loads(path.read_text())
+        row = next(r for r in payload["rows"]
+                   if (r["state"], r["action"]) == ("Occluded", "walking"))
+        row["next"] = {"Occluded": value, "Visible": 1.0}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InputFormatError):
+            fileio.read_transition_table(path)
+
     def test_action_models_roundtrip(self, tmp_path):
         models = default_action_models()
         templates = default_vehicle_templates()

@@ -167,6 +167,11 @@ class TestTableValidation:
         with pytest.raises(ValueError):
             ActionStateTable(rows={(V, "walking"): {V: 0.5, O: 0.4}})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_probability_rejected(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            ActionStateTable(rows={(V, "walking"): {V: value, O: 1.0}})
+
     def test_unknown_row_raises(self):
         table = default_transition_table()
         with pytest.raises(IllegalTransitionError):

@@ -5,8 +5,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fluenttrack.core import CameraModel, ObjectClass, Tracklet, VisibilityState
-from fluenttrack.grammar import default_grammar, default_parameters
+from fluenttrack.core import CameraModel, ObjectClass, Tracklet, VisibilityState, ground_distance
+from fluenttrack.energy import EdgeContext, EnergyBreakdown, edge_cost
+from fluenttrack.grammar import default_grammar, default_parameters, min_inertial_energy
 from fluenttrack.solver import (
     ContainerSolution,
     GraphEdge,
@@ -410,6 +411,67 @@ class TestInvariants:
         assert len(bridges(0.0)) == 1
         assert gate > 0.3  # the unshifted hops stay under the gate
         assert bridges(gate) == []
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_spline_super_edge_matches_hop_by_hop_pricing(self, camera, params, shifted):
+        # a 10-frame spline gap: the super-edge's energy, net cost and actions
+        # equal an explicit edge_cost loop over every hop, gated hop by hop;
+        # shifting the gap and the later tracklet by the gate drops the link
+        grammar = default_grammar()
+        proto = unit_vector(np.random.default_rng(5))
+        gate = LINK_GATE_SLACK * params.tau_s / camera.frame_rate
+        offset = gate if shifted else 0.0
+        before = Tracklet(0, ObjectClass.PERSON, 0, [[0.3 * f, 5.0] for f in range(5)], proto,
+                          scores=(0.9,) * 5)
+        after = Tracklet(1, ObjectClass.PERSON, 15,
+                         [[0.3 * f + offset, 5.0 + 0.01 * f] for f in range(15, 20)], proto,
+                         scores=(0.8,) * 5)
+        path = tuple((f, np.array([0.3 * f + offset, 5.0 + 0.01 * f])) for f in range(5, 15))
+        link = GapLink(0, 1, 10, 0.85, path)
+        graph = build_graph([], [before, after], [link], ContainerSolution((), {}, 0.0, 0.0),
+                            camera, params)
+        tail = next(n for n in graph.nodes if n.kind == "tail" and n.tracklet_id == 0)
+        head = next(n for n in graph.nodes if n.kind == "head" and n.tracklet_id == 1)
+
+        reward = 2.0 + min_inertial_energy(params.transition_table, grammar,
+                                           VisibilityState.OCCLUDED)
+        stops = [(f, loc, VisibilityState.OCCLUDED, reward, None, link.similarity)
+                 for f, loc in path]
+        chain = [(tail.frame, tail.location, tail.state, tail.reward, tail.detection_score, None),
+                 *stops,
+                 (head.frame, head.location, head.state, head.reward, head.detection_score, None)]
+        sums = [0.0] * 5
+        net = 0.0
+        actions = []
+        gated = False
+        for u, v in zip(chain, chain[1:]):
+            if ground_distance(u[1], v[1]) > gate:
+                gated = True
+                break
+            ctx = EdgeContext(
+                from_state=u[2], to_state=v[2], from_location=u[1], to_location=v[1],
+                dt_frames=v[0] - u[0], frame_rate=camera.frame_rate,
+                legal_actions=tuple(a.name for a in grammar.legal_actions(u[2], v[2])),
+                detection_score=u[4], gap_similarity=u[5],
+            )
+            step, action = edge_cost(ctx, params)
+            for k, value in enumerate((step.displacement, step.transition, step.visibility,
+                                       step.action, step.total)):
+                sums[k] += value
+            net += step.total - u[3]
+            actions.append(action)
+
+        bridges = [e for e in graph.edges if e.src == tail.id and e.dst == head.id]
+        assert gated == shifted
+        if gated:
+            assert bridges == []
+            return
+        (edge,) = bridges
+        assert edge.breakdown == EnergyBreakdown(*sums)
+        assert edge.net_cost == net
+        assert edge.action == actions[0]
+        assert [a for _, _, _, a in edge.interior] == actions[1:]
+        assert [f for f, _, _, _ in edge.interior] == list(range(5, 15))
 
 
 class TestJointSolve:

@@ -160,6 +160,100 @@ class TestGenerateTracklets:
         assert checked == 80
 
 
+def random_flow_instance(rng, num_frames, per_frame):
+    """Items on a frame grid with log-odds-sized rewards and random links
+    between consecutive frames; returns (frames, rewards, links)."""
+    frames = [f for f in range(num_frames) for _ in range(per_frame)]
+    rewards = [float(rng.uniform(-1.0, 5.0)) for _ in frames]
+    links = [(i, j, float(rng.uniform(0.0, 2.0)))
+             for i in range(len(frames)) for j in range(len(frames))
+             if frames[j] == frames[i] + 1 and rng.random() < 0.5]
+    return frames, rewards, links
+
+
+def solve_flow(frames, rewards, links, entry=2.0, exit=2.0):
+    tracker = tk.MinCostFlowTracker(len(frames), entry, exit)
+    for i, reward in enumerate(rewards):
+        tracker.add_item(i, reward)
+    for i, j, cost in links:
+        tracker.add_link(i, j, cost)
+    return tracker.solve(tk._topological_order(len(frames), frames))
+
+
+def network_simplex_cost(tracker, scale=10**9):
+    """Optimal cost of the tracker's free-amount flow by networkx's network
+    simplex, with costs scaled to integers; returns (cost, rounding bound)."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.DiGraph()
+    n = len(tracker.rewards)
+    graph.add_node("source", demand=-n)
+    graph.add_node("sink", demand=n)
+    graph.add_edge("source", "sink", capacity=n, weight=0)  # units left unpushed
+
+    def weight(cost):
+        return int(round(cost * scale))
+
+    for item, reward in tracker.rewards.items():
+        graph.add_edge("source", ("in", item), capacity=1, weight=weight(tracker.entry_cost))
+        graph.add_edge(("in", item), ("out", item), capacity=1, weight=weight(-reward))
+        graph.add_edge(("out", item), "sink", capacity=1, weight=weight(tracker.exit_cost))
+    for a, b, cost in tracker.links:
+        graph.add_edge(("out", a), ("in", b), capacity=1, weight=weight(cost))
+    cost, _ = nx.network_simplex(graph)
+    return cost / scale, 0.5 * graph.number_of_edges() / scale
+
+
+class TestMinCostFlowTracker:
+    def test_disjoint_instances_solve_as_their_union(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            fa, ra, la = random_flow_instance(rng, int(rng.integers(2, 6)), 3)
+            fb, rb, lb = random_flow_instance(rng, int(rng.integers(2, 6)), 3)
+            paths_a, cost_a = solve_flow(fa, ra, la)
+            paths_b, cost_b = solve_flow(fb, rb, lb)
+            k = len(fa)
+            paths, cost = solve_flow(fa + fb, ra + rb,
+                                     la + [(i + k, j + k, c) for i, j, c in lb])
+            union = [tuple(p) for p in paths_a] + [tuple(i + k for i in p) for p in paths_b]
+            assert sorted(tuple(p) for p in paths) == sorted(union)
+            assert cost == pytest.approx(cost_a + cost_b, abs=1e-12)
+
+    def test_components_follow_links(self):
+        frames = [0, 0, 1, 1, 2]
+        tracker = tk.MinCostFlowTracker(5, 2.0, 2.0)
+        for i in range(5):
+            tracker.add_item(i, 3.0)
+        tracker.add_link(1, 2, 0.1)
+        tracker.add_link(2, 4, 0.1)
+        components = tracker._components(tk._topological_order(5, frames))
+        assert components == [([0], []), ([1, 2, 4], [(1, 2, 0.1), (2, 4, 0.1)]), ([3], [])]
+
+    def test_suite_flows_match_network_simplex(self, monkeypatch):
+        from fluenttrack.simulator import default_camera, simulate, standard_suite
+
+        instances = []
+
+        class RecordingTracker(tk.MinCostFlowTracker):
+            def solve(self, topo_order):
+                result = super().solve(topo_order)
+                instances.append((self, result[1]))
+                return result
+
+        monkeypatch.setattr(tk, "MinCostFlowTracker", RecordingTracker)
+        camera = default_camera()
+        params = default_parameters()
+        suite = standard_suite()
+        assert len(suite) == 20
+        for script, noise in suite:
+            sim = simulate(script, noise, camera, params)
+            persons = [d for d in sim.detections if d.object_class is not ObjectClass.VEHICLE]
+            tk.generate_tracklets(persons, camera, params)
+        assert len(instances) == 20
+        for tracker, cost in instances:
+            expected, rounding = network_simplex_cost(tracker)
+            assert abs(cost - expected) <= rounding + 1e-9
+
+
 def line_tracklet(tid, start_frame, points, descriptor=None):
     desc = descriptor if descriptor is not None else np.eye(8)[0]
     return Tracklet(id=tid, object_class=ObjectClass.PERSON, start_frame=start_frame,

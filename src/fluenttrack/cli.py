@@ -153,28 +153,8 @@ def _track_one(detections_path: str, camera_path: str, out_dir: Path,
     result = joint_solve(detections, camera, params, mode=mode)
     out_dir.mkdir(parents=True, exist_ok=True)
     fileio.write_trajectories(out_dir / "trajectories.jsonl", result.trajectories)
-    parses = [
-        {
-            "frame": parse.frame,
-            "objects": [
-                {
-                    "object_id": e.object_id,
-                    "location": e.location.tolist(),
-                    "state": e.state.value,
-                    "action": e.action,
-                    **({"container_id": e.container_id} if e.container_id is not None else {}),
-                }
-                for e in parse.entries
-            ],
-        }
-        for parse in result.frame_parses
-    ]
-    with open(out_dir / "frame_parses.jsonl", "w", encoding="utf-8") as fh:
-        for record in parses:
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-    (out_dir / "summary.json").write_text(
-        json.dumps(result.summary, indent=2) + "\n", encoding="utf-8"
-    )
+    fileio.write_frame_parses(out_dir / "frame_parses.jsonl", result.frame_parses)
+    fileio.write_summary(out_dir / "summary.json", result.summary)
 
 
 def cmd_track(args) -> int:

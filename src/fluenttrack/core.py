@@ -144,7 +144,6 @@ class Tracklet:
     start_frame: int
     positions: np.ndarray
     pooled_descriptor: np.ndarray
-    boxes: Optional[Tuple[Tuple[float, float, float, float], ...]] = None
     scores: Optional[Tuple[float, ...]] = None
     detection_indices: Optional[Tuple[int, ...]] = None
 
@@ -166,13 +165,6 @@ class Tracklet:
     @property
     def end_frame(self) -> int:
         return self.start_frame + len(self.positions) - 1
-
-    @property
-    def frames(self) -> range:
-        return range(self.start_frame, self.end_frame + 1)
-
-    def position_at(self, frame: int) -> np.ndarray:
-        return self.positions[frame - self.start_frame]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 """Readers and writers for every on-disk format.
 
 JSON Lines is used for anything sequence-shaped (detections, ground truth,
-trajectories) so files stream, diff, and append well. Malformed
-input raises :class:`InputFormatError` carrying the path and line number.
+trajectories, frame parses) so files stream, diff, and append well;
+everything else is one indented JSON document. Every writer but the metrics
+report emits strict JSON: a NaN or infinite value raises ``ValueError``
+instead of being written as the non-standard ``NaN``/``Infinity`` tokens.
+Malformed input raises :class:`InputFormatError` carrying the path and line
+number.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .core import (
     ActionModel,
     CameraModel,
     Detection,
+    FrameParse,
     ObjectClass,
     Trajectory,
     TrajectoryPoint,
@@ -61,9 +66,17 @@ def _read_jsonl(path) -> Iterable[Tuple[int, dict]]:
 
 
 def _write_jsonl(path, records: Iterable[dict]) -> None:
+    """One compact strict-JSON object per line, streamed; a NaN or infinity
+    raises ``ValueError`` at its record."""
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+            fh.write(json.dumps(record, separators=(",", ":"), allow_nan=False) + "\n")
+
+
+def _write_json(path, payload) -> None:
+    """Indented strict JSON; a NaN or infinity raises ``ValueError``."""
+    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n",
+                          encoding="utf-8")
 
 
 def _vector(value, path, lineno, name) -> np.ndarray:
@@ -123,8 +136,8 @@ def read_detections(path) -> List[Detection]:
 # -- camera -------------------------------------------------------------------
 
 def write_camera(path, camera: CameraModel) -> None:
-    payload = {"homography": camera.homography.tolist(), "frame_rate": camera.frame_rate}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_json(path, {"homography": camera.homography.tolist(),
+                       "frame_rate": camera.frame_rate})
 
 
 def read_camera(path) -> CameraModel:
@@ -180,6 +193,30 @@ def read_trajectories(path) -> List[Trajectory]:
     return out
 
 
+# -- track outputs ---------------------------------------------------------------
+
+def write_frame_parses(path, parses: Sequence[FrameParse]) -> None:
+    def record(parse: FrameParse) -> dict:
+        objects = []
+        for e in parse.entries:
+            entry = {
+                "object_id": e.object_id,
+                "location": e.location.tolist(),
+                "state": e.state.value,
+                "action": e.action,
+            }
+            if e.container_id is not None:
+                entry["container_id"] = e.container_id
+            objects.append(entry)
+        return {"frame": parse.frame, "objects": objects}
+
+    _write_jsonl(path, (record(p) for p in parses))
+
+
+def write_summary(path, summary: Mapping) -> None:
+    _write_json(path, summary)
+
+
 # -- ground truth ----------------------------------------------------------------
 
 def write_ground_truth(path, records: Sequence[GroundTruthRecord]) -> None:
@@ -229,7 +266,7 @@ def ground_truth_observations(records: Sequence[GroundTruthRecord]) -> List[Trac
 
 # -- transition table ----------------------------------------------------------
 
-def write_transition_table(path, table: ActionStateTable, alpha: float = 1.0) -> None:
+def _table_payload(table: ActionStateTable, alpha: float) -> dict:
     rows = []
     for (state, action), probs in sorted(
         table.rows.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
@@ -241,8 +278,11 @@ def write_transition_table(path, table: ActionStateTable, alpha: float = 1.0) ->
                 "next": {s.value: p for s, p in sorted(probs.items(), key=lambda kv: kv[0].value)},
             }
         )
-    Path(path).write_text(json.dumps({"alpha": alpha, "rows": rows}, indent=2) + "\n",
-                          encoding="utf-8")
+    return {"alpha": alpha, "rows": rows}
+
+
+def write_transition_table(path, table: ActionStateTable, alpha: float = 1.0) -> None:
+    _write_json(path, _table_payload(table, alpha))
 
 
 def _table_from_rows(records) -> ActionStateTable:
@@ -281,19 +321,7 @@ def write_action_models(
         if name in templates:
             entry["vehicle_template"] = np.asarray(templates[name]).tolist()
         actions.append(entry)
-    rows = []
-    for (state, action), probs in sorted(
-        table.rows.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
-    ):
-        rows.append(
-            {
-                "state": state.value,
-                "action": action,
-                "next": {s.value: p for s, p in sorted(probs.items(), key=lambda kv: kv[0].value)},
-            }
-        )
-    payload = {"actions": actions, "transition_table": {"alpha": alpha, "rows": rows}}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_json(path, {"actions": actions, "transition_table": _table_payload(table, alpha)})
 
 
 def read_action_models(path):
@@ -360,7 +388,7 @@ def write_scenario(path, script: ScenarioScript, noise: NoiseProfile) -> None:
             "fp_score_high": noise.fp_score_high,
         },
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_json(path, payload)
 
 
 def read_scenario(path) -> Tuple[ScenarioScript, NoiseProfile]:

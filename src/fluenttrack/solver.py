@@ -44,7 +44,6 @@ from .core import (
     Trajectory,
     TrajectoryPoint,
     VisibilityState,
-    descriptor_similarity,
     ground_distance,
     project_to_ground,
 )
@@ -66,11 +65,11 @@ from .grammar import (
 from .tracklets import (
     GapLink,
     LINK_GATE_SLACK,
-    MinCostFlowTracker,
-    _topological_order,
     build_gap_links,
+    compatible_pairs,
     gap_between,
     generate_tracklets,
+    link_detections,
 )
 
 MIN_CONTAINMENT_GAP = 3  # occluded boundary frame on each side plus >= 1 contained
@@ -116,9 +115,10 @@ def solve_containers(
 ) -> ContainerSolution:
     """Track containers by min-cost flow over vehicle detections.
 
-    Short detection dropouts (up to ``params.container_max_link_gap`` frames)
-    are linked through and filled by linear interpolation so every container
-    covers a contiguous frame range.
+    The same linker as tracklets (``link_detections``), except that links
+    also bridge short detection dropouts (up to
+    ``params.container_max_link_gap`` frames); those are filled by linear
+    interpolation so every container covers a contiguous frame range.
     """
     dets = sorted(
         (d for d in vehicle_detections if d.object_class is ObjectClass.VEHICLE),
@@ -127,43 +127,25 @@ def solve_containers(
     if not dets:
         return ContainerSolution((), {}, 0.0, 0.0)
     positions = [project_to_ground(camera, d.bbox) for d in dets]
-    frames = [d.frame for d in dets]
-
-    tracker = MinCostFlowTracker(len(dets), params.entry_exit_cost, params.entry_exit_cost)
-    for i, det in enumerate(dets):
-        tracker.add_item(i, log_odds(det.score, params))
-    by_frame: Dict[int, List[int]] = {}
-    for i, f in enumerate(frames):
-        by_frame.setdefault(f, []).append(i)
-    for i in range(len(dets)):
-        for dt in range(1, params.container_max_link_gap + 1):
-            for j in by_frame.get(frames[i] + dt, ()):
-                bound = params.tau_s_vehicle * dt / camera.frame_rate
-                dist = ground_distance(positions[i], positions[j])
-                if dist > LINK_GATE_SLACK * bound:
-                    continue
-                tracker.add_link(i, j, dist / bound + params.link_skip_penalty * (dt - 1))
-
-    paths, flow_cost = tracker.solve(_topological_order(len(dets), frames))
-    paths.sort(key=lambda p: (frames[p[0]], p[0]))
+    paths, flow_cost = link_detections(dets, positions, camera.frame_rate, params,
+                                       params.container_max_link_gap)
 
     trajectories: List[Trajectory] = []
     evidence: Dict[int, Dict[int, Tuple[float, Optional[np.ndarray]]]] = {}
     margin = 0.0
     for cid, path in enumerate(paths):
-        members = sorted(path, key=lambda i: frames[i])
-        margin += sum(dets[i].score - 1.0 for i in members[:-1])
+        margin += sum(dets[i].score - 1.0 for i in path[:-1])
         points: List[TrajectoryPoint] = []
         ev: Dict[int, Tuple[float, Optional[np.ndarray]]] = {}
-        for a, b in zip(members, members[1:] + [None]):
-            fa = frames[a]
+        for a, b in zip(path, path[1:] + [None]):
+            fa = dets[a].frame
             points.append(
                 TrajectoryPoint(fa, positions[a], VisibilityState.VISIBLE, INERTIAL_ACTION)
             )
             ev[fa] = (dets[a].score, dets[a].vehicle_fluent_feature)
-            if b is not None and frames[b] > fa + 1:
+            if b is not None and dets[b].frame > fa + 1:
                 # linear fill across a short detection dropout
-                fb = frames[b]
+                fb = dets[b].frame
                 for f in range(fa + 1, fb):
                     w = (f - fa) / (fb - fa)
                     loc = (1 - w) * positions[a] + w * positions[b]
@@ -648,39 +630,30 @@ def _containment_pairs(
     containers: ContainerSolution,
     params: ModelParameters,
 ) -> List[Tuple[Tracklet, Tracklet, int, float]]:
-    """Tracklet pairs that could be bridged through a container.
+    """Compatible tracklet pairs that could be bridged through a container.
 
-    Requires appearance similarity at or above tau_sigma, a gap of at least
-    three frames, and container proximity (tau_c) at both ends; the container
-    must cover the whole gap. Unlike occlusion gaps there is no maximum gap:
-    containment can carry an object for arbitrarily long.
+    Requires a gap of at least three frames and container proximity (tau_c)
+    at both ends; the container must cover the whole gap. Unlike occlusion
+    gaps there is no maximum gap: containment can carry an object for
+    arbitrarily long.
     """
     pairs = []
-    for before in sorted(tracklets, key=lambda t: t.id):
-        for after in sorted(tracklets, key=lambda t: t.id):
-            if before.id == after.id or before.object_class is not after.object_class:
+    for before, after, similarity in compatible_pairs(tracklets, params):
+        if gap_between(before, after) < MIN_CONTAINMENT_GAP:
+            continue
+        for traj in containers.trajectories:
+            cid = traj.object_id
+            if traj.birth_frame > before.end_frame + 1 or traj.death_frame < after.start_frame - 1:
                 continue
-            gap = gap_between(before, after)
-            if gap < MIN_CONTAINMENT_GAP:
+            entry_pos = containers.position(cid, before.end_frame + 1)
+            exit_pos = containers.position(cid, after.start_frame - 1)
+            if entry_pos is None or exit_pos is None:
                 continue
-            similarity = descriptor_similarity(
-                before.pooled_descriptor, after.pooled_descriptor
-            )
-            if similarity < params.tau_sigma:
+            if ground_distance(before.positions[-1], entry_pos) > params.tau_c:
                 continue
-            for traj in containers.trajectories:
-                cid = traj.object_id
-                if traj.birth_frame > before.end_frame + 1 or traj.death_frame < after.start_frame - 1:
-                    continue
-                entry_pos = containers.position(cid, before.end_frame + 1)
-                exit_pos = containers.position(cid, after.start_frame - 1)
-                if entry_pos is None or exit_pos is None:
-                    continue
-                if ground_distance(before.positions[-1], entry_pos) > params.tau_c:
-                    continue
-                if ground_distance(after.positions[0], exit_pos) > params.tau_c:
-                    continue
-                pairs.append((before, after, cid, similarity))
+            if ground_distance(after.positions[0], exit_pos) > params.tau_c:
+                continue
+            pairs.append((before, after, cid, similarity))
     return pairs
 
 

@@ -1,12 +1,14 @@
-"""Confident tracklet generation and occlusion-gap bridging.
+"""Detection linking, confident tracklets, and occlusion-gap bridging.
 
-Detections are linked into short high-confidence fragments by an exact
-successive-shortest-paths min-cost flow (log-odds node rewards against entry,
-exit, and motion costs), solved on each weak component of the link graph
-separately: components share only the source and the sink, so the union of
-their optimal paths is the optimum of the whole. Gaps between
-appearance-compatible tracklets are filled with interpolating cubic splines
-to propose virtual paths.
+One linker serves both detection flows: ``link_detections`` gates and prices
+links between same-class detections and hands them to ``min_cost_paths``, an
+exact successive-shortest-paths min-cost flow (log-odds node rewards against
+entry, exit, and motion costs) solved on each weak component of the link
+graph separately: components share only the source and the sink, so the
+union of their optimal paths is the optimum of the whole. Tracklets link
+consecutive frames only; containers (in ``solver``) link across short
+dropouts. Gaps between appearance-compatible tracklets (``compatible_pairs``)
+are filled with interpolating cubic splines to propose virtual paths.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
@@ -34,92 +36,78 @@ from .energy import log_odds
 LINK_GATE_SLACK = 2.0  # structural distance gate, in multiples of tau_s * dt
 
 
-class MinCostFlowTracker:
-    """Unit-capacity min-cost flow over a detection DAG, solved exactly by
-    successive shortest paths (SSP) with Johnson potentials, one weak
-    component of the link graph at a time.
+def min_cost_paths(
+    rewards: Sequence[float],
+    links: Sequence[Tuple[int, int, float]],
+    entry_cost: float,
+    exit_cost: float,
+) -> Tuple[List[List[int]], float]:
+    """Exact unit-capacity min-cost flow over items ``0 .. len(rewards) - 1``.
 
-    Items are added with individual rewards; links carry nonnegative motion
-    costs. Items that no chain of links joins share no arc but the source's
-    and the sink's unit arcs, so the optimum is the union of the optima of
-    the weak components, and each component's SSP runs its Dijkstras over
-    that component alone. Every accepted source->sink path has strictly
-    negative true cost, and augmentation stops at the first nonnegative one,
-    which is the exact optimum for convex unit flows.
+    Item ``i`` earns ``rewards[i]``; a path pays ``entry_cost`` and
+    ``exit_cost`` once each and the cost of every ``(a, b, cost)`` link it
+    takes. Index order is the topological order, so every link must have
+    ``a < b``. Returns (paths as increasing item lists, total flow cost).
+
+    Items that no chain of links joins share no arc but the source's and the
+    sink's unit arcs, so the optimum is the union of the optima of the weak
+    components, and each component is solved by successive shortest paths
+    (SSP) with Johnson potentials over that component alone. Every accepted
+    source->sink path has strictly negative true cost, and augmentation stops
+    at the first nonnegative one, which is the exact optimum for convex unit
+    flows.
     """
+    for a, b, _ in links:
+        if not 0 <= a < b < len(rewards):
+            raise ValueError(f"link ({a}, {b}) must join items a < b of {len(rewards)}")
+    paths: List[List[int]] = []
+    total_cost = 0.0
+    for items, component_links in _components(len(rewards), links):
+        flow = _UnitFlow(items, rewards, component_links, entry_cost, exit_cost)
+        component_paths, cost = flow.solve()
+        paths.extend(component_paths)
+        total_cost += cost
+    return paths, total_cost
 
-    def __init__(self, num_items: int, entry_cost: float, exit_cost: float):
-        self.num_items = num_items
-        self.entry_cost = entry_cost
-        self.exit_cost = exit_cost
-        self.rewards: Dict[int, float] = {}
-        self.links: List[Tuple[int, int, float]] = []
 
-    def add_item(self, item: int, reward: float) -> None:
-        self.rewards[item] = reward
+def _components(
+    num_items: int, links: Sequence[Tuple[int, int, float]]
+) -> List[Tuple[List[int], List[Tuple[int, int, float]]]]:
+    """Weak components of the link graph as (items, links) pairs, both in
+    input order, listed by their lowest item."""
+    root = list(range(num_items))
 
-    def add_link(self, item_from: int, item_to: int, cost: float) -> None:
-        self.links.append((item_from, item_to, cost))
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
 
-    def _components(
-        self, topo_order: Sequence[int]
-    ) -> List[Tuple[List[int], List[Tuple[int, int, float]]]]:
-        """Weak components of the link graph as (items in ``topo_order``
-        order, links) pairs, listed by first appearance in ``topo_order``.
-
-        Only added items count; a link touching an item that was never added
-        cannot carry flow and is left out.
-        """
-        root = list(range(self.num_items))
-
-        def find(i: int) -> int:
-            while root[i] != i:
-                root[i] = root[root[i]]
-                i = root[i]
-            return i
-
-        for a, b, _ in self.links:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                root[max(ra, rb)] = min(ra, rb)
-        components: Dict[int, Tuple[List[int], List[Tuple[int, int, float]]]] = {}
-        for node in topo_order:
-            item = (node - 2) // 2
-            if node >= 2 and node % 2 == 0 and item in self.rewards:
-                components.setdefault(find(item), ([], []))[0].append(item)
-        for link in self.links:
-            if link[0] in self.rewards and link[1] in self.rewards:
-                components[find(link[0])][1].append(link)
-        return list(components.values())
-
-    def solve(self, topo_order: Sequence[int]) -> Tuple[List[List[int]], float]:
-        """Run SSP on each weak component; returns (paths as item-index
-        lists, total flow cost summed over the components). ``topo_order``
-        lists the in- and out-node of every added item, as
-        ``_topological_order`` builds it."""
-        paths: List[List[int]] = []
-        total_cost = 0.0
-        for items, links in self._components(topo_order):
-            flow = _UnitFlow(items, self.rewards, links, self.entry_cost, self.exit_cost)
-            component_paths, cost = flow.solve()
-            paths.extend(component_paths)
-            total_cost += cost
-        return paths, total_cost
+    for a, b, _ in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[max(ra, rb)] = min(ra, rb)
+    components: Dict[int, Tuple[List[int], List[Tuple[int, int, float]]]] = {}
+    for item in range(num_items):
+        components.setdefault(find(item), ([], []))[0].append(item)
+    for link in links:
+        components[find(link[0])][1].append(link)
+    return list(components.values())
 
 
 class _UnitFlow:
     """The residual graph of one weak component and its SSP solve.
 
-    ``items`` come in topological order. Local node ids: 0 is the source,
-    1 the sink, and the k-th item by global index gets in-node 2 + 2k and
-    out-node 3 + 2k, so node order, arc order and heap tie-breaks follow the
-    global item order.
+    ``items`` come in increasing order. Local node ids: 0 is the source,
+    1 the sink, and the k-th item gets in-node 2 + 2k and out-node 3 + 2k,
+    so node order, arc order and heap tie-breaks follow the global item
+    order, and the local node ids in order are a topological order.
     """
 
-    def __init__(self, items: Sequence[int], rewards: Mapping[int, float],
+    def __init__(self, items: Sequence[int], rewards: Sequence[float],
                  links: Sequence[Tuple[int, int, float]], entry_cost: float,
                  exit_cost: float):
-        self.items = sorted(items)
+        self.items = list(items)
         local = {item: k for k, item in enumerate(self.items)}
         self.source = 0
         self.sink = 1
@@ -131,10 +119,7 @@ class _UnitFlow:
             self._add_arc(3 + 2 * k, self.sink, exit_cost)
         for a, b, cost in links:
             self._add_arc(3 + 2 * local[a], 2 + 2 * local[b], cost)
-        self.topo_order = [self.source]
-        for item in items:
-            self.topo_order += [2 + 2 * local[item], 3 + 2 * local[item]]
-        self.topo_order.append(self.sink)
+        self.topo_order = [self.source, *range(2, self.num_nodes), self.sink]
 
     def _add_arc(self, u: int, v: int, cost: float) -> None:
         self.graph[u].append([v, 1, cost, len(self.graph[v]), True])
@@ -224,74 +209,69 @@ class _UnitFlow:
         return paths
 
 
-def _topological_order(num_items: int, frames: Sequence[int]) -> List[int]:
-    """Source, item in/out pairs sorted by (frame, index), then sink."""
-    order = [0]
-    for item in sorted(range(num_items), key=lambda i: (frames[i], i)):
-        order.append(2 + 2 * item)
-        order.append(3 + 2 * item)
-    order.append(1)
-    return order
+def link_detections(
+    dets: Sequence[Detection],
+    positions: Sequence[np.ndarray],
+    frame_rate: float,
+    params: ModelParameters,
+    max_gap: int,
+) -> Tuple[List[List[int]], float]:
+    """Link frame-sorted detections into disjoint paths by exact min-cost flow.
+
+    Node rewards are clamped log-odds of the detection scores; links join
+    same-class detections at most ``max_gap`` frames apart, gated and priced
+    by ground-plane speed, with a penalty per skipped frame. ``positions``
+    are the detections' ground points. Returns (paths of detection indices
+    ordered by their first detection, total flow cost).
+    """
+    rewards = [log_odds(det.score, params) for det in dets]
+    by_frame: Dict[int, List[int]] = {}
+    for i, det in enumerate(dets):
+        by_frame.setdefault(det.frame, []).append(i)
+    links: List[Tuple[int, int, float]] = []
+    for i, det in enumerate(dets):
+        for dt in range(1, max_gap + 1):
+            for j in by_frame.get(det.frame + dt, ()):  # frame-sorted, so j > i
+                if dets[j].object_class is not det.object_class:
+                    continue
+                bound = params.speed_bound(det.object_class) * dt / frame_rate
+                dist = ground_distance(positions[i], positions[j])
+                if dist > LINK_GATE_SLACK * bound:
+                    continue
+                # skipped frames cost extra so dense paths beat interleaving
+                links.append((i, j, dist / bound + params.link_skip_penalty * (dt - 1)))
+    paths, cost = min_cost_paths(rewards, links, params.entry_exit_cost,
+                                 params.entry_exit_cost)
+    paths.sort()  # disjoint increasing paths: ordered by their first detection
+    return paths, cost
 
 
 def generate_tracklets(
     detections: Sequence[Detection],
     camera: CameraModel,
     params: ModelParameters,
-    max_link_gap: int = 1,
 ) -> List[Tracklet]:
-    """Link detections into confident tracklets by exact min-cost flow.
+    """Link detections in consecutive frames into confident tracklets.
 
-    Node rewards are clamped log-odds of the detection scores; links join
-    same-class detections ``max_link_gap`` frames apart or closer, gated and
-    priced by ground-plane speed. Each detection is used at most once.
+    Each detection is used at most once; a tracklet covers a contiguous
+    frame range, one detection per frame.
     """
-    if not detections:
-        return []
     order = sorted(range(len(detections)), key=lambda i: (detections[i].frame, i))
     dets = [detections[i] for i in order]
     positions = [project_to_ground(camera, d.bbox) for d in dets]
-    frames = [d.frame for d in dets]
-
-    tracker = MinCostFlowTracker(len(dets), params.entry_exit_cost, params.entry_exit_cost)
-    for i, det in enumerate(dets):
-        tracker.add_item(i, log_odds(det.score, params))
-
-    by_frame: Dict[int, List[int]] = {}
-    for i, f in enumerate(frames):
-        by_frame.setdefault(f, []).append(i)
-    for i, det in enumerate(dets):
-        for dt in range(1, max_link_gap + 1):
-            for j in by_frame.get(det.frame + dt, ()):  # frame-sorted, so j > i
-                other = dets[j]
-                if other.object_class is not det.object_class:
-                    continue
-                bound = params.speed_bound(det.object_class) * dt / camera.frame_rate
-                dist = ground_distance(positions[i], positions[j])
-                if dist > LINK_GATE_SLACK * bound:
-                    continue
-                # skipped frames cost extra so dense paths beat interleaving
-                tracker.add_link(i, j, dist / bound + params.link_skip_penalty * (dt - 1))
-
-    paths, _ = tracker.solve(_topological_order(len(dets), frames))
-    paths.sort(key=lambda p: (frames[p[0]], p[0]))
-
-    tracklets: List[Tracklet] = []
-    for tid, path in enumerate(paths):
-        members = sorted(path, key=lambda i: frames[i])
-        tracklets.append(
-            Tracklet(
-                id=tid,
-                object_class=dets[members[0]].object_class,
-                start_frame=frames[members[0]],
-                positions=np.array([positions[i] for i in members]),
-                pooled_descriptor=pool_descriptors([dets[i].descriptor for i in members]),
-                boxes=tuple(dets[i].bbox for i in members),
-                scores=tuple(dets[i].score for i in members),
-                detection_indices=tuple(order[i] for i in members),
-            )
+    paths, _ = link_detections(dets, positions, camera.frame_rate, params, max_gap=1)
+    return [
+        Tracklet(
+            id=tid,
+            object_class=dets[path[0]].object_class,
+            start_frame=dets[path[0]].frame,
+            positions=np.array([positions[i] for i in path]),
+            pooled_descriptor=pool_descriptors([dets[i].descriptor for i in path]),
+            scores=tuple(dets[i].score for i in path),
+            detection_indices=tuple(order[i] for i in path),
         )
-    return tracklets
+        for tid, path in enumerate(paths)
+    ]
 
 
 @dataclass(frozen=True)
@@ -320,36 +300,49 @@ def gap_between(before: Tracklet, after: Tracklet) -> int:
     return after.start_frame - before.end_frame - 1
 
 
-def find_gap_candidates(
+def compatible_pairs(
     tracklets: Sequence[Tracklet],
     params: ModelParameters,
-    frame_rate: float,
-) -> List[Tuple[Tracklet, Tracklet]]:
-    """Ordered same-class pairs that could plausibly bridge an occlusion.
-
-    Gates: 1 <= gap <= max_gap_frames, pooled-descriptor similarity at least
-    tau_sigma, and straight-line speed across the gap at most twice the class
-    speed bound.
-    """
-    candidates = []
-    for before in tracklets:
-        for after in tracklets:
-            if before.id == after.id or before.object_class is not after.object_class:
+) -> List[Tuple[Tracklet, Tracklet, float]]:
+    """Ordered same-class pairs ``(before, after, similarity)`` with at least
+    one missing frame between them and pooled-descriptor similarity at least
+    tau_sigma, in (before id, after id) order. Occlusion bridges and
+    containment bridges are both chosen from these pairs."""
+    by_id = sorted(tracklets, key=lambda t: t.id)
+    pairs = []
+    for before in by_id:
+        for after in by_id:
+            if before.object_class is not after.object_class:
                 continue
-            gap = gap_between(before, after)
-            if not 1 <= gap <= params.max_gap_frames:
+            if gap_between(before, after) < 1:
                 continue
             similarity = descriptor_similarity(
                 before.pooled_descriptor, after.pooled_descriptor
             )
-            if similarity < params.tau_sigma:
-                continue
-            dt = after.start_frame - before.end_frame
-            speed = ground_distance(before.positions[-1], after.positions[0]) / (dt / frame_rate)
-            if speed > 2.0 * params.speed_bound(before.object_class):
-                continue
-            candidates.append((before, after))
-    candidates.sort(key=lambda pair: (pair[0].id, pair[1].id))
+            if similarity >= params.tau_sigma:
+                pairs.append((before, after, similarity))
+    return pairs
+
+
+def find_gap_candidates(
+    tracklets: Sequence[Tracklet],
+    params: ModelParameters,
+    frame_rate: float,
+) -> List[Tuple[Tracklet, Tracklet, float]]:
+    """Compatible pairs that could plausibly bridge an occlusion.
+
+    Gates: gap <= max_gap_frames, and straight-line speed across the gap at
+    most twice the class speed bound.
+    """
+    candidates = []
+    for before, after, similarity in compatible_pairs(tracklets, params):
+        if gap_between(before, after) > params.max_gap_frames:
+            continue
+        dt = after.start_frame - before.end_frame
+        speed = ground_distance(before.positions[-1], after.positions[0]) / (dt / frame_rate)
+        if speed > 2.0 * params.speed_bound(before.object_class):
+            continue
+        candidates.append((before, after, similarity))
     return candidates
 
 
@@ -386,8 +379,7 @@ def build_gap_links(
 ) -> List[GapLink]:
     """Gap candidates materialized with spline virtual paths."""
     links = []
-    for before, after in find_gap_candidates(tracklets, params, frame_rate):
-        similarity = descriptor_similarity(before.pooled_descriptor, after.pooled_descriptor)
+    for before, after, similarity in find_gap_candidates(tracklets, params, frame_rate):
         path = bspline_fill(before, after)
         links.append(
             GapLink(

@@ -7,7 +7,9 @@ from fluenttrack import fileio
 from fluenttrack.core import (
     CameraModel,
     Detection,
+    FrameParse,
     ObjectClass,
+    ParseEntry,
     Trajectory,
     TrajectoryPoint,
     VisibilityState,
@@ -100,6 +102,36 @@ class TestTrajectoriesRoundTrip:
             assert a.frame == b.frame and a.state is b.state and a.action == b.action
             assert a.container_id == b.container_id
             np.testing.assert_array_equal(a.location, b.location)
+
+
+class TestTrackOutputs:
+    def test_frame_parses_records(self, tmp_path):
+        parse = FrameParse(7, (
+            ParseEntry(0, np.array([1.0, 2.0]), VisibilityState.VISIBLE, "walking"),
+            ParseEntry(1, np.array([3.0, 4.5]), VisibilityState.CONTAINED, "ride",
+                       container_id=2),
+        ))
+        path = tmp_path / "frame_parses.jsonl"
+        fileio.write_frame_parses(path, [parse])
+        assert path.read_text() == (
+            '{"frame":7,"objects":['
+            '{"object_id":0,"location":[1.0,2.0],"state":"Visible","action":"walking"},'
+            '{"object_id":1,"location":[3.0,4.5],"state":"Contained","action":"ride",'
+            '"container_id":2}]}\n'
+        )
+
+    def test_summary_nan_rejected(self, tmp_path):
+        path = tmp_path / "summary.json"
+        with pytest.raises(ValueError):
+            fileio.write_summary(path, {"objective": float("nan")})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_line_rejected(self, tmp_path, value):
+        point = TrajectoryPoint(0, np.array([value, 2.0]), VisibilityState.VISIBLE, "walking")
+        with pytest.raises(ValueError):
+            fileio.write_trajectories(tmp_path / "trajectories.jsonl",
+                                      [Trajectory(0, ObjectClass.PERSON, (point,))])
 
 
 class TestGroundTruthRoundTrip:

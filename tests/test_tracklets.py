@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluenttrack import tracklets as tk
 from fluenttrack.core import ObjectClass, Tracklet, ground_distance
@@ -71,7 +73,7 @@ def brute_force_best_path_set(detections, camera, params):
 
 
 def solver_objective(detections, camera, params):
-    """Total flow cost reported by the production tracker."""
+    """Total flow cost of the production flow on the consecutive-frame links."""
     if not detections:
         return 0.0
     order = sorted(range(len(detections)), key=lambda i: (detections[i].frame, i))
@@ -79,10 +81,7 @@ def solver_objective(detections, camera, params):
     from fluenttrack.core import project_to_ground
 
     positions = [project_to_ground(camera, d.bbox) for d in dets]
-    tracker = tk.MinCostFlowTracker(len(dets), params.entry_exit_cost,
-                                    params.entry_exit_cost)
-    for i, d in enumerate(dets):
-        tracker.add_item(i, log_odds(d.score, params))
+    links = []
     for i, d in enumerate(dets):
         for j in range(i + 1, len(dets)):
             if dets[j].frame != d.frame + 1:
@@ -92,8 +91,10 @@ def solver_objective(detections, camera, params):
             bound = params.speed_bound(d.object_class) / camera.frame_rate
             dist = ground_distance(positions[i], positions[j])
             if dist <= tk.LINK_GATE_SLACK * bound:
-                tracker.add_link(i, j, dist / bound)
-    _, cost = tracker.solve(tk._topological_order(len(dets), [d.frame for d in dets]))
+                links.append((i, j, dist / bound))
+    rewards = [log_odds(d.score, params) for d in dets]
+    _, cost = tk.min_cost_paths(rewards, links, params.entry_exit_cost,
+                                params.entry_exit_cost)
     return cost
 
 
@@ -161,31 +162,22 @@ class TestGenerateTracklets:
 
 
 def random_flow_instance(rng, num_frames, per_frame):
-    """Items on a frame grid with log-odds-sized rewards and random links
-    between consecutive frames; returns (frames, rewards, links)."""
+    """Items on a frame grid (in frame order) with log-odds-sized rewards and
+    random links between consecutive frames; returns (rewards, links)."""
     frames = [f for f in range(num_frames) for _ in range(per_frame)]
     rewards = [float(rng.uniform(-1.0, 5.0)) for _ in frames]
     links = [(i, j, float(rng.uniform(0.0, 2.0)))
              for i in range(len(frames)) for j in range(len(frames))
              if frames[j] == frames[i] + 1 and rng.random() < 0.5]
-    return frames, rewards, links
+    return rewards, links
 
 
-def solve_flow(frames, rewards, links, entry=2.0, exit=2.0):
-    tracker = tk.MinCostFlowTracker(len(frames), entry, exit)
-    for i, reward in enumerate(rewards):
-        tracker.add_item(i, reward)
-    for i, j, cost in links:
-        tracker.add_link(i, j, cost)
-    return tracker.solve(tk._topological_order(len(frames), frames))
-
-
-def network_simplex_cost(tracker, scale=10**9):
-    """Optimal cost of the tracker's free-amount flow by networkx's network
-    simplex, with costs scaled to integers; returns (cost, rounding bound)."""
+def network_simplex_cost(rewards, links, entry=2.0, exit=2.0, scale=10**9):
+    """Optimal cost of the free-amount flow by networkx's network simplex,
+    with costs scaled to integers; returns (cost, rounding bound)."""
     nx = pytest.importorskip("networkx")
     graph = nx.DiGraph()
-    n = len(tracker.rewards)
+    n = len(rewards)
     graph.add_node("source", demand=-n)
     graph.add_node("sink", demand=n)
     graph.add_edge("source", "sink", capacity=n, weight=0)  # units left unpushed
@@ -193,64 +185,98 @@ def network_simplex_cost(tracker, scale=10**9):
     def weight(cost):
         return int(round(cost * scale))
 
-    for item, reward in tracker.rewards.items():
-        graph.add_edge("source", ("in", item), capacity=1, weight=weight(tracker.entry_cost))
+    for item, reward in enumerate(rewards):
+        graph.add_edge("source", ("in", item), capacity=1, weight=weight(entry))
         graph.add_edge(("in", item), ("out", item), capacity=1, weight=weight(-reward))
-        graph.add_edge(("out", item), "sink", capacity=1, weight=weight(tracker.exit_cost))
-    for a, b, cost in tracker.links:
+        graph.add_edge(("out", item), "sink", capacity=1, weight=weight(exit))
+    for a, b, cost in links:
         graph.add_edge(("out", a), ("in", b), capacity=1, weight=weight(cost))
     cost, _ = nx.network_simplex(graph)
     return cost / scale, 0.5 * graph.number_of_edges() / scale
 
 
+@st.composite
+def forward_link_instances(draw):
+    """Any rewards and any forward links (a < b, at most one per pair)."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    rewards = draw(st.lists(st.floats(-2.0, 6.0), min_size=n, max_size=n))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    links = [(a, b, draw(st.floats(0.0, 3.0))) for a, b in sorted(chosen)]
+    entry = draw(st.floats(0.0, 3.0))
+    exit = draw(st.floats(0.0, 3.0))
+    return rewards, links, entry, exit
+
+
 class TestMinCostFlowTracker:
+    """``min_cost_paths``, the flow behind tracklets and containers."""
+
     def test_disjoint_instances_solve_as_their_union(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            fa, ra, la = random_flow_instance(rng, int(rng.integers(2, 6)), 3)
-            fb, rb, lb = random_flow_instance(rng, int(rng.integers(2, 6)), 3)
-            paths_a, cost_a = solve_flow(fa, ra, la)
-            paths_b, cost_b = solve_flow(fb, rb, lb)
-            k = len(fa)
-            paths, cost = solve_flow(fa + fb, ra + rb,
-                                     la + [(i + k, j + k, c) for i, j, c in lb])
+            ra, la = random_flow_instance(rng, int(rng.integers(2, 6)), 3)
+            rb, lb = random_flow_instance(rng, int(rng.integers(2, 6)), 3)
+            paths_a, cost_a = tk.min_cost_paths(ra, la, 2.0, 2.0)
+            paths_b, cost_b = tk.min_cost_paths(rb, lb, 2.0, 2.0)
+            k = len(ra)
+            paths, cost = tk.min_cost_paths(
+                ra + rb, la + [(i + k, j + k, c) for i, j, c in lb], 2.0, 2.0)
             union = [tuple(p) for p in paths_a] + [tuple(i + k for i in p) for p in paths_b]
             assert sorted(tuple(p) for p in paths) == sorted(union)
             assert cost == pytest.approx(cost_a + cost_b, abs=1e-12)
 
     def test_components_follow_links(self):
-        frames = [0, 0, 1, 1, 2]
-        tracker = tk.MinCostFlowTracker(5, 2.0, 2.0)
-        for i in range(5):
-            tracker.add_item(i, 3.0)
-        tracker.add_link(1, 2, 0.1)
-        tracker.add_link(2, 4, 0.1)
-        components = tracker._components(tk._topological_order(5, frames))
+        links = [(1, 2, 0.1), (2, 4, 0.1)]
+        components = tk._components(5, links)
         assert components == [([0], []), ([1, 2, 4], [(1, 2, 0.1), (2, 4, 0.1)]), ([3], [])]
+
+    @pytest.mark.parametrize("link", [(2, 1, 0.5), (1, 1, 0.5), (-1, 1, 0.5), (1, 3, 0.5)])
+    def test_link_not_forward_rejected(self, link):
+        with pytest.raises(ValueError):
+            tk.min_cost_paths([3.0, 3.0, 3.0], [link], 1.0, 1.0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(forward_link_instances())
+    def test_random_forward_links_match_network_simplex(self, instance):
+        rewards, links, entry, exit = instance
+        paths, cost = tk.min_cost_paths(rewards, links, entry, exit)
+        expected, rounding = network_simplex_cost(rewards, links, entry, exit)
+        assert abs(cost - expected) <= rounding + 1e-9
+        used = [i for path in paths for i in path]
+        assert len(used) == len(set(used))
+        linked = {(a, b) for a, b, _ in links}
+        for path in paths:
+            assert all((a, b) in linked for a, b in zip(path, path[1:]))
 
     def test_suite_flows_match_network_simplex(self, monkeypatch):
         from fluenttrack.simulator import default_camera, simulate, standard_suite
+        from fluenttrack.solver import solve_containers
 
         instances = []
+        solve = tk.min_cost_paths
 
-        class RecordingTracker(tk.MinCostFlowTracker):
-            def solve(self, topo_order):
-                result = super().solve(topo_order)
-                instances.append((self, result[1]))
-                return result
+        def recording_min_cost_paths(rewards, links, entry_cost, exit_cost):
+            result = solve(rewards, links, entry_cost, exit_cost)
+            instances.append((rewards, links, entry_cost, exit_cost, result[1]))
+            return result
 
-        monkeypatch.setattr(tk, "MinCostFlowTracker", RecordingTracker)
+        monkeypatch.setattr(tk, "min_cost_paths", recording_min_cost_paths)
         camera = default_camera()
         params = default_parameters()
         suite = standard_suite()
         assert len(suite) == 20
+        with_vehicles = 0
         for script, noise in suite:
             sim = simulate(script, noise, camera, params)
+            vehicles = [d for d in sim.detections if d.object_class is ObjectClass.VEHICLE]
             persons = [d for d in sim.detections if d.object_class is not ObjectClass.VEHICLE]
+            solve_containers(vehicles, camera, params)
             tk.generate_tracklets(persons, camera, params)
-        assert len(instances) == 20
-        for tracker, cost in instances:
-            expected, rounding = network_simplex_cost(tracker)
+            with_vehicles += bool(vehicles)
+        assert with_vehicles > 0
+        assert len(instances) == 20 + with_vehicles
+        for rewards, links, entry, exit, cost in instances:
+            expected, rounding = network_simplex_cost(rewards, links, entry, exit)
             assert abs(cost - expected) <= rounding + 1e-9
 
 
@@ -265,7 +291,7 @@ class TestGapCandidates:
         t1 = line_tracklet(0, 0, [[0, 0], [0.2, 0]])
         t2 = line_tracklet(1, 12, [[1.0, 0], [1.2, 0]])
         cands = tk.find_gap_candidates([t1, t2], params, frame_rate=10.0)
-        assert [(a.id, b.id) for a, b in cands] == [(0, 1)]
+        assert [(a.id, b.id, similarity) for a, b, similarity in cands] == [(0, 1, 1.0)]
 
     def test_similarity_below_threshold_rejected(self, params):
         d1 = np.eye(8)[0]

@@ -300,8 +300,7 @@ def cmd_oracle(args) -> int:
         "oracle_objective": oracle.objective,
         "gap": oracle.objective - solution.objective,
     }
-    out = Path(_setting(args, config, "out", "oracle_report.json"))
-    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    fileio._write_json(_setting(args, config, "out", "oracle_report.json"), report)
     print(json.dumps(report))
     return EXIT_OK
 

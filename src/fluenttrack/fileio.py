@@ -2,9 +2,10 @@
 
 JSON Lines is used for anything sequence-shaped (detections, ground truth,
 trajectories, frame parses) so files stream, diff, and append well;
-everything else is one indented JSON document. Every writer but the metrics
-report emits strict JSON: a NaN or infinite value raises ``ValueError``
-instead of being written as the non-standard ``NaN``/``Infinity`` tokens.
+everything else is one indented JSON document. Every writer emits strict
+JSON: a NaN or infinite value raises ``ValueError`` instead of being written
+as the non-standard ``NaN``/``Infinity`` tokens. The metrics report writes
+``null`` for a per-state precision or recall that is undefined.
 Malformed input raises :class:`InputFormatError` carrying the path and line
 number.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -445,11 +447,15 @@ def write_metrics_report(
     if fmt == "json":
         payload = dict(clear.as_dict())
         if fluents is not None:
-            payload["fluents"] = fluents.as_dict()
+            # a precision or recall with an empty base is NaN: written as null
+            payload["fluents"] = {
+                state: {name: None if math.isnan(value) else value
+                        for name, value in scores.items()}
+                for state, scores in fluents.as_dict().items()
+            }
             payload["fluent_confusion"] = fluents.confusion.tolist()
         payload["sequence"] = sequence
-        Path(path).write_text(json.dumps(payload, indent=2, allow_nan=True) + "\n",
-                              encoding="utf-8")
+        _write_json(path, payload)
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)

@@ -6,13 +6,16 @@ from tracklet endpoints and leftover detections, occluded nodes from
 container-adjacent vestibules, contained nodes ride the container
 trajectories. Graph nodes exist only where a trajectory can make a choice:
 tracklet interiors and the occluded frames of spline gap links are pure
-chains, contracted into super-edges that keep those frames as interior
-stops. Trajectories are extracted one at a time by dynamic programming
-over the DAG while an exhaustive oracle bounds the optimality gap on small
-instances. Each extraction returns the edges it walked, and a trajectory is
-decoded from those edges alone: every point keeps the action its outgoing
-edge was priced with, so the frame parses are the solved paths grouped by
-frame, not a second labelling pass.
+chains, contracted into super-edges. A super-edge keeps its stops as one
+``Interior`` record: a location array (the gap link's spline samples, or a
+slice of the tracklet's positions) and the stops' actions as runs, expanded
+frame by frame only for the edges of solved paths. Trajectories are
+extracted one at a time by dynamic programming over the DAG while an
+exhaustive oracle bounds the optimality gap on small instances. Each
+extraction returns the edges it walked, and a trajectory is decoded from
+those edges alone: every point keeps the action its outgoing edge was
+priced with, so the frame parses are the solved paths grouped by frame, not
+a second labelling pass.
 
 Maximizing the raw edge scores is degenerate (every term is non-positive, so
 the empty solution would win); nodes therefore carry log-odds evidence
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -200,6 +203,30 @@ class GraphNode:
         return self.kind in ("head", "single", "detection")
 
 
+class Interior(NamedTuple):
+    """The stops of a contracted chain, between its edge's endpoints.
+
+    Stop ``i`` is at frame ``first_frame + i`` and ground point
+    ``locations[i]``, in ``state``. ``actions`` lists the action each stop
+    leaves by as runs of (action, stop count) in frame order, so a spline
+    bridge keeps its sample array and at most two runs, not one record per
+    frame.
+    """
+
+    first_frame: int
+    locations: np.ndarray
+    state: VisibilityState
+    actions: Tuple[Tuple[str, int], ...]
+
+    def stops(self) -> Iterator[Tuple[int, np.ndarray, VisibilityState, str]]:
+        """(frame, location, state, action) of each stop, in frame order."""
+        i = 0
+        for action, count in self.actions:
+            for _ in range(count):
+                yield self.first_frame + i, self.locations[i], self.state, action
+                i += 1
+
+
 @dataclass(frozen=True)
 class GraphEdge:
     id: int
@@ -211,8 +238,7 @@ class GraphEdge:
     net_cost: float
     capacity: int
     is_container_chain: bool = False
-    # contracted chain stops between src and dst: (frame, location, state, action)
-    interior: Tuple[Tuple[int, np.ndarray, VisibilityState, str], ...] = ()
+    interior: Optional[Interior] = None  # the stops of a contracted chain
 
 
 @dataclass(frozen=True)
@@ -320,7 +346,8 @@ class _GraphBuilder:
 
     def append_edge(self, src: GraphNode, dst: GraphNode, breakdown: EnergyBreakdown,
                     action: str, net_cost: float, capacity: int = 1,
-                    is_container_chain: bool = False, interior=()) -> None:
+                    is_container_chain: bool = False,
+                    interior: Optional[Interior] = None) -> None:
         self.edges.append(GraphEdge(len(self.edges), src.id, dst.id, dst.frame - src.frame,
                                     breakdown, action, net_cost, capacity,
                                     is_container_chain, interior))
@@ -333,50 +360,73 @@ class _GraphBuilder:
             self.append_edge(src, dst, breakdown, action, breakdown.total - src.reward,
                              capacity, is_container_chain)
 
-    def contract(self, src: GraphNode, dst: GraphNode, stops: Sequence[_Stop],
-                 gate: Optional[float] = None) -> None:
-        """One ``src -> dst`` super-edge over a pure chain through ``stops``.
+    def chain_edge(self, src: GraphNode, dst: GraphNode,
+                   hops: Sequence[Tuple[Tuple[EnergyBreakdown, str], float, int]],
+                   locations: np.ndarray, state: VisibilityState) -> None:
+        """One ``src -> dst`` super-edge over a pure chain of stops.
 
-        Every hop is priced as if the stops were nodes, and the stops are
-        kept on the edge's interior. A hop with no legal action, or longer
-        than ``gate`` metres, drops the whole chain.
-
-        A hop that leaves an occluded or contained stop with no pose
-        evidence costs displacement 1 whatever its length, so its price
-        depends only on the state pair and the stop's gap similarity or
-        container score; each such distinct hop is priced once. The five
-        components are still added hop by hop, in hop order.
+        ``hops`` holds (price, reward of the stop the hop leaves, number of
+        consecutive hops with that price and reward) in hop order. The stops
+        are at the frames after ``src``, at ``locations``, all in ``state``.
+        The five energy components are added hop by hop, in hop order, so the
+        sums are those of the chain built as nodes.
         """
-        chain = (src, *stops, dst)
-        if gate is not None:
-            points = np.array([s.location for s in chain], dtype=float)
-            if (np.linalg.norm(np.diff(points, axis=0), axis=1) > gate).any():
-                return
         displacement = transition = visibility = action_term = total = net = 0.0
-        actions = []
-        priced_once: Dict[tuple, Optional[Tuple[EnergyBreakdown, str]]] = {}
+        for (step, _), reward, count in hops:
+            step_net = step.total - reward
+            for _ in range(count):
+                displacement += step.displacement
+                transition += step.transition
+                visibility += step.visibility
+                action_term += step.action
+                total += step.total
+                net += step_net
+        breakdown = EnergyBreakdown(displacement, transition, visibility, action_term, total)
+        runs = tuple((action, count) for (_, action), _, count in hops[1:])
+        self.append_edge(src, dst, breakdown, hops[0][0][1], net,
+                         interior=Interior(src.frame + 1, locations, state, runs))
+
+    def contract(self, src: GraphNode, dst: GraphNode, stops: Sequence[_Stop],
+                 locations: np.ndarray) -> None:
+        """One ``src -> dst`` super-edge over a tracklet interior: every hop
+        is priced as if the visible ``stops`` were nodes. A hop with no legal
+        action drops the chain."""
+        chain = (src, *stops, dst)
+        hops = []
         for u, v in zip(chain, chain[1:]):
-            if (u.state is VisibilityState.VISIBLE or u.pose_feature is not None
-                    or v.frame - u.frame < 1):
-                priced = self.price(u, v)
-            else:
-                key = (u.state, v.state, u.gap_similarity, u.container_score)
-                if key not in priced_once:
-                    priced_once[key] = self.price(u, v)
-                priced = priced_once[key]
+            priced = self.price(u, v)
             if priced is None:
                 return
-            step, action = priced
-            displacement += step.displacement
-            transition += step.transition
-            visibility += step.visibility
-            action_term += step.action
-            total += step.total
-            net += step.total - u.reward
-            actions.append(action)
-        breakdown = EnergyBreakdown(displacement, transition, visibility, action_term, total)
-        interior = tuple((s.frame, s.location, s.state, a) for s, a in zip(stops, actions[1:]))
-        self.append_edge(src, dst, breakdown, actions[0], net, interior=interior)
+            hops.append((priced, u.reward, 1))
+        self.chain_edge(src, dst, hops, locations, VisibilityState.VISIBLE)
+
+    def bridge(self, tail: GraphNode, head: GraphNode, link: GapLink, gate: float) -> None:
+        """One ``tail -> head`` super-edge whose stops are the occluded
+        spline samples of ``link``.
+
+        One pass over the chain's consecutive distances drops the bridge if
+        any hop is longer than ``gate`` metres. A hop that leaves an
+        occluded stop has no pose evidence, so it costs displacement 1
+        whatever its length: every stop-to-stop hop has one price, computed
+        once, and the bridge costs three ``price`` calls whatever its gap.
+        """
+        samples = link.samples
+        points = np.vstack((tail.location, samples, head.location))
+        if (np.linalg.norm(np.diff(points, axis=0), axis=1) > gate).any():
+            return
+        reward = self.occluded_reward()
+
+        def stop(i: int) -> _Stop:
+            return _Stop(tail.frame + 1 + i, samples[i], VisibilityState.OCCLUDED, reward,
+                         gap_similarity=link.similarity)
+
+        first, last = stop(0), stop(link.gap_frames - 1)
+        hops = [(self.price(tail, first), tail.reward, 1)]
+        if link.gap_frames > 1:
+            hops.append((self.price(first, stop(1)), reward, link.gap_frames - 1))
+        hops.append((self.price(last, head), reward, 1))
+        if all(priced is not None for priced, _, _ in hops):
+            self.chain_edge(tail, head, hops, samples, VisibilityState.OCCLUDED)
 
     def add_exit(self, node: GraphNode) -> None:
         breakdown, _ = node_exit_cost(
@@ -523,7 +573,7 @@ def build_graph(
                 pose_feature=(det_list[t.detection_indices[i]].pose_feature
                               if t.detection_indices else None),
             ))
-        b.contract(b.nodes[head_ids[t.id]], b.nodes[tail_ids[t.id]], stops)
+        b.contract(b.nodes[head_ids[t.id]], b.nodes[tail_ids[t.id]], stops, t.positions[1:-1])
 
     # visible adjacency (dt == 1) between emitting and receiving visible nodes
     visible_nodes = [n for n in b.nodes if n.state is VisibilityState.VISIBLE]
@@ -546,15 +596,10 @@ def build_graph(
 
     # spline bridges: one super-edge per gap link, its missing frames occluded
     if mode == "full":
-        reward = b.occluded_reward()
         for link in sorted(gap_links, key=lambda l: (l.before_id, l.after_id)):
             before_tail = b.nodes[tail_ids[link.before_id]]
-            stops = [
-                _Stop(frame, loc, VisibilityState.OCCLUDED, reward, gap_similarity=link.similarity)
-                for frame, loc in link.virtual_path
-            ]
             gate = LINK_GATE_SLACK * params.speed_bound(before_tail.object_class) / fps
-            b.contract(before_tail, b.nodes[head_ids[link.after_id]], stops, gate)
+            b.bridge(before_tail, b.nodes[head_ids[link.after_id]], link, gate)
 
     # containment vestibule bridges; crossing into or out of a container
     # additionally requires the container's fluent evidence to support a
@@ -793,8 +838,9 @@ def _decode_path(graph: TransitionGraph, path: Sequence[int], edge_ids: Sequence
                 container_id=node.container_id if node.state is VisibilityState.CONTAINED else None,
             )
         )
-        if i < len(edge_ids):
-            for frame, loc, state, action in graph.edges[edge_ids[i]].interior:
+        interior = graph.edges[edge_ids[i]].interior if i < len(edge_ids) else None
+        if interior is not None:
+            for frame, loc, state, action in interior.stops():
                 points.append(TrajectoryPoint(frame=frame, location=loc, state=state,
                                               action=action))
     return Trajectory(object_id=object_id, object_class=cls, points=tuple(points))

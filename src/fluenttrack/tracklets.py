@@ -8,7 +8,9 @@ graph separately: components share only the source and the sink, so the
 union of their optimal paths is the optimum of the whole. Tracklets link
 consecutive frames only; containers (in ``solver``) link across short
 dropouts. Gaps between appearance-compatible tracklets (``compatible_pairs``)
-are filled with interpolating cubic splines to propose virtual paths.
+are filled with interpolating cubic splines to propose virtual paths: one
+spline solve per gap shape serves every gap of that shape, and each bridge
+keeps its samples as one array.
 """
 
 from __future__ import annotations
@@ -279,20 +281,24 @@ class GapLink:
     """A proposed bridge between two tracklets across missing frames.
 
     ``gap_frames`` counts the frames strictly between the two fragments;
-    ``virtual_path`` holds one (frame, ground point) sample per missing frame.
+    ``samples`` is one read-only ``(gap_frames, 2)`` array holding the
+    spline's ground point at each missing frame, in frame order.
     """
 
     before_id: int
     after_id: int
     gap_frames: int
     similarity: float
-    virtual_path: Tuple[Tuple[int, np.ndarray], ...]
+    samples: np.ndarray
 
     def __post_init__(self) -> None:
         if self.gap_frames < 1:
             raise ValueError("gap_frames must be >= 1")
-        if len(self.virtual_path) != self.gap_frames:
-            raise ValueError("virtual_path must cover exactly the gap frames")
+        samples = np.asarray(self.samples, dtype=float)
+        if samples.shape != (self.gap_frames, 2):
+            raise ValueError("samples must hold one ground point per gap frame")
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
 
 
 def gap_between(before: Tracklet, after: Tracklet) -> int:
@@ -346,30 +352,41 @@ def find_gap_candidates(
     return candidates
 
 
-def bspline_fill(before: Tracklet, after: Tracklet) -> List[Tuple[int, np.ndarray]]:
-    """Sample an interpolating cubic spline at each missing frame.
+def bspline_fill(pairs: Sequence[Tuple[Tracklet, Tracklet]]) -> List[np.ndarray]:
+    """Sample an interpolating cubic spline at each missing frame of each pair.
 
-    The spline passes through up to five trailing points of ``before`` and
+    Each spline passes through up to five trailing points of ``before`` and
     five leading points of ``after``, parameterized by frame index, so the
-    boundary points are interpolated exactly.
+    boundary points are interpolated exactly. Returns one ``(gap, 2)`` array
+    per pair, in input order.
+
+    Pairs of one shape (points used before, points used after, gap) share a
+    single spline solve: frames are taken relative to ``before.end_frame``
+    and each pair's control points are extra columns of the data. Every
+    basis term is a difference of integer frames, so the samples are the
+    same bits as one spline per pair on absolute frames.
     """
-    if len(before.positions) == 0 or len(after.positions) == 0:
-        raise ValueError("cannot bridge an empty tracklet")
-    gap = gap_between(before, after)
-    if gap < 1:
-        raise ValueError("tracklets must be separated by at least one missing frame")
-
-    n_before = min(5, len(before.positions))
-    n_after = min(5, len(after.positions))
-    ctrl_frames = list(range(before.end_frame - n_before + 1, before.end_frame + 1))
-    ctrl_frames += list(range(after.start_frame, after.start_frame + n_after))
-    ctrl_points = np.vstack([before.positions[-n_before:], after.positions[:n_after]])
-
-    k = min(3, len(ctrl_frames) - 1)
-    spline = make_interp_spline(np.array(ctrl_frames, dtype=float), ctrl_points, k=k)
-    missing = np.arange(before.end_frame + 1, after.start_frame, dtype=float)
-    samples = spline(missing)
-    return [(int(f), np.asarray(p, dtype=float)) for f, p in zip(missing, samples)]
+    groups: Dict[Tuple[int, int, int], List[int]] = {}
+    for index, (before, after) in enumerate(pairs):
+        gap = gap_between(before, after)
+        if gap < 1:
+            raise ValueError("tracklets must be separated by at least one missing frame")
+        shape = (min(5, len(before.positions)), min(5, len(after.positions)), gap)
+        groups.setdefault(shape, []).append(index)
+    filled: Dict[int, np.ndarray] = {}
+    for (n_before, n_after, gap), members in groups.items():
+        ctrl_frames = np.array([*range(1 - n_before, 1), *range(gap + 1, gap + 1 + n_after)],
+                               dtype=float)
+        ctrl_points = np.stack([  # (control point, pair, xy)
+            np.vstack([pairs[i][0].positions[-n_before:], pairs[i][1].positions[:n_after]])
+            for i in members
+        ], axis=1)
+        k = min(3, len(ctrl_frames) - 1)
+        spline = make_interp_spline(ctrl_frames, ctrl_points, k=k)
+        values = spline(np.arange(1, gap + 1, dtype=float))
+        for column, i in enumerate(members):
+            filled[i] = values[:, column]
+    return [filled[i] for i in range(len(pairs))]
 
 
 def build_gap_links(
@@ -377,17 +394,16 @@ def build_gap_links(
     params: ModelParameters,
     frame_rate: float,
 ) -> List[GapLink]:
-    """Gap candidates materialized with spline virtual paths."""
-    links = []
-    for before, after, similarity in find_gap_candidates(tracklets, params, frame_rate):
-        path = bspline_fill(before, after)
-        links.append(
-            GapLink(
-                before_id=before.id,
-                after_id=after.id,
-                gap_frames=gap_between(before, after),
-                similarity=similarity,
-                virtual_path=tuple(path),
-            )
+    """Gap candidates materialized with their spline samples."""
+    candidates = find_gap_candidates(tracklets, params, frame_rate)
+    samples = bspline_fill([(before, after) for before, after, _ in candidates])
+    return [
+        GapLink(
+            before_id=before.id,
+            after_id=after.id,
+            gap_frames=gap_between(before, after),
+            similarity=similarity,
+            samples=path,
         )
-    return links
+        for (before, after, similarity), path in zip(candidates, samples)
+    ]

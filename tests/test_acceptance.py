@@ -310,7 +310,9 @@ class TestCriterion7InvariantSuite:
             t2 = Tracklet(1, ObjectClass.PERSON, n1 + gap,
                           origin + np.outer(np.arange(n1 + gap, n1 + gap + n2), vel),
                           desc)
-            for f, p in tracklets.bspline_fill(t1, t2):
+            (samples,) = tracklets.bspline_fill([(t1, t2)])
+            assert samples.shape == (gap, 2)
+            for f, p in zip(range(t1.end_frame + 1, t2.start_frame), samples):
                 assert np.linalg.norm(p - (origin + f * vel)) < 1e-6
             cases += 1
 

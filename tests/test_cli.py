@@ -13,6 +13,14 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def strict_json(text):
+    """Parse ``text``, failing on the non-standard NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestSimulateCommand:
     def test_deterministic_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -178,6 +186,20 @@ class TestEvaluateCommand:
                     "--out", tmp_path / "m.json"])
         assert code == EXIT_INPUT
 
+    def test_undefined_rates_written_as_null(self, tmp_path):
+        # walk_single has no contained frames, so that state's precision and
+        # recall have an empty base; the report stays strict JSON
+        seq = tmp_path / "walk_single"
+        assert run(["simulate", "--scenario", "walk_single", "--out", seq]) == EXIT_OK
+        assert run(["track", "--detections", seq / "detections.jsonl",
+                    "--camera", seq / "camera.json", "--out", tmp_path / "tracked"]) == EXIT_OK
+        out = tmp_path / "metrics.json"
+        assert run(["evaluate", "--predictions", tmp_path / "tracked" / "trajectories.jsonl",
+                    "--ground-truth", seq / "ground_truth.jsonl", "--out", out]) == EXIT_OK
+        payload = strict_json(out.read_text())
+        assert payload["fluents"]["Contained"] == {"precision": None, "recall": None}
+        assert 0.0 < payload["fluents"]["Visible"]["recall"] <= 1.0
+
     def test_csv_format(self, simulated, tmp_path):
         pred = tmp_path / "pred.jsonl"
         pred.write_text("")
@@ -244,7 +266,7 @@ class TestOracleCommand:
         code = run(["oracle", "--detections", det_path, "--camera", cam_path,
                     "--out", out])
         assert code == EXIT_OK
-        report = json.loads(out.read_text())
+        report = strict_json(out.read_text())
         assert set(report) == {"dp_objective", "oracle_objective", "gap"}
         assert abs(report["gap"]) < 1e-9
 

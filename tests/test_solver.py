@@ -22,7 +22,7 @@ from fluenttrack.solver import (
     solve_containers,
     solve_objects,
 )
-from fluenttrack.tracklets import LINK_GATE_SLACK, GapLink
+from fluenttrack.tracklets import LINK_GATE_SLACK, GapLink, build_gap_links, generate_tracklets
 
 from conftest import make_detection, random_walk_instance, unit_vector
 
@@ -386,9 +386,47 @@ class TestInvariants:
         bridges = [e for e in graph.edges
                    if graph.nodes[e.src].kind == "tail" and graph.nodes[e.dst].kind == "head"]
         assert len(bridges) == 1
-        interior = bridges[0].interior
-        assert [frame for frame, _, _, _ in interior] == list(range(12, 18))
-        assert all(state is VisibilityState.OCCLUDED for _, _, state, _ in interior)
+        stops = list(bridges[0].interior.stops())
+        assert [frame for frame, _, _, _ in stops] == list(range(12, 18))
+        assert all(state is VisibilityState.OCCLUDED for _, _, state, _ in stops)
+
+    def test_solved_bridge_decodes_to_per_frame_expansion(self, camera, params):
+        # the solved trajectory crosses the 6-frame gap as the link's samples,
+        # each occluded, each leaving by the action edge_cost picks for that
+        # hop when the stops are expanded frame by frame
+        grammar = default_grammar()
+        proto = unit_vector(np.random.default_rng(8))
+        dets = [make_detection(f, 1.0 + 0.3 * f + 0.002 * f * f, 5.0, 0.95, proto)
+                for f in [*range(12), *range(18, 30)]]
+        (person,) = joint_solve(dets, camera, params).solution.trajectories
+        assert [p.frame for p in person.points] == list(range(30))
+        (link,) = build_gap_links(generate_tracklets(dets, camera, params), params,
+                                  camera.frame_rate)
+        graph = pipeline_graph(dets, camera, params)
+        head = next(n for n in graph.nodes if n.kind == "head" and n.frame == 18)
+        expected = []
+        for i, sample in enumerate(link.samples):
+            to_head = i == link.gap_frames - 1
+            to_location = head.location if to_head else link.samples[i + 1]
+            to_state = VisibilityState.VISIBLE if to_head else VisibilityState.OCCLUDED
+            ctx = EdgeContext(
+                from_state=VisibilityState.OCCLUDED, to_state=to_state,
+                from_location=sample, to_location=to_location, dt_frames=1,
+                frame_rate=camera.frame_rate,
+                legal_actions=tuple(a.name for a in grammar.legal_actions(
+                    VisibilityState.OCCLUDED, to_state)),
+                gap_similarity=link.similarity,
+            )
+            expected.append((12 + i, sample, VisibilityState.OCCLUDED,
+                             edge_cost(ctx, params)[1]))
+        decoded = [p for p in person.points if 12 <= p.frame <= 17]
+        assert len(decoded) == len(expected) == 6
+        for point, (frame, location, state, action) in zip(decoded, expected):
+            assert point.frame == frame
+            assert np.array_equal(point.location, location)
+            assert point.state is state
+            assert point.action == action
+            assert point.container_id is None
 
     def test_spline_hop_over_speed_gate_drops_bridge(self, camera, params):
         # only the tail -> first-stop hop of the spline exceeds the speed gate
@@ -400,8 +438,8 @@ class TestInvariants:
         def bridges(offset):
             after = Tracklet(1, ObjectClass.PERSON, 8,
                              [[0.3 * f + offset, 5.0] for f in range(8, 13)], proto)
-            path = tuple((f, np.array([0.3 * f + offset, 5.0])) for f in range(5, 8))
-            link = GapLink(0, 1, 3, 1.0, path)
+            samples = np.array([[0.3 * f + offset, 5.0] for f in range(5, 8)])
+            link = GapLink(0, 1, 3, 1.0, samples)
             graph = build_graph([], [before, after], [link],
                                 ContainerSolution((), {}, 0.0, 0.0), camera, params)
             assert not [n for n in graph.nodes if 5 <= n.frame <= 7]
@@ -426,8 +464,8 @@ class TestInvariants:
         after = Tracklet(1, ObjectClass.PERSON, 15,
                          [[0.3 * f + offset, 5.0 + 0.01 * f] for f in range(15, 20)], proto,
                          scores=(0.8,) * 5)
-        path = tuple((f, np.array([0.3 * f + offset, 5.0 + 0.01 * f])) for f in range(5, 15))
-        link = GapLink(0, 1, 10, 0.85, path)
+        samples = np.array([[0.3 * f + offset, 5.0 + 0.01 * f] for f in range(5, 15)])
+        link = GapLink(0, 1, 10, 0.85, samples)
         graph = build_graph([], [before, after], [link], ContainerSolution((), {}, 0.0, 0.0),
                             camera, params)
         tail = next(n for n in graph.nodes if n.kind == "tail" and n.tracklet_id == 0)
@@ -436,7 +474,7 @@ class TestInvariants:
         reward = 2.0 + min_inertial_energy(params.transition_table, grammar,
                                            VisibilityState.OCCLUDED)
         stops = [(f, loc, VisibilityState.OCCLUDED, reward, None, link.similarity)
-                 for f, loc in path]
+                 for f, loc in zip(range(5, 15), samples)]
         chain = [(tail.frame, tail.location, tail.state, tail.reward, tail.detection_score, None),
                  *stops,
                  (head.frame, head.location, head.state, head.reward, head.detection_score, None)]
@@ -470,8 +508,10 @@ class TestInvariants:
         assert edge.breakdown == EnergyBreakdown(*sums)
         assert edge.net_cost == net
         assert edge.action == actions[0]
-        assert [a for _, _, _, a in edge.interior] == actions[1:]
-        assert [f for f, _, _, _ in edge.interior] == list(range(5, 15))
+        stops = list(edge.interior.stops())
+        assert [a for _, _, _, a in stops] == actions[1:]
+        assert [f for f, _, _, _ in stops] == list(range(5, 15))
+        assert all(np.array_equal(loc, sample) for (_, loc, _, _), sample in zip(stops, samples))
 
 
 class TestJointSolve:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import make_interp_spline
 
 from fluenttrack import tracklets as tk
 from fluenttrack.core import ObjectClass, Tracklet, ground_distance
@@ -317,11 +318,50 @@ class TestGapCandidates:
         assert tk.find_gap_candidates([t1, t2], params, 10.0) == []
 
 
+def spline_fill(before, after):
+    """The (frame, ground point) samples ``bspline_fill`` gives one pair."""
+    (samples,) = tk.bspline_fill([(before, after)])
+    frames = range(before.end_frame + 1, after.start_frame)
+    assert samples.shape == (len(frames), 2)
+    return list(zip(frames, samples))
+
+
+def per_pair_spline(before, after):
+    """One spline per pair on absolute frames, up to five points a side."""
+    n_before = min(5, len(before.positions))
+    n_after = min(5, len(after.positions))
+    frames = [*range(before.end_frame - n_before + 1, before.end_frame + 1),
+              *range(after.start_frame, after.start_frame + n_after)]
+    points = np.vstack([before.positions[-n_before:], after.positions[:n_after]])
+    spline = make_interp_spline(np.array(frames, dtype=float), points,
+                                k=min(3, len(frames) - 1))
+    return spline(np.arange(before.end_frame + 1, after.start_frame, dtype=float))
+
+
+@st.composite
+def gap_pairs(draw):
+    """Up to eight tracklet pairs of mixed shapes: 1-7 points a side, gaps
+    of 1..max_gap_frames, fragments starting anywhere up to frame 10**6."""
+    coordinate = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    shape = st.tuples(st.integers(1, 7), st.integers(1, 7),
+                      st.integers(1, default_parameters().max_gap_frames))
+    shapes = draw(st.lists(shape, min_size=1, max_size=3))  # so that shapes repeat
+    pairs = []
+    for tid in range(0, 2 * draw(st.integers(1, 8)), 2):
+        n_before, n_after, gap = draw(st.sampled_from(shapes))
+        start = draw(st.integers(0, 10 ** 6))
+        points = draw(st.lists(st.tuples(coordinate, coordinate),
+                               min_size=n_before + n_after, max_size=n_before + n_after))
+        pairs.append((line_tracklet(tid, start, points[:n_before]),
+                      line_tracklet(tid + 1, start + n_before + gap, points[n_before:])))
+    return pairs
+
+
 class TestBsplineFill:
     def test_collinear_constant_speed(self):
         t1 = line_tracklet(0, 0, [[i * 0.5, 1.0] for i in range(5)])
         t2 = line_tracklet(1, 9, [[(9 + i) * 0.5, 1.0] for i in range(5)])
-        path = tk.bspline_fill(t1, t2)
+        path = spline_fill(t1, t2)
         assert [f for f, _ in path] == [5, 6, 7, 8]
         for f, p in path:
             np.testing.assert_allclose(p, [f * 0.5, 1.0], atol=1e-6)
@@ -331,7 +371,7 @@ class TestBsplineFill:
     def test_single_gap_frame(self):
         t1 = line_tracklet(0, 0, [[0, 0], [1, 0]])
         t2 = line_tracklet(1, 3, [[3, 0], [4, 0]])
-        path = tk.bspline_fill(t1, t2)
+        path = spline_fill(t1, t2)
         assert len(path) == 1
         assert path[0][0] == 2
         np.testing.assert_allclose(path[0][1], [2.0, 0.0], atol=1e-6)
@@ -339,7 +379,7 @@ class TestBsplineFill:
     def test_degenerate_same_point(self):
         t1 = line_tracklet(0, 0, [[2.0, 3.0]] * 3)
         t2 = line_tracklet(1, 8, [[2.0, 3.0]] * 3)
-        path = tk.bspline_fill(t1, t2)
+        path = spline_fill(t1, t2)
         for _, p in path:
             np.testing.assert_allclose(p, [2.0, 3.0], atol=1e-6)
 
@@ -358,7 +398,7 @@ class TestBsplineFill:
             frames2 = np.arange(n1 + gap, n1 + gap + n2)
             t1 = line_tracklet(0, 0, origin + np.outer(frames1, velocity))
             t2 = line_tracklet(1, n1 + gap, origin + np.outer(frames2, velocity))
-            path = tk.bspline_fill(t1, t2)
+            path = spline_fill(t1, t2)
             assert len(path) == gap
             assert path[0][0] == t1.end_frame + 1
             assert path[-1][0] == t2.start_frame - 1
@@ -369,14 +409,27 @@ class TestBsplineFill:
         t1 = line_tracklet(0, 0, [[0, 0]])
         t2 = line_tracklet(1, 1, [[1, 0]])  # adjacent: no gap
         with pytest.raises(ValueError):
-            tk.bspline_fill(t1, t2)
+            tk.bspline_fill([(t1, t2)])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(gap_pairs())
+    def test_batched_fill_matches_per_pair_spline(self, pairs):
+        # pairs of one shape share a spline solve on frames relative to the
+        # earlier fragment's end; that must be the per-pair spline, bit for bit
+        filled = tk.bspline_fill(pairs)
+        assert len(filled) == len(pairs)
+        for (before, after), samples in zip(pairs, filled):
+            assert np.array_equal(samples, per_pair_spline(before, after))
 
 
 class TestGapLink:
     def test_virtual_path_must_cover_gap(self):
         with pytest.raises(ValueError):
             tk.GapLink(before_id=0, after_id=1, gap_frames=3, similarity=0.9,
-                       virtual_path=((5, np.zeros(2)),))
+                       samples=np.zeros((1, 2)))
+        with pytest.raises(ValueError):
+            tk.GapLink(before_id=0, after_id=1, gap_frames=3, similarity=0.9,
+                       samples=np.zeros(6))
 
     def test_build_gap_links(self, params):
         t1 = line_tracklet(0, 0, [[i * 0.3, 0] for i in range(5)])
@@ -384,4 +437,6 @@ class TestGapLink:
         links = tk.build_gap_links([t1, t2], params, 10.0)
         assert len(links) == 1
         assert links[0].gap_frames == 3
-        assert len(links[0].virtual_path) == 3
+        assert links[0].samples.shape == (3, 2)
+        assert not links[0].samples.flags.writeable
+        assert np.array_equal(links[0].samples, per_pair_spline(t1, t2))

@@ -8,6 +8,7 @@ Log level comes from the FLUENT_TRACK_LOG environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -99,33 +100,29 @@ def _build_parameters(args, config: Dict) -> ModelParameters:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _simulate_into(out_dir: Path, script, noise, seed: Optional[int]) -> None:
+    """Simulate one scenario, with its noise seed replaced by ``seed`` if
+    given, and write its detections, ground truth, camera and scenario."""
+    if seed is not None:
+        noise = dataclasses.replace(noise, seed=seed)
+    camera = default_camera()
+    result = simulate(script, noise, camera, default_parameters())
+    out_dir.mkdir(parents=True, exist_ok=True)
+    fileio.write_detections(out_dir / "detections.jsonl", result.detections)
+    fileio.write_ground_truth(out_dir / "ground_truth.jsonl", result.ground_truth)
+    fileio.write_camera(out_dir / "camera.json", camera)
+    fileio.write_scenario(out_dir / "scenario.json", script, noise)
+    log.info("simulated %s into %s", script.name, out_dir)
+
+
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     out_dir = Path(_setting(args, config, "out", "sim_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    camera = default_camera()
-    params = default_parameters()
 
     if args.suite:
-        jobs = max(1, int(_setting(args, config, "jobs", 1)))
-        pairs = standard_suite()
-
-        def run(pair):
-            script, noise = pair
-            if args.seed is not None:
-                noise = type(noise)(**{**noise.__dict__, "seed": args.seed})
-            seq_dir = out_dir / script.name
-            seq_dir.mkdir(parents=True, exist_ok=True)
-            result = simulate(script, noise, camera, params)
-            fileio.write_detections(seq_dir / "detections.jsonl", result.detections)
-            fileio.write_ground_truth(seq_dir / "ground_truth.jsonl", result.ground_truth)
-            fileio.write_camera(seq_dir / "camera.json", camera)
-            fileio.write_scenario(seq_dir / "scenario.json", script, noise)
-            return script.name
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for name in pool.map(run, pairs):
-                log.info("simulated %s", name)
+        for script, noise in standard_suite():
+            _simulate_into(out_dir / script.name, script, noise, args.seed)
         return EXIT_OK
 
     if args.script:
@@ -135,14 +132,7 @@ def cmd_simulate(args) -> int:
         if not name:
             raise fileio.InputFormatError("simulate requires --scenario, --script, or --suite")
         script, noise = scenario_by_name(name)
-    if args.seed is not None:
-        noise = type(noise)(**{**noise.__dict__, "seed": args.seed})
-    result = simulate(script, noise, camera, params)
-    fileio.write_detections(out_dir / "detections.jsonl", result.detections)
-    fileio.write_ground_truth(out_dir / "ground_truth.jsonl", result.ground_truth)
-    fileio.write_camera(out_dir / "camera.json", camera)
-    fileio.write_scenario(out_dir / "scenario.json", script, noise)
-    log.info("simulated %s into %s", script.name, out_dir)
+    _simulate_into(out_dir, script, noise, args.seed)
     return EXIT_OK
 
 
@@ -199,8 +189,7 @@ def cmd_evaluate(args) -> int:
     trajectories = fileio.read_trajectories(pred_path)
     gt_records = fileio.read_ground_truth(gt_path)
     gt = fileio.ground_truth_observations(gt_records)
-    gate = Gate(kind=_setting(args, config, "gate_kind", "distance"),
-                threshold=float(_setting(args, config, "gate", 1.0)))
+    gate = Gate(threshold=float(_setting(args, config, "gate", 1.0)))
     pred = trajectories_to_observations(trajectories)
     match = match_frames(gt, pred, gate)
     clear = clear_metrics(match, len(gt))
@@ -332,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--suite", action="store_true", help="simulate all 20 scenarios")
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--out", help="output directory")
-    p_sim.add_argument("--jobs", type=int, default=None)
     p_sim.add_argument("--config", default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -356,9 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="CLEAR metrics against ground truth")
     p_eval.add_argument("--predictions")
     p_eval.add_argument("--ground-truth", dest="ground_truth")
-    p_eval.add_argument("--gate", type=float, default=None)
-    p_eval.add_argument("--gate-kind", dest="gate_kind", choices=["distance", "iou"],
-                        default=None)
+    p_eval.add_argument("--gate", type=float, default=None,
+                        help="largest matching distance, in metres (default 1)")
     p_eval.add_argument("--format", choices=["json", "csv"], default=None)
     p_eval.add_argument("--sequence", default=None)
     p_eval.add_argument("--out", default=None)

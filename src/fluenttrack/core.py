@@ -276,13 +276,17 @@ class ActionModel:
         object.__setattr__(self, "log_det", float(log_det))
 
 
+# Speed bound of vehicles, in m/s: containers move much faster than the
+# pedestrians that ``tau_s`` bounds.
+VEHICLE_SPEED_BOUND = 20.0
+
+
 @dataclass(frozen=True)
 class ModelParameters:
     """All tunable thresholds and fitted models used across the pipeline.
 
     ``transition_table`` holds the action-conditioned state transition
-    probabilities (see :mod:`fluenttrack.grammar`). Vehicles get their own
-    speed bound because containers move much faster than pedestrians.
+    probabilities (see :mod:`fluenttrack.grammar`).
     """
 
     tau_s: float = 4.0
@@ -290,19 +294,14 @@ class ModelParameters:
     tau_c: float = 3.0
     max_contained: int = 5
     max_gap_frames: int = 150
-    tau_s_vehicle: float = 20.0
     entry_exit_cost: float = 2.0
     solver_entry_exit_cost: float = 12.0
-    score_floor: float = 0.01
-    score_ceiling: float = 0.99
-    container_max_link_gap: int = 5
-    link_skip_penalty: float = 0.6
     transition_table: Optional["ActionStateTable"] = None  # noqa: F821
     action_pose_models: Mapping[str, ActionModel] = field(default_factory=dict)
     vehicle_fluent_templates: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("tau_s", "tau_sigma", "tau_c", "tau_s_vehicle", "entry_exit_cost",
+        for name in ("tau_s", "tau_sigma", "tau_c", "entry_exit_cost",
                      "solver_entry_exit_cost"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -310,15 +309,12 @@ class ModelParameters:
             raise ValueError("max_contained must be >= 1")
         if self.max_gap_frames < 1:
             raise ValueError("max_gap_frames must be >= 1")
-        if not 0 < self.score_floor < self.score_ceiling < 1:
-            raise ValueError("score clamp bounds must satisfy 0 < floor < ceiling < 1")
-
-    def clamp_score(self, score: float) -> float:
-        return min(max(float(score), self.score_floor), self.score_ceiling)
 
     def speed_bound(self, object_class: ObjectClass) -> float:
+        """Speed bound of ``object_class`` in m/s: ``VEHICLE_SPEED_BOUND``
+        for vehicles, ``tau_s`` otherwise."""
         if object_class is ObjectClass.VEHICLE:
-            return self.tau_s_vehicle
+            return VEHICLE_SPEED_BOUND
         return self.tau_s
 
 
@@ -326,19 +322,15 @@ class ModelParameters:
 # geometry and descriptor operations
 # ---------------------------------------------------------------------------
 
-def project_to_ground(camera, bbox: Sequence[float]) -> np.ndarray:
+def project_to_ground(camera: CameraModel, bbox: Sequence[float]) -> np.ndarray:
     """Map a pixel box to ground-plane meters via its bottom-center point.
 
-    ``camera`` may be a :class:`CameraModel` or a bare 3x3 homography.
     Raises :class:`DegenerateProjectionError` when the homogeneous scale of
     the projected point is (near) zero.
     """
-    h = camera.homography if isinstance(camera, CameraModel) else np.asarray(camera, dtype=float)
-    if h.shape != (3, 3):
-        raise ValueError("homography must be 3x3")
     x, y, w, hh = (float(v) for v in bbox)
     foot = np.array([x + w / 2.0, y + hh, 1.0])
-    projected = h @ foot
+    projected = camera.homography @ foot
     if abs(projected[2]) < 1e-9:
         raise DegenerateProjectionError(
             f"bottom-center {foot[:2]} projects to homogeneous scale {projected[2]:.3e}"

@@ -277,7 +277,13 @@ def node_exit_cost(
     return EnergyBreakdown.build(0.0, 0.0, visibility, action_term), "walking"
 
 
-def log_odds(score: float, params: ModelParameters) -> float:
+# Scores are clamped to this range before their log-odds are taken, so a
+# detection of score 0 or 1 still has a finite reward.
+LOG_ODDS_MIN_SCORE = 0.01
+LOG_ODDS_MAX_SCORE = 0.99
+
+
+def log_odds(score: float) -> float:
     """Clamped log-odds of a detection score; the node reward unit."""
-    h = params.clamp_score(score)
+    h = min(max(float(score), LOG_ODDS_MIN_SCORE), LOG_ODDS_MAX_SCORE)
     return math.log(h / (1.0 - h))

@@ -81,9 +81,29 @@ def _write_json(path, payload) -> None:
                           encoding="utf-8")
 
 
+_NUMBER = (int, float)
+_OPTIONAL_INT = (int, type(None))
+
+
+def _typed(value, types, path, lineno, name):
+    """``value`` if its type is exactly one of ``types`` (so a JSON ``true``
+    is not an int), else an input error."""
+    if type(value) not in types:
+        _fail(path, lineno, f"{name} has the wrong type: {value!r}")
+    return value
+
+
 def _vector(value, path, lineno, name) -> np.ndarray:
-    if not isinstance(value, list) or not all(isinstance(v, (int, float)) for v in value):
+    if type(value) is not list or not all(type(v) in _NUMBER for v in value):
         _fail(path, lineno, f"{name} must be a list of numbers")
+    return np.asarray(value, dtype=float)
+
+
+def _location(value, path, lineno) -> np.ndarray:
+    """A ground point: a list of exactly two finite numbers."""
+    if (type(value) is not list or len(value) != 2
+            or not all(type(v) in _NUMBER and math.isfinite(v) for v in value)):
+        _fail(path, lineno, f"location must be two finite numbers, got {value!r}")
     return np.asarray(value, dtype=float)
 
 
@@ -116,10 +136,10 @@ def read_detections(path) -> List[Detection]:
             fluent = r.get("vehicle_fluent_feature")
             detections.append(
                 Detection(
-                    frame=int(r["frame"]),
+                    frame=_typed(r["frame"], (int,), path, lineno, "frame"),
                     object_class=cls,
-                    bbox=tuple(float(v) for v in r["bbox"]),
-                    score=float(r["score"]),
+                    bbox=tuple(_vector(r["bbox"], path, lineno, "bbox").tolist()),
+                    score=float(_typed(r["score"], _NUMBER, path, lineno, "score")),
                     descriptor=_vector(r["descriptor"], path, lineno, "descriptor"),
                     pose_feature=_vector(pose, path, lineno, "pose_feature")
                     if pose is not None else None,
@@ -177,15 +197,17 @@ def read_trajectories(path) -> List[Trajectory]:
         try:
             points = tuple(
                 TrajectoryPoint(
-                    frame=int(p["frame"]),
-                    location=np.asarray(p["location"], dtype=float),
+                    frame=_typed(p["frame"], (int,), path, lineno, "frame"),
+                    location=_location(p["location"], path, lineno),
                     state=VisibilityState(p["state"]),
-                    action=p.get("action"),
-                    container_id=p.get("container_id"),
+                    action=_typed(p.get("action"), (str, type(None)), path, lineno, "action"),
+                    container_id=_typed(p.get("container_id"), _OPTIONAL_INT, path, lineno,
+                                        "container_id"),
                 )
                 for p in r["track"]
             )
-            out.append(Trajectory(object_id=int(r["object_id"]),
+            out.append(Trajectory(object_id=_typed(r["object_id"], (int,), path, lineno,
+                                                   "object_id"),
                                   object_class=ObjectClass(r["class"]),
                                   points=points))
         except InputFormatError:
@@ -243,12 +265,13 @@ def read_ground_truth(path) -> List[GroundTruthRecord]:
         try:
             out.append(
                 GroundTruthRecord(
-                    frame=int(r["frame"]),
-                    object_id=int(r["object_id"]),
+                    frame=_typed(r["frame"], (int,), path, lineno, "frame"),
+                    object_id=_typed(r["object_id"], (int,), path, lineno, "object_id"),
                     object_class=ObjectClass(r.get("class", "person")),
-                    location=np.asarray(r["location"], dtype=float),
+                    location=_location(r["location"], path, lineno),
                     state=VisibilityState(r["state"]),
-                    container_id=r.get("container_id"),
+                    container_id=_typed(r.get("container_id"), _OPTIONAL_INT, path, lineno,
+                                        "container_id"),
                 )
             )
         except InputFormatError:

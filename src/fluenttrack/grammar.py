@@ -190,14 +190,14 @@ def fit_transition_table(
     return ActionStateTable(rows=rows)
 
 
-def default_transition_table(grammar: Optional[VisibilityGrammar] = None) -> ActionStateTable:
+def default_transition_table() -> ActionStateTable:
     """Hand-set inertial defaults used when no training data is available.
 
     Walking strongly favors keeping the current state; the door/trunk and
     enter/exit actions are deterministic given their single legal successor
     sets in the default grammar.
     """
-    grammar = grammar or default_grammar()
+    grammar = default_grammar()
     preferred: Dict[Tuple[VisibilityState, str], Dict[VisibilityState, float]] = {
         (V, "walking"): {V: 0.85, O: 0.15},
         (O, "walking"): {O: 0.70, V: 0.30},
@@ -236,18 +236,15 @@ def min_inertial_energy(
 # parse extraction
 # ---------------------------------------------------------------------------
 
-def extract_frame_parses(
-    trajectories: Sequence[Trajectory],
-    grammar: Optional[VisibilityGrammar] = None,
-) -> List[FrameParse]:
+def extract_frame_parses(trajectories: Sequence[Trajectory]) -> List[FrameParse]:
     """Group solved trajectory points by frame into per-frame parses.
 
     Each entry keeps its point's location, state, action and container: the
     action of a step is the one the solver chose and priced for it. Every
-    step ``(state, action, next state)`` must be legal in ``grammar``,
-    otherwise :class:`IllegalTransitionError` is raised.
+    step ``(state, action, next state)`` must be legal in the default
+    grammar, otherwise :class:`IllegalTransitionError` is raised.
     """
-    grammar = grammar or default_grammar()
+    grammar = default_grammar()
     by_frame: Dict[int, List[ParseEntry]] = {}
     for traj in trajectories:
         for point, succ in zip(traj.points, traj.points[1:]):
@@ -307,9 +304,8 @@ def default_vehicle_templates() -> Dict[str, np.ndarray]:
 
 def default_parameters(**overrides) -> ModelParameters:
     """ModelParameters wired with the default grammar, table, and models."""
-    grammar = default_grammar()
     params = dict(
-        transition_table=default_transition_table(grammar),
+        transition_table=default_transition_table(),
         action_pose_models=default_action_models(),
         vehicle_fluent_templates=default_vehicle_templates(),
     )

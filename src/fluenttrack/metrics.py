@@ -1,14 +1,16 @@
 """CLEAR-MOT evaluation and visibility-state estimation metrics.
 
 Per-frame correspondences are solved by exact min-cost bipartite matching
-among pairs passing the gate, with a persistence preference so previously
-matched pairs win ties. Identity switches count changes of a ground-truth
+among pairs passing the gate: a ground-plane distance of at most the gate's
+threshold, in metres. A persistence preference makes previously matched
+pairs win ties. Identity switches count changes of a ground-truth
 track's matched prediction id; fragmentations count matched -> unmatched ->
 matched toggles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,47 +29,27 @@ class TrackObservation:
 
     frame: int
     object_id: int
-    location: Optional[np.ndarray] = None
-    bbox: Optional[Tuple[float, float, float, float]] = None
+    location: np.ndarray
     state: Optional[VisibilityState] = None
 
 
 @dataclass(frozen=True)
 class Gate:
-    """Match feasibility rule: ground-plane distance or box IoU."""
+    """Match feasibility rule: ground-plane distance of at most
+    ``threshold`` metres."""
 
-    kind: str = "distance"  # "distance" | "iou"
     threshold: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("distance", "iou"):
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+        if not (math.isfinite(self.threshold) and self.threshold > 0):
+            raise ValueError(f"gate must be a finite positive distance, got {self.threshold}")
 
     def cost_and_quality(self, gt: TrackObservation, pred: TrackObservation):
         """Returns (matching cost, match quality in [0, 1]) or None if gated out."""
-        if self.kind == "distance":
-            if gt.location is None or pred.location is None:
-                return None
-            d = float(np.linalg.norm(gt.location - pred.location))
-            if d > self.threshold:
-                return None
-            return d, 1.0 - d / self.threshold
-        iou = _bbox_iou(gt.bbox, pred.bbox)
-        if iou < self.threshold:
+        d = float(np.linalg.norm(gt.location - pred.location))
+        if d > self.threshold:
             return None
-        return 1.0 - iou, iou
-
-
-def _bbox_iou(a, b) -> float:
-    if a is None or b is None:
-        return 0.0
-    ax, ay, aw, ah = a
-    bx, by, bw, bh = b
-    x1, y1 = max(ax, bx), max(ay, by)
-    x2, y2 = min(ax + aw, bx + bw), min(ay + ah, by + bh)
-    inter = max(0.0, x2 - x1) * max(0.0, y2 - y1)
-    union = aw * ah + bw * bh - inter
-    return inter / union if union > 0 else 0.0
+        return d, 1.0 - d / self.threshold
 
 
 @dataclass

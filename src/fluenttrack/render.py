@@ -17,6 +17,8 @@ PALETTE = (
     "#a65628", "#f781bf", "#17becf", "#666666", "#bcbd22",
 )
 
+WIDTH, HEIGHT = 640, 480  # pixel size of the rendered document
+
 DASH_OF_STATE = {
     VisibilityState.VISIBLE: None,
     VisibilityState.OCCLUDED: "2,3",
@@ -39,7 +41,7 @@ def _segments(trajectory: Trajectory):
     return [r for r in runs if len(r) >= 1]
 
 
-def render_svg(trajectories: Sequence[Trajectory], width: int = 640, height: int = 480) -> str:
+def render_svg(trajectories: Sequence[Trajectory]) -> str:
     """Render a top-view SVG document string."""
     points = [p for t in trajectories for p in t.points]
     if points:
@@ -51,14 +53,14 @@ def render_svg(trajectories: Sequence[Trajectory], width: int = 640, height: int
         x0, y0, x1, y1 = 0.0, 0.0, 10.0, 10.0
 
     def to_px(loc) -> Tuple[float, float]:
-        x = (float(loc[0]) - x0) / (x1 - x0) * width
-        y = height - (float(loc[1]) - y0) / (y1 - y0) * height
+        x = (float(loc[0]) - x0) / (x1 - x0) * WIDTH
+        y = HEIGHT - (float(loc[1]) - y0) / (y1 - y0) * HEIGHT
         return round(x, 2), round(y, 2)
 
     parts: List[str] = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
     ]
     for traj in sorted(trajectories, key=lambda t: t.object_id):
         color = PALETTE[traj.object_id % len(PALETTE)]
@@ -78,6 +80,5 @@ def render_svg(trajectories: Sequence[Trajectory], width: int = 640, height: int
     return "\n".join(parts) + "\n"
 
 
-def write_svg(path, trajectories: Sequence[Trajectory], width: int = 640,
-              height: int = 480) -> None:
-    Path(path).write_text(render_svg(trajectories, width, height), encoding="utf-8")
+def write_svg(path, trajectories: Sequence[Trajectory]) -> None:
+    Path(path).write_text(render_svg(trajectories), encoding="utf-8")

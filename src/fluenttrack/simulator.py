@@ -594,6 +594,10 @@ def scenario_by_name(name: str) -> Tuple[ScenarioScript, NoiseProfile]:
     raise KeyError(f"unknown scenario {name!r}; valid names: {names}")
 
 
-def default_camera(frame_rate: float = 10.0) -> CameraModel:
-    """Identity ground-plane camera used by the simulator suite."""
-    return CameraModel(np.eye(3), frame_rate)
+SUITE_FRAME_RATE = 10.0  # frames per second the suite is authored for
+
+
+def default_camera() -> CameraModel:
+    """Identity ground-plane camera at ``SUITE_FRAME_RATE``, used by the
+    simulator suite."""
+    return CameraModel(np.eye(3), SUITE_FRAME_RATE)

@@ -60,7 +60,6 @@ from .energy import (
 )
 from .grammar import (
     INERTIAL_ACTION,
-    VisibilityGrammar,
     default_grammar,
     extract_frame_parses,
     min_inertial_energy,
@@ -111,6 +110,11 @@ class ContainerSolution:
         return None
 
 
+# Longest gap, in frames, that a container link may span: a vehicle can drop
+# out of detection for a few frames, a tracklet link spans one.
+CONTAINER_LINK_GAP = 5
+
+
 def solve_containers(
     vehicle_detections: Sequence[Detection],
     camera: CameraModel,
@@ -119,9 +123,9 @@ def solve_containers(
     """Track containers by min-cost flow over vehicle detections.
 
     The same linker as tracklets (``link_detections``), except that links
-    also bridge short detection dropouts (up to
-    ``params.container_max_link_gap`` frames); those are filled by linear
-    interpolation so every container covers a contiguous frame range.
+    also bridge short detection dropouts, up to ``CONTAINER_LINK_GAP``
+    frames; those are filled by linear interpolation so every container
+    covers a contiguous frame range.
     """
     dets = sorted(
         (d for d in vehicle_detections if d.object_class is ObjectClass.VEHICLE),
@@ -131,7 +135,7 @@ def solve_containers(
         return ContainerSolution((), {}, 0.0, 0.0)
     positions = [project_to_ground(camera, d.bbox) for d in dets]
     paths, flow_cost = link_detections(dets, positions, camera.frame_rate, params,
-                                       params.container_max_link_gap)
+                                       CONTAINER_LINK_GAP)
 
     trajectories: List[Trajectory] = []
     evidence: Dict[int, Dict[int, Tuple[float, Optional[np.ndarray]]]] = {}
@@ -236,7 +240,6 @@ class GraphEdge:
     breakdown: EnergyBreakdown
     action: str
     net_cost: float
-    capacity: int
     is_container_chain: bool = False
     interior: Optional[Interior] = None  # the stops of a contracted chain
 
@@ -248,7 +251,6 @@ class TransitionGraph:
     entry_cost: float
     exit_costs: Mapping[int, float]  # node id -> full exit edge cost (incl. node terms)
     containers: ContainerSolution
-    frame_rate: float
 
     def out_edges(self, node_id: int) -> Tuple[int, ...]:
         return self._out[node_id]
@@ -281,7 +283,7 @@ class _Stop(NamedTuple):
 
 
 class _GraphBuilder:
-    def __init__(self, camera, params, grammar, mode):
+    def __init__(self, camera, params, mode):
         if mode not in SOLVE_MODES:
             raise ValueError(f"unknown solve mode {mode!r}")
         self.camera = camera
@@ -291,6 +293,7 @@ class _GraphBuilder:
         self.edges: List[GraphEdge] = []
         self.exit_costs: Dict[int, float] = {}
         table = params.transition_table
+        grammar = default_grammar()
         self.psi_occluded = min_inertial_energy(table, grammar, VisibilityState.OCCLUDED)
         self.psi_contained = min_inertial_energy(table, grammar, VisibilityState.CONTAINED)
         # grammar-legal action names per (from, to) state pair
@@ -313,8 +316,6 @@ class _GraphBuilder:
     def contained_reward(self, score: float) -> float:
         """Covers the full inertial continuation cost; riding a container is
         per-frame neutral."""
-        if self.mode == "prior_only":
-            return 1.0 + self.psi_contained
         return 1.0 + self.psi_contained + (1.0 - score) + 1.0
 
     # -- edge constructors -----------------------------------------------------
@@ -345,20 +346,19 @@ class _GraphBuilder:
         return breakdown, action
 
     def append_edge(self, src: GraphNode, dst: GraphNode, breakdown: EnergyBreakdown,
-                    action: str, net_cost: float, capacity: int = 1,
-                    is_container_chain: bool = False,
+                    action: str, net_cost: float, is_container_chain: bool = False,
                     interior: Optional[Interior] = None) -> None:
         self.edges.append(GraphEdge(len(self.edges), src.id, dst.id, dst.frame - src.frame,
-                                    breakdown, action, net_cost, capacity,
-                                    is_container_chain, interior))
+                                    breakdown, action, net_cost, is_container_chain,
+                                    interior))
 
-    def connect(self, src: GraphNode, dst: GraphNode, fluent=None, capacity: int = 1,
+    def connect(self, src: GraphNode, dst: GraphNode, fluent=None,
                 is_container_chain: bool = False) -> None:
         priced = self.price(src, dst, fluent)
         if priced is not None:
             breakdown, action = priced
             self.append_edge(src, dst, breakdown, action, breakdown.total - src.reward,
-                             capacity, is_container_chain)
+                             is_container_chain)
 
     def chain_edge(self, src: GraphNode, dst: GraphNode,
                    hops: Sequence[Tuple[Tuple[EnergyBreakdown, str], float, int]],
@@ -451,7 +451,6 @@ def build_graph(
     containers: ContainerSolution,
     camera: CameraModel,
     params: ModelParameters,
-    grammar: Optional[VisibilityGrammar] = None,
     mode: str = "full",
 ) -> TransitionGraph:
     """Assemble the state-augmented DAG for the object stage.
@@ -462,11 +461,16 @@ def build_graph(
     ``mode`` selects the full model, a visible-only baseline (no occluded /
     contained nodes), or a prior-only ablation (visible-only graph with all
     likelihood terms zeroed).
+
+    Capacity lives on nodes only: contained nodes admit ``max_contained``
+    objects, every other node one. Every edge but a container chain edge
+    touches a unit node, a chain edge joins two contained nodes, and a path
+    visits a node at most once, so no edge can carry more objects than its
+    ends admit.
     """
-    grammar = grammar or default_grammar()
     if params.transition_table is None:
         raise ValueError("params.transition_table is required to build the graph")
-    b = _GraphBuilder(camera, params, grammar, mode)
+    b = _GraphBuilder(camera, params, mode)
     fps = camera.frame_rate
 
     # contained nodes: one per container per frame
@@ -503,7 +507,7 @@ def build_graph(
                 state=VisibilityState.VISIBLE,
                 kind=kind,
                 object_class=t.object_class,
-                reward=log_odds(score, params),
+                reward=log_odds(score),
                 capacity=1,
                 detection_score=score,
                 pose_feature=(det_list[t.detection_indices[i]].pose_feature
@@ -526,7 +530,7 @@ def build_graph(
             state=VisibilityState.VISIBLE,
             kind="detection",
             object_class=det.object_class,
-            reward=log_odds(det.score, params),
+            reward=log_odds(det.score),
             capacity=1,
             detection_score=det.score,
             pose_feature=det.pose_feature,
@@ -568,7 +572,7 @@ def build_graph(
                 frame=t.start_frame + i,
                 location=t.positions[i],
                 state=VisibilityState.VISIBLE,
-                reward=log_odds(score, params),
+                reward=log_odds(score),
                 detection_score=score,
                 pose_feature=(det_list[t.detection_indices[i]].pose_feature
                               if t.detection_indices else None),
@@ -627,7 +631,7 @@ def build_graph(
                 b.connect(b.nodes[cnode], v, fluent=fluent)
         b.connect(nodes_chain[-1], after_head)
 
-    # container chains (shared, capacity = max_contained)
+    # container chains, shared by up to max_contained objects
     for traj in containers.trajectories:
         for f in range(traj.birth_frame, traj.death_frame):
             src_id = contained_ids.get((traj.object_id, f))
@@ -636,7 +640,7 @@ def build_graph(
                 continue
             b.connect(b.nodes[src_id], b.nodes[dst_id],
                       fluent=containers.evidence[traj.object_id][f][1],
-                      capacity=params.max_contained, is_container_chain=True)
+                      is_container_chain=True)
 
     # exits (births/deaths live on visible evidence only)
     for n in b.nodes:
@@ -649,7 +653,6 @@ def build_graph(
         entry_cost=params.solver_entry_exit_cost,
         exit_costs=dict(b.exit_costs),
         containers=containers,
-        frame_rate=fps,
     )
 
 
@@ -720,7 +723,6 @@ class FlowSolution:
 def _shortest_path(
     graph: TransitionGraph,
     node_cap: List[int],
-    edge_cap: List[int],
 ) -> Tuple[float, List[int], List[int]]:
     """One DP sweep in topological order; returns (net cost, node id path,
     the edge ids walked between those nodes)."""
@@ -737,8 +739,6 @@ def _shortest_path(
         if not math.isfinite(dist[nid]):
             continue
         for eid in graph.out_edges(nid):
-            if edge_cap[eid] <= 0:
-                continue
             edge = graph.edges[eid]
             if node_cap[edge.dst] <= 0:
                 continue
@@ -775,13 +775,12 @@ def solve_objects(graph: TransitionGraph, params: ModelParameters) -> FlowSoluti
 
     Each sweep runs an exact single-path DP over the remaining capacities;
     the path is accepted iff its net cost is strictly negative. Contained
-    nodes and container chain edges admit up to ``max_contained`` units,
-    everything else is unit capacity. Greedy extraction is exact for a single
-    object and for non-interacting objects; the exhaustive oracle quantifies
-    the gap otherwise.
+    nodes admit up to ``max_contained`` units, every other node one; edges
+    need no capacity of their own (see ``build_graph``). Greedy extraction
+    is exact for a single object and for non-interacting objects; the
+    exhaustive oracle quantifies the gap otherwise.
     """
     node_cap = [n.capacity for n in graph.nodes]
-    edge_cap = [e.capacity for e in graph.edges]
     object_flows: Dict[int, int] = {}
     paths: List[Tuple[int, ...]] = []
     trajectories: List[Trajectory] = []
@@ -789,7 +788,7 @@ def solve_objects(graph: TransitionGraph, params: ModelParameters) -> FlowSoluti
     totals = ZERO_BREAKDOWN
 
     for _ in range(len(graph.nodes) + 1):
-        cost, path, edge_ids = _shortest_path(graph, node_cap, edge_cap)
+        cost, path, edge_ids = _shortest_path(graph, node_cap)
         if not path or cost >= -1e-12:
             break
         for nid in path:
@@ -797,9 +796,6 @@ def solve_objects(graph: TransitionGraph, params: ModelParameters) -> FlowSoluti
             if node_cap[nid] < 0:
                 raise InternalInvariantError(f"node {nid} capacity went negative")
         for eid in edge_ids:
-            edge_cap[eid] -= 1
-            if edge_cap[eid] < 0:
-                raise InternalInvariantError(f"edge {eid} capacity went negative")
             object_flows[eid] = object_flows.get(eid, 0) + 1
             totals = totals.add(graph.edges[eid].breakdown)
         objective += -cost
@@ -876,12 +872,15 @@ def _validate_solution(graph: TransitionGraph, solution: FlowSolution,
 # exhaustive oracle
 # ---------------------------------------------------------------------------
 
+# Most entry -> exit paths the oracle enumerates before it gives up.
+ORACLE_PATH_BUDGET = 50000
+
+
 @dataclass(frozen=True)
 class OracleLimits:
     max_nodes_per_frame: int = 12
     max_frames: int = 10
     max_objects: int = 4
-    max_paths: int = 50000
 
 
 def brute_force_oracle(
@@ -891,9 +890,10 @@ def brute_force_oracle(
 ) -> FlowSolution:
     """Globally optimal joint flow by exhaustive path-subset enumeration.
 
-    Guard rails reject instances beyond the declared limits. The search
-    enumerates every feasible set of at most ``max_objects`` capacity-
-    respecting paths and returns the best total objective.
+    Guard rails reject instances beyond the declared limits and more than
+    ``ORACLE_PATH_BUDGET`` paths. The search enumerates every feasible set
+    of at most ``max_objects`` capacity-respecting paths and returns the
+    best total objective.
     """
     frames: Dict[int, int] = {}
     for n in graph.nodes:
@@ -909,7 +909,7 @@ def brute_force_oracle(
     paths: List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = []
 
     def extend(nid: int, cost: float, node_path: List[int], edge_path: List[int]) -> None:
-        if len(paths) > limits.max_paths:
+        if len(paths) > ORACLE_PATH_BUDGET:
             raise OracleLimitError("path enumeration exceeded the oracle budget")
         exit_cost = graph.exit_costs.get(nid)
         if exit_cost is not None:
@@ -936,13 +936,9 @@ def brute_force_oracle(
         suffix_min[i] = suffix_min[i + 1] + min(candidates[i][0], 0.0)
 
     node_capacity = [n.capacity for n in graph.nodes]
-    edge_capacity = [e.capacity for e in graph.edges]
 
     def feasible(idx: int) -> bool:
-        _, node_path, edge_path = candidates[idx]
-        return all(node_capacity[n] > 0 for n in node_path) and all(
-            edge_capacity[e] > 0 for e in edge_path
-        )
+        return all(node_capacity[n] > 0 for n in candidates[idx][1])
 
     def search(start: int, count: int, total: float, chosen: List[int]) -> None:
         # recursion depth is bounded by max_objects: we only recurse on takes
@@ -957,18 +953,14 @@ def brute_force_oracle(
                 break
             if not feasible(idx):
                 continue
-            _, node_path, edge_path = candidates[idx]
+            node_path = candidates[idx][1]
             for n in node_path:
                 node_capacity[n] -= 1
-            for e in edge_path:
-                edge_capacity[e] -= 1
             chosen.append(idx)
             search(idx + 1, count + 1, total + candidates[idx][0], chosen)
             chosen.pop()
             for n in node_path:
                 node_capacity[n] += 1
-            for e in edge_path:
-                edge_capacity[e] += 1
 
     search(0, 0, 0.0, [])
 
@@ -1005,7 +997,6 @@ def pipeline_graph(
     detections: Sequence[Detection],
     camera: CameraModel,
     params: ModelParameters,
-    grammar: Optional[VisibilityGrammar] = None,
     mode: str = "full",
 ) -> TransitionGraph:
     """Containers, tracklets, gap links (full mode only), and the transition
@@ -1015,19 +1006,17 @@ def pipeline_graph(
     containers = solve_containers(vehicles, camera, params)
     tracks = generate_tracklets(others, camera, params)
     links = build_gap_links(tracks, params, camera.frame_rate) if mode == "full" else []
-    return build_graph(others, tracks, links, containers, camera, params, grammar, mode)
+    return build_graph(others, tracks, links, containers, camera, params, mode)
 
 
 def joint_solve(
     detections: Sequence[Detection],
     camera: CameraModel,
     params: ModelParameters,
-    grammar: Optional[VisibilityGrammar] = None,
     mode: str = "full",
 ) -> JointResult:
     """Containers, tracklets, graph, object solve, and parse extraction."""
-    grammar = grammar or default_grammar()
-    graph = pipeline_graph(detections, camera, params, grammar, mode)
+    graph = pipeline_graph(detections, camera, params, mode)
     containers = graph.containers
     solution = solve_objects(graph, params)
 
@@ -1036,7 +1025,7 @@ def joint_solve(
     for traj in solution.trajectories:
         trajectories.append(Trajectory(object_id=traj.object_id + n_containers,
                                        object_class=traj.object_class, points=traj.points))
-    parses = extract_frame_parses(trajectories, grammar)
+    parses = extract_frame_parses(trajectories)
 
     summary = {
         "objective": solution.objective,

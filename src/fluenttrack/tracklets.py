@@ -211,6 +211,10 @@ class _UnitFlow:
         return paths
 
 
+# Link cost per skipped frame, added to the link's speed term dist / bound.
+SKIP_FRAME_PENALTY = 0.6
+
+
 def link_detections(
     dets: Sequence[Detection],
     positions: Sequence[np.ndarray],
@@ -222,11 +226,12 @@ def link_detections(
 
     Node rewards are clamped log-odds of the detection scores; links join
     same-class detections at most ``max_gap`` frames apart, gated and priced
-    by ground-plane speed, with a penalty per skipped frame. ``positions``
-    are the detections' ground points. Returns (paths of detection indices
-    ordered by their first detection, total flow cost).
+    by ground-plane speed, with ``SKIP_FRAME_PENALTY`` per skipped frame so
+    dense paths beat interleaving. ``positions`` are the detections' ground
+    points. Returns (paths of detection indices ordered by their first
+    detection, total flow cost).
     """
-    rewards = [log_odds(det.score, params) for det in dets]
+    rewards = [log_odds(det.score) for det in dets]
     by_frame: Dict[int, List[int]] = {}
     for i, det in enumerate(dets):
         by_frame.setdefault(det.frame, []).append(i)
@@ -240,8 +245,7 @@ def link_detections(
                 dist = ground_distance(positions[i], positions[j])
                 if dist > LINK_GATE_SLACK * bound:
                     continue
-                # skipped frames cost extra so dense paths beat interleaving
-                links.append((i, j, dist / bound + params.link_skip_penalty * (dt - 1)))
+                links.append((i, j, dist / bound + SKIP_FRAME_PENALTY * (dt - 1)))
     paths, cost = min_cost_paths(rewards, links, params.entry_exit_cost,
                                  params.entry_exit_cost)
     paths.sort()  # disjoint increasing paths: ordered by their first detection

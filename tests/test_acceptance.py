@@ -233,7 +233,7 @@ class TestCriterion6EnergyUnits:
         assert vehicle_fluent_distance(np.ones(4), np.zeros(4)) == pytest.approx(2.0)
         assert EnergyBreakdown.build(1.0, 0.6931, 0.2, 1.0).total == pytest.approx(
             2.8931, abs=1e-9)
-        assert log_odds(0.99, default_parameters()) == pytest.approx(math.log(99.0))
+        assert log_odds(0.99) == pytest.approx(math.log(99.0))
         # grammar: Laplace fit example 9/12 on a toy grammar that allows it
         from test_grammar import toy_grammar
         g = toy_grammar()

@@ -148,23 +148,26 @@ class TestTrackCommand:
         assert (out / simulated.name / "trajectories.jsonl").exists()
 
 
+def write_perfect_predictions(gt_path, pred_path):
+    """Write trajectories identical to the ground truth at ``gt_path``."""
+    by_id = {}
+    for r in fileio.read_ground_truth(gt_path):
+        by_id.setdefault(r.object_id, []).append(r)
+    trajectories = []
+    for oid, records in sorted(by_id.items()):
+        records.sort(key=lambda r: r.frame)
+        points = tuple(
+            TrajectoryPoint(r.frame, r.location, r.state, "walking", r.container_id)
+            for r in records
+        )
+        trajectories.append(Trajectory(oid, records[0].object_class, points))
+    fileio.write_trajectories(pred_path, trajectories)
+
+
 class TestEvaluateCommand:
     def test_perfect_predictions_score_one(self, simulated, tmp_path):
-        gt = fileio.read_ground_truth(simulated / "ground_truth.jsonl")
-        # predictions identical to ground truth
-        by_id = {}
-        for r in gt:
-            by_id.setdefault(r.object_id, []).append(r)
-        trajectories = []
-        for oid, records in sorted(by_id.items()):
-            records.sort(key=lambda r: r.frame)
-            points = tuple(
-                TrajectoryPoint(r.frame, r.location, r.state, "walking", r.container_id)
-                for r in records
-            )
-            trajectories.append(Trajectory(oid, records[0].object_class, points))
         pred_path = tmp_path / "pred.jsonl"
-        fileio.write_trajectories(pred_path, trajectories)
+        write_perfect_predictions(simulated / "ground_truth.jsonl", pred_path)
         out = tmp_path / "metrics.json"
         code = run(["evaluate", "--predictions", pred_path,
                     "--ground-truth", simulated / "ground_truth.jsonl", "--out", out])
@@ -174,6 +177,47 @@ class TestEvaluateCommand:
         for field in ("MOTA", "MOTP", "MODA", "MODP", "FP", "FN", "IDS", "Frag"):
             assert field in payload
         assert "fluents" in payload
+
+    def test_infinite_truth_location_is_input_error(self, simulated, tmp_path, capsys):
+        lines = (simulated / "ground_truth.jsonl").read_text().splitlines()
+        record = json.loads(lines[2])
+        record["location"] = [float("inf"), 1.0]
+        lines[2] = json.dumps(record)
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text("\n".join(lines) + "\n")
+        pred = tmp_path / "pred.jsonl"
+        write_perfect_predictions(simulated / "ground_truth.jsonl", pred)
+        out = tmp_path / "metrics.json"
+        code = run(["evaluate", "--predictions", pred, "--ground-truth", gt, "--out", out])
+        assert code == EXIT_INPUT
+        assert not out.exists()
+        assert f"{gt}:3:" in capsys.readouterr().err
+
+    def test_nan_predicted_location_is_input_error(self, simulated, tmp_path, capsys):
+        good = {"object_id": 0, "class": "person",
+                "track": [{"frame": 0, "location": [1.0, 2.0], "state": "Visible"}]}
+        bad = {"object_id": 1, "class": "person",
+               "track": [{"frame": 0, "location": [float("nan"), 2.0], "state": "Visible"}]}
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        out = tmp_path / "metrics.json"
+        code = run(["evaluate", "--predictions", pred,
+                    "--ground-truth", simulated / "ground_truth.jsonl", "--out", out])
+        assert code == EXIT_INPUT
+        assert not out.exists()
+        assert f"{pred}:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gate", ["0", "-0.5", "nan", "inf"])
+    def test_gate_must_be_finite_positive_distance(self, simulated, tmp_path, gate):
+        # exact matches are at distance 0, which a zero gate would divide by
+        pred = tmp_path / "pred.jsonl"
+        write_perfect_predictions(simulated / "ground_truth.jsonl", pred)
+        out = tmp_path / "metrics.json"
+        code = run(["evaluate", "--predictions", pred,
+                    "--ground-truth", simulated / "ground_truth.jsonl",
+                    "--gate", gate, "--out", out])
+        assert code == EXIT_INPUT
+        assert not out.exists()
 
     def test_id_collision_is_input_error(self, simulated, tmp_path):
         gt = tmp_path / "gt.jsonl"

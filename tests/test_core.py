@@ -29,9 +29,11 @@ class TestProjectToGround:
         np.testing.assert_allclose(point, [20.0, 40.0])
 
     def test_degenerate_third_row(self):
-        h = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 0]])
+        # invertible (det -20), but the foot point (10, 20) of the box has
+        # homogeneous scale 20 - 20 = 0
+        cam = CameraModel([[1, 0, 0], [0, 1, 0], [0, 1, -20]], 10)
         with pytest.raises(DegenerateProjectionError):
-            project_to_ground(h, (8, 10, 4, 10))
+            project_to_ground(cam, (8, 10, 4, 10))
 
     def test_roundtrip_through_inverse(self):
         rng = np.random.default_rng(7)

@@ -1,9 +1,16 @@
+import copy
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluenttrack import fileio
+from fluenttrack.cli import EXIT_INPUT, main
 from fluenttrack.core import (
     CameraModel,
     Detection,
@@ -21,7 +28,7 @@ from fluenttrack.grammar import (
     default_vehicle_templates,
 )
 from fluenttrack.metrics import MatchResult, clear_metrics
-from fluenttrack.simulator import GroundTruthRecord, scenario_by_name
+from fluenttrack.simulator import GroundTruthRecord, default_camera, scenario_by_name
 
 from conftest import unit_vector
 
@@ -216,3 +223,185 @@ class TestMetricsReport:
         lines = path.read_text().strip().splitlines()
         assert lines[0].split(",") == fileio.CSV_COLUMNS
         assert lines[1].startswith("seq0,")
+
+
+# -- property tests: one corrupted field makes a reader fail at its line ------
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+# values of the wrong type for each kind of field
+WRONG_TYPE = {
+    "int": ["3", 2.5, True, None, [1]],
+    "number": ["0.5", True, None, [0.5]],
+    "pair": [5.0, "1,2", None, {"x": 1.0}, [[1.0], [2.0]], [True, 1.0]],
+    "box": [5.0, "1,2,3,4", None, {"x": 1.0}, [[1.0], [2.0], [3.0], [4.0]]],
+    "feature": [5.0, "1,2", {"x": 1.0}, [[1.0], [2.0]], [True, 1.0]],
+    "name": [5, None, ["person"], float("nan")],
+    "action": [5, ["walking"], {"a": 1}],
+    "track": [5, "track", None, {}, [], [5]],
+    "optional_int": ["0", 1.5, True, [0]],
+}
+
+CLASSES = st.sampled_from(["person", "vehicle", "suitcase"])
+STATES = st.sampled_from(["Visible", "Occluded", "Contained"])
+FINITE = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+def corruptions(kind, required):
+    """(operation, value) pairs that make a field of ``kind`` invalid."""
+    out = []
+    if kind in ("int", "number"):
+        out += [("set", v) for v in NON_FINITE]
+    if kind in ("pair", "box", "feature"):
+        out += [("element", v) for v in NON_FINITE]
+    if kind in ("pair", "box"):
+        out += [("length", -1), ("length", 1)]
+    out += [("set", v) for v in WRONG_TYPE[kind]]
+    if required:
+        out.append(("missing", None))
+    return out
+
+
+def corrupt(owner, key, operation, value):
+    if operation == "missing":
+        del owner[key]
+    elif operation == "set":
+        owner[key] = value
+    elif operation == "element":
+        owner[key][0] = value
+    else:
+        owner[key] = owner[key][:-1] if value < 0 else owner[key] + [1.0]
+
+
+@st.composite
+def detection_records(draw):
+    cls = draw(CLASSES)
+    dim = draw(st.integers(2, 6))
+    desc = np.array(draw(st.lists(st.floats(-1, 1), min_size=dim, max_size=dim)
+                         .filter(lambda v: np.linalg.norm(v) > 0.1)))
+    record = {
+        "frame": draw(st.integers(0, 10**6)),
+        "class": cls,
+        "bbox": [draw(FINITE), draw(FINITE), draw(st.floats(0.1, 100)),
+                 draw(st.floats(0.1, 100))],
+        "score": draw(st.floats(0, 1)),
+        "descriptor": (desc / np.linalg.norm(desc)).tolist(),
+    }
+    feature = {"person": "pose_feature", "vehicle": "vehicle_fluent_feature"}.get(cls)
+    if feature and draw(st.booleans()):
+        record[feature] = draw(st.lists(FINITE, min_size=1, max_size=9))
+    fields = [(record, "frame", "int", True), (record, "class", "name", True),
+              (record, "bbox", "box", True), (record, "score", "number", True),
+              (record, "descriptor", "feature", True)]
+    if feature in record:
+        fields.append((record, feature, "feature", False))
+    return record, fields
+
+
+@st.composite
+def trajectory_records(draw):
+    start = draw(st.integers(0, 10**4))
+    track = []
+    fields = []
+    for i in range(draw(st.integers(1, 4))):
+        state = draw(STATES)
+        point = {"frame": start + i, "location": [draw(FINITE), draw(FINITE)],
+                 "state": state, "action": draw(st.sampled_from(["walking", "exit_vehicle"]))}
+        fields += [(point, "frame", "int", True), (point, "location", "pair", True),
+                   (point, "state", "name", True), (point, "action", "action", False)]
+        if state == "Contained":
+            point["container_id"] = draw(st.integers(0, 50))
+            fields.append((point, "container_id", "optional_int", True))
+        track.append(point)
+    record = {"object_id": draw(st.integers(0, 10**4)), "class": draw(CLASSES),
+              "track": track}
+    fields += [(record, "object_id", "int", True), (record, "class", "name", True),
+               (record, "track", "track", True)]
+    return record, fields
+
+
+@st.composite
+def ground_truth_records(draw):
+    state = draw(STATES)
+    record = {"frame": draw(st.integers(0, 10**6)), "object_id": draw(st.integers(0, 10**4)),
+              "location": [draw(FINITE), draw(FINITE)], "state": state}
+    fields = [(record, "frame", "int", True), (record, "object_id", "int", True),
+              (record, "location", "pair", True), (record, "state", "name", True)]
+    if draw(st.booleans()):
+        record["class"] = draw(CLASSES)
+        fields.append((record, "class", "name", False))
+    if state == "Contained":
+        record["container_id"] = draw(st.integers(0, 50))
+        fields.append((record, "container_id", "optional_int", False))
+    return record, fields
+
+
+@st.composite
+def corrupted_files(draw, records):
+    """(valid lines, the same lines with the last record corrupted)."""
+    record, fields = draw(records)
+    valid = [json.dumps(record)] * draw(st.integers(1, 3))
+    index = draw(st.integers(0, len(fields) - 1))
+    operation, value = draw(st.sampled_from(corruptions(*fields[index][2:])))
+    # the field list points into ``record``: corrupt a deep copy of both
+    bad_record, bad_fields = copy.deepcopy((record, fields))
+    owner, key = bad_fields[index][:2]
+    corrupt(owner, key, operation, value)
+    return valid, valid[:-1] + [json.dumps(bad_record)]
+
+
+def _write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestReaderProperties:
+    """A valid record with one field made NaN, infinite, of the wrong type,
+    of the wrong length, or missing fails its reader at its line, and the
+    command that reads it exits 2 and writes nothing."""
+
+    def check(self, reader, valid, bad, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            good_path, path = tmp / "good.jsonl", tmp / "bad.jsonl"
+            _write_lines(good_path, valid)
+            assert len(reader(good_path)) == len(valid)
+            _write_lines(path, bad)
+            with pytest.raises(fileio.InputFormatError,
+                               match=re.escape(f"{path}:{len(bad)}:")):
+                reader(path)
+            out = tmp / "out"
+            assert main([str(a) for a in command(tmp, path, out)]) == EXIT_INPUT
+            assert not out.exists()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(corrupted_files(detection_records()))
+    def test_detections(self, files):
+        def track(tmp, path, out):
+            fileio.write_camera(tmp / "camera.json", default_camera())
+            return ["track", "--detections", path, "--camera", tmp / "camera.json",
+                    "--out", out]
+
+        self.check(fileio.read_detections, *files, track)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(corrupted_files(trajectory_records()))
+    def test_trajectories(self, files):
+        def evaluate(tmp, path, out):
+            gt = tmp / "gt.jsonl"
+            _write_lines(gt, [json.dumps({"frame": 0, "object_id": 0, "location": [0, 0],
+                                          "state": "Visible"})])
+            return ["evaluate", "--predictions", path, "--ground-truth", gt, "--out", out]
+
+        self.check(fileio.read_trajectories, *files, evaluate)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(corrupted_files(ground_truth_records()))
+    def test_ground_truth(self, files):
+        def evaluate(tmp, path, out):
+            pred = tmp / "pred.jsonl"
+            _write_lines(pred, [json.dumps({
+                "object_id": 0, "class": "person",
+                "track": [{"frame": 0, "location": [0, 0], "state": "Visible"}]})])
+            return ["evaluate", "--predictions", pred, "--ground-truth", path, "--out", out]
+
+        self.check(fileio.read_ground_truth, *files, evaluate)

@@ -146,7 +146,7 @@ class TestExtractFrameParses:
                 actions.append(action)
                 states.append(nxt)
             traj = straight_trajectory(states, actions + ["walking"], container_id=0)
-            parses = extract_frame_parses([traj], g)
+            parses = extract_frame_parses([traj])
             assert [p.entries[0].state for p in parses] == states
             assert [p.entries[0].action for p in parses] == actions + ["walking"]
 

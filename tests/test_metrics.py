@@ -82,15 +82,6 @@ class TestMatchFrames:
             m2 = match_frames(pred, gt)
             assert (m1.fp, m1.fn) == (m2.fn, m2.fp)
 
-    def test_iou_gate(self):
-        a = TrackObservation(0, 0, bbox=(0, 0, 10, 10))
-        b = TrackObservation(0, 1, bbox=(1, 0, 10, 10))
-        m = match_frames([a], [b], Gate(kind="iou", threshold=0.5))
-        assert m.n_matches == 1
-        c = TrackObservation(0, 2, bbox=(8, 8, 10, 10))
-        m2 = match_frames([a], [c], Gate(kind="iou", threshold=0.5))
-        assert m2.n_matches == 0
-
 
 class TestClearMetrics:
     def test_textbook_mota(self):

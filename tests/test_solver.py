@@ -136,13 +136,12 @@ def tiny_graph(per_frame_rewards, entry=1.0, exits=1.0, edge_cost_value=0.1):
                 bd = EnergyBreakdown.build(edge_cost_value, 0.0, 0.0, 0.0)
                 edges.append(GraphEdge(
                     id=len(edges), src=u.id, dst=v.id, dt=1, breakdown=bd,
-                    action="walking", net_cost=bd.total - u.reward, capacity=1,
+                    action="walking", net_cost=bd.total - u.reward,
                 ))
     exit_costs = {n.id: exits - n.reward for n in nodes}
     return TransitionGraph(
         nodes=tuple(nodes), edges=tuple(edges), entry_cost=entry,
         exit_costs=exit_costs, containers=ContainerSolution((), {}, 0, 0),
-        frame_rate=10.0,
     )
 
 
@@ -339,6 +338,17 @@ class TestContainment:
                 if p.state is VisibilityState.CONTAINED:
                     contained_per_frame[p.frame] += 1
         assert contained_per_frame and max(contained_per_frame.values()) <= 2
+        # edges carry no capacity: a container chain edge joins two contained
+        # nodes, and every other edge touches a unit node
+        graph = pipeline_graph(dets, camera, params)
+        chain = [e for e in graph.edges if e.is_container_chain]
+        assert chain and len(chain) < len(graph.edges)
+        for e in graph.edges:
+            ends = (graph.nodes[e.src], graph.nodes[e.dst])
+            if e.is_container_chain:
+                assert all(n.kind == "contained" and n.capacity == 2 for n in ends)
+            else:
+                assert min(n.capacity for n in ends) == 1
 
 
 class TestInvariants:

@@ -36,7 +36,7 @@ def brute_force_best_path_set(detections, camera, params):
 
     n = len(detections)
     positions = [project_to_ground(camera, d.bbox) for d in detections]
-    rewards = [log_odds(d.score, params) for d in detections]
+    rewards = [log_odds(d.score) for d in detections]
 
     def link_ok(i, j):
         di, dj = detections[i], detections[j]
@@ -93,7 +93,7 @@ def solver_objective(detections, camera, params):
             dist = ground_distance(positions[i], positions[j])
             if dist <= tk.LINK_GATE_SLACK * bound:
                 links.append((i, j, dist / bound))
-    rewards = [log_odds(d.score, params) for d in dets]
+    rewards = [log_odds(d.score) for d in dets]
     _, cost = tk.min_cost_paths(rewards, links, params.entry_exit_cost,
                                 params.entry_exit_cost)
     return cost

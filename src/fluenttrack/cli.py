@@ -15,19 +15,18 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import fileio
-from .core import ActionModel, InternalInvariantError, ModelParameters, VisibilityState
+from .core import ActionModel, InternalInvariantError, ModelParameters
 from .grammar import default_grammar, default_parameters, fit_transition_table
 from .metrics import Gate, clear_metrics, fluent_metrics, match_frames, trajectories_to_observations
 from .render import write_svg
 from .simulator import default_camera, scenario_by_name, simulate, standard_suite
 from .solver import (
     OracleLimitError,
-    OracleLimits,
     brute_force_oracle,
     joint_solve,
     pipeline_graph,
@@ -48,52 +47,18 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_config(path: Optional[str]) -> Dict:
-    if path is None:
-        return {}
-    try:
-        config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise fileio.InputFormatError(f"{path}: cannot read config ({exc})")
-    if not isinstance(config, dict):
-        raise fileio.InputFormatError(f"{path}: config must be a JSON object")
-    return config
+# ModelParameters fields that `track` sets from a flag of the same name
+MODEL_FLAGS = (("tau_s", float), ("tau_sigma", float), ("tau_c", float),
+               ("max_contained", int), ("max_gap_frames", int))
 
 
-def _setting(args, config: Dict, name: str, default=None):
-    """Flags win over the config file, which wins over the default."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
-        return value
-    return config.get(name, default)
-
-
-def _build_parameters(args, config: Dict) -> ModelParameters:
-    overrides = {}
-    for name in ("tau_s", "tau_sigma", "tau_c", "max_contained", "max_gap_frames",
-                 "solver_entry_exit_cost", "entry_exit_cost"):
-        value = _setting(args, config, name)
-        if value is not None:
-            overrides[name] = value
-    params = default_parameters(**overrides)
-    models_path = _setting(args, config, "action_models")
-    if models_path:
-        models, templates, table = fileio.read_action_models(models_path)
-        params = default_parameters(
-            action_pose_models=models,
-            vehicle_fluent_templates=templates,
-            transition_table=table,
-            **overrides,
-        )
-    table_path = _setting(args, config, "transition_table")
-    if table_path:
-        table = fileio.read_transition_table(table_path)
-        current = {
-            "action_pose_models": params.action_pose_models,
-            "vehicle_fluent_templates": params.vehicle_fluent_templates,
-        }
-        params = default_parameters(transition_table=table, **current, **overrides)
-    return params
+def _build_parameters(args) -> ModelParameters:
+    overrides = {name: getattr(args, name) for name, _ in MODEL_FLAGS}
+    if args.action_models:
+        models, templates, table = fileio.read_action_models(args.action_models)
+        overrides.update(action_pose_models=models, vehicle_fluent_templates=templates,
+                         transition_table=table)
+    return default_parameters(**overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +81,7 @@ def _simulate_into(out_dir: Path, script, noise, seed: Optional[int]) -> None:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    out_dir = Path(_setting(args, config, "out", "sim_out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    out_dir = Path(args.out)
     if args.suite:
         for script, noise in standard_suite():
             _simulate_into(out_dir / script.name, script, noise, args.seed)
@@ -127,11 +89,10 @@ def cmd_simulate(args) -> int:
 
     if args.script:
         script, noise = fileio.read_scenario(args.script)
+    elif args.scenario:
+        script, noise = scenario_by_name(args.scenario)
     else:
-        name = _setting(args, config, "scenario")
-        if not name:
-            raise fileio.InputFormatError("simulate requires --scenario, --script, or --suite")
-        script, noise = scenario_by_name(name)
+        raise fileio.InputFormatError("simulate requires --scenario, --script, or --suite")
     _simulate_into(out_dir, script, noise, args.seed)
     return EXIT_OK
 
@@ -144,18 +105,14 @@ def _track_one(detections_path: str, camera_path: str, out_dir: Path,
     out_dir.mkdir(parents=True, exist_ok=True)
     fileio.write_trajectories(out_dir / "trajectories.jsonl", result.trajectories)
     fileio.write_frame_parses(out_dir / "frame_parses.jsonl", result.frame_parses)
-    fileio.write_summary(out_dir / "summary.json", result.summary)
+    fileio.write_json(out_dir / "summary.json", result.summary)
 
 
 def cmd_track(args) -> int:
-    config = _load_config(args.config)
-    params = _build_parameters(args, config)
-    mode = _setting(args, config, "mode", "full")
-    out_dir = Path(_setting(args, config, "out", "track_out"))
+    params = _build_parameters(args)
+    out_dir = Path(args.out)
 
     if args.sequence_dirs:
-        jobs = max(1, int(_setting(args, config, "jobs", 1)))
-
         def run(seq: str) -> str:
             seq_path = Path(seq)
             _track_one(
@@ -163,76 +120,43 @@ def cmd_track(args) -> int:
                 str(seq_path / "camera.json"),
                 out_dir / seq_path.name,
                 params,
-                mode,
+                args.mode,
             )
             return seq_path.name
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
             for name in pool.map(run, args.sequence_dirs):
                 log.info("tracked %s", name)
         return EXIT_OK
 
-    detections = _setting(args, config, "detections")
-    camera = _setting(args, config, "camera")
-    if not detections or not camera:
+    if not args.detections or not args.camera:
         raise fileio.InputFormatError("track requires --detections and --camera")
-    _track_one(detections, camera, out_dir, params, mode)
+    _track_one(args.detections, args.camera, out_dir, params, args.mode)
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    config = _load_config(args.config)
-    pred_path = _setting(args, config, "predictions")
-    gt_path = _setting(args, config, "ground_truth")
-    if not pred_path or not gt_path:
+    if not args.predictions or not args.ground_truth:
         raise fileio.InputFormatError("evaluate requires --predictions and --ground-truth")
-    trajectories = fileio.read_trajectories(pred_path)
-    gt_records = fileio.read_ground_truth(gt_path)
+    trajectories = fileio.read_trajectories(args.predictions)
+    gt_records = fileio.read_ground_truth(args.ground_truth)
     gt = fileio.ground_truth_observations(gt_records)
-    gate = Gate(threshold=float(_setting(args, config, "gate", 1.0)))
+    gate = Gate(threshold=args.gate)
     pred = trajectories_to_observations(trajectories)
     match = match_frames(gt, pred, gate)
     clear = clear_metrics(match, len(gt))
     fluents = fluent_metrics(gt, pred, match)
-    out = Path(_setting(args, config, "out", "metrics.json"))
-    fmt = _setting(args, config, "format", "json")
-    fileio.write_metrics_report(out, clear, fluents,
-                                sequence=_setting(args, config, "sequence", "sequence"),
-                                fmt=fmt)
+    fileio.write_metrics_report(args.out, clear, fluents, sequence=args.sequence,
+                                fmt=args.format)
     log.info("MOTA=%.4f MOTP=%.4f FP=%d FN=%d IDS=%d", clear.mota, clear.motp,
              clear.fp, clear.fn, clear.ids)
     return EXIT_OK
 
 
 def cmd_fit_model(args) -> int:
-    config = _load_config(args.config)
-    clips_path = _setting(args, config, "clips")
-    if not clips_path:
+    if not args.clips:
         raise fileio.InputFormatError("fit-model requires --clips")
-    alpha = float(_setting(args, config, "alpha", 1.0))
-    out = Path(_setting(args, config, "out", "action_models.json"))
-
-    pose_samples: Dict[str, List[np.ndarray]] = {}
-    fluent_samples: Dict[str, List[np.ndarray]] = {}
-    transitions = []
-    for lineno, record in fileio._read_jsonl(clips_path):
-        try:
-            action = str(record["action"])
-            if "pose_feature" in record and record["pose_feature"] is not None:
-                pose_samples.setdefault(action, []).append(
-                    np.asarray(record["pose_feature"], dtype=float)
-                )
-            if "vehicle_fluent_feature" in record and record["vehicle_fluent_feature"] is not None:
-                fluent_samples.setdefault(action, []).append(
-                    np.asarray(record["vehicle_fluent_feature"], dtype=float)
-                )
-            for s_cur, act, s_next in record.get("transitions", []):
-                transitions.append(
-                    (VisibilityState(s_cur), str(act), VisibilityState(s_next))
-                )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise fileio.InputFormatError(f"{clips_path}:{lineno}: bad clip record: {exc}")
-
+    pose_samples, fluent_samples, transitions = fileio.read_clips(args.clips)
     models = {}
     for action, samples in sorted(pose_samples.items()):
         models[action] = fit_pose_model(action, samples)
@@ -240,9 +164,9 @@ def cmd_fit_model(args) -> int:
         action: np.mean(np.asarray(samples, dtype=float), axis=0)
         for action, samples in sorted(fluent_samples.items())
     }
-    table = fit_transition_table(transitions, alpha, default_grammar())
-    fileio.write_action_models(out, models, templates, table, alpha=alpha)
-    log.info("fit %d pose models, %d templates from %s", len(models), len(templates), clips_path)
+    table = fit_transition_table(transitions, args.alpha, default_grammar())
+    fileio.write_action_models(args.out, models, templates, table, alpha=args.alpha)
+    log.info("fit %d pose models, %d templates from %s", len(models), len(templates), args.clips)
     return EXIT_OK
 
 
@@ -267,42 +191,31 @@ def fit_pose_model(action: str, samples: Sequence[np.ndarray]) -> ActionModel:
 
 
 def cmd_oracle(args) -> int:
-    config = _load_config(args.config)
-    detections_path = _setting(args, config, "detections")
-    camera_path = _setting(args, config, "camera")
-    if not detections_path or not camera_path:
+    if not args.detections or not args.camera:
         raise fileio.InputFormatError("oracle requires --detections and --camera")
-    params = _build_parameters(args, config)
-    detections = fileio.read_detections(detections_path)
-    camera = fileio.read_camera(camera_path)
+    params = default_parameters()
+    detections = fileio.read_detections(args.detections)
+    camera = fileio.read_camera(args.camera)
 
     graph = pipeline_graph(detections, camera, params)
-    limits = OracleLimits(
-        max_nodes_per_frame=int(_setting(args, config, "max_nodes_per_frame", 12)),
-        max_frames=int(_setting(args, config, "max_frames", 10)),
-        max_objects=int(_setting(args, config, "max_objects", 4)),
-    )
     solution = solve_objects(graph, params)
-    oracle = brute_force_oracle(graph, params, limits)
+    oracle = brute_force_oracle(graph, params)
     report = {
         "dp_objective": solution.objective,
         "oracle_objective": oracle.objective,
         "gap": oracle.objective - solution.objective,
     }
-    fileio._write_json(_setting(args, config, "out", "oracle_report.json"), report)
+    fileio.write_json(args.out, report)
     print(json.dumps(report))
     return EXIT_OK
 
 
 def cmd_render(args) -> int:
-    config = _load_config(args.config)
-    traj_path = _setting(args, config, "trajectories")
-    if not traj_path:
+    if not args.trajectories:
         raise fileio.InputFormatError("render requires --trajectories")
-    trajectories = fileio.read_trajectories(traj_path)
-    out = Path(_setting(args, config, "out", "trajectories.svg"))
-    write_svg(out, trajectories)
-    log.info("rendered %d trajectories to %s", len(trajectories), out)
+    trajectories = fileio.read_trajectories(args.trajectories)
+    write_svg(args.out, trajectories)
+    log.info("rendered %d trajectories to %s", len(trajectories), args.out)
     return EXIT_OK
 
 
@@ -320,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--script", help="scenario JSON file")
     p_sim.add_argument("--suite", action="store_true", help="simulate all 20 scenarios")
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--out", help="output directory")
-    p_sim.add_argument("--config", default=None)
+    p_sim.add_argument("--out", default="sim_out", help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_track = sub.add_parser("track", help="solve trajectories from detections")
@@ -329,51 +241,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_track.add_argument("--camera")
     p_track.add_argument("sequence_dirs", nargs="*",
                          help="sequence directories with detections.jsonl + camera.json")
-    p_track.add_argument("--mode", choices=["full", "visible_only", "prior_only"], default=None)
-    p_track.add_argument("--out", help="output directory")
-    p_track.add_argument("--jobs", type=int, default=None)
-    p_track.add_argument("--action-models", dest="action_models")
-    p_track.add_argument("--transition-table", dest="transition_table")
-    for name in ("tau-s", "tau-sigma", "tau-c"):
-        p_track.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float, default=None)
-    p_track.add_argument("--max-contained", dest="max_contained", type=int, default=None)
-    p_track.add_argument("--max-gap-frames", dest="max_gap_frames", type=int, default=None)
-    p_track.add_argument("--config", default=None)
+    p_track.add_argument("--mode", choices=["full", "visible_only", "prior_only"],
+                         default="full")
+    p_track.add_argument("--out", default="track_out", help="output directory")
+    p_track.add_argument("--jobs", type=int, default=1)
+    p_track.add_argument("--action-models", dest="action_models",
+                         help="pose models, vehicle templates and transition table "
+                              "written by fit-model")
+    for name, kind in MODEL_FLAGS:
+        p_track.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
+                             default=getattr(ModelParameters, name))
     p_track.set_defaults(func=cmd_track)
 
     p_eval = sub.add_parser("evaluate", help="CLEAR metrics against ground truth")
     p_eval.add_argument("--predictions")
     p_eval.add_argument("--ground-truth", dest="ground_truth")
-    p_eval.add_argument("--gate", type=float, default=None,
+    p_eval.add_argument("--gate", type=float, default=1.0,
                         help="largest matching distance, in metres (default 1)")
-    p_eval.add_argument("--format", choices=["json", "csv"], default=None)
-    p_eval.add_argument("--sequence", default=None)
-    p_eval.add_argument("--out", default=None)
-    p_eval.add_argument("--config", default=None)
+    p_eval.add_argument("--format", choices=["json", "csv"], default="json")
+    p_eval.add_argument("--sequence", default="sequence")
+    p_eval.add_argument("--out", default="metrics.json")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_fit = sub.add_parser("fit-model", help="fit action models and transition table")
     p_fit.add_argument("--clips")
-    p_fit.add_argument("--alpha", type=float, default=None)
-    p_fit.add_argument("--out", default=None)
-    p_fit.add_argument("--config", default=None)
+    p_fit.add_argument("--alpha", type=float, default=1.0)
+    p_fit.add_argument("--out", default="action_models.json")
     p_fit.set_defaults(func=cmd_fit_model)
 
     p_oracle = sub.add_parser("oracle", help="compare the solver with the exhaustive oracle")
     p_oracle.add_argument("--detections")
     p_oracle.add_argument("--camera")
-    p_oracle.add_argument("--max-nodes-per-frame", dest="max_nodes_per_frame", type=int,
-                          default=None)
-    p_oracle.add_argument("--max-frames", dest="max_frames", type=int, default=None)
-    p_oracle.add_argument("--max-objects", dest="max_objects", type=int, default=None)
-    p_oracle.add_argument("--out", default=None)
-    p_oracle.add_argument("--config", default=None)
+    p_oracle.add_argument("--out", default="oracle_report.json")
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_render = sub.add_parser("render", help="render trajectories to SVG")
     p_render.add_argument("--trajectories")
-    p_render.add_argument("--out", default=None)
-    p_render.add_argument("--config", default=None)
+    p_render.add_argument("--out", default="trajectories.svg")
     p_render.set_defaults(func=cmd_render)
 
     return parser

@@ -303,8 +303,9 @@ class ModelParameters:
     def __post_init__(self) -> None:
         for name in ("tau_s", "tau_sigma", "tau_c", "entry_exit_cost",
                      "solver_entry_exit_cost"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
         if self.max_contained < 1:
             raise ValueError("max_contained must be >= 1")
         if self.max_gap_frames < 1:

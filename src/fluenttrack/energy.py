@@ -267,14 +267,15 @@ def node_exit_cost(
     container_score: Optional[float] = None,
     gap_similarity: Optional[float] = None,
     pose_feature: Optional[np.ndarray] = None,
-) -> Tuple[EnergyBreakdown, str]:
-    """Likelihood terms paid when a trajectory ends at a node (no transition)."""
+) -> EnergyBreakdown:
+    """Likelihood terms paid when a trajectory ends at a node (no transition),
+    scored under the inertial action."""
     visibility = visibility_likelihood(
         state, detection_score=detection_score, container_score=container_score,
         gap_similarity=gap_similarity,
     )
     action_term = action_likelihood("walking", params, pose_feature=pose_feature)
-    return EnergyBreakdown.build(0.0, 0.0, visibility, action_term), "walking"
+    return EnergyBreakdown.build(0.0, 0.0, visibility, action_term)
 
 
 # Scores are clamped to this range before their log-odds are taken, so a

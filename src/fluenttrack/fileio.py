@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import sys
 from pathlib import Path
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -75,13 +76,14 @@ def _write_jsonl(path, records: Iterable[dict]) -> None:
             fh.write(json.dumps(record, separators=(",", ":"), allow_nan=False) + "\n")
 
 
-def _write_json(path, payload) -> None:
+def write_json(path, payload) -> None:
     """Indented strict JSON; a NaN or infinity raises ``ValueError``."""
     Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n",
                           encoding="utf-8")
 
 
 _NUMBER = (int, float)
+_FLOAT_MAX = sys.float_info.max
 _OPTIONAL_INT = (int, type(None))
 
 
@@ -93,18 +95,51 @@ def _typed(value, types, path, lineno, name):
     return value
 
 
-def _vector(value, path, lineno, name) -> np.ndarray:
+def _vector(value, path, lineno, name, lengths=None) -> np.ndarray:
+    """A list of numbers as an array. With ``lengths``, a dict shared by the
+    records of one file, it must also be as long as the first ``name``."""
     if type(value) is not list or not all(type(v) in _NUMBER for v in value):
         _fail(path, lineno, f"{name} must be a list of numbers")
+    if lengths is not None:
+        _same_length(value, lengths, path, lineno, name)
     return np.asarray(value, dtype=float)
+
+
+def _same_length(value, lengths, path, lineno, name) -> None:
+    first = lengths.setdefault(name, len(value))
+    if len(value) != first:
+        _fail(path, lineno, f"{name} has {len(value)} entries, the first in the file has {first}")
+
+
+def _finite(value, path, lineno, name):
+    """``value`` if it is a JSON number (not a bool) that a float holds
+    finitely, else an input error. The bound rejects NaN, the infinities and
+    integers too large to convert."""
+    if not (type(value) in _NUMBER and abs(value) <= _FLOAT_MAX):
+        _fail(path, lineno, f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _finite_list(value, path, lineno, name, length=None) -> list:
+    """``value`` if it is a list of finite numbers, of ``length`` entries if
+    given, else an input error."""
+    if type(value) is not list or (length is not None and len(value) != length):
+        _fail(path, lineno, f"{name} must be a list of {length or 'any number of'} finite "
+                            f"numbers, got {value!r}")
+    for v in value:
+        _finite(v, path, lineno, name)
+    return value
+
+
+def _matrix(value, path, name) -> np.ndarray:
+    """A list of rows of finite numbers (in a single-document file)."""
+    rows = _typed(value, (list,), path, None, name)
+    return np.asarray([_finite_list(row, path, None, name) for row in rows], dtype=float)
 
 
 def _location(value, path, lineno) -> np.ndarray:
     """A ground point: a list of exactly two finite numbers."""
-    if (type(value) is not list or len(value) != 2
-            or not all(type(v) in _NUMBER and math.isfinite(v) for v in value)):
-        _fail(path, lineno, f"location must be two finite numbers, got {value!r}")
-    return np.asarray(value, dtype=float)
+    return np.asarray(_finite_list(value, path, lineno, "location", 2), dtype=float)
 
 
 # -- detections --------------------------------------------------------------
@@ -129,6 +164,7 @@ def write_detections(path, detections: Sequence[Detection]) -> None:
 
 def read_detections(path) -> List[Detection]:
     detections = []
+    lengths = {}  # every descriptor (pose, fluent feature) as long as the first
     for lineno, r in _read_jsonl(path):
         try:
             cls = ObjectClass(r["class"])
@@ -140,17 +176,17 @@ def read_detections(path) -> List[Detection]:
                     object_class=cls,
                     bbox=tuple(_vector(r["bbox"], path, lineno, "bbox").tolist()),
                     score=float(_typed(r["score"], _NUMBER, path, lineno, "score")),
-                    descriptor=_vector(r["descriptor"], path, lineno, "descriptor"),
-                    pose_feature=_vector(pose, path, lineno, "pose_feature")
+                    descriptor=_vector(r["descriptor"], path, lineno, "descriptor", lengths),
+                    pose_feature=_vector(pose, path, lineno, "pose_feature", lengths)
                     if pose is not None else None,
                     vehicle_fluent_feature=_vector(fluent, path, lineno,
-                                                   "vehicle_fluent_feature")
+                                                   "vehicle_fluent_feature", lengths)
                     if fluent is not None else None,
                 )
             )
         except InputFormatError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             _fail(path, lineno, f"bad detection record: {exc}")
     return detections
 
@@ -158,15 +194,17 @@ def read_detections(path) -> List[Detection]:
 # -- camera -------------------------------------------------------------------
 
 def write_camera(path, camera: CameraModel) -> None:
-    _write_json(path, {"homography": camera.homography.tolist(),
-                       "frame_rate": camera.frame_rate})
+    write_json(path, {"homography": camera.homography.tolist(),
+                      "frame_rate": camera.frame_rate})
 
 
 def read_camera(path) -> CameraModel:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return CameraModel(np.asarray(payload["homography"], dtype=float),
-                           float(payload["frame_rate"]))
+        return CameraModel(_matrix(payload["homography"], path, "homography"),
+                           float(_finite(payload["frame_rate"], path, None, "frame_rate")))
+    except InputFormatError:
+        raise
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         _fail(path, None, f"bad camera file: {exc}")
 
@@ -237,10 +275,6 @@ def write_frame_parses(path, parses: Sequence[FrameParse]) -> None:
     _write_jsonl(path, (record(p) for p in parses))
 
 
-def write_summary(path, summary: Mapping) -> None:
-    _write_json(path, summary)
-
-
 # -- ground truth ----------------------------------------------------------------
 
 def write_ground_truth(path, records: Sequence[GroundTruthRecord]) -> None:
@@ -289,7 +323,7 @@ def ground_truth_observations(records: Sequence[GroundTruthRecord]) -> List[Trac
     ]
 
 
-# -- transition table ----------------------------------------------------------
+# -- transition table (inside the action-models file) -------------------------
 
 def _table_payload(table: ActionStateTable, alpha: float) -> dict:
     rows = []
@@ -306,26 +340,17 @@ def _table_payload(table: ActionStateTable, alpha: float) -> dict:
     return {"alpha": alpha, "rows": rows}
 
 
-def write_transition_table(path, table: ActionStateTable, alpha: float = 1.0) -> None:
-    _write_json(path, _table_payload(table, alpha))
-
-
-def _table_from_rows(records) -> ActionStateTable:
-    """Zero entries are dropped; negative and non-finite ones reach
-    ``ActionStateTable``, which rejects them."""
+def _table_from_rows(records, path) -> ActionStateTable:
+    """Zero entries are dropped; a non-number or non-finite one is an input
+    error here, and a negative one reaches ``ActionStateTable``, which
+    rejects it."""
     rows = {}
-    for r in records:
-        key = (VisibilityState(r["state"]), str(r["action"]))
-        rows[key] = {VisibilityState(s): float(p) for s, p in r["next"].items() if p != 0}
+    for r in _typed(records, (list,), path, None, "transition table rows"):
+        key = (VisibilityState(r["state"]), _typed(r["action"], (str,), path, None, "action"))
+        rows[key] = {VisibilityState(s): float(_finite(p, path, None, "probability"))
+                     for s, p in _typed(r["next"], (dict,), path, None, "next").items()
+                     if p != 0}
     return ActionStateTable(rows=rows)
-
-
-def read_transition_table(path) -> ActionStateTable:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return _table_from_rows(payload["rows"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        _fail(path, None, f"bad transition table: {exc}")
 
 
 # -- action models ----------------------------------------------------------------
@@ -346,7 +371,7 @@ def write_action_models(
         if name in templates:
             entry["vehicle_template"] = np.asarray(templates[name]).tolist()
         actions.append(entry)
-    _write_json(path, {"actions": actions, "transition_table": _table_payload(table, alpha)})
+    write_json(path, {"actions": actions, "transition_table": _table_payload(table, alpha)})
 
 
 def read_action_models(path):
@@ -355,19 +380,57 @@ def read_action_models(path):
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         models = {}
         templates = {}
-        for entry in payload["actions"]:
-            name = str(entry["name"])
+        for entry in _typed(payload["actions"], (list,), path, None, "actions"):
+            name = _typed(entry["name"], (str,), path, None, "action name")
             if "mu" in entry:
                 models[name] = ActionModel(
                     name=name,
-                    mean=np.asarray(entry["mu"], dtype=float),
-                    covariance=np.asarray(entry["sigma"], dtype=float),
+                    mean=np.asarray(_finite_list(entry["mu"], path, None, "mu"), dtype=float),
+                    covariance=_matrix(entry["sigma"], path, "sigma"),
                 )
             if "vehicle_template" in entry:
-                templates[name] = np.asarray(entry["vehicle_template"], dtype=float)
-        return models, templates, _table_from_rows(payload["transition_table"]["rows"])
+                templates[name] = np.asarray(
+                    _finite_list(entry["vehicle_template"], path, None, "vehicle_template"),
+                    dtype=float)
+        return models, templates, _table_from_rows(payload["transition_table"]["rows"], path)
+    except InputFormatError:
+        raise
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         _fail(path, None, f"bad action models file: {exc}")
+
+
+# -- training clips --------------------------------------------------------------
+
+def read_clips(path):
+    """Training clips for ``fit-model``: returns (pose features by action,
+    vehicle fluent features by action, (state, action, next state) triples).
+
+    A clip record is ``{"action", "pose_feature"?, "vehicle_fluent_feature"?,
+    "transitions"?: [[state, action, next state], ...]}``; every feature of
+    one kind in a file has the same length.
+    """
+    features = {"pose_feature": {}, "vehicle_fluent_feature": {}}
+    transitions = []
+    lengths = {}
+    for lineno, r in _read_jsonl(path):
+        try:
+            action = _typed(r["action"], (str,), path, lineno, "action")
+            for name, by_action in features.items():
+                value = r.get(name)
+                if value is not None:
+                    _same_length(_finite_list(value, path, lineno, name), lengths, path, lineno,
+                                 name)
+                    by_action.setdefault(action, []).append(np.asarray(value, dtype=float))
+            for triple in _typed(r.get("transitions", []), (list,), path, lineno, "transitions"):
+                s_cur, act, s_next = _typed(triple, (list,), path, lineno, "transition")
+                transitions.append((VisibilityState(s_cur),
+                                    _typed(act, (str,), path, lineno, "transition action"),
+                                    VisibilityState(s_next)))
+        except InputFormatError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            _fail(path, lineno, f"bad clip record: {exc}")
+    return features["pose_feature"], features["vehicle_fluent_feature"], transitions
 
 
 # -- scenario scripts ----------------------------------------------------------------
@@ -413,44 +476,63 @@ def write_scenario(path, script: ScenarioScript, noise: NoiseProfile) -> None:
             "fp_score_high": noise.fp_score_high,
         },
     }
-    _write_json(path, payload)
+    write_json(path, payload)
 
 
 def read_scenario(path) -> Tuple[ScenarioScript, NoiseProfile]:
+    def integer(value, name):
+        return _typed(value, (int,), path, None, name)
+
+    def point(value, name):
+        return tuple(_finite_list(value, path, None, name, 2))
+
+    def waypoint(value):
+        frame, x, y = _typed(value, (list,), path, None, "waypoint")
+        return (integer(frame, "waypoint frame"), _finite(x, path, None, "waypoint x"),
+                _finite(y, path, None, "waypoint y"))
+
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         agents = tuple(
             AgentScript(
-                agent_id=int(a["id"]),
+                agent_id=integer(a["id"], "agent id"),
                 object_class=ObjectClass(a["class"]),
-                waypoints=tuple(tuple(w) for w in a["waypoints"]),
+                waypoints=tuple(waypoint(w) for w in
+                                _typed(a["waypoints"], (list,), path, None, "waypoints")),
             )
-            for a in payload["agents"]
+            for a in _typed(payload["agents"], (list,), path, None, "agents")
         )
         events = tuple(
             ScenarioEvent(
-                kind=str(e["kind"]),
-                agent_id=int(e["agent_id"]),
-                start_frame=int(e["start_frame"]),
-                end_frame=int(e["end_frame"]),
-                target_id=e.get("target_id"),
+                kind=_typed(e["kind"], (str,), path, None, "event kind"),
+                agent_id=integer(e["agent_id"], "event agent_id"),
+                start_frame=integer(e["start_frame"], "event start_frame"),
+                end_frame=integer(e["end_frame"], "event end_frame"),
+                target_id=_typed(e.get("target_id"), _OPTIONAL_INT, path, None,
+                                 "event target_id"),
             )
-            for e in payload.get("events", [])
+            for e in _typed(payload.get("events", []), (list,), path, None, "events")
         )
         obstacles = tuple(
-            Obstacle(p1=tuple(o["p1"]), p2=tuple(o["p2"]))
-            for o in payload.get("obstacles", [])
+            Obstacle(p1=point(o["p1"], "obstacle p1"), p2=point(o["p2"], "obstacle p2"))
+            for o in _typed(payload.get("obstacles", []), (list,), path, None, "obstacles")
         )
         script = ScenarioScript(
-            name=str(payload["name"]),
-            duration_frames=int(payload["duration_frames"]),
+            name=_typed(payload["name"], (str,), path, None, "name"),
+            duration_frames=integer(payload["duration_frames"], "duration_frames"),
             agents=agents,
             events=events,
             obstacles=obstacles,
-            camera_point=tuple(payload.get("camera_point", (25.0, -40.0))),
+            camera_point=point(payload.get("camera_point", [25.0, -40.0]), "camera_point"),
         )
-        noise = NoiseProfile(**payload.get("noise", {}))
+        noise = NoiseProfile(**{
+            name: integer(value, name) if name == "seed" else _finite(value, path, None, name)
+            for name, value in _typed(payload.get("noise", {}), (dict,), path, None,
+                                      "noise").items()
+        })
         return script, noise
+    except InputFormatError:
+        raise
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         _fail(path, None, f"bad scenario file: {exc}")
 
@@ -478,7 +560,7 @@ def write_metrics_report(
             }
             payload["fluent_confusion"] = fluents.confusion.tolist()
         payload["sequence"] = sequence
-        _write_json(path, payload)
+        write_json(path, payload)
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)

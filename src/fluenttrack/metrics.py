@@ -64,7 +64,6 @@ class MatchResult:
     quality_sum: float = 0.0
     n_matches: int = 0
     frame_precisions: List[float] = field(default_factory=list)
-    gt_total: int = 0
 
 
 def match_frames(
@@ -86,7 +85,7 @@ def match_frames(
             raise ValueError(f"duplicate prediction id {obs.object_id} in frame {obs.frame}")
         bucket.append(obs)
 
-    result = MatchResult(gt_total=len(gt))
+    result = MatchResult()
     last_pred_of: Dict[int, int] = {}   # gt id -> last matched pred id
     was_matched: Dict[int, bool] = {}   # gt id -> matched at its previous appearance
     seen_matched: Dict[int, bool] = {}  # gt id -> ever matched before

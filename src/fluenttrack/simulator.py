@@ -37,6 +37,10 @@ class AgentScript:
     object_class: ObjectClass
     waypoints: Tuple[Tuple[int, float, float], ...]
 
+    def __post_init__(self) -> None:
+        if not self.waypoints:
+            raise ValueError(f"agent {self.agent_id} has no waypoints")
+
     def position(self, frame: int) -> np.ndarray:
         wps = self.waypoints
         if frame <= wps[0][0]:
@@ -97,7 +101,7 @@ class ScenarioScript:
             if not (0 <= ev.start_frame and ev.end_frame < self.duration_frames):
                 raise ValueError("event window must lie within the scenario duration")
         for ev in self.events:
-            if ev.kind in ("exit_vehicle", "unload_vehicle", "unload_baggage"):
+            if ev.kind in ("exit_vehicle", "unload_baggage"):
                 enters = [
                     e for e in self.events
                     if e.kind in ("enter_vehicle", "load_baggage")

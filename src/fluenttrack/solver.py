@@ -429,7 +429,7 @@ class _GraphBuilder:
             self.chain_edge(tail, head, hops, samples, VisibilityState.OCCLUDED)
 
     def add_exit(self, node: GraphNode) -> None:
-        breakdown, _ = node_exit_cost(
+        breakdown = node_exit_cost(
             node.state,
             self.params,
             detection_score=node.detection_score,
@@ -872,37 +872,33 @@ def _validate_solution(graph: TransitionGraph, solution: FlowSolution,
 # exhaustive oracle
 # ---------------------------------------------------------------------------
 
-# Most entry -> exit paths the oracle enumerates before it gives up.
+# The oracle's guard rails: the largest instance it takes (frames, graph
+# nodes in one frame), the most objects it places, and the most entry -> exit
+# paths it enumerates before it gives up.
+ORACLE_MAX_FRAMES = 10
+ORACLE_MAX_NODES_PER_FRAME = 12
+ORACLE_MAX_OBJECTS = 4
 ORACLE_PATH_BUDGET = 50000
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    max_nodes_per_frame: int = 12
-    max_frames: int = 10
-    max_objects: int = 4
-
-
-def brute_force_oracle(
-    graph: TransitionGraph,
-    params: ModelParameters,
-    limits: OracleLimits = OracleLimits(),
-) -> FlowSolution:
+def brute_force_oracle(graph: TransitionGraph, params: ModelParameters) -> FlowSolution:
     """Globally optimal joint flow by exhaustive path-subset enumeration.
 
-    Guard rails reject instances beyond the declared limits and more than
+    Guard rails reject instances beyond ``ORACLE_MAX_FRAMES`` frames or
+    ``ORACLE_MAX_NODES_PER_FRAME`` nodes in a frame, and more than
     ``ORACLE_PATH_BUDGET`` paths. The search enumerates every feasible set
-    of at most ``max_objects`` capacity-respecting paths and returns the
-    best total objective.
+    of at most ``ORACLE_MAX_OBJECTS`` capacity-respecting paths and returns
+    the best total objective.
     """
     frames: Dict[int, int] = {}
     for n in graph.nodes:
         frames[n.frame] = frames.get(n.frame, 0) + 1
-    if len(frames) > limits.max_frames:
-        raise OracleLimitError(f"instance spans {len(frames)} frames > {limits.max_frames}")
-    if frames and max(frames.values()) > limits.max_nodes_per_frame:
+    if len(frames) > ORACLE_MAX_FRAMES:
+        raise OracleLimitError(f"instance spans {len(frames)} frames > {ORACLE_MAX_FRAMES}")
+    if frames and max(frames.values()) > ORACLE_MAX_NODES_PER_FRAME:
         raise OracleLimitError(
-            f"instance has {max(frames.values())} nodes in one frame > {limits.max_nodes_per_frame}"
+            f"instance has {max(frames.values())} nodes in one frame > "
+            f"{ORACLE_MAX_NODES_PER_FRAME}"
         )
 
     # enumerate all entry -> exit paths
@@ -941,12 +937,12 @@ def brute_force_oracle(
         return all(node_capacity[n] > 0 for n in candidates[idx][1])
 
     def search(start: int, count: int, total: float, chosen: List[int]) -> None:
-        # recursion depth is bounded by max_objects: we only recurse on takes
+        # recursion depth is bounded by ORACLE_MAX_OBJECTS: we only recurse on takes
         nonlocal best_total, best_subset
         if total < best_total - 1e-15:
             best_total = total
             best_subset = tuple(chosen)
-        if count >= limits.max_objects:
+        if count >= ORACLE_MAX_OBJECTS:
             return
         for idx in range(start, len(candidates)):
             if total + suffix_min[idx] >= best_total - 1e-15:

@@ -1,11 +1,14 @@
 import json
+import re
+import shlex
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fluenttrack import fileio
-from fluenttrack.cli import EXIT_INPUT, EXIT_OK, fit_pose_model, main
+from fluenttrack.cli import EXIT_INPUT, EXIT_OK, build_parser, fit_pose_model, main
 from fluenttrack.core import ObjectClass, Trajectory, TrajectoryPoint, VisibilityState
 
 
@@ -47,6 +50,28 @@ class TestSimulateCommand:
         code = run(["simulate", "--script", src / "scenario.json",
                     "--out", tmp_path / "again"])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: s["agents"][0]["waypoints"][1].__setitem__(0, 2.5),
+        lambda s: s["agents"][0].__setitem__("id", 0.7),
+        lambda s: s["noise"].__setitem__("position_sigma", float("nan")),
+    ], ids=["fractional_frame", "fractional_id", "nan_noise"])
+    def test_malformed_script_is_input_error(self, tmp_path, capsys, edit):
+        src = tmp_path / "sim"
+        run(["simulate", "--scenario", "walk_single", "--out", src])
+        script = json.loads((src / "scenario.json").read_text())
+        edit(script)
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps(script))
+        out = tmp_path / "again"
+        assert run(["simulate", "--script", bad, "--out", out]) == EXIT_INPUT
+        assert not out.exists()
+        assert f"{bad}:" in capsys.readouterr().err
+
+    def test_missing_scenario_writes_nothing(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run(["simulate", "--out", out]) == EXIT_INPUT
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +163,14 @@ class TestTrackCommand:
         code = run(["track", "--detections", simulated / "detections.jsonl",
                     "--camera", simulated / "camera.json", "--out", out,
                     "--action-models", models_path])
+        assert code == EXIT_INPUT
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--tau-s", "--tau-sigma", "--tau-c"])
+    def test_infinite_threshold_is_input_error(self, simulated, tmp_path, flag):
+        out = tmp_path / "tracked_inf_tau"
+        code = run(["track", "--detections", simulated / "detections.jsonl",
+                    "--camera", simulated / "camera.json", "--out", out, flag, "inf"])
         assert code == EXIT_INPUT
         assert not out.exists()
 
@@ -281,6 +314,18 @@ class TestFitModelCommand:
         )
         np.testing.assert_allclose(templates["enter_vehicle"], [2.0, 2.0])
 
+    @pytest.mark.parametrize("feature", [[True, 0.0], [float("nan"), 0.0], [1.0]],
+                             ids=["bool", "nan", "short"])
+    def test_bad_pose_feature_is_input_error(self, tmp_path, capsys, feature):
+        clips = tmp_path / "clips.jsonl"
+        rows = [{"action": "walking", "pose_feature": [0.0, 0.0]},
+                {"action": "walking", "pose_feature": feature}]
+        clips.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        out = tmp_path / "models.json"
+        assert run(["fit-model", "--clips", clips, "--out", out]) == EXIT_INPUT
+        assert not out.exists()
+        assert f"{clips}:2:" in capsys.readouterr().err
+
     def test_single_sample_covariance_rejected(self):
         with pytest.raises(ValueError):
             fit_pose_model("walking", [np.zeros(2)])
@@ -370,3 +415,21 @@ class TestRenderCommand:
         run(["render", "--trajectories", pred, "--out", out1])
         run(["render", "--trajectories", pred, "--out", out2])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """Every ``fluenttrack`` command in README's command-line block, with
+    backslash continuations joined."""
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("fluenttrack ")]
+
+
+@pytest.mark.parametrize("command", readme_commands(), ids=lambda c: c.split()[1])
+def test_readme_command_parses(command):
+    # argparse exits on a flag the parser does not define
+    args = build_parser().parse_args(shlex.split(command)[1:])
+    assert callable(args.func)

@@ -8,6 +8,7 @@ from fluenttrack.core import (
     CameraModel,
     DegenerateProjectionError,
     Detection,
+    ModelParameters,
     ObjectClass,
     Tracklet,
     descriptor_similarity,
@@ -209,6 +210,13 @@ class TestTypes:
     def test_action_model_rejects_non_positive_definite(self, cov):
         with pytest.raises(ValueError, match="positive definite"):
             ActionModel("walking", np.zeros(2), cov)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    @pytest.mark.parametrize("name", ["tau_s", "tau_sigma", "tau_c", "entry_exit_cost",
+                                      "solver_entry_exit_cost"])
+    def test_model_parameters_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ModelParameters(**{name: value})
 
     def test_action_model_caches_log_determinant(self):
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])

@@ -306,7 +306,6 @@ class TestEdgeCost:
             edge_cost(self.ctx(params, dt_frames=0), params)
 
     def test_exit_cost_components(self, params):
-        bd, action = node_exit_cost(VisibilityState.VISIBLE, params, detection_score=0.75)
-        assert action == "walking"
+        bd = node_exit_cost(VisibilityState.VISIBLE, params, detection_score=0.75)
         assert bd.displacement == 0.0 and bd.transition == 0.0
         assert bd.visibility == pytest.approx(0.25)

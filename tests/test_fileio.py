@@ -28,7 +28,16 @@ from fluenttrack.grammar import (
     default_vehicle_templates,
 )
 from fluenttrack.metrics import MatchResult, clear_metrics
-from fluenttrack.simulator import GroundTruthRecord, default_camera, scenario_by_name
+from fluenttrack.simulator import (
+    AgentScript,
+    GroundTruthRecord,
+    NoiseProfile,
+    Obstacle,
+    ScenarioEvent,
+    ScenarioScript,
+    default_camera,
+    scenario_by_name,
+)
 
 from conftest import unit_vector
 
@@ -77,6 +86,17 @@ class TestDetectionsRoundTrip:
         path.write_text(json.dumps({"frame": 0, "class": "person"}) + "\n",
                         encoding="utf-8")
         with pytest.raises(InputFormatError, match=r":1"):
+            fileio.read_detections(path)
+
+    @pytest.mark.parametrize("field", ["descriptor", "pose_feature", "vehicle_fluent_feature"])
+    def test_vector_length_change_reports_line(self, tmp_path, field):
+        path = tmp_path / "detections.jsonl"
+        fileio.write_detections(path, sample_detections())
+        lines = path.read_text().splitlines()
+        record = next(json.loads(line) for line in lines if field in json.loads(line))
+        record[field].append(0.0)  # a zero keeps a descriptor unit norm
+        path.write_text("\n".join(lines + [json.dumps(record)]) + "\n")
+        with pytest.raises(InputFormatError, match=re.escape(f"{path}:4: {field}")):
             fileio.read_detections(path)
 
 
@@ -130,7 +150,7 @@ class TestTrackOutputs:
     def test_summary_nan_rejected(self, tmp_path):
         path = tmp_path / "summary.json"
         with pytest.raises(ValueError):
-            fileio.write_summary(path, {"objective": float("nan")})
+            fileio.write_json(path, {"objective": float("nan")})
         assert not path.exists()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -159,28 +179,19 @@ class TestGroundTruthRoundTrip:
 
 
 class TestTableAndModels:
-    def test_transition_table_roundtrip(self, tmp_path):
-        table = default_transition_table()
-        path = tmp_path / "table.json"
-        fileio.write_transition_table(path, table, alpha=1.0)
-        loaded = fileio.read_transition_table(path)
-        assert set(loaded.rows) == set(table.rows)
-        for key, row in table.rows.items():
-            for state, p in row.items():
-                assert loaded.rows[key].get(state, 0.0) == pytest.approx(p, abs=1e-12)
-
     @pytest.mark.parametrize("value", [float("nan"), -0.5])
     def test_transition_table_bad_probability_rejected(self, tmp_path, value):
         # {Visible: 1.0} alone is a valid row, so the bad entry must not be dropped
-        path = tmp_path / "table.json"
-        fileio.write_transition_table(path, default_transition_table())
+        path = tmp_path / "models.json"
+        fileio.write_action_models(path, default_action_models(), default_vehicle_templates(),
+                                   default_transition_table())
         payload = json.loads(path.read_text())
-        row = next(r for r in payload["rows"]
+        row = next(r for r in payload["transition_table"]["rows"]
                    if (r["state"], r["action"]) == ("Occluded", "walking"))
         row["next"] = {"Occluded": value, "Visible": 1.0}
         path.write_text(json.dumps(payload))
-        with pytest.raises(InputFormatError):
-            fileio.read_transition_table(path)
+        with pytest.raises(InputFormatError, match=re.escape(str(path))):
+            fileio.read_action_models(path)
 
     def test_action_models_roundtrip(self, tmp_path):
         models = default_action_models()
@@ -195,6 +206,9 @@ class TestTableAndModels:
             np.testing.assert_array_equal(models[name].covariance, m2[name].covariance)
             np.testing.assert_array_equal(templates[name], t2[name])
         assert set(table2.rows) == set(table.rows)
+        for key, row in table.rows.items():
+            for state, p in row.items():
+                assert table2.rows[key].get(state, 0.0) == pytest.approx(p, abs=1e-12)
 
 
 class TestScenarioRoundTrip:
@@ -228,6 +242,7 @@ class TestMetricsReport:
 # -- property tests: one corrupted field makes a reader fail at its line ------
 
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+TOO_LARGE = -10**400  # a JSON integer no float can hold
 
 # values of the wrong type for each kind of field
 WRONG_TYPE = {
@@ -240,6 +255,10 @@ WRONG_TYPE = {
     "action": [5, ["walking"], {"a": 1}],
     "track": [5, "track", None, {}, [], [5]],
     "optional_int": ["0", 1.5, True, [0]],
+    "matrix": [5.0, "eye", None, {"x": 1.0}, [1.0, 0.0], [[True, 0.0], [0.0, 1.0]],
+               [["1", "0"], ["0", "1"]]],
+    "list": [5, "items", None, {}, [5]],
+    "mapping": [5, "mapping", None, [], [["key", 1.0]]],
 }
 
 CLASSES = st.sampled_from(["person", "vehicle", "suitcase"])
@@ -252,9 +271,13 @@ def corruptions(kind, required):
     out = []
     if kind in ("int", "number"):
         out += [("set", v) for v in NON_FINITE]
+    if kind == "number":
+        out.append(("set", TOO_LARGE))
     if kind in ("pair", "box", "feature"):
-        out += [("element", v) for v in NON_FINITE]
-    if kind in ("pair", "box"):
+        out += [("element", v) for v in NON_FINITE + (TOO_LARGE,)]
+    if kind == "matrix":
+        out += [("cell", v) for v in NON_FINITE + (TOO_LARGE,)]
+    if kind in ("pair", "box", "matrix"):
         out += [("length", -1), ("length", 1)]
     out += [("set", v) for v in WRONG_TYPE[kind]]
     if required:
@@ -269,6 +292,8 @@ def corrupt(owner, key, operation, value):
         owner[key] = value
     elif operation == "element":
         owner[key][0] = value
+    elif operation == "cell":
+        owner[key][0][0] = value
     else:
         owner[key] = owner[key][:-1] if value < 0 else owner[key] + [1.0]
 
@@ -336,18 +361,30 @@ def ground_truth_records(draw):
     return record, fields
 
 
-@st.composite
-def corrupted_files(draw, records):
-    """(valid lines, the same lines with the last record corrupted)."""
-    record, fields = draw(records)
-    valid = [json.dumps(record)] * draw(st.integers(1, 3))
+def corrupted_copy(draw, record, fields):
+    """A copy of ``record`` with one of its ``fields`` corrupted."""
     index = draw(st.integers(0, len(fields) - 1))
     operation, value = draw(st.sampled_from(corruptions(*fields[index][2:])))
     # the field list points into ``record``: corrupt a deep copy of both
     bad_record, bad_fields = copy.deepcopy((record, fields))
     owner, key = bad_fields[index][:2]
     corrupt(owner, key, operation, value)
-    return valid, valid[:-1] + [json.dumps(bad_record)]
+    return bad_record
+
+
+@st.composite
+def corrupted_files(draw, records):
+    """(valid lines, the same lines with the last record corrupted)."""
+    record, fields = draw(records)
+    valid = [json.dumps(record)] * draw(st.integers(1, 3))
+    return valid, valid[:-1] + [json.dumps(corrupted_copy(draw, record, fields))]
+
+
+@st.composite
+def corrupted_documents(draw, documents):
+    """(a valid document, the same document with one field corrupted)."""
+    document, fields = draw(documents)
+    return document, corrupted_copy(draw, document, fields)
 
 
 def _write_lines(path, lines):
@@ -405,3 +442,148 @@ class TestReaderProperties:
             return ["evaluate", "--predictions", pred, "--ground-truth", path, "--out", out]
 
         self.check(fileio.read_ground_truth, *files, evaluate)
+
+
+
+# -- property tests over the single-document readers --------------------------
+
+def _document(write, *args):
+    """The JSON document that ``write(path, *args)`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "document.json"
+        write(path, *args)
+        return json.loads(path.read_text())
+
+
+@st.composite
+def camera_documents(draw):
+    homography = np.eye(3) * draw(st.floats(0.5, 2.0))
+    homography[:2, 2] = [draw(FINITE), draw(FINITE)]
+    document = _document(fileio.write_camera,
+                         CameraModel(homography, draw(st.floats(1.0, 60.0))))
+    return document, [(document, "homography", "matrix", True),
+                      (document, "frame_rate", "number", True)]
+
+
+@st.composite
+def action_model_documents(draw):
+    models, templates = default_action_models(), default_vehicle_templates()
+    keep = draw(st.lists(st.sampled_from(sorted(set(models) | set(templates))),
+                         min_size=1, unique=True))
+    document = _document(fileio.write_action_models,
+                         {n: m for n, m in models.items() if n in keep},
+                         {n: t for n, t in templates.items() if n in keep},
+                         default_transition_table())
+    table = document["transition_table"]
+    fields = [(document, "actions", "list", True), (document, "transition_table", "mapping", True),
+              (table, "rows", "list", True)]
+    for entry in document["actions"]:
+        fields.append((entry, "name", "name", True))
+        if "mu" in entry:
+            fields += [(entry, "mu", "feature", False), (entry, "sigma", "matrix", True)]
+        if "vehicle_template" in entry:
+            fields.append((entry, "vehicle_template", "feature", False))
+    for row in table["rows"]:
+        fields += [(row, "state", "name", True), (row, "action", "action", True),
+                   (row, "next", "mapping", True), (row["next"], next(iter(row["next"])),
+                                                    "number", True)]
+    return document, fields
+
+
+@st.composite
+def scenario_documents(draw):
+    duration = draw(st.integers(20, 60))
+    person, vehicle = draw(st.lists(st.integers(0, 99), min_size=2, max_size=2, unique=True))
+
+    def waypoints():
+        frames = draw(st.lists(st.integers(0, duration), min_size=1, max_size=3, unique=True))
+        return tuple((f, draw(FINITE), draw(FINITE)) for f in sorted(frames))
+
+    enter = draw(st.integers(0, 5))
+    leave = draw(st.integers(10, duration - 3))
+    events = [ScenarioEvent("enter_vehicle", person, enter, enter + 2, vehicle),
+              ScenarioEvent("exit_vehicle", person, leave, leave + 2, vehicle)]
+    if draw(st.booleans()):
+        events.append(ScenarioEvent("occlude", person, 0, 1))
+    script = ScenarioScript(
+        name=draw(st.sampled_from(["walk", "ride"])),
+        duration_frames=duration,
+        agents=(AgentScript(person, ObjectClass.PERSON, waypoints()),
+                AgentScript(vehicle, ObjectClass.VEHICLE, waypoints())),
+        events=tuple(events),
+        obstacles=tuple(Obstacle((draw(FINITE), draw(FINITE)), (draw(FINITE), draw(FINITE)))
+                        for _ in range(draw(st.integers(0, 2)))),
+        camera_point=(draw(FINITE), draw(FINITE)),
+    )
+    noise = NoiseProfile(position_sigma=draw(st.floats(0.0, 1.0)),
+                         seed=draw(st.integers(0, 2**31)))
+    document = _document(fileio.write_scenario, script, noise)
+    fields = [(document, "name", "name", True), (document, "duration_frames", "int", True),
+              (document, "camera_point", "pair", False), (document, "agents", "list", True),
+              (document, "events", "list", False), (document, "obstacles", "list", False),
+              (document, "noise", "mapping", False)]
+    for agent in document["agents"]:
+        fields += [(agent, "id", "int", True), (agent, "class", "name", True),
+                   (agent, "waypoints", "track", True)]
+        for waypoint in agent["waypoints"]:
+            fields += [(waypoint, 0, "int", True), (waypoint, 1, "number", True),
+                       (waypoint, 2, "number", True)]
+    for event in document["events"]:
+        fields += [(event, "kind", "name", True), (event, "agent_id", "int", True),
+                   (event, "start_frame", "int", True), (event, "end_frame", "int", True)]
+        if "target_id" in event:
+            fields.append((event, "target_id", "optional_int", True))
+    for obstacle in document["obstacles"]:
+        fields += [(obstacle, "p1", "pair", True), (obstacle, "p2", "pair", True)]
+    fields += [(document["noise"], name, "int" if name == "seed" else "number", False)
+               for name in document["noise"]]
+    return document, fields
+
+
+class TestDocumentReaderProperties:
+    """A valid camera, action-models or scenario file with one field made
+    NaN, infinite, of the wrong type, of the wrong length, or missing fails
+    its reader with the file named, and the command that reads it exits 2
+    and writes nothing."""
+
+    def check(self, reader, valid, bad, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            good_path, path = tmp / "good.json", tmp / "bad.json"
+            good_path.write_text(json.dumps(valid), encoding="utf-8")
+            reader(good_path)
+            path.write_text(json.dumps(bad), encoding="utf-8")
+            with pytest.raises(fileio.InputFormatError, match=re.escape(f"{path}:")):
+                reader(path)
+            out = tmp / "out"
+            assert main([str(a) for a in command(tmp, path, out)]) == EXIT_INPUT
+            assert not out.exists()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(corrupted_documents(camera_documents()))
+    def test_camera(self, documents):
+        def track(tmp, path, out):
+            (tmp / "detections.jsonl").write_text("")
+            return ["track", "--detections", tmp / "detections.jsonl", "--camera", path,
+                    "--out", out]
+
+        self.check(fileio.read_camera, *documents, track)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(corrupted_documents(action_model_documents()))
+    def test_action_models(self, documents):
+        def track(tmp, path, out):
+            (tmp / "detections.jsonl").write_text("")
+            fileio.write_camera(tmp / "camera.json", default_camera())
+            return ["track", "--detections", tmp / "detections.jsonl",
+                    "--camera", tmp / "camera.json", "--action-models", path, "--out", out]
+
+        self.check(fileio.read_action_models, *documents, track)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(corrupted_documents(scenario_documents()))
+    def test_scenario(self, documents):
+        def simulate(tmp, path, out):
+            return ["simulate", "--script", path, "--out", out]
+
+        self.check(fileio.read_scenario, *documents, simulate)

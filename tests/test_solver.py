@@ -13,7 +13,6 @@ from fluenttrack.solver import (
     GraphEdge,
     GraphNode,
     OracleLimitError,
-    OracleLimits,
     TransitionGraph,
     brute_force_oracle,
     build_graph,
@@ -222,7 +221,7 @@ class TestOracleEquivalence:
         graph = pipeline_graph(dets, camera, oracle_params)
         assert len({n.frame for n in graph.nodes}) == 15
         with pytest.raises(OracleLimitError):
-            brute_force_oracle(graph, oracle_params, OracleLimits(max_frames=10))
+            brute_force_oracle(graph, oracle_params)
 
 
 def containment_setup(camera, params):

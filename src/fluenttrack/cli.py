@@ -1,6 +1,6 @@
 """Command-line front-end.
 
-Subcommands: simulate | track | evaluate | fit-model | oracle | render.
+Subcommands: simulate | track | evaluate | fit-model | render.
 Exit codes: 0 success, 2 input error, 3 internal invariant violation.
 Log level comes from the FLUENT_TRACK_LOG environment variable.
 """
@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence, Set
 
 import numpy as np
 
@@ -25,13 +24,7 @@ from .grammar import default_grammar, default_parameters, fit_transition_table
 from .metrics import Gate, clear_metrics, fluent_metrics, match_frames, trajectories_to_observations
 from .render import write_svg
 from .simulator import default_camera, scenario_by_name, simulate, standard_suite
-from .solver import (
-    OracleLimitError,
-    brute_force_oracle,
-    joint_solve,
-    pipeline_graph,
-    solve_objects,
-)
+from .solver import SOLVE_MODES, joint_solve
 
 log = logging.getLogger("fluenttrack")
 
@@ -97,9 +90,15 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _model_lengths(params: ModelParameters) -> Dict[str, Set[int]]:
+    """The lengths of the models that price each detection feature."""
+    return {"pose_feature": {len(m.mean) for m in params.action_pose_models.values()},
+            "vehicle_fluent_feature": {len(t) for t in params.vehicle_fluent_templates.values()}}
+
+
 def _track_one(detections_path: str, camera_path: str, out_dir: Path,
                params: ModelParameters, mode: str) -> None:
-    detections = fileio.read_detections(detections_path)
+    detections = fileio.read_detections(detections_path, _model_lengths(params))
     camera = fileio.read_camera(camera_path)
     result = joint_solve(detections, camera, params, mode=mode)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -113,6 +112,15 @@ def cmd_track(args) -> int:
     out_dir = Path(args.out)
 
     if args.sequence_dirs:
+        seen: Dict[str, str] = {}  # each sequence writes into out_dir / its name
+        for seq in args.sequence_dirs:
+            name = Path(seq).name
+            if name in seen:
+                raise fileio.InputFormatError(
+                    f"sequence directories {seen[name]} and {seq} would both write "
+                    f"{out_dir / name}")
+            seen[name] = seq
+
         def run(seq: str) -> str:
             seq_path = Path(seq)
             _track_one(
@@ -190,26 +198,6 @@ def fit_pose_model(action: str, samples: Sequence[np.ndarray]) -> ActionModel:
     return ActionModel(name=action, mean=mean, covariance=cov)
 
 
-def cmd_oracle(args) -> int:
-    if not args.detections or not args.camera:
-        raise fileio.InputFormatError("oracle requires --detections and --camera")
-    params = default_parameters()
-    detections = fileio.read_detections(args.detections)
-    camera = fileio.read_camera(args.camera)
-
-    graph = pipeline_graph(detections, camera, params)
-    solution = solve_objects(graph, params)
-    oracle = brute_force_oracle(graph, params)
-    report = {
-        "dp_objective": solution.objective,
-        "oracle_objective": oracle.objective,
-        "gap": oracle.objective - solution.objective,
-    }
-    fileio.write_json(args.out, report)
-    print(json.dumps(report))
-    return EXIT_OK
-
-
 def cmd_render(args) -> int:
     if not args.trajectories:
         raise fileio.InputFormatError("render requires --trajectories")
@@ -241,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_track.add_argument("--camera")
     p_track.add_argument("sequence_dirs", nargs="*",
                          help="sequence directories with detections.jsonl + camera.json")
-    p_track.add_argument("--mode", choices=["full", "visible_only", "prior_only"],
-                         default="full")
+    p_track.add_argument("--mode", choices=SOLVE_MODES, default="full")
     p_track.add_argument("--out", default="track_out", help="output directory")
     p_track.add_argument("--jobs", type=int, default=1)
     p_track.add_argument("--action-models", dest="action_models",
@@ -269,12 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", default="action_models.json")
     p_fit.set_defaults(func=cmd_fit_model)
 
-    p_oracle = sub.add_parser("oracle", help="compare the solver with the exhaustive oracle")
-    p_oracle.add_argument("--detections")
-    p_oracle.add_argument("--camera")
-    p_oracle.add_argument("--out", default="oracle_report.json")
-    p_oracle.set_defaults(func=cmd_oracle)
-
     p_render = sub.add_parser("render", help="render trajectories to SVG")
     p_render.add_argument("--trajectories")
     p_render.add_argument("--out", default="trajectories.svg")
@@ -289,8 +270,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (fileio.InputFormatError, FileNotFoundError, KeyError, OracleLimitError,
-            ValueError) as exc:
+    except (fileio.InputFormatError, FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (InternalInvariantError, AssertionError) as exc:

@@ -294,15 +294,13 @@ class ModelParameters:
     tau_c: float = 3.0
     max_contained: int = 5
     max_gap_frames: int = 150
-    entry_exit_cost: float = 2.0
     solver_entry_exit_cost: float = 12.0
     transition_table: Optional["ActionStateTable"] = None  # noqa: F821
     action_pose_models: Mapping[str, ActionModel] = field(default_factory=dict)
     vehicle_fluent_templates: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("tau_s", "tau_sigma", "tau_c", "entry_exit_cost",
-                     "solver_entry_exit_cost"):
+        for name in ("tau_s", "tau_sigma", "tau_c", "solver_entry_exit_cost"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive")

@@ -106,7 +106,8 @@ def _vector(value, path, lineno, name, lengths=None) -> np.ndarray:
 
 
 def _same_length(value, lengths, path, lineno, name) -> None:
-    first = lengths.setdefault(name, len(value))
+    # lengths[name] is the (length, line) of the first ``name`` in the file
+    first, _ = lengths.setdefault(name, (len(value), lineno))
     if len(value) != first:
         _fail(path, lineno, f"{name} has {len(value)} entries, the first in the file has {first}")
 
@@ -162,7 +163,9 @@ def write_detections(path, detections: Sequence[Detection]) -> None:
     _write_jsonl(path, (record(d) for d in detections))
 
 
-def read_detections(path) -> List[Detection]:
+def read_detections(path, model_lengths: Optional[Mapping] = None) -> List[Detection]:
+    """``model_lengths`` maps a feature's field name to the lengths of the
+    models that price it, each of which the file's features must have."""
     detections = []
     lengths = {}  # every descriptor (pose, fluent feature) as long as the first
     for lineno, r in _read_jsonl(path):
@@ -188,6 +191,11 @@ def read_detections(path) -> List[Detection]:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             _fail(path, lineno, f"bad detection record: {exc}")
+    for name, (length, lineno) in lengths.items():
+        wanted = (model_lengths or {}).get(name) or {length}
+        if wanted != {length}:
+            _fail(path, lineno, f"{name} has {length} entries, the models have "
+                                f"{'/'.join(map(str, sorted(wanted)))}")
     return detections
 
 

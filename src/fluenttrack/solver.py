@@ -10,8 +10,8 @@ chains, contracted into super-edges. A super-edge keeps its stops as one
 ``Interior`` record: a location array (the gap link's spline samples, or a
 slice of the tracklet's positions) and the stops' actions as runs, expanded
 frame by frame only for the edges of solved paths. Trajectories are
-extracted one at a time by dynamic programming over the DAG while an
-exhaustive oracle bounds the optimality gap on small instances. Each
+extracted one at a time by dynamic programming over the DAG; in tests, an
+exhaustive oracle bounds its optimality gap on small instances. Each
 extraction returns the edges it walked, and a trajectory is decoded from
 those edges alone: every point keeps the action its outgoing edge was
 priced with, so the frame parses are the solved paths grouped by frame, not
@@ -236,7 +236,6 @@ class GraphEdge:
     id: int
     src: int
     dst: int
-    dt: int
     breakdown: EnergyBreakdown
     action: str
     net_cost: float
@@ -258,7 +257,7 @@ class TransitionGraph:
     def __post_init__(self) -> None:
         out: List[List[int]] = [[] for _ in self.nodes]
         for e in self.edges:
-            if e.dt < 1:
+            if self.nodes[e.dst].frame <= self.nodes[e.src].frame:
                 raise ValueError("graph edges must advance time")
             out[e.src].append(e.id)
         object.__setattr__(self, "_out", tuple(tuple(v) for v in out))
@@ -348,9 +347,8 @@ class _GraphBuilder:
     def append_edge(self, src: GraphNode, dst: GraphNode, breakdown: EnergyBreakdown,
                     action: str, net_cost: float, is_container_chain: bool = False,
                     interior: Optional[Interior] = None) -> None:
-        self.edges.append(GraphEdge(len(self.edges), src.id, dst.id, dst.frame - src.frame,
-                                    breakdown, action, net_cost, is_container_chain,
-                                    interior))
+        self.edges.append(GraphEdge(len(self.edges), src.id, dst.id, breakdown, action,
+                                    net_cost, is_container_chain, interior))
 
     def connect(self, src: GraphNode, dst: GraphNode, fluent=None,
                 is_container_chain: bool = False) -> None:
@@ -881,7 +879,7 @@ ORACLE_MAX_OBJECTS = 4
 ORACLE_PATH_BUDGET = 50000
 
 
-def brute_force_oracle(graph: TransitionGraph, params: ModelParameters) -> FlowSolution:
+def brute_force_oracle(graph: TransitionGraph) -> FlowSolution:
     """Globally optimal joint flow by exhaustive path-subset enumeration.
 
     Guard rails reject instances beyond ``ORACLE_MAX_FRAMES`` frames or

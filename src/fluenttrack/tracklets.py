@@ -213,6 +213,9 @@ class _UnitFlow:
 
 # Link cost per skipped frame, added to the link's speed term dist / bound.
 SKIP_FRAME_PENALTY = 0.6
+# Cost a linked path pays once to start and once to end, against the
+# log-odds rewards of its detections.
+ENTRY_EXIT_COST = 2.0
 
 
 def link_detections(
@@ -227,9 +230,10 @@ def link_detections(
     Node rewards are clamped log-odds of the detection scores; links join
     same-class detections at most ``max_gap`` frames apart, gated and priced
     by ground-plane speed, with ``SKIP_FRAME_PENALTY`` per skipped frame so
-    dense paths beat interleaving. ``positions`` are the detections' ground
-    points. Returns (paths of detection indices ordered by their first
-    detection, total flow cost).
+    dense paths beat interleaving; each path pays ``ENTRY_EXIT_COST`` to
+    start and to end. ``positions`` are the detections' ground points.
+    Returns (paths of detection indices ordered by their first detection,
+    total flow cost).
     """
     rewards = [log_odds(det.score) for det in dets]
     by_frame: Dict[int, List[int]] = {}
@@ -246,8 +250,7 @@ def link_detections(
                 if dist > LINK_GATE_SLACK * bound:
                     continue
                 links.append((i, j, dist / bound + SKIP_FRAME_PENALTY * (dt - 1)))
-    paths, cost = min_cost_paths(rewards, links, params.entry_exit_cost,
-                                 params.entry_exit_cost)
+    paths, cost = min_cost_paths(rewards, links, ENTRY_EXIT_COST, ENTRY_EXIT_COST)
     paths.sort()  # disjoint increasing paths: ordered by their first detection
     return paths, cost
 

@@ -77,7 +77,7 @@ class TestCriterion1OracleEquivalence:
             dets = random_walk_instance(seed, 1)
             graph = pipeline_graph(dets, camera, params)
             sol = solve_objects(graph, params)
-            oracle = brute_force_oracle(graph, params)
+            oracle = brute_force_oracle(graph)
             assert abs(sol.objective - oracle.objective) <= 1e-9, f"seed {seed}"
             single_nonempty += sol.objective > 1e-9
 
@@ -87,7 +87,7 @@ class TestCriterion1OracleEquivalence:
             dets = random_walk_instance(20_000 + seed, n_agents)
             graph = pipeline_graph(dets, camera, params)
             sol = solve_objects(graph, params)
-            oracle = brute_force_oracle(graph, params)
+            oracle = brute_force_oracle(graph)
             assert abs(sol.objective - oracle.objective) <= 1e-9, f"multi seed {seed}"
             multi_nonempty += len(sol.paths) >= 2
         elapsed = time.time() - t0

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import shutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from fluenttrack import fileio
-from fluenttrack.cli import EXIT_INPUT, EXIT_OK, build_parser, fit_pose_model, main
+from fluenttrack.cli import EXIT_INPUT, EXIT_OK, fit_pose_model, main
 from fluenttrack.core import ObjectClass, Trajectory, TrajectoryPoint, VisibilityState
 
 
@@ -180,6 +181,35 @@ class TestTrackCommand:
         assert code == EXIT_OK
         assert (out / simulated.name / "trajectories.jsonl").exists()
 
+    def test_repeated_sequence_name_is_input_error(self, simulated, tmp_path, capsys):
+        # both would write out / enter_exit_quick
+        other = tmp_path / "other" / simulated.name
+        shutil.copytree(simulated, other)
+        out = tmp_path / "batch"
+        code = run(["track", simulated, other, "--out", out, "--jobs", 2])
+        assert code == EXIT_INPUT
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert str(simulated) in err and str(other) in err
+
+    @pytest.mark.parametrize("field", ["pose_feature", "vehicle_fluent_feature"])
+    def test_feature_length_must_match_models(self, simulated, tmp_path, capsys, field):
+        # every feature of the kind is cut alike, so the file agrees with itself
+        records = [json.loads(line)
+                   for line in (simulated / "detections.jsonl").read_text().splitlines()]
+        for record in records:
+            if field in record:
+                record[field] = record[field][:2]
+        first = next(i for i, record in enumerate(records, start=1) if field in record)
+        bad = tmp_path / "detections.jsonl"
+        bad.write_text("".join(json.dumps(record) + "\n" for record in records))
+        out = tmp_path / "tracked"
+        code = run(["track", "--detections", bad, "--camera", simulated / "camera.json",
+                    "--out", out])
+        assert code == EXIT_INPUT
+        assert not out.exists()
+        assert f"{bad}:{first}: {field} has 2 entries" in capsys.readouterr().err
+
 
 def write_perfect_predictions(gt_path, pred_path):
     """Write trajectories identical to the ground truth at ``gt_path``."""
@@ -335,49 +365,6 @@ class TestFitModelCommand:
         np.testing.assert_allclose(model.covariance, 1e-3 * np.eye(3), atol=1e-15)
 
 
-class TestOracleCommand:
-    def test_report_fields_and_zero_gap(self, tmp_path, capsys):
-        # one short confident track: an easy single-object instance
-        rng = np.random.default_rng(0)
-        proto = rng.normal(size=8)
-        proto /= np.linalg.norm(proto)
-        from fluenttrack.core import Detection
-        dets = [
-            Detection(f, ObjectClass.PERSON, (1.0 + 0.2 * f, 2.0, 0.5, 1.7), 0.97, proto)
-            for f in range(6)
-        ]
-        det_path = tmp_path / "detections.jsonl"
-        fileio.write_detections(det_path, dets)
-        cam_path = tmp_path / "camera.json"
-        from fluenttrack.simulator import default_camera
-        fileio.write_camera(cam_path, default_camera())
-        out = tmp_path / "report.json"
-        code = run(["oracle", "--detections", det_path, "--camera", cam_path,
-                    "--out", out])
-        assert code == EXIT_OK
-        report = strict_json(out.read_text())
-        assert set(report) == {"dp_objective", "oracle_objective", "gap"}
-        assert abs(report["gap"]) < 1e-9
-
-    def test_oversized_instance_is_input_error(self, tmp_path):
-        rng = np.random.default_rng(1)
-        dets = []
-        for f in range(14):
-            v = rng.normal(size=8)
-            v /= np.linalg.norm(v)
-            from fluenttrack.core import Detection
-            dets.append(Detection(f, ObjectClass.PERSON,
-                                  (1.0 + 7.0 * f, 2.0, 0.5, 1.7), 0.6, v))
-        det_path = tmp_path / "detections.jsonl"
-        fileio.write_detections(det_path, dets)
-        cam_path = tmp_path / "camera.json"
-        from fluenttrack.simulator import default_camera
-        fileio.write_camera(cam_path, default_camera())
-        code = run(["oracle", "--detections", det_path, "--camera", cam_path,
-                    "--out", tmp_path / "r.json"])
-        assert code == EXIT_INPUT
-
-
 class TestRenderCommand:
     def test_empty_trajectories_valid_svg(self, tmp_path):
         pred = tmp_path / "empty.jsonl"
@@ -428,8 +415,11 @@ def readme_commands():
             if line.startswith("fluenttrack ")]
 
 
-@pytest.mark.parametrize("command", readme_commands(), ids=lambda c: c.split()[1])
-def test_readme_command_parses(command):
-    # argparse exits on a flag the parser does not define
-    args = build_parser().parse_args(shlex.split(command)[1:])
-    assert callable(args.func)
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # each command reads what the ones before it wrote; fit-model reads clips.jsonl
+    monkeypatch.chdir(tmp_path)
+    rows = [{"action": "walking", "pose_feature": [0.0, 0.0]},
+            {"action": "walking", "pose_feature": [2.0, 0.0]}]
+    Path("clips.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    for command in readme_commands():
+        assert main(shlex.split(command)[1:]) == EXIT_OK, command

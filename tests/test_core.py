@@ -212,8 +212,7 @@ class TestTypes:
             ActionModel("walking", np.zeros(2), cov)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
-    @pytest.mark.parametrize("name", ["tau_s", "tau_sigma", "tau_c", "entry_exit_cost",
-                                      "solver_entry_exit_cost"])
+    @pytest.mark.parametrize("name", ["tau_s", "tau_sigma", "tau_c", "solver_entry_exit_cost"])
     def test_model_parameters_must_be_finite_and_positive(self, name, value):
         with pytest.raises(ValueError, match=name):
             ModelParameters(**{name: value})

@@ -134,7 +134,7 @@ def tiny_graph(per_frame_rewards, entry=1.0, exits=1.0, edge_cost_value=0.1):
             if v.frame == u.frame + 1:
                 bd = EnergyBreakdown.build(edge_cost_value, 0.0, 0.0, 0.0)
                 edges.append(GraphEdge(
-                    id=len(edges), src=u.id, dst=v.id, dt=1, breakdown=bd,
+                    id=len(edges), src=u.id, dst=v.id, breakdown=bd,
                     action="walking", net_cost=bd.total - u.reward,
                 ))
     exit_costs = {n.id: exits - n.reward for n in nodes}
@@ -142,6 +142,16 @@ def tiny_graph(per_frame_rewards, entry=1.0, exits=1.0, edge_cost_value=0.1):
         nodes=tuple(nodes), edges=tuple(edges), entry_cost=entry,
         exit_costs=exit_costs, containers=ContainerSolution((), {}, 0, 0),
     )
+
+
+@pytest.mark.parametrize("src, dst", [(0, 1), (2, 0)], ids=["same_frame", "backwards"])
+def test_graph_edge_must_advance_time(src, dst):
+    graph = tiny_graph([[0.5, 0.5], [0.5]])  # nodes 0 and 1 in frame 0, node 2 in frame 1
+    edge = GraphEdge(id=0, src=src, dst=dst, breakdown=EnergyBreakdown.build(0.0, 0.0, 0.0, 0.0),
+                     action="walking", net_cost=0.0)
+    with pytest.raises(ValueError, match="advance time"):
+        TransitionGraph(nodes=graph.nodes, edges=(edge,), entry_cost=graph.entry_cost,
+                        exit_costs=graph.exit_costs, containers=graph.containers)
 
 
 class TestSolveObjectsDP:
@@ -200,7 +210,7 @@ class TestOracleEquivalence:
             dets = random_walk_instance(seed, 1)
             graph = pipeline_graph(dets, camera, oracle_params)
             sol = solve_objects(graph, oracle_params)
-            oracle = brute_force_oracle(graph, oracle_params)
+            oracle = brute_force_oracle(graph)
             assert sol.objective == pytest.approx(oracle.objective, abs=1e-9)
             nonempty += sol.objective > 1e-9
         assert nonempty >= 20  # the comparison must not be vacuous
@@ -210,7 +220,7 @@ class TestOracleEquivalence:
             dets = random_walk_instance(7000 + seed, 2, agent_spacing=3.0)
             graph = pipeline_graph(dets, camera, oracle_params)
             sol = solve_objects(graph, oracle_params)
-            oracle = brute_force_oracle(graph, oracle_params)
+            oracle = brute_force_oracle(graph)
             assert oracle.objective >= sol.objective - 1e-9
 
     def test_limits_enforced(self, camera, oracle_params):
@@ -221,7 +231,7 @@ class TestOracleEquivalence:
         graph = pipeline_graph(dets, camera, oracle_params)
         assert len({n.frame for n in graph.nodes}) == 15
         with pytest.raises(OracleLimitError):
-            brute_force_oracle(graph, oracle_params)
+            brute_force_oracle(graph)
 
 
 def containment_setup(camera, params):

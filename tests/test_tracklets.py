@@ -60,7 +60,7 @@ def brute_force_best_path_set(detections, camera, params):
         chains = [[first]]
         while chains:
             chain = chains.pop()
-            cost = (2 * params.entry_exit_cost
+            cost = (2 * tk.ENTRY_EXIT_COST
                     - sum(rewards[i] for i in chain)
                     + sum(link_cost(a, b) for a, b in zip(chain, chain[1:])))
             extend(remaining - set(chain), total + cost)
@@ -94,8 +94,7 @@ def solver_objective(detections, camera, params):
             if dist <= tk.LINK_GATE_SLACK * bound:
                 links.append((i, j, dist / bound))
     rewards = [log_odds(d.score) for d in dets]
-    _, cost = tk.min_cost_paths(rewards, links, params.entry_exit_cost,
-                                params.entry_exit_cost)
+    _, cost = tk.min_cost_paths(rewards, links, tk.ENTRY_EXIT_COST, tk.ENTRY_EXIT_COST)
     return cost
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fluenttrack import fileio
-from fluenttrack.cli import EXIT_INPUT, EXIT_OK, fit_pose_model, main
+from fluenttrack.cli import EXIT_INPUT, EXIT_OK, build_parser, fit_pose_model, main
 from fluenttrack.core import ObjectClass, Trajectory, TrajectoryPoint, VisibilityState
 
 
@@ -413,6 +413,13 @@ def readme_commands():
     block = re.search(r"## Command line\n\n```sh\n(.*?)```", README.read_text(), re.S).group(1)
     return [line for line in block.replace("\\\n", " ").splitlines()
             if line.startswith("fluenttrack ")]
+
+
+@pytest.mark.parametrize("command", readme_commands(), ids=lambda c: c.split()[1])
+def test_readme_command_parses(command):
+    # argparse exits on a flag the parser does not define
+    args = build_parser().parse_args(shlex.split(command)[1:])
+    assert callable(args.func)
 
 
 def test_readme_commands_run(tmp_path, monkeypatch):

@@ -8,13 +8,14 @@ Log level comes from the FLUENT_TRACK_LOG environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -97,21 +98,42 @@ def _model_lengths(params: ModelParameters) -> Dict[str, Set[int]]:
 
 
 def _track_one(detections_path: str, camera_path: str, out_dir: Path,
-               params: ModelParameters, mode: str) -> None:
+               params: ModelParameters, mode: str, made: List[Path]) -> Path:
+    """Solve one sequence into ``out_dir``. Each directory and file it
+    creates is added to ``made`` before it is written."""
     detections = fileio.read_detections(detections_path, _model_lengths(params))
     camera = fileio.read_camera(camera_path)
     result = joint_solve(detections, camera, params, mode=mode)
+    made.extend(d for d in (out_dir, *out_dir.parents) if not d.exists())
     out_dir.mkdir(parents=True, exist_ok=True)
-    fileio.write_trajectories(out_dir / "trajectories.jsonl", result.trajectories)
-    fileio.write_frame_parses(out_dir / "frame_parses.jsonl", result.frame_parses)
-    fileio.write_json(out_dir / "summary.json", result.summary)
+    for name, write, payload in (
+            ("trajectories.jsonl", fileio.write_trajectories, result.trajectories),
+            ("frame_parses.jsonl", fileio.write_frame_parses, result.frame_parses),
+            ("summary.json", fileio.write_json, result.summary)):
+        made.append(out_dir / name)
+        write(out_dir / name, payload)
+    return out_dir
+
+
+def _remove(made: Sequence[Path]) -> None:
+    """Remove the files and directories a failed run made, deepest first;
+    a directory that is not empty stays."""
+    for path in sorted(set(made), key=lambda p: len(p.parts), reverse=True):
+        with contextlib.suppress(OSError):
+            if path.is_dir():
+                path.rmdir()
+            else:
+                path.unlink()
 
 
 def cmd_track(args) -> int:
-    params = _build_parameters(args)
     out_dir = Path(args.out)
-
+    if args.jobs < 1:
+        raise fileio.InputFormatError(f"--jobs must be at least 1, got {args.jobs}")
     if args.sequence_dirs:
+        if args.detections or args.camera:
+            raise fileio.InputFormatError(
+                "track takes sequence directories or --detections and --camera, not both")
         seen: Dict[str, str] = {}  # each sequence writes into out_dir / its name
         for seq in args.sequence_dirs:
             name = Path(seq).name
@@ -120,26 +142,24 @@ def cmd_track(args) -> int:
                     f"sequence directories {seen[name]} and {seq} would both write "
                     f"{out_dir / name}")
             seen[name] = seq
-
-        def run(seq: str) -> str:
-            seq_path = Path(seq)
-            _track_one(
-                str(seq_path / "detections.jsonl"),
-                str(seq_path / "camera.json"),
-                out_dir / seq_path.name,
-                params,
-                args.mode,
-            )
-            return seq_path.name
-
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            for name in pool.map(run, args.sequence_dirs):
-                log.info("tracked %s", name)
-        return EXIT_OK
-
-    if not args.detections or not args.camera:
+        jobs = [(Path(seq) / "detections.jsonl", Path(seq) / "camera.json",
+                 out_dir / Path(seq).name) for seq in args.sequence_dirs]
+    elif args.detections and args.camera:
+        jobs = [(args.detections, args.camera, out_dir)]
+    else:
         raise fileio.InputFormatError("track requires --detections and --camera")
-    _track_one(args.detections, args.camera, out_dir, params, args.mode)
+    params = _build_parameters(args)
+
+    made: List[Path] = []
+    try:
+        # a failure cancels the sequences not yet started; the pool waits
+        # for the running ones before their outputs are removed
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            for done in pool.map(lambda job: _track_one(*job, params, args.mode, made), jobs):
+                log.info("tracked %s", done)
+    except BaseException:
+        _remove(made)
+        raise
     return EXIT_OK
 
 
@@ -231,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sequence directories with detections.jsonl + camera.json")
     p_track.add_argument("--mode", choices=SOLVE_MODES, default="full")
     p_track.add_argument("--out", default="track_out", help="output directory")
-    p_track.add_argument("--jobs", type=int, default=1)
+    p_track.add_argument("--jobs", type=int, default=1,
+                         help="worker threads for sequence directories (at least 1)")
     p_track.add_argument("--action-models", dest="action_models",
                          help="pose models, vehicle templates and transition table "
                               "written by fit-model")

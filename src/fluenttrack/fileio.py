@@ -6,13 +6,22 @@ everything else is one indented JSON document. Every writer emits strict
 JSON: a NaN or infinite value raises ``ValueError`` instead of being written
 as the non-standard ``NaN``/``Infinity`` tokens. The metrics report writes
 ``null`` for a per-state precision or recall that is undefined.
-Malformed input raises :class:`InputFormatError` carrying the path and line
-number.
+
+Every reader shares one error path. ``_parse`` decodes one record (a line of
+a JSON Lines file) or one document and runs the reader's parse of it. A
+failed check raises :class:`InputFormatError` itself; any ``KeyError``,
+``TypeError``, ``ValueError`` or ``OverflowError`` raised while decoding or
+parsing (a missing field, an unknown enum value, a model's own check)
+becomes ``InputFormatError("path[:line]: bad <what>: <reason>")``. The line
+is named for JSON Lines files, the file alone for documents. Every list of
+numbers goes through ``_numbers``: JSON numbers only (not bools), each
+finite, of a fixed length or as long as the first of its name in the file.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -53,19 +62,32 @@ def _fail(path, lineno: Optional[int], message: str) -> None:
     raise InputFormatError(f"{location}: {message}")
 
 
-def _read_jsonl(path) -> Iterable[Tuple[int, dict]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                _fail(path, lineno, f"invalid JSON ({exc.msg})")
-            if not isinstance(record, dict):
-                _fail(path, lineno, "expected a JSON object")
-            yield lineno, record
+def _parse(parse, data: bytes, path, lineno: Optional[int], what: str):
+    """``parse(record, lineno)`` of the JSON object in the UTF-8 ``data``:
+    one line of the file at ``path``, or all of it when ``lineno`` is None.
+    This is the one place where an error raised while decoding or parsing
+    becomes an :class:`InputFormatError`."""
+    try:
+        record = json.loads(data.decode("utf-8"))
+        if type(record) is not dict:
+            _fail(path, lineno, "expected a JSON object")
+        return parse(record, lineno)
+    except InputFormatError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        _fail(path, lineno, f"bad {what}: {exc}")
+
+
+def _read_jsonl(path, what: str, parse) -> list:
+    """``parse(record, lineno)`` of each non-blank line, in file order."""
+    with open(path, "rb") as fh:
+        return [_parse(parse, line, path, lineno, what)
+                for lineno, line in enumerate(fh, start=1) if not line.isspace()]
+
+
+def _read_json(path, what: str, parse):
+    """``parse(document, None)`` of the single JSON document at ``path``."""
+    return _parse(parse, Path(path).read_bytes(), path, None, what)
 
 
 def _write_jsonl(path, records: Iterable[dict]) -> None:
@@ -85,6 +107,8 @@ def write_json(path, payload) -> None:
 _NUMBER = (int, float)
 _FLOAT_MAX = sys.float_info.max
 _OPTIONAL_INT = (int, type(None))
+_CLASSES = {c.value: c for c in ObjectClass}
+_STATES = {s.value: s for s in VisibilityState}
 
 
 def _typed(value, types, path, lineno, name):
@@ -95,21 +119,14 @@ def _typed(value, types, path, lineno, name):
     return value
 
 
-def _vector(value, path, lineno, name, lengths=None) -> np.ndarray:
-    """A list of numbers as an array. With ``lengths``, a dict shared by the
-    records of one file, it must also be as long as the first ``name``."""
-    if type(value) is not list or not all(type(v) in _NUMBER for v in value):
-        _fail(path, lineno, f"{name} must be a list of numbers")
-    if lengths is not None:
-        _same_length(value, lengths, path, lineno, name)
-    return np.asarray(value, dtype=float)
-
-
-def _same_length(value, lengths, path, lineno, name) -> None:
-    # lengths[name] is the (length, line) of the first ``name`` in the file
-    first, _ = lengths.setdefault(name, (len(value), lineno))
-    if len(value) != first:
-        _fail(path, lineno, f"{name} has {len(value)} entries, the first in the file has {first}")
+def _member(members, value, path, lineno, name):
+    """The enum member that ``members`` (members by value) maps ``value``
+    to, else an input error. It is a dict lookup because an Enum call costs
+    about ten times as much, and readers make one or more per record."""
+    member = members.get(value) if type(value) is str else None
+    if member is None:
+        _fail(path, lineno, f"{name} must be one of {', '.join(members)}, got {value!r}")
+    return member
 
 
 def _finite(value, path, lineno, name):
@@ -121,26 +138,34 @@ def _finite(value, path, lineno, name):
     return value
 
 
-def _finite_list(value, path, lineno, name, length=None) -> list:
-    """``value`` if it is a list of finite numbers, of ``length`` entries if
-    given, else an input error."""
-    if type(value) is not list or (length is not None and len(value) != length):
+def _numbers(value, path, lineno, name, length=None, lengths=None) -> list:
+    """``value`` if it is a list of numbers that ``_finite`` would accept,
+    else an input error. It must have ``length`` entries if given. With
+    ``lengths``, a dict shared by the records of one file, it must be as
+    long as the first ``name`` in the file."""
+    # one plain loop: a call per number, or a generator per list, costs
+    # more, and readers check several lists per record
+    bad = type(value) is not list or (length is not None and len(value) != length)
+    for v in () if bad else value:
+        if not (type(v) in _NUMBER and abs(v) <= _FLOAT_MAX):
+            bad = True
+            break
+    if bad:
         _fail(path, lineno, f"{name} must be a list of {length or 'any number of'} finite "
                             f"numbers, got {value!r}")
-    for v in value:
-        _finite(v, path, lineno, name)
+    if lengths is not None:
+        # lengths[name] is the (length, line) of the first ``name`` in the file
+        first, _ = lengths.setdefault(name, (len(value), lineno))
+        if len(value) != first:
+            _fail(path, lineno, f"{name} has {len(value)} entries, the first in the file "
+                                f"has {first}")
     return value
 
 
 def _matrix(value, path, name) -> np.ndarray:
     """A list of rows of finite numbers (in a single-document file)."""
     rows = _typed(value, (list,), path, None, name)
-    return np.asarray([_finite_list(row, path, None, name) for row in rows], dtype=float)
-
-
-def _location(value, path, lineno) -> np.ndarray:
-    """A ground point: a list of exactly two finite numbers."""
-    return np.asarray(_finite_list(value, path, lineno, "location", 2), dtype=float)
+    return np.asarray([_numbers(row, path, None, name) for row in rows], dtype=float)
 
 
 # -- detections --------------------------------------------------------------
@@ -166,31 +191,25 @@ def write_detections(path, detections: Sequence[Detection]) -> None:
 def read_detections(path, model_lengths: Optional[Mapping] = None) -> List[Detection]:
     """``model_lengths`` maps a feature's field name to the lengths of the
     models that price it, each of which the file's features must have."""
-    detections = []
     lengths = {}  # every descriptor (pose, fluent feature) as long as the first
-    for lineno, r in _read_jsonl(path):
-        try:
-            cls = ObjectClass(r["class"])
-            pose = r.get("pose_feature")
-            fluent = r.get("vehicle_fluent_feature")
-            detections.append(
-                Detection(
-                    frame=_typed(r["frame"], (int,), path, lineno, "frame"),
-                    object_class=cls,
-                    bbox=tuple(_vector(r["bbox"], path, lineno, "bbox").tolist()),
-                    score=float(_typed(r["score"], _NUMBER, path, lineno, "score")),
-                    descriptor=_vector(r["descriptor"], path, lineno, "descriptor", lengths),
-                    pose_feature=_vector(pose, path, lineno, "pose_feature", lengths)
-                    if pose is not None else None,
-                    vehicle_fluent_feature=_vector(fluent, path, lineno,
-                                                   "vehicle_fluent_feature", lengths)
-                    if fluent is not None else None,
-                )
-            )
-        except InputFormatError:
-            raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            _fail(path, lineno, f"bad detection record: {exc}")
+
+    def detection(r, lineno) -> Detection:
+        pose = r.get("pose_feature")
+        fluent = r.get("vehicle_fluent_feature")
+        return Detection(
+            frame=_typed(r["frame"], (int,), path, lineno, "frame"),
+            object_class=_member(_CLASSES, r["class"], path, lineno, "class"),
+            bbox=_numbers(r["bbox"], path, lineno, "bbox", 4),
+            score=float(_typed(r["score"], _NUMBER, path, lineno, "score")),
+            descriptor=_numbers(r["descriptor"], path, lineno, "descriptor", lengths=lengths),
+            pose_feature=_numbers(pose, path, lineno, "pose_feature", lengths=lengths)
+            if pose is not None else None,
+            vehicle_fluent_feature=_numbers(fluent, path, lineno, "vehicle_fluent_feature",
+                                            lengths=lengths)
+            if fluent is not None else None,
+        )
+
+    detections = _read_jsonl(path, "detection record", detection)
     for name, (length, lineno) in lengths.items():
         wanted = (model_lengths or {}).get(name) or {length}
         if wanted != {length}:
@@ -207,14 +226,11 @@ def write_camera(path, camera: CameraModel) -> None:
 
 
 def read_camera(path) -> CameraModel:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    def camera(payload, _) -> CameraModel:
         return CameraModel(_matrix(payload["homography"], path, "homography"),
                            float(_finite(payload["frame_rate"], path, None, "frame_rate")))
-    except InputFormatError:
-        raise
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        _fail(path, None, f"bad camera file: {exc}")
+
+    return _read_json(path, "camera file", camera)
 
 
 # -- trajectories ---------------------------------------------------------------
@@ -238,29 +254,23 @@ def write_trajectories(path, trajectories: Sequence[Trajectory]) -> None:
 
 
 def read_trajectories(path) -> List[Trajectory]:
-    out = []
-    for lineno, r in _read_jsonl(path):
-        try:
-            points = tuple(
-                TrajectoryPoint(
-                    frame=_typed(p["frame"], (int,), path, lineno, "frame"),
-                    location=_location(p["location"], path, lineno),
-                    state=VisibilityState(p["state"]),
-                    action=_typed(p.get("action"), (str, type(None)), path, lineno, "action"),
-                    container_id=_typed(p.get("container_id"), _OPTIONAL_INT, path, lineno,
-                                        "container_id"),
-                )
-                for p in r["track"]
+    def trajectory(r, lineno) -> Trajectory:
+        points = tuple(
+            TrajectoryPoint(
+                frame=_typed(p["frame"], (int,), path, lineno, "frame"),
+                location=_numbers(p["location"], path, lineno, "location", 2),
+                state=_member(_STATES, p["state"], path, lineno, "state"),
+                action=_typed(p.get("action"), (str, type(None)), path, lineno, "action"),
+                container_id=_typed(p.get("container_id"), _OPTIONAL_INT, path, lineno,
+                                    "container_id"),
             )
-            out.append(Trajectory(object_id=_typed(r["object_id"], (int,), path, lineno,
-                                                   "object_id"),
-                                  object_class=ObjectClass(r["class"]),
-                                  points=points))
-        except InputFormatError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            _fail(path, lineno, f"bad trajectory record: {exc}")
-    return out
+            for p in r["track"]
+        )
+        return Trajectory(object_id=_typed(r["object_id"], (int,), path, lineno, "object_id"),
+                          object_class=_member(_CLASSES, r["class"], path, lineno, "class"),
+                          points=points)
+
+    return _read_jsonl(path, "trajectory record", trajectory)
 
 
 # -- track outputs ---------------------------------------------------------------
@@ -302,25 +312,19 @@ def write_ground_truth(path, records: Sequence[GroundTruthRecord]) -> None:
 
 
 def read_ground_truth(path) -> List[GroundTruthRecord]:
-    out = []
-    for lineno, r in _read_jsonl(path):
-        try:
-            out.append(
-                GroundTruthRecord(
-                    frame=_typed(r["frame"], (int,), path, lineno, "frame"),
-                    object_id=_typed(r["object_id"], (int,), path, lineno, "object_id"),
-                    object_class=ObjectClass(r.get("class", "person")),
-                    location=_location(r["location"], path, lineno),
-                    state=VisibilityState(r["state"]),
-                    container_id=_typed(r.get("container_id"), _OPTIONAL_INT, path, lineno,
-                                        "container_id"),
-                )
-            )
-        except InputFormatError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            _fail(path, lineno, f"bad ground-truth record: {exc}")
-    return out
+    def record(r, lineno) -> GroundTruthRecord:
+        return GroundTruthRecord(
+            frame=_typed(r["frame"], (int,), path, lineno, "frame"),
+            object_id=_typed(r["object_id"], (int,), path, lineno, "object_id"),
+            object_class=_member(_CLASSES, r.get("class", "person"), path, lineno, "class"),
+            location=np.asarray(_numbers(r["location"], path, lineno, "location", 2),
+                                dtype=float),
+            state=_member(_STATES, r["state"], path, lineno, "state"),
+            container_id=_typed(r.get("container_id"), _OPTIONAL_INT, path, lineno,
+                                "container_id"),
+        )
+
+    return _read_jsonl(path, "ground-truth record", record)
 
 
 def ground_truth_observations(records: Sequence[GroundTruthRecord]) -> List[TrackObservation]:
@@ -354,8 +358,10 @@ def _table_from_rows(records, path) -> ActionStateTable:
     rejects it."""
     rows = {}
     for r in _typed(records, (list,), path, None, "transition table rows"):
-        key = (VisibilityState(r["state"]), _typed(r["action"], (str,), path, None, "action"))
-        rows[key] = {VisibilityState(s): float(_finite(p, path, None, "probability"))
+        key = (_member(_STATES, r["state"], path, None, "state"),
+               _typed(r["action"], (str,), path, None, "action"))
+        rows[key] = {_member(_STATES, s, path, None, "next state"):
+                     float(_finite(p, path, None, "probability"))
                      for s, p in _typed(r["next"], (dict,), path, None, "next").items()
                      if p != 0}
     return ActionStateTable(rows=rows)
@@ -384,8 +390,7 @@ def write_action_models(
 
 def read_action_models(path):
     """Returns (pose models, vehicle templates, transition table)."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    def action_models(payload, _):
         models = {}
         templates = {}
         for entry in _typed(payload["actions"], (list,), path, None, "actions"):
@@ -393,18 +398,16 @@ def read_action_models(path):
             if "mu" in entry:
                 models[name] = ActionModel(
                     name=name,
-                    mean=np.asarray(_finite_list(entry["mu"], path, None, "mu"), dtype=float),
+                    mean=_numbers(entry["mu"], path, None, "mu"),
                     covariance=_matrix(entry["sigma"], path, "sigma"),
                 )
             if "vehicle_template" in entry:
                 templates[name] = np.asarray(
-                    _finite_list(entry["vehicle_template"], path, None, "vehicle_template"),
+                    _numbers(entry["vehicle_template"], path, None, "vehicle_template"),
                     dtype=float)
         return models, templates, _table_from_rows(payload["transition_table"]["rows"], path)
-    except InputFormatError:
-        raise
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        _fail(path, None, f"bad action models file: {exc}")
+
+    return _read_json(path, "action models file", action_models)
 
 
 # -- training clips --------------------------------------------------------------
@@ -420,24 +423,21 @@ def read_clips(path):
     features = {"pose_feature": {}, "vehicle_fluent_feature": {}}
     transitions = []
     lengths = {}
-    for lineno, r in _read_jsonl(path):
-        try:
-            action = _typed(r["action"], (str,), path, lineno, "action")
-            for name, by_action in features.items():
-                value = r.get(name)
-                if value is not None:
-                    _same_length(_finite_list(value, path, lineno, name), lengths, path, lineno,
-                                 name)
-                    by_action.setdefault(action, []).append(np.asarray(value, dtype=float))
-            for triple in _typed(r.get("transitions", []), (list,), path, lineno, "transitions"):
-                s_cur, act, s_next = _typed(triple, (list,), path, lineno, "transition")
-                transitions.append((VisibilityState(s_cur),
-                                    _typed(act, (str,), path, lineno, "transition action"),
-                                    VisibilityState(s_next)))
-        except InputFormatError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            _fail(path, lineno, f"bad clip record: {exc}")
+
+    def clip(r, lineno) -> None:
+        action = _typed(r["action"], (str,), path, lineno, "action")
+        for name, by_action in features.items():
+            value = r.get(name)
+            if value is not None:
+                by_action.setdefault(action, []).append(
+                    np.asarray(_numbers(value, path, lineno, name, lengths=lengths), dtype=float))
+        for triple in _typed(r.get("transitions", []), (list,), path, lineno, "transitions"):
+            s_cur, act, s_next = _typed(triple, (list,), path, lineno, "transition")
+            transitions.append((_member(_STATES, s_cur, path, lineno, "transition state"),
+                                _typed(act, (str,), path, lineno, "transition action"),
+                                _member(_STATES, s_next, path, lineno, "transition state")))
+
+    _read_jsonl(path, "clip record", clip)
     return features["pose_feature"], features["vehicle_fluent_feature"], transitions
 
 
@@ -469,20 +469,7 @@ def write_scenario(path, script: ScenarioScript, noise: NoiseProfile) -> None:
         "obstacles": [
             {"p1": list(o.p1), "p2": list(o.p2)} for o in script.obstacles
         ],
-        "noise": {
-            "position_sigma": noise.position_sigma,
-            "detection_miss_prob_visible": noise.detection_miss_prob_visible,
-            "detection_miss_prob_occluded": noise.detection_miss_prob_occluded,
-            "false_positive_rate": noise.false_positive_rate,
-            "descriptor_noise_sigma": noise.descriptor_noise_sigma,
-            "feature_noise_sigma": noise.feature_noise_sigma,
-            "seed": noise.seed,
-            "score_mean": noise.score_mean,
-            "score_sigma": noise.score_sigma,
-            "vehicle_score_mean": noise.vehicle_score_mean,
-            "fp_score_low": noise.fp_score_low,
-            "fp_score_high": noise.fp_score_high,
-        },
+        "noise": dataclasses.asdict(noise),
     }
     write_json(path, payload)
 
@@ -492,19 +479,17 @@ def read_scenario(path) -> Tuple[ScenarioScript, NoiseProfile]:
         return _typed(value, (int,), path, None, name)
 
     def point(value, name):
-        return tuple(_finite_list(value, path, None, name, 2))
+        return tuple(_numbers(value, path, None, name, 2))
 
     def waypoint(value):
-        frame, x, y = _typed(value, (list,), path, None, "waypoint")
-        return (integer(frame, "waypoint frame"), _finite(x, path, None, "waypoint x"),
-                _finite(y, path, None, "waypoint y"))
+        frame, x, y = _numbers(value, path, None, "waypoint", 3)
+        return integer(frame, "waypoint frame"), x, y
 
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    def scenario(payload, _):
         agents = tuple(
             AgentScript(
                 agent_id=integer(a["id"], "agent id"),
-                object_class=ObjectClass(a["class"]),
+                object_class=_member(_CLASSES, a["class"], path, None, "agent class"),
                 waypoints=tuple(waypoint(w) for w in
                                 _typed(a["waypoints"], (list,), path, None, "waypoints")),
             )
@@ -539,10 +524,8 @@ def read_scenario(path) -> Tuple[ScenarioScript, NoiseProfile]:
                                       "noise").items()
         })
         return script, noise
-    except InputFormatError:
-        raise
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        _fail(path, None, f"bad scenario file: {exc}")
+
+    return _read_json(path, "scenario file", scenario)
 
 
 # -- metrics report -------------------------------------------------------------

@@ -193,9 +193,10 @@ def fit_transition_table(
 def default_transition_table() -> ActionStateTable:
     """Hand-set inertial defaults used when no training data is available.
 
-    Walking strongly favors keeping the current state; the door/trunk and
-    enter/exit actions are deterministic given their single legal successor
-    sets in the default grammar.
+    Walking strongly favors keeping the current state. Every other row is
+    the unfitted (uniform) one: the door/trunk and enter/exit actions are
+    deterministic given their single legal successor sets in the default
+    grammar.
     """
     grammar = default_grammar()
     preferred: Dict[Tuple[VisibilityState, str], Dict[VisibilityState, float]] = {
@@ -203,17 +204,10 @@ def default_transition_table() -> ActionStateTable:
         (O, "walking"): {O: 0.70, V: 0.30},
         (C, "walking"): {C: 1.0},
     }
-    rows: Dict[Tuple[VisibilityState, str], Dict[VisibilityState, float]] = {}
-    for s_cur, action in grammar.legal_pairs():
-        successors = grammar.legal_successors(s_cur, action)
-        if (s_cur, action) in preferred:
-            row = preferred[(s_cur, action)]
-            if set(row) != set(successors):
-                raise ValueError("default probabilities do not match grammar successors")
-            rows[(s_cur, action)] = dict(row)
-        else:
-            rows[(s_cur, action)] = {s: 1.0 / len(successors) for s in successors}
-    return ActionStateTable(rows=rows)
+    for (s_cur, action), row in preferred.items():
+        if set(row) != set(grammar.legal_successors(s_cur, action)):
+            raise ValueError("default probabilities do not match grammar successors")
+    return ActionStateTable(rows={**fit_transition_table([], 1.0, grammar).rows, **preferred})
 
 
 def min_inertial_energy(

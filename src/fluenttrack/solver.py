@@ -490,29 +490,31 @@ def build_graph(
                 )
                 contained_ids[(traj.object_id, point.frame)] = nid
 
-    # tracklet endpoint nodes
+    # tracklet endpoint nodes, and the super-edge over each tracklet's
+    # contracted interior: these are the first edges, in tracklet order
     head_ids: Dict[int, int] = {}
     tail_ids: Dict[int, int] = {}
     det_list = list(detections)
     for t in sorted(tracklets, key=lambda t: t.id):
-        ends = [(0, "head"), (-1, "tail")] if len(t.positions) > 1 else [(0, "single")]
-        ids = []
-        for i, kind in ends:
+        stops = []
+        for i, location in enumerate(t.positions):
             score = t.scores[i] if t.scores else 0.5
-            ids.append(b.add_node(
-                frame=t.start_frame if i == 0 else t.end_frame,
-                location=t.positions[i],
+            stops.append(_Stop(
+                frame=t.start_frame + i,
+                location=location,
                 state=VisibilityState.VISIBLE,
-                kind=kind,
-                object_class=t.object_class,
                 reward=log_odds(score),
-                capacity=1,
                 detection_score=score,
                 pose_feature=(det_list[t.detection_indices[i]].pose_feature
                               if t.detection_indices else None),
-                tracklet_id=t.id,
             ))
+        kinds = ("head", "tail") if len(stops) > 1 else ("single",)
+        ids = [b.add_node(**stop._asdict(), kind=kind, object_class=t.object_class, capacity=1,
+                          tracklet_id=t.id)
+               for stop, kind in zip((stops[0], stops[-1]), kinds)]
         head_ids[t.id], tail_ids[t.id] = ids[0], ids[-1]
+        if len(ids) > 1:
+            b.contract(b.nodes[ids[0]], b.nodes[ids[1]], stops[1:-1], t.positions[1:-1])
 
     # leftover detections (non-vehicle, unused by any tracklet)
     used = set()
@@ -557,25 +559,6 @@ def build_graph(
             vestibule_chains.append((before, after, cid, chain))
 
     # ---- edges ----
-
-    # tracklet super-edges (interiors contracted)
-    for t in sorted(tracklets, key=lambda t: t.id):
-        n = len(t.positions)
-        if n < 2:
-            continue
-        stops = []
-        for i in range(1, n - 1):
-            score = t.scores[i] if t.scores else 0.5
-            stops.append(_Stop(
-                frame=t.start_frame + i,
-                location=t.positions[i],
-                state=VisibilityState.VISIBLE,
-                reward=log_odds(score),
-                detection_score=score,
-                pose_feature=(det_list[t.detection_indices[i]].pose_feature
-                              if t.detection_indices else None),
-            ))
-        b.contract(b.nodes[head_ids[t.id]], b.nodes[tail_ids[t.id]], stops, t.positions[1:-1])
 
     # visible adjacency (dt == 1) between emitting and receiving visible nodes
     visible_nodes = [n for n in b.nodes if n.state is VisibilityState.VISIBLE]
@@ -721,10 +704,10 @@ class FlowSolution:
 def _shortest_path(
     graph: TransitionGraph,
     node_cap: List[int],
+    order: Sequence[int],
 ) -> Tuple[float, List[int], List[int]]:
-    """One DP sweep in topological order; returns (net cost, node id path,
-    the edge ids walked between those nodes)."""
-    order = sorted(range(len(graph.nodes)), key=lambda i: (graph.nodes[i].frame, i))
+    """One DP sweep over the node ids in topological ``order``; returns (net
+    cost, node id path, the edge ids walked between those nodes)."""
     dist = [math.inf] * len(graph.nodes)
     parent_edge: List[Optional[int]] = [None] * len(graph.nodes)
     for nid in order:
@@ -779,6 +762,7 @@ def solve_objects(graph: TransitionGraph, params: ModelParameters) -> FlowSoluti
     exhaustive oracle quantifies the gap otherwise.
     """
     node_cap = [n.capacity for n in graph.nodes]
+    order = sorted(range(len(graph.nodes)), key=lambda i: (graph.nodes[i].frame, i))
     object_flows: Dict[int, int] = {}
     paths: List[Tuple[int, ...]] = []
     trajectories: List[Trajectory] = []
@@ -786,7 +770,7 @@ def solve_objects(graph: TransitionGraph, params: ModelParameters) -> FlowSoluti
     totals = ZERO_BREAKDOWN
 
     for _ in range(len(graph.nodes) + 1):
-        cost, path, edge_ids = _shortest_path(graph, node_cap)
+        cost, path, edge_ids = _shortest_path(graph, node_cap, order)
         if not path or cost >= -1e-12:
             break
         for nid in path:

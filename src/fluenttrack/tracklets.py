@@ -8,9 +8,9 @@ graph separately: components share only the source and the sink, so the
 union of their optimal paths is the optimum of the whole. Tracklets link
 consecutive frames only; containers (in ``solver``) link across short
 dropouts. Gaps between appearance-compatible tracklets (``compatible_pairs``)
-are filled with interpolating cubic splines to propose virtual paths: one
-spline solve per gap shape serves every gap of that shape, and each bridge
-keeps its samples as one array.
+are filled with interpolating cubic splines: one spline solve per gap shape
+serves every gap of that shape, and each bridge keeps its samples as one
+array.
 """
 
 from __future__ import annotations
@@ -345,7 +345,7 @@ def find_gap_candidates(
     """Compatible pairs that could plausibly bridge an occlusion.
 
     Gates: gap <= max_gap_frames, and straight-line speed across the gap at
-    most twice the class speed bound.
+    most ``LINK_GATE_SLACK`` times the class speed bound.
     """
     candidates = []
     for before, after, similarity in compatible_pairs(tracklets, params):
@@ -353,7 +353,7 @@ def find_gap_candidates(
             continue
         dt = after.start_frame - before.end_frame
         speed = ground_distance(before.positions[-1], after.positions[0]) / (dt / frame_rate)
-        if speed > 2.0 * params.speed_bound(before.object_class):
+        if speed > LINK_GATE_SLACK * params.speed_bound(before.object_class):
             continue
         candidates.append((before, after, similarity))
     return candidates

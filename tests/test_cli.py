@@ -2,6 +2,7 @@ import json
 import re
 import shlex
 import shutil
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -191,6 +192,44 @@ class TestTrackCommand:
         assert not out.exists()
         err = capsys.readouterr().err
         assert str(simulated) in err and str(other) in err
+
+    def test_sequence_dirs_exclude_detections_and_camera(self, simulated, tmp_path):
+        out = tmp_path / "batch"
+        code = run(["track", simulated, "--detections", tmp_path / "missing.jsonl",
+                    "--camera", tmp_path / "missing.json", "--out", out])
+        assert code == EXIT_INPUT
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_must_be_positive(self, simulated, tmp_path, jobs):
+        out = tmp_path / "batch"
+        assert run(["track", simulated, "--out", out, "--jobs", jobs]) == EXIT_INPUT
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_failed_batch_leaves_no_output(self, simulated, tmp_path, jobs):
+        # the other sequences solve; "bad" has a NaN box on line 6. With more
+        # workers than cores and frequent thread switches, outputs of
+        # sequences still running when "bad" fails must go too.
+        seqs = [simulated]
+        for name in ("second", "bad", "third"):
+            seqs.append(tmp_path / name)
+            shutil.copytree(simulated, seqs[-1])
+        lines = (tmp_path / "bad" / "detections.jsonl").read_text().splitlines()
+        record = json.loads(lines[5])
+        record["bbox"][0] = float("nan")
+        lines[5] = json.dumps(record)
+        (tmp_path / "bad" / "detections.jsonl").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "batch"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            code = run(["track", *seqs, "--out", out, "--jobs", jobs])
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == EXIT_INPUT
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("field", ["pose_feature", "vehicle_fluent_feature"])
     def test_feature_length_must_match_models(self, simulated, tmp_path, capsys, field):

@@ -361,6 +361,23 @@ def ground_truth_records(draw):
     return record, fields
 
 
+@st.composite
+def clip_records(draw):
+    # a pose feature in every record, so a file's pose samples count its records
+    record = {"action": draw(st.sampled_from(["walking", "enter_vehicle"])),
+              "pose_feature": draw(st.lists(FINITE, min_size=1, max_size=9))}
+    fields = [(record, "action", "name", True), (record, "pose_feature", "feature", False)]
+    if draw(st.booleans()):
+        record["vehicle_fluent_feature"] = draw(st.lists(FINITE, min_size=1, max_size=9))
+        fields.append((record, "vehicle_fluent_feature", "feature", False))
+    if draw(st.booleans()):
+        triple = [draw(STATES), draw(st.sampled_from(["walking", "enter_vehicle"])), draw(STATES)]
+        record["transitions"] = [triple]
+        fields += [(record, "transitions", "list", False), (triple, 0, "name", True),
+                   (triple, 1, "action", True), (triple, 2, "name", True)]
+    return record, fields
+
+
 def corrupted_copy(draw, record, fields):
     """A copy of ``record`` with one of its ``fields`` corrupted."""
     index = draw(st.integers(0, len(fields) - 1))
@@ -443,6 +460,16 @@ class TestReaderProperties:
 
         self.check(fileio.read_ground_truth, *files, evaluate)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(corrupted_files(clip_records()))
+    def test_clips(self, files):
+        def pose_samples(path):
+            return [x for samples in fileio.read_clips(path)[0].values() for x in samples]
+
+        def fit_model(tmp, path, out):
+            return ["fit-model", "--clips", path, "--out", out]
+
+        self.check(pose_samples, *files, fit_model)
 
 
 # -- property tests over the single-document readers --------------------------

@@ -115,6 +115,14 @@ def _track_one(detections_path: str, camera_path: str, out_dir: Path,
     return out_dir
 
 
+def _out_file(out: str) -> Path:
+    """``out``, once its directory exists. Called only when the result is
+    computed, so a run that fails before then writes nothing."""
+    path = Path(out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _remove(made: Sequence[Path]) -> None:
     """Remove the files and directories a failed run made, deepest first;
     a directory that is not empty stays."""
@@ -174,7 +182,7 @@ def cmd_evaluate(args) -> int:
     match = match_frames(gt, pred, gate)
     clear = clear_metrics(match, len(gt))
     fluents = fluent_metrics(gt, pred, match)
-    fileio.write_metrics_report(args.out, clear, fluents, sequence=args.sequence,
+    fileio.write_metrics_report(_out_file(args.out), clear, fluents, sequence=args.sequence,
                                 fmt=args.format)
     log.info("MOTA=%.4f MOTP=%.4f FP=%d FN=%d IDS=%d", clear.mota, clear.motp,
              clear.fp, clear.fn, clear.ids)
@@ -193,7 +201,7 @@ def cmd_fit_model(args) -> int:
         for action, samples in sorted(fluent_samples.items())
     }
     table = fit_transition_table(transitions, args.alpha, default_grammar())
-    fileio.write_action_models(args.out, models, templates, table, alpha=args.alpha)
+    fileio.write_action_models(_out_file(args.out), models, templates, table, alpha=args.alpha)
     log.info("fit %d pose models, %d templates from %s", len(models), len(templates), args.clips)
     return EXIT_OK
 
@@ -222,7 +230,7 @@ def cmd_render(args) -> int:
     if not args.trajectories:
         raise fileio.InputFormatError("render requires --trajectories")
     trajectories = fileio.read_trajectories(args.trajectories)
-    write_svg(args.out, trajectories)
+    write_svg(_out_file(args.out), trajectories)
     log.info("rendered %d trajectories to %s", len(trajectories), args.out)
     return EXIT_OK
 

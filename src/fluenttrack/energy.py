@@ -4,6 +4,12 @@ Four components are combined on every transition-graph edge: a displacement
 term (motion consistency), a state-transition term (-log transition
 probability), a visibility term (how well the data supports the state), and
 an action term (pose / vehicle-fluent evidence). All functions are pure.
+
+``edge_cost`` prices a hop between two stops, read by attribute: any stop
+has ``frame``, ``location`` and ``state``, and the hop's source also carries
+the evidence it pays, ``detection_score``, ``container_score``,
+``gap_similarity`` and ``pose_feature`` (None when absent). Graph nodes and
+the interior stops of contracted chains are both stops.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .core import (
     VisibilityState,
     ground_distance,
 )
-from .grammar import VEHICLE_ACTIONS, ActionStateTable
+from .grammar import LEGAL_ACTIONS, VEHICLE_ACTIONS, ActionStateTable
 
 PROBABILITY_FLOOR = 1e-9
 NEUTRAL_SIGMOID = 0.5  # sigmoid at zero evidence; used when a feature is absent
@@ -187,67 +193,54 @@ class EnergyBreakdown:
 ZERO_BREAKDOWN = EnergyBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class EdgeContext:
-    """Everything needed to price one graph edge.
+def edge_cost(src, dst, params: ModelParameters, frame_rate: float,
+              fluent: Optional[np.ndarray] = None) -> Tuple[EnergyBreakdown, str]:
+    """Composite energy of the hop ``src -> dst`` and its best action label.
 
-    Evidence fields describe the *from* node (its likelihood is paid on its
-    outgoing edge). ``legal_actions`` enumerates the grammar-legal actions for
-    the state pair, ordered by action id.
+    A stop is anything with ``frame``, ``location`` and ``state``; the hop
+    spans ``dst.frame - src.frame`` frames. The hop pays ``src``'s evidence:
+    its ``detection_score``, ``container_score``, ``gap_similarity`` and
+    ``pose_feature`` (each None when absent). ``fluent`` is the container's
+    vehicle-fluent feature, for hops into, out of or along a container.
+
+    The transition and action terms are minimized jointly over the actions
+    ``LEGAL_ACTIONS`` allows for the state pair (ties go to the first, i.e.
+    lowest-id, action); displacement and visibility do not depend on the
+    action.
     """
-
-    from_state: VisibilityState
-    to_state: VisibilityState
-    from_location: np.ndarray
-    to_location: np.ndarray
-    dt_frames: int
-    frame_rate: float
-    legal_actions: Tuple[str, ...]
-    detection_score: Optional[float] = None
-    container_score: Optional[float] = None
-    gap_similarity: Optional[float] = None
-    pose_feature: Optional[np.ndarray] = None
-    container_fluent_feature: Optional[np.ndarray] = None
-
-
-def edge_cost(ctx: EdgeContext, params: ModelParameters) -> Tuple[EnergyBreakdown, str]:
-    """Composite energy of a transition-graph edge and its best action label.
-
-    The transition and action terms are minimized jointly over the legal
-    actions (ties go to the first, i.e. lowest-id, action); displacement and
-    visibility do not depend on the action.
-    """
-    if ctx.dt_frames < 1:
+    dt_frames = dst.frame - src.frame
+    if dt_frames < 1:
         raise ValueError("edges must advance time (dt_frames >= 1)")
-    if not ctx.legal_actions:
+    legal_actions = LEGAL_ACTIONS[(src.state, dst.state)]
+    if not legal_actions:
         raise ValueError(
-            f"no legal action for state pair {ctx.from_state.value} -> {ctx.to_state.value}"
+            f"no legal action for state pair {src.state.value} -> {dst.state.value}"
         )
     table = params.transition_table
     if table is None:
         raise ValueError("params.transition_table is required for edge costs")
 
     displacement = displacement_energy(
-        ctx.to_location, ctx.from_location, ctx.from_state, params, ctx.dt_frames, ctx.frame_rate
+        dst.location, src.location, src.state, params, dt_frames, frame_rate
     )
     visibility = visibility_likelihood(
-        ctx.from_state,
-        detection_score=ctx.detection_score,
-        container_score=ctx.container_score,
-        gap_similarity=ctx.gap_similarity,
+        src.state,
+        detection_score=src.detection_score,
+        container_score=src.container_score,
+        gap_similarity=src.gap_similarity,
     )
 
     best_action = None
     best_transition = 0.0
     best_action_term = 0.0
     best_value = math.inf
-    for action in ctx.legal_actions:
-        transition = transition_energy(ctx.to_state, ctx.from_state, action, table)
+    for action in legal_actions:
+        transition = transition_energy(dst.state, src.state, action, table)
         action_term = action_likelihood(
             action,
             params,
-            pose_feature=ctx.pose_feature,
-            vehicle_fluent_feature=ctx.container_fluent_feature,
+            pose_feature=src.pose_feature,
+            vehicle_fluent_feature=fluent,
         )
         value = transition + action_term
         if value < best_value - 1e-15:
@@ -260,21 +253,15 @@ def edge_cost(ctx: EdgeContext, params: ModelParameters) -> Tuple[EnergyBreakdow
     return breakdown, best_action
 
 
-def node_exit_cost(
-    state: VisibilityState,
-    params: ModelParameters,
-    detection_score: Optional[float] = None,
-    container_score: Optional[float] = None,
-    gap_similarity: Optional[float] = None,
-    pose_feature: Optional[np.ndarray] = None,
-) -> EnergyBreakdown:
-    """Likelihood terms paid when a trajectory ends at a node (no transition),
-    scored under the inertial action."""
+def node_exit_cost(node, params: ModelParameters) -> EnergyBreakdown:
+    """Likelihood terms paid when a trajectory ends at ``node`` (no
+    transition), scored under the inertial action. ``node`` supplies the
+    same evidence as an ``edge_cost`` source stop."""
     visibility = visibility_likelihood(
-        state, detection_score=detection_score, container_score=container_score,
-        gap_similarity=gap_similarity,
+        node.state, detection_score=node.detection_score,
+        container_score=node.container_score, gap_similarity=node.gap_similarity,
     )
-    action_term = action_likelihood("walking", params, pose_feature=pose_feature)
+    action_term = action_likelihood("walking", params, pose_feature=node.pose_feature)
     return EnergyBreakdown.build(0.0, 0.0, visibility, action_term)
 
 

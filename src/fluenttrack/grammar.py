@@ -128,6 +128,18 @@ def default_grammar() -> VisibilityGrammar:
     return VisibilityGrammar(actions=DEFAULT_ACTIONS, transitions=frozenset(triples))
 
 
+def _legal_action_names(
+    grammar: VisibilityGrammar,
+) -> Dict[Tuple[VisibilityState, VisibilityState], Tuple[str, ...]]:
+    return {(u, v): tuple(a.name for a in grammar.legal_actions(u, v))
+            for u in VisibilityState for v in VisibilityState}
+
+
+# The names of the actions that move each state to each next state in the
+# default grammar, ordered by action id; () for a pair no action joins.
+LEGAL_ACTIONS = _legal_action_names(default_grammar())
+
+
 @dataclass(frozen=True)
 class ActionStateTable:
     """p(next state | state, action), with rows exactly for legal pairs."""

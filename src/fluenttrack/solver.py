@@ -51,7 +51,6 @@ from .core import (
     project_to_ground,
 )
 from .energy import (
-    EdgeContext,
     EnergyBreakdown,
     ZERO_BREAKDOWN,
     edge_cost,
@@ -60,6 +59,7 @@ from .energy import (
 )
 from .grammar import (
     INERTIAL_ACTION,
+    LEGAL_ACTIONS,
     default_grammar,
     extract_frame_parses,
     min_inertial_energy,
@@ -295,9 +295,6 @@ class _GraphBuilder:
         grammar = default_grammar()
         self.psi_occluded = min_inertial_energy(table, grammar, VisibilityState.OCCLUDED)
         self.psi_contained = min_inertial_energy(table, grammar, VisibilityState.CONTAINED)
-        # grammar-legal action names per (from, to) state pair
-        self.legal = {(u, v): tuple(a.name for a in grammar.legal_actions(u, v))
-                      for u in VisibilityState for v in VisibilityState}
 
     # -- node constructors ---------------------------------------------------
 
@@ -319,27 +316,10 @@ class _GraphBuilder:
 
     # -- edge constructors -----------------------------------------------------
 
-    def price(self, src, dst, fluent=None) -> Optional[Tuple[EnergyBreakdown, str]]:
+    def price(self, src, dst, fluent=None) -> Tuple[EnergyBreakdown, str]:
         """Energy and best action of one hop between nodes or chain stops;
-        the hop pays ``src``'s evidence. None if no action is legal."""
-        legal = self.legal[(src.state, dst.state)]
-        if not legal:
-            return None
-        ctx = EdgeContext(
-            from_state=src.state,
-            to_state=dst.state,
-            from_location=src.location,
-            to_location=dst.location,
-            dt_frames=dst.frame - src.frame,
-            frame_rate=self.camera.frame_rate,
-            legal_actions=legal,
-            detection_score=src.detection_score,
-            container_score=src.container_score,
-            gap_similarity=src.gap_similarity,
-            pose_feature=src.pose_feature,
-            container_fluent_feature=fluent,
-        )
-        breakdown, action = edge_cost(ctx, self.params)
+        the hop pays ``src``'s evidence."""
+        breakdown, action = edge_cost(src, dst, self.params, self.camera.frame_rate, fluent)
         if self.mode == "prior_only":
             breakdown = _strip_likelihood(breakdown)
         return breakdown, action
@@ -352,11 +332,9 @@ class _GraphBuilder:
 
     def connect(self, src: GraphNode, dst: GraphNode, fluent=None,
                 is_container_chain: bool = False) -> None:
-        priced = self.price(src, dst, fluent)
-        if priced is not None:
-            breakdown, action = priced
-            self.append_edge(src, dst, breakdown, action, breakdown.total - src.reward,
-                             is_container_chain)
+        breakdown, action = self.price(src, dst, fluent)
+        self.append_edge(src, dst, breakdown, action, breakdown.total - src.reward,
+                         is_container_chain)
 
     def chain_edge(self, src: GraphNode, dst: GraphNode,
                    hops: Sequence[Tuple[Tuple[EnergyBreakdown, str], float, int]],
@@ -387,15 +365,9 @@ class _GraphBuilder:
     def contract(self, src: GraphNode, dst: GraphNode, stops: Sequence[_Stop],
                  locations: np.ndarray) -> None:
         """One ``src -> dst`` super-edge over a tracklet interior: every hop
-        is priced as if the visible ``stops`` were nodes. A hop with no legal
-        action drops the chain."""
+        is priced as if the visible ``stops`` were nodes."""
         chain = (src, *stops, dst)
-        hops = []
-        for u, v in zip(chain, chain[1:]):
-            priced = self.price(u, v)
-            if priced is None:
-                return
-            hops.append((priced, u.reward, 1))
+        hops = [(self.price(u, v), u.reward, 1) for u, v in zip(chain, chain[1:])]
         self.chain_edge(src, dst, hops, locations, VisibilityState.VISIBLE)
 
     def bridge(self, tail: GraphNode, head: GraphNode, link: GapLink, gate: float) -> None:
@@ -423,18 +395,10 @@ class _GraphBuilder:
         if link.gap_frames > 1:
             hops.append((self.price(first, stop(1)), reward, link.gap_frames - 1))
         hops.append((self.price(last, head), reward, 1))
-        if all(priced is not None for priced, _, _ in hops):
-            self.chain_edge(tail, head, hops, samples, VisibilityState.OCCLUDED)
+        self.chain_edge(tail, head, hops, samples, VisibilityState.OCCLUDED)
 
     def add_exit(self, node: GraphNode) -> None:
-        breakdown = node_exit_cost(
-            node.state,
-            self.params,
-            detection_score=node.detection_score,
-            container_score=node.container_score,
-            gap_similarity=node.gap_similarity,
-            pose_feature=node.pose_feature,
-        )
+        breakdown = node_exit_cost(node, self.params)
         if self.mode == "prior_only":
             breakdown = _strip_likelihood(breakdown)
         self.exit_costs[node.id] = (
@@ -590,8 +554,8 @@ def build_graph(
     # additionally requires the container's fluent evidence to support a
     # door/trunk interaction at that frame (objects cannot enter a vehicle
     # whose doors never open)
-    enter_actions = ("enter_vehicle", "load_baggage")
-    exit_actions = ("exit_vehicle", "unload_baggage")
+    enter_actions = LEGAL_ACTIONS[(VisibilityState.OCCLUDED, VisibilityState.CONTAINED)]
+    exit_actions = LEGAL_ACTIONS[(VisibilityState.CONTAINED, VisibilityState.OCCLUDED)]
     for before, after, cid, chain in vestibule_chains:
         before_tail = b.nodes[tail_ids[before.id]]
         after_head = b.nodes[head_ids[after.id]]

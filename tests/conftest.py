@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple, Optional
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,19 @@ def camera():
 @pytest.fixture(scope="session")
 def params():
     return grammar.default_parameters()
+
+
+class Stop(NamedTuple):
+    """A stop as ``energy.edge_cost`` reads it: where and when, in which
+    state, and the evidence a hop leaving it pays."""
+
+    frame: int
+    location: np.ndarray
+    state: core.VisibilityState
+    detection_score: Optional[float] = None
+    container_score: Optional[float] = None
+    gap_similarity: Optional[float] = None
+    pose_feature: Optional[np.ndarray] = None
 
 
 def unit_vector(rng, dim=8):

@@ -443,6 +443,34 @@ class TestRenderCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--format", "json", "--predictions", "{pred}", "--ground-truth", "{gt}"],
+    ["evaluate", "--format", "csv", "--predictions", "{pred}", "--ground-truth", "{gt}"],
+    ["render", "--trajectories", "{pred}"],
+    ["fit-model", "--clips", "{clips}"],
+], ids=["evaluate-json", "evaluate-csv", "render", "fit-model"])
+def test_out_directory_is_created(simulated, tmp_path, command):
+    # like simulate and track, every command creates the directory of --out,
+    # and only once its result is computed: a failed run leaves none
+    inputs = {"pred": tmp_path / "pred.jsonl", "gt": simulated / "ground_truth.jsonl",
+              "clips": tmp_path / "clips.jsonl"}
+    write_perfect_predictions(inputs["gt"], inputs["pred"])
+    rows = [{"action": "walking", "pose_feature": [0.0, 0.0]},
+            {"action": "walking", "pose_feature": [2.0, 1.0]}]
+    inputs["clips"].write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+    def args(paths, out):
+        return [arg.format(**paths) for arg in command] + ["--out", out]
+
+    out = tmp_path / "new" / "dir" / "result"
+    missing = {name: tmp_path / "missing" for name in inputs}
+    assert run(args(missing, out)) == EXIT_INPUT
+    assert not (tmp_path / "new").exists()
+    assert run(args(inputs, out)) == EXIT_OK
+    assert run(args(inputs, tmp_path / "result")) == EXIT_OK
+    assert out.read_bytes() == (tmp_path / "result").read_bytes()
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

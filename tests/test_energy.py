@@ -5,7 +5,6 @@ import pytest
 
 from fluenttrack.core import ActionModel, VisibilityState, descriptor_similarity
 from fluenttrack.energy import (
-    EdgeContext,
     EnergyBreakdown,
     action_likelihood,
     displacement_energy,
@@ -20,11 +19,16 @@ from fluenttrack.energy import (
 from fluenttrack.grammar import (
     C,
     O,
+    V,
     default_grammar,
     default_parameters,
     default_vehicle_templates,
     fit_transition_table,
 )
+
+from conftest import Stop
+
+FRAME_RATE = 10.0
 
 
 @pytest.fixture(scope="module")
@@ -232,22 +236,15 @@ class TestActionLikelihood:
 
 
 class TestEdgeCost:
-    def ctx(self, params, **kw):
-        defaults = dict(
-            from_state=VisibilityState.VISIBLE,
-            to_state=VisibilityState.VISIBLE,
-            from_location=np.zeros(2),
-            to_location=np.array([0.1, 0.0]),
-            dt_frames=1,
-            frame_rate=10.0,
-            legal_actions=("walking",),
-            detection_score=0.9,
-        )
-        defaults.update(kw)
-        return EdgeContext(**defaults)
+    def ctx(self, from_state=V, to_state=V, to_location=(0.1, 0.0), dt_frames=1, **evidence):
+        """The (source, destination) stops of a hop that leaves the origin at
+        frame 0; ``evidence`` sets the source's, a detection score of 0.9 by
+        default."""
+        src = Stop(0, np.zeros(2), from_state, **{"detection_score": 0.9, **evidence})
+        return src, Stop(dt_frames, np.asarray(to_location, dtype=float), to_state)
 
     def test_breakdown_sums(self, params):
-        breakdown, action = edge_cost(self.ctx(params), params)
+        breakdown, action = edge_cost(*self.ctx(), params, FRAME_RATE)
         assert action == "walking"
         parts = (breakdown.displacement, breakdown.transition,
                  breakdown.visibility, breakdown.action)
@@ -270,42 +267,47 @@ class TestEdgeCost:
         for _ in range(300):
             score = float(rng.uniform(0.1, 0.99))
             dist = float(rng.uniform(0, 2))
-            ctx = self.ctx(params, detection_score=score,
-                           to_location=np.array([dist, 0.0]))
-            breakdown, _ = edge_cost(ctx, params)
+            src, dst = self.ctx(detection_score=score, to_location=(dist, 0.0))
+            breakdown, _ = edge_cost(src, dst, params, FRAME_RATE)
             parts = (breakdown.displacement, breakdown.transition,
                      breakdown.visibility, breakdown.action)
             assert breakdown.total == pytest.approx(sum(parts), abs=1e-9)
             assert math.isfinite(breakdown.total)
 
-    def enter_ctx(self, params, **kw):
+    def enter_ctx(self):
         """An occluded -> contained hop, offered every grammar-legal action."""
-        legal = tuple(a.name for a in default_grammar().legal_actions(O, C))
-        return self.ctx(params, from_state=O, to_state=C, legal_actions=legal,
-                        detection_score=None, gap_similarity=0.9, **kw)
+        return self.ctx(O, C, detection_score=None, gap_similarity=0.9)
 
     def test_occluded_to_contained_is_enter(self, params):
         # enter_vehicle and load_baggage price equally; ties go to the lower id
-        _, action = edge_cost(self.enter_ctx(params), params)
+        _, action = edge_cost(*self.enter_ctx(), params, FRAME_RATE)
         assert action == "enter_vehicle"
 
     def test_tie_broken_by_lowest_action_id(self):
         g = default_grammar()
         uniform = default_parameters(transition_table=fit_transition_table([], 1.0, g))
         assert g.action_by_name("enter_vehicle").id < g.action_by_name("load_baggage").id
-        _, action = edge_cost(self.enter_ctx(uniform), uniform)
+        _, action = edge_cost(*self.enter_ctx(), uniform, FRAME_RATE)
         assert action == "enter_vehicle"
 
     def test_evidence_changes_label(self, params):
         fluent = default_vehicle_templates()["load_baggage"] + 0.1
-        _, action = edge_cost(self.enter_ctx(params, container_fluent_feature=fluent), params)
+        _, action = edge_cost(*self.enter_ctx(), params, FRAME_RATE, fluent=fluent)
         assert action == "load_baggage"
 
     def test_temporal_precondition(self, params):
         with pytest.raises(ValueError):
-            edge_cost(self.ctx(params, dt_frames=0), params)
+            edge_cost(*self.ctx(dt_frames=0), params, FRAME_RATE)
+
+    @pytest.mark.parametrize("from_state,to_state", [(V, C), (C, V)],
+                             ids=["visible-contained", "contained-visible"])
+    def test_visible_contained_hop_rejected(self, params, from_state, to_state):
+        # the grammar reaches containment only through occlusion
+        src, dst = self.ctx(from_state, to_state, container_score=0.9)
+        with pytest.raises(ValueError, match="no legal action"):
+            edge_cost(src, dst, params, FRAME_RATE)
 
     def test_exit_cost_components(self, params):
-        bd = node_exit_cost(VisibilityState.VISIBLE, params, detection_score=0.75)
+        bd = node_exit_cost(Stop(0, np.zeros(2), V, detection_score=0.75), params)
         assert bd.displacement == 0.0 and bd.transition == 0.0
         assert bd.visibility == pytest.approx(0.25)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from fluenttrack.core import CameraModel, ObjectClass, Tracklet, VisibilityState, ground_distance
-from fluenttrack.energy import EdgeContext, EnergyBreakdown, edge_cost
+from fluenttrack.energy import EnergyBreakdown, edge_cost, log_odds
 from fluenttrack.grammar import default_grammar, default_parameters, min_inertial_energy
+from fluenttrack.simulator import scenario_by_name, simulate
 from fluenttrack.solver import (
     ContainerSolution,
     GraphEdge,
@@ -23,7 +24,7 @@ from fluenttrack.solver import (
 )
 from fluenttrack.tracklets import LINK_GATE_SLACK, GapLink, build_gap_links, generate_tracklets
 
-from conftest import make_detection, random_walk_instance, unit_vector
+from conftest import Stop, make_detection, random_walk_instance, unit_vector
 
 
 @pytest.fixture(scope="module")
@@ -413,7 +414,6 @@ class TestInvariants:
         # the solved trajectory crosses the 6-frame gap as the link's samples,
         # each occluded, each leaving by the action edge_cost picks for that
         # hop when the stops are expanded frame by frame
-        grammar = default_grammar()
         proto = unit_vector(np.random.default_rng(8))
         dets = [make_detection(f, 1.0 + 0.3 * f + 0.002 * f * f, 5.0, 0.95, proto)
                 for f in [*range(12), *range(18, 30)]]
@@ -425,19 +425,12 @@ class TestInvariants:
         head = next(n for n in graph.nodes if n.kind == "head" and n.frame == 18)
         expected = []
         for i, sample in enumerate(link.samples):
+            stop = Stop(12 + i, sample, VisibilityState.OCCLUDED, gap_similarity=link.similarity)
             to_head = i == link.gap_frames - 1
-            to_location = head.location if to_head else link.samples[i + 1]
-            to_state = VisibilityState.VISIBLE if to_head else VisibilityState.OCCLUDED
-            ctx = EdgeContext(
-                from_state=VisibilityState.OCCLUDED, to_state=to_state,
-                from_location=sample, to_location=to_location, dt_frames=1,
-                frame_rate=camera.frame_rate,
-                legal_actions=tuple(a.name for a in grammar.legal_actions(
-                    VisibilityState.OCCLUDED, to_state)),
-                gap_similarity=link.similarity,
-            )
+            succ = head if to_head else Stop(13 + i, link.samples[i + 1],
+                                             VisibilityState.OCCLUDED)
             expected.append((12 + i, sample, VisibilityState.OCCLUDED,
-                             edge_cost(ctx, params)[1]))
+                             edge_cost(stop, succ, params, camera.frame_rate)[1]))
         decoded = [p for p in person.points if 12 <= p.frame <= 17]
         assert len(decoded) == len(expected) == 6
         for point, (frame, location, state, action) in zip(decoded, expected):
@@ -492,30 +485,23 @@ class TestInvariants:
 
         reward = 2.0 + min_inertial_energy(params.transition_table, grammar,
                                            VisibilityState.OCCLUDED)
-        stops = [(f, loc, VisibilityState.OCCLUDED, reward, None, link.similarity)
+        stops = [Stop(f, loc, VisibilityState.OCCLUDED, gap_similarity=link.similarity)
                  for f, loc in zip(range(5, 15), samples)]
-        chain = [(tail.frame, tail.location, tail.state, tail.reward, tail.detection_score, None),
-                 *stops,
-                 (head.frame, head.location, head.state, head.reward, head.detection_score, None)]
+        chain = [tail, *stops, head]
+        rewards = [tail.reward] + [reward] * len(stops)
         sums = [0.0] * 5
         net = 0.0
         actions = []
         gated = False
-        for u, v in zip(chain, chain[1:]):
-            if ground_distance(u[1], v[1]) > gate:
+        for u, v, u_reward in zip(chain, chain[1:], rewards):
+            if ground_distance(u.location, v.location) > gate:
                 gated = True
                 break
-            ctx = EdgeContext(
-                from_state=u[2], to_state=v[2], from_location=u[1], to_location=v[1],
-                dt_frames=v[0] - u[0], frame_rate=camera.frame_rate,
-                legal_actions=tuple(a.name for a in grammar.legal_actions(u[2], v[2])),
-                detection_score=u[4], gap_similarity=u[5],
-            )
-            step, action = edge_cost(ctx, params)
+            step, action = edge_cost(u, v, params, camera.frame_rate)
             for k, value in enumerate((step.displacement, step.transition, step.visibility,
                                        step.action, step.total)):
                 sums[k] += value
-            net += step.total - u[3]
+            net += step.total - u_reward
             actions.append(action)
 
         bridges = [e for e in graph.edges if e.src == tail.id and e.dst == head.id]
@@ -531,6 +517,56 @@ class TestInvariants:
         assert [a for _, _, _, a in stops] == actions[1:]
         assert [f for f, _, _, _ in stops] == list(range(5, 15))
         assert all(np.array_equal(loc, sample) for (_, loc, _, _), sample in zip(stops, samples))
+
+    def test_containment_graph_edges_reprice_from_their_endpoints(self, camera, params):
+        # every edge of a graph with containers is the price of its hops, read
+        # from the stops they join: a plain edge from its two nodes, paying
+        # the container's fluent at its source frame when a contained node is
+        # either end; a tracklet super-edge hop by hop over the tracklet's
+        # scores and its detections' pose features
+        script, noise = scenario_by_name("enter_drive_exit")
+        dets = simulate(script, noise, camera, params).detections
+        graph = pipeline_graph(dets, camera, params)
+        others = [d for d in dets if d.object_class is not ObjectClass.VEHICLE]
+        tracklets = {t.id: t for t in generate_tracklets(others, camera, params)}
+        kinds = Counter()
+        for edge in graph.edges:
+            src, dst = graph.nodes[edge.src], graph.nodes[edge.dst]
+            kinds[src.kind, dst.kind] += 1
+            if edge.interior is None:
+                ends = [n for n in (src, dst) if n.state is VisibilityState.CONTAINED]
+                fluent = (graph.containers.evidence[ends[0].container_id][src.frame][1]
+                          if ends else None)
+                assert (edge.breakdown, edge.action) == edge_cost(src, dst, params,
+                                                                  camera.frame_rate, fluent)
+                assert edge.net_cost == edge.breakdown.total - src.reward
+                continue
+            if edge.interior.state is VisibilityState.OCCLUDED:
+                continue  # a spline bridge, priced in the test above
+            t = tracklets[src.tracklet_id]
+            assert dst.tracklet_id == t.id and t.scores
+            stops = [Stop(t.start_frame + i, location, VisibilityState.VISIBLE,
+                          detection_score=t.scores[i],
+                          pose_feature=others[t.detection_indices[i]].pose_feature)
+                     for i, location in enumerate(t.positions)]
+            sums = [0.0] * 5
+            net = 0.0
+            actions = []
+            for u, v in zip(stops, stops[1:]):
+                step, action = edge_cost(u, v, params, camera.frame_rate)
+                for k, value in enumerate((step.displacement, step.transition,
+                                           step.visibility, step.action, step.total)):
+                    sums[k] += value
+                net += step.total - log_odds(u.detection_score)
+                actions.append(action)
+            assert edge.breakdown == EnergyBreakdown(*sums)
+            assert edge.net_cost == net
+            assert edge.action == actions[0]
+            assert [a for _, _, _, a in edge.interior.stops()] == actions[1:]
+        for pair in (("head", "tail"), ("tail", "vestibule"), ("vestibule", "contained"),
+                     ("contained", "contained"), ("contained", "vestibule"),
+                     ("vestibule", "head")):
+            assert kinds[pair], pair
 
 
 class TestJointSolve:

@@ -1,7 +1,8 @@
 """Command-line front-end.
 
 Subcommands: simulate | track | evaluate | fit-model | render.
-Exit codes: 0 success, 2 input error, 3 internal invariant violation.
+Exit codes: 0 success, 2 input or file-system error (the message names the
+path), 3 internal invariant violation.
 Log level comes from the FLUENT_TRACK_LOG environment variable.
 """
 
@@ -299,7 +300,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (fileio.InputFormatError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (fileio.InputFormatError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (InternalInvariantError, AssertionError) as exc:

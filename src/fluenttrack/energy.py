@@ -8,15 +8,18 @@ an action term (pose / vehicle-fluent evidence). All functions are pure.
 ``edge_cost`` prices a hop between two stops, read by attribute: any stop
 has ``frame``, ``location`` and ``state``, and the hop's source also carries
 the evidence it pays, ``detection_score``, ``container_score``,
-``gap_similarity`` and ``pose_feature`` (None when absent). Graph nodes and
-the interior stops of contracted chains are both stops.
+``gap_similarity``, ``pose_feature`` and ``pose_energies`` (None when
+absent). ``pose_energies`` maps action names to the ``pose_distance`` of the
+stop's pose feature when the stop was priced in bulk by ``pose_distances``;
+a hop reads it instead of solving again. Graph nodes and the interior stops
+of contracted chains are both stops.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,8 +28,9 @@ from .core import (
     ModelParameters,
     VisibilityState,
     ground_distance,
+    row_dots,
 )
-from .grammar import LEGAL_ACTIONS, VEHICLE_ACTIONS, ActionStateTable
+from .grammar import INERTIAL_ACTION, LEGAL_ACTIONS, VEHICLE_ACTIONS, ActionStateTable
 
 PROBABILITY_FLOOR = 1e-9
 NEUTRAL_SIGMOID = 0.5  # sigmoid at zero evidence; used when a feature is absent
@@ -97,18 +101,43 @@ def visibility_likelihood(
     return sigmoid(1.0 - float(gap_similarity))
 
 
-def pose_distance(pose_feature: np.ndarray, model: ActionModel) -> float:
-    """Negative Gaussian log-density of a pose feature under an action model."""
-    x = np.asarray(pose_feature, dtype=float)
+def pose_model(action: str, params: ModelParameters) -> ActionModel:
+    """The fitted pose model of ``action``; KeyError if there is none."""
+    model = params.action_pose_models.get(action)
+    if model is None:
+        raise KeyError(f"no fitted pose model for action {action!r}")
+    return model
+
+
+def pose_distances(features: Sequence[np.ndarray], model: ActionModel) -> np.ndarray:
+    """``pose_distance`` of each of ``n`` pose features, as one array.
+
+    One stacked ``np.linalg.solve`` with one right-hand side per feature
+    runs LAPACK's ``gesv`` on each feature as the 1-D solve does, so every
+    value keeps its bits; solving all features as the columns of one
+    right-hand side matrix does not (2,093 of the suite's 8,278 energies
+    under the walking model move in the last digit).
+    """
+    x = np.asarray(features, dtype=float)
     mean = model.mean
-    if x.shape != mean.shape:
-        raise ValueError(f"pose feature dimension {x.shape} != model dimension {mean.shape}")
+    if x.ndim != 2 or x.shape[1:] != mean.shape:
+        raise ValueError(
+            f"pose feature dimension {x.shape[1:]} != model dimension {mean.shape}")
     diff = x - mean
-    quad = float(diff @ np.linalg.solve(model.covariance, diff))
-    if quad < 0:
+    quad = row_dots(diff, np.linalg.solve(model.covariance, diff[..., None])[..., 0])
+    if (quad < 0).any():
         raise ValueError(f"covariance for action {model.name!r} is not positive definite")
     d = mean.shape[0]
     return 0.5 * (quad + model.log_det + d * math.log(2.0 * math.pi))
+
+
+def pose_distance(pose_feature: np.ndarray, model: ActionModel) -> float:
+    """Negative Gaussian log-density of a pose feature under an action model."""
+    x = np.asarray(pose_feature, dtype=float)
+    if x.shape != model.mean.shape:
+        raise ValueError(
+            f"pose feature dimension {x.shape} != model dimension {model.mean.shape}")
+    return float(pose_distances(x[None], model)[0])
 
 
 def vehicle_fluent_distance(fluent_feature: np.ndarray, template: np.ndarray) -> float:
@@ -117,7 +146,8 @@ def vehicle_fluent_distance(fluent_feature: np.ndarray, template: np.ndarray) ->
     t = np.asarray(template, dtype=float)
     if x.shape != t.shape:
         raise ValueError(f"fluent feature dimension {x.shape} != template dimension {t.shape}")
-    return float(np.linalg.norm(x - t))
+    diff = x - t
+    return math.sqrt(diff @ diff)
 
 
 def action_likelihood(
@@ -125,18 +155,22 @@ def action_likelihood(
     params: ModelParameters,
     pose_feature: Optional[np.ndarray] = None,
     vehicle_fluent_feature: Optional[np.ndarray] = None,
+    pose_energies: Optional[Mapping[str, float]] = None,
 ) -> float:
     """sigmoid(pose distance) + sigmoid(fluent distance) for one action.
 
     A missing feature contributes the neutral constant 0.5 (the sigmoid at
     zero evidence). The fluent term only consults features for actions that
     involve a vehicle; walking always takes the neutral term.
+    ``pose_energies`` holds the pose distance of ``pose_feature`` for the
+    actions it was already priced for.
     """
     if pose_feature is not None:
-        model = params.action_pose_models.get(action)
-        if model is None:
-            raise KeyError(f"no fitted pose model for action {action!r}")
-        pose_term = sigmoid(pose_distance(pose_feature, model))
+        if pose_energies is not None and action in pose_energies:
+            distance = pose_energies[action]
+        else:
+            distance = pose_distance(pose_feature, pose_model(action, params))
+        pose_term = sigmoid(distance)
     else:
         pose_term = NEUTRAL_SIGMOID
     if vehicle_fluent_feature is not None and action in VEHICLE_ACTIONS:
@@ -241,6 +275,7 @@ def edge_cost(src, dst, params: ModelParameters, frame_rate: float,
             params,
             pose_feature=src.pose_feature,
             vehicle_fluent_feature=fluent,
+            pose_energies=src.pose_energies,
         )
         value = transition + action_term
         if value < best_value - 1e-15:
@@ -261,7 +296,8 @@ def node_exit_cost(node, params: ModelParameters) -> EnergyBreakdown:
         node.state, detection_score=node.detection_score,
         container_score=node.container_score, gap_similarity=node.gap_similarity,
     )
-    action_term = action_likelihood("walking", params, pose_feature=node.pose_feature)
+    action_term = action_likelihood(INERTIAL_ACTION, params, pose_feature=node.pose_feature,
+                                    pose_energies=node.pose_energies)
     return EnergyBreakdown.build(0.0, 0.0, visibility, action_term)
 
 

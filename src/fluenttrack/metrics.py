@@ -6,6 +6,12 @@ threshold, in metres. A persistence preference makes previously matched
 pairs win ties. Identity switches count changes of a ground-truth
 track's matched prediction id; fragmentations count matched -> unmatched ->
 matched toggles.
+
+``match_frames`` measures every same-frame (ground truth, prediction) pair of
+a sequence at once, with stacked ``ground_distances`` calls, which keep the
+bits of one ``ground_distance`` per pair: their rows run the same BLAS
+``ddot``, where ``np.linalg.norm(axis=1)`` or ``np.einsum`` would round
+differently in the last digit (see ``core``) and move MOTP and MODP.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import Trajectory, VisibilityState
+from .core import Trajectory, VisibilityState, gathered_rows, ground_distances
 
 PERSISTENCE_TIEBREAK = 1e-9
 INFEASIBLE = 1e9
@@ -44,12 +50,13 @@ class Gate:
         if not (math.isfinite(self.threshold) and self.threshold > 0):
             raise ValueError(f"gate must be a finite positive distance, got {self.threshold}")
 
-    def cost_and_quality(self, gt: TrackObservation, pred: TrackObservation):
-        """Returns (matching cost, match quality in [0, 1]) or None if gated out."""
-        d = float(np.linalg.norm(gt.location - pred.location))
-        if d > self.threshold:
-            return None
-        return d, 1.0 - d / self.threshold
+    def score(self, distances: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(whether each pair passes the gate, its matching cost, its match
+        quality in [0, 1]); a gated-out pair costs ``INFEASIBLE`` and has
+        quality 0."""
+        feasible = ~(distances > self.threshold)
+        return (feasible, np.where(feasible, distances, INFEASIBLE),
+                np.where(feasible, 1.0 - distances / self.threshold, 0.0))
 
 
 @dataclass
@@ -66,48 +73,67 @@ class MatchResult:
     frame_precisions: List[float] = field(default_factory=list)
 
 
+def _by_frame(observations: Sequence[TrackObservation],
+              what: str) -> Dict[int, List[TrackObservation]]:
+    """Observations grouped by frame, each group sorted by id; a repeated
+    (frame, id) raises."""
+    frames: Dict[int, List[TrackObservation]] = {}
+    seen = set()
+    for obs in observations:
+        key = (obs.frame, obs.object_id)
+        if key in seen:
+            raise ValueError(f"duplicate {what} id {obs.object_id} in frame {obs.frame}")
+        seen.add(key)
+        frames.setdefault(obs.frame, []).append(obs)
+    for bucket in frames.values():
+        bucket.sort(key=lambda o: o.object_id)
+    return frames
+
+
 def match_frames(
     gt: Sequence[TrackObservation],
     pred: Sequence[TrackObservation],
     gate: Gate = Gate(),
 ) -> MatchResult:
     """Optimal per-frame one-to-one assignment with persistence preference."""
-    gt_frames: Dict[int, List[TrackObservation]] = {}
-    pred_frames: Dict[int, List[TrackObservation]] = {}
-    for obs in gt:
-        bucket = gt_frames.setdefault(obs.frame, [])
-        if any(o.object_id == obs.object_id for o in bucket):
-            raise ValueError(f"duplicate gt id {obs.object_id} in frame {obs.frame}")
-        bucket.append(obs)
-    for obs in pred:
-        bucket = pred_frames.setdefault(obs.frame, [])
-        if any(o.object_id == obs.object_id for o in bucket):
-            raise ValueError(f"duplicate prediction id {obs.object_id} in frame {obs.frame}")
-        bucket.append(obs)
+    gt_frames = _by_frame(gt, "gt")
+    pred_frames = _by_frame(pred, "prediction")
+
+    # every same-frame (gt, prediction) pair, row-major per frame, measured
+    # in one call; observations are rows in (frame, id) order
+    frames = sorted(set(gt_frames) | set(pred_frames))
+    gt_rows = [o for frame in frames for o in gt_frames.get(frame, [])]
+    pred_rows = [o for frame in frames for o in pred_frames.get(frame, [])]
+    n_gt = np.array([len(gt_frames.get(frame, [])) for frame in frames], dtype=np.int64)
+    n_pred = np.array([len(pred_frames.get(frame, [])) for frame in frames], dtype=np.int64)
+    counts = n_gt * n_pred
+    offsets = np.cumsum(counts) - counts
+    k = np.arange(counts.sum()) - np.repeat(offsets, counts)
+    width = np.repeat(n_pred, counts)
+    gi = np.repeat(np.cumsum(n_gt) - n_gt, counts) + k // width
+    pj = np.repeat(np.cumsum(n_pred) - n_pred, counts) + k % width
+    del k, width
+    distances = gathered_rows(ground_distances,
+                              np.reshape([o.location for o in gt_rows], (-1, 2)), gi,
+                              np.reshape([o.location for o in pred_rows], (-1, 2)), pj)
 
     result = MatchResult()
     last_pred_of: Dict[int, int] = {}   # gt id -> last matched pred id
     was_matched: Dict[int, bool] = {}   # gt id -> matched at its previous appearance
     seen_matched: Dict[int, bool] = {}  # gt id -> ever matched before
 
-    frames = sorted(set(gt_frames) | set(pred_frames))
-    for frame in frames:
-        gts = sorted(gt_frames.get(frame, []), key=lambda o: o.object_id)
-        preds = sorted(pred_frames.get(frame, []), key=lambda o: o.object_id)
+    for frame, start in zip(frames, offsets.tolist()):
+        gts = gt_frames.get(frame, [])
+        preds = pred_frames.get(frame, [])
         pairs: Tuple[Tuple[int, int], ...] = ()
         if gts and preds:
-            cost = np.full((len(gts), len(preds)), INFEASIBLE)
-            quality = np.zeros((len(gts), len(preds)))
+            feasible, cost, quality = gate.score(
+                distances[start:start + len(gts) * len(preds)].reshape(len(gts), len(preds)))
+            column = {p.object_id: j for j, p in enumerate(preds)}
             for i, g in enumerate(gts):
-                for j, p in enumerate(preds):
-                    cq = gate.cost_and_quality(g, p)
-                    if cq is None:
-                        continue
-                    c, q = cq
-                    if last_pred_of.get(g.object_id) == p.object_id:
-                        c -= PERSISTENCE_TIEBREAK
-                    cost[i, j] = c
-                    quality[i, j] = q
+                j = column.get(last_pred_of.get(g.object_id))
+                if j is not None and feasible[i, j]:
+                    cost[i, j] -= PERSISTENCE_TIEBREAK
             rows, cols = linear_sum_assignment(cost)
             chosen = []
             for i, j in zip(rows, cols):

@@ -48,7 +48,7 @@ from .core import (
     TrajectoryPoint,
     VisibilityState,
     ground_distance,
-    project_to_ground,
+    ground_points,
 )
 from .energy import (
     EnergyBreakdown,
@@ -56,6 +56,9 @@ from .energy import (
     edge_cost,
     log_odds,
     node_exit_cost,
+    pose_distances,
+    pose_model,
+    vehicle_fluent_distance,
 )
 from .grammar import (
     INERTIAL_ACTION,
@@ -133,7 +136,7 @@ def solve_containers(
     )
     if not dets:
         return ContainerSolution((), {}, 0.0, 0.0)
-    positions = [project_to_ground(camera, d.bbox) for d in dets]
+    positions = ground_points(camera, [d.bbox for d in dets])
     paths, flow_cost = link_detections(dets, positions, camera.frame_rate, params,
                                        CONTAINER_LINK_GAP)
 
@@ -186,6 +189,7 @@ class GraphNode:
     container_score: Optional[float] = None
     gap_similarity: Optional[float] = None
     pose_feature: Optional[np.ndarray] = None
+    pose_energies: Optional[Mapping[str, float]] = None
     container_id: Optional[int] = None
     tracklet_id: Optional[int] = None
 
@@ -279,6 +283,32 @@ class _Stop(NamedTuple):
     gap_similarity: Optional[float] = None
     pose_feature: Optional[np.ndarray] = None
     container_score: Optional[float] = None
+    pose_energies: Optional[Mapping[str, float]] = None
+
+
+# The actions a visible stop can leave by: the legal actions out of the
+# visible state, and the inertial action a trajectory's last point is
+# priced under.
+VISIBLE_STOP_ACTIONS = tuple(dict.fromkeys(
+    (*(a for s in VisibilityState for a in LEGAL_ACTIONS[(VisibilityState.VISIBLE, s)]),
+     INERTIAL_ACTION)))
+
+
+def _price_poses(detections: Sequence[Detection],
+                 params: ModelParameters) -> List[Optional[Dict[str, float]]]:
+    """Each detection's pose energies: the ``pose_distance`` of its pose
+    feature under each of ``VISIBLE_STOP_ACTIONS``, one stacked solve per
+    action, or None for a detection without a pose feature."""
+    posed = [i for i, det in enumerate(detections) if det.pose_feature is not None]
+    energies: List[Optional[Dict[str, float]]] = [None] * len(detections)
+    if not posed:
+        return energies
+    features = [detections[i].pose_feature for i in posed]
+    columns = [pose_distances(features, pose_model(action, params)).tolist()
+               for action in VISIBLE_STOP_ACTIONS]
+    for i, row in zip(posed, zip(*columns)):
+        energies[i] = dict(zip(VISIBLE_STOP_ACTIONS, row))
+    return energies
 
 
 class _GraphBuilder:
@@ -459,18 +489,20 @@ def build_graph(
     head_ids: Dict[int, int] = {}
     tail_ids: Dict[int, int] = {}
     det_list = list(detections)
+    pose_energies = _price_poses(det_list, params)
     for t in sorted(tracklets, key=lambda t: t.id):
         stops = []
         for i, location in enumerate(t.positions):
             score = t.scores[i] if t.scores else 0.5
+            det = t.detection_indices[i] if t.detection_indices else None
             stops.append(_Stop(
                 frame=t.start_frame + i,
                 location=location,
                 state=VisibilityState.VISIBLE,
                 reward=log_odds(score),
                 detection_score=score,
-                pose_feature=(det_list[t.detection_indices[i]].pose_feature
-                              if t.detection_indices else None),
+                pose_feature=det_list[det].pose_feature if det is not None else None,
+                pose_energies=pose_energies[det] if det is not None else None,
             ))
         kinds = ("head", "tail") if len(stops) > 1 else ("single",)
         ids = [b.add_node(**stop._asdict(), kind=kind, object_class=t.object_class, capacity=1,
@@ -485,12 +517,14 @@ def build_graph(
     for t in tracklets:
         if t.detection_indices:
             used.update(t.detection_indices)
-    for idx, det in enumerate(det_list):
-        if idx in used or det.object_class is ObjectClass.VEHICLE:
-            continue
+    leftover = [idx for idx, det in enumerate(det_list)
+                if idx not in used and det.object_class is not ObjectClass.VEHICLE]
+    locations = ground_points(camera, [det_list[idx].bbox for idx in leftover])
+    for idx, location in zip(leftover, locations):
+        det = det_list[idx]
         b.add_node(
             frame=det.frame,
-            location=project_to_ground(camera, det.bbox),
+            location=location,
             state=VisibilityState.VISIBLE,
             kind="detection",
             object_class=det.object_class,
@@ -498,6 +532,7 @@ def build_graph(
             capacity=1,
             detection_score=det.score,
             pose_feature=det.pose_feature,
+            pose_energies=pose_energies[idx],
         )
 
     # containment vestibules: occluded nodes riding each compatible container
@@ -614,8 +649,8 @@ def _fluent_supports(fluent, actions, params: ModelParameters) -> bool:
     candidates = [c for c in candidates if c is not None]
     if not candidates:
         return True
-    best = min(float(np.linalg.norm(fluent - c)) for c in candidates)
-    return best < float(np.linalg.norm(fluent - idle))
+    best = min(vehicle_fluent_distance(fluent, c) for c in candidates)
+    return best < vehicle_fluent_distance(fluent, idle)
 
 
 def _containment_pairs(

@@ -11,6 +11,15 @@ dropouts. Gaps between appearance-compatible tracklets (``compatible_pairs``)
 are filled with interpolating cubic splines: one spline solve per gap shape
 serves every gap of that shape, and each bridge keeps its samples as one
 array.
+
+The per-pair numerics run as arrays with the bits of the scalar loop they
+replace: ``detection_links`` finds each gap's candidate pairs by
+``np.searchsorted`` and measures them with stacked ``ground_distances``
+calls, and ``compatible_pairs`` computes its similarities with stacked
+``row_dots`` calls. Both run, row by row, the BLAS kernel of the scalar call
+(``ground_distance``, ``descriptor_similarity``), which is what keeps the
+bits; ``np.einsum``, a norm over ``axis=1`` or a ``D @ D.T`` similarity
+matrix would not (see ``core``).
 """
 
 from __future__ import annotations
@@ -24,14 +33,17 @@ import numpy as np
 from scipy.interpolate import make_interp_spline
 
 from .core import (
+    UNIT_NORM_TOL,
     CameraModel,
     Detection,
     ModelParameters,
     Tracklet,
-    descriptor_similarity,
     ground_distance,
+    gathered_rows,
+    ground_distances,
+    ground_points,
     pool_descriptors,
-    project_to_ground,
+    row_dots,
 )
 from .energy import log_odds
 
@@ -218,38 +230,69 @@ SKIP_FRAME_PENALTY = 0.6
 ENTRY_EXIT_COST = 2.0
 
 
+def detection_links(
+    dets: Sequence[Detection],
+    positions: np.ndarray,
+    frame_rate: float,
+    params: ModelParameters,
+    max_gap: int,
+) -> List[Tuple[int, int, float]]:
+    """The gated, priced ``(i, j, cost)`` links between frame-sorted
+    detections, in (i, frames apart, j) order.
+
+    A link joins detection ``i`` to a later detection ``j`` of the same
+    class at most ``max_gap`` frames apart whose ground points (``positions``)
+    are at most ``LINK_GATE_SLACK`` speed bounds apart; it costs the
+    distance over the bound plus ``SKIP_FRAME_PENALTY`` per skipped frame.
+    Each gap's candidate pairs come from one ``np.searchsorted`` and are
+    measured by stacked ``ground_distances`` calls (``gathered_rows``).
+    """
+    frames = np.array([det.frame for det in dets], dtype=np.int64)
+    if (np.diff(frames) < 0).any():
+        raise ValueError("detections must be sorted by frame")
+    code = {cls: k for k, cls in enumerate(dict.fromkeys(det.object_class for det in dets))}
+    classes = np.array([code[det.object_class] for det in dets], dtype=np.int64)
+    speeds = np.array([params.speed_bound(det.object_class) for det in dets], dtype=float)
+    points = np.asarray(positions, dtype=float).reshape(-1, 2)
+    items = np.arange(len(dets))
+    parts = []
+    for dt in range(1, max_gap + 1):
+        first = np.searchsorted(frames, frames + dt, side="left")
+        counts = np.searchsorted(frames, frames + dt, side="right") - first
+        i = np.repeat(items, counts)
+        # j runs over first[i] .. first[i] + counts[i] - 1 for each i
+        j = np.arange(len(i)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        same = classes[i] == classes[j]
+        i, j = i[same], j[same]
+        bound = speeds[i] * dt / frame_rate
+        dist = gathered_rows(ground_distances, points, i, points, j)
+        keep = ~(dist > LINK_GATE_SLACK * bound)
+        cost = dist[keep] / bound[keep] + SKIP_FRAME_PENALTY * (dt - 1)
+        parts.append((i[keep], np.full(keep.sum(), dt), j[keep], cost))
+    if not parts:
+        return []
+    i, dt, j, cost = (np.concatenate(column) for column in zip(*parts))
+    order = np.lexsort((j, dt, i))
+    return list(zip(i[order].tolist(), j[order].tolist(), cost[order].tolist()))
+
+
 def link_detections(
     dets: Sequence[Detection],
-    positions: Sequence[np.ndarray],
+    positions: np.ndarray,
     frame_rate: float,
     params: ModelParameters,
     max_gap: int,
 ) -> Tuple[List[List[int]], float]:
     """Link frame-sorted detections into disjoint paths by exact min-cost flow.
 
-    Node rewards are clamped log-odds of the detection scores; links join
-    same-class detections at most ``max_gap`` frames apart, gated and priced
-    by ground-plane speed, with ``SKIP_FRAME_PENALTY`` per skipped frame so
-    dense paths beat interleaving; each path pays ``ENTRY_EXIT_COST`` to
-    start and to end. ``positions`` are the detections' ground points.
-    Returns (paths of detection indices ordered by their first detection,
-    total flow cost).
+    Node rewards are clamped log-odds of the detection scores; the links are
+    those of ``detection_links``, so dense paths beat interleaving; each path
+    pays ``ENTRY_EXIT_COST`` to start and to end. ``positions`` are the
+    detections' ground points. Returns (paths of detection indices ordered
+    by their first detection, total flow cost).
     """
     rewards = [log_odds(det.score) for det in dets]
-    by_frame: Dict[int, List[int]] = {}
-    for i, det in enumerate(dets):
-        by_frame.setdefault(det.frame, []).append(i)
-    links: List[Tuple[int, int, float]] = []
-    for i, det in enumerate(dets):
-        for dt in range(1, max_gap + 1):
-            for j in by_frame.get(det.frame + dt, ()):  # frame-sorted, so j > i
-                if dets[j].object_class is not det.object_class:
-                    continue
-                bound = params.speed_bound(det.object_class) * dt / frame_rate
-                dist = ground_distance(positions[i], positions[j])
-                if dist > LINK_GATE_SLACK * bound:
-                    continue
-                links.append((i, j, dist / bound + SKIP_FRAME_PENALTY * (dt - 1)))
+    links = detection_links(dets, positions, frame_rate, params, max_gap)
     paths, cost = min_cost_paths(rewards, links, ENTRY_EXIT_COST, ENTRY_EXIT_COST)
     paths.sort()  # disjoint increasing paths: ordered by their first detection
     return paths, cost
@@ -267,14 +310,14 @@ def generate_tracklets(
     """
     order = sorted(range(len(detections)), key=lambda i: (detections[i].frame, i))
     dets = [detections[i] for i in order]
-    positions = [project_to_ground(camera, d.bbox) for d in dets]
+    positions = ground_points(camera, [d.bbox for d in dets])
     paths, _ = link_detections(dets, positions, camera.frame_rate, params, max_gap=1)
     return [
         Tracklet(
             id=tid,
             object_class=dets[path[0]].object_class,
             start_frame=dets[path[0]].frame,
-            positions=np.array([positions[i] for i in path]),
+            positions=positions[path],
             pooled_descriptor=pool_descriptors([dets[i].descriptor for i in path]),
             scores=tuple(dets[i].score for i in path),
             detection_indices=tuple(order[i] for i in path),
@@ -320,21 +363,33 @@ def compatible_pairs(
     """Ordered same-class pairs ``(before, after, similarity)`` with at least
     one missing frame between them and pooled-descriptor similarity at least
     tau_sigma, in (before id, after id) order. Occlusion bridges and
-    containment bridges are both chosen from these pairs."""
+    containment bridges are both chosen from these pairs.
+
+    Similarities are ``descriptor_similarity`` of each candidate pair, with
+    the same bits: each tracklet's unit norm is checked once, and the dots
+    are stacked ``row_dots`` calls (``gathered_rows``).
+    """
     by_id = sorted(tracklets, key=lambda t: t.id)
-    pairs = []
-    for before in by_id:
-        for after in by_id:
-            if before.object_class is not after.object_class:
-                continue
-            if gap_between(before, after) < 1:
-                continue
-            similarity = descriptor_similarity(
-                before.pooled_descriptor, after.pooled_descriptor
-            )
-            if similarity >= params.tau_sigma:
-                pairs.append((before, after, similarity))
-    return pairs
+    if not by_id:
+        return []
+    shapes = list(dict.fromkeys(t.pooled_descriptor.shape for t in by_id))
+    if len(shapes) > 1:
+        raise ValueError(f"descriptor dimensions differ: {shapes[0]} vs {shapes[1]}")
+    descriptors = np.stack([t.pooled_descriptor for t in by_id])
+    norms = np.sqrt(row_dots(descriptors, descriptors))
+    if (np.abs(norms - 1.0) > UNIT_NORM_TOL).any():
+        raise ValueError("descriptors must be unit norm (within 1e-6)")
+    code = {cls: k for k, cls in enumerate(dict.fromkeys(t.object_class for t in by_id))}
+    classes = np.array([code[t.object_class] for t in by_id])
+    starts = np.array([t.start_frame for t in by_id])
+    ends = np.array([t.end_frame for t in by_id])
+    # gap_between(before, after) >= 1, between tracklets of one class
+    candidate = (classes[:, None] == classes[None, :]) & (starts[None, :] >= ends[:, None] + 2)
+    before, after = np.nonzero(candidate)
+    similarity = gathered_rows(row_dots, descriptors, before, descriptors, after)
+    keep = np.flatnonzero(similarity >= params.tau_sigma)
+    return [(by_id[a], by_id[b], value) for a, b, value in
+            zip(before[keep].tolist(), after[keep].tolist(), similarity[keep].tolist())]
 
 
 def find_gap_candidates(

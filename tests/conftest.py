@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -20,6 +20,25 @@ def params():
     return grammar.default_parameters()
 
 
+@pytest.fixture(scope="session")
+def suite_runs():
+    """The 20 suite sequences, simulated as the acceptance suite simulates
+    them: (name, SimulationResult) pairs."""
+    from fluenttrack.simulator import default_camera, simulate, standard_suite
+
+    camera, params = default_camera(), grammar.default_parameters()
+    return [(script.name, simulate(script, noise, camera, params))
+            for script, noise in standard_suite()]
+
+
+def same_bits(a, b) -> bool:
+    """Whether two float arrays have the same shape and the same bits in
+    every entry (so -0.0 != 0.0, and a NaN equals only the same NaN)."""
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and bool((a.view(np.uint64) == b.view(np.uint64)).all())
+
+
 class Stop(NamedTuple):
     """A stop as ``energy.edge_cost`` reads it: where and when, in which
     state, and the evidence a hop leaving it pays."""
@@ -31,6 +50,7 @@ class Stop(NamedTuple):
     container_score: Optional[float] = None
     gap_similarity: Optional[float] = None
     pose_feature: Optional[np.ndarray] = None
+    pose_energies: Optional[Mapping[str, float]] = None
 
 
 def unit_vector(rng, dim=8):

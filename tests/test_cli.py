@@ -443,6 +443,17 @@ class TestRenderCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def command_inputs(simulated, tmp_path):
+    """Input files for `evaluate`, `render` and `fit-model`, by placeholder."""
+    inputs = {"pred": tmp_path / "pred.jsonl", "gt": simulated / "ground_truth.jsonl",
+              "clips": tmp_path / "clips.jsonl"}
+    write_perfect_predictions(inputs["gt"], inputs["pred"])
+    rows = [{"action": "walking", "pose_feature": [0.0, 0.0]},
+            {"action": "walking", "pose_feature": [2.0, 1.0]}]
+    inputs["clips"].write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return inputs
+
+
 @pytest.mark.parametrize("command", [
     ["evaluate", "--format", "json", "--predictions", "{pred}", "--ground-truth", "{gt}"],
     ["evaluate", "--format", "csv", "--predictions", "{pred}", "--ground-truth", "{gt}"],
@@ -452,12 +463,7 @@ class TestRenderCommand:
 def test_out_directory_is_created(simulated, tmp_path, command):
     # like simulate and track, every command creates the directory of --out,
     # and only once its result is computed: a failed run leaves none
-    inputs = {"pred": tmp_path / "pred.jsonl", "gt": simulated / "ground_truth.jsonl",
-              "clips": tmp_path / "clips.jsonl"}
-    write_perfect_predictions(inputs["gt"], inputs["pred"])
-    rows = [{"action": "walking", "pose_feature": [0.0, 0.0]},
-            {"action": "walking", "pose_feature": [2.0, 1.0]}]
-    inputs["clips"].write_text("".join(json.dumps(r) + "\n" for r in rows))
+    inputs = command_inputs(simulated, tmp_path)
 
     def args(paths, out):
         return [arg.format(**paths) for arg in command] + ["--out", out]
@@ -469,6 +475,32 @@ def test_out_directory_is_created(simulated, tmp_path, command):
     assert run(args(inputs, out)) == EXIT_OK
     assert run(args(inputs, tmp_path / "result")) == EXIT_OK
     assert out.read_bytes() == (tmp_path / "result").read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--predictions", "{pred}", "--ground-truth", "{gt}"],
+    ["render", "--trajectories", "{pred}"],
+    ["fit-model", "--clips", "{clips}"],
+], ids=["evaluate", "render", "fit-model"])
+def test_out_existing_directory_is_input_error(simulated, tmp_path, capsys, command):
+    # a file-system error is exit 2 with its path, not a traceback
+    inputs = command_inputs(simulated, tmp_path)
+    out = tmp_path / "taken"
+    out.mkdir()
+    code = run([arg.format(**inputs) for arg in command] + ["--out", out])
+    assert code == EXIT_INPUT
+    assert str(out) in capsys.readouterr().err
+    assert out.is_dir() and not any(out.iterdir())
+
+
+def test_track_out_existing_file_is_input_error(simulated, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    code = run(["track", "--detections", simulated / "detections.jsonl",
+                "--camera", simulated / "camera.json", "--out", out])
+    assert code == EXIT_INPUT
+    assert str(out) in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -1,7 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fluenttrack.core import (
     ActionModel,
@@ -13,9 +17,15 @@ from fluenttrack.core import (
     Tracklet,
     descriptor_similarity,
     ground_distance,
+    ground_distances,
+    ground_points,
     pool_descriptors,
     project_to_ground,
+    row_dots,
 )
+from fluenttrack.simulator import default_camera
+
+from conftest import same_bits
 
 
 class TestProjectToGround:
@@ -234,3 +244,81 @@ class TestTypes:
             TrajectoryPoint(0, np.zeros(2), VisibilityState.VISIBLE, container_id=1)
         with pytest.raises(ValueError):
             TrajectoryPoint(0, np.zeros(2), VisibilityState.CONTAINED)
+
+
+COORDINATES = st.floats(-1e4, 1e4, allow_nan=False)
+
+
+class TestBatchedGeometry:
+    """The stacked kernels keep the bits of their scalar references."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(hnp.arrays(float, st.tuples(st.integers(0, 40), st.just(4)), elements=COORDINATES))
+    def test_ground_distances_match_ground_distance(self, rows):
+        p, q = rows[:, :2], rows[:, 2:]
+        expected = [ground_distance(a, b) for a, b in zip(p, q)]
+        assert same_bits(ground_distances(p, q), np.reshape(expected, -1))
+
+    def test_random_distances_match(self):
+        rng = np.random.default_rng(5)
+        p, q = rng.normal(scale=20.0, size=(2, 20000, 2))
+        assert same_bits(ground_distances(p, q), [ground_distance(a, b) for a, b in zip(p, q)])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(hnp.arrays(float, (3, 3), elements=st.floats(-2.0, 2.0)),
+           hnp.arrays(float, st.tuples(st.integers(0, 30), st.just(4)),
+                      elements=st.floats(0.5, 2000.0)))
+    def test_ground_points_match_project_to_ground(self, homography, boxes):
+        homography[2, 2] = 5.0  # keeps the determinant and the scale away from 0
+        try:
+            camera = CameraModel(homography, 10.0)
+        except ValueError:
+            return
+        try:
+            expected = np.reshape([project_to_ground(camera, box) for box in boxes], (-1, 2))
+        except DegenerateProjectionError as exc:
+            with pytest.raises(DegenerateProjectionError, match=re.escape(str(exc))):
+                ground_points(camera, boxes)
+            return
+        assert same_bits(ground_points(camera, boxes), expected)
+
+    def test_suite_matches_scalar_references(self, suite_runs):
+        camera = default_camera()
+        for name, sim in suite_runs:
+            dets = sorted(sim.detections, key=lambda d: d.frame)
+            points = ground_points(camera, [d.bbox for d in dets])
+            assert same_bits(points, [project_to_ground(camera, d.bbox) for d in dets]), name
+            # every pair of detections one to five frames apart
+            frames = np.array([d.frame for d in dets])
+            apart = frames[None, :] - frames[:, None]
+            i, j = np.nonzero((apart >= 1) & (apart <= 5))
+            assert len(i) > 0
+            assert same_bits(ground_distances(points[i], points[j]),
+                             [ground_distance(points[a], points[b]) for a, b in zip(i, j)]), name
+            descriptors = np.array([d.descriptor for d in dets])
+            assert same_bits(np.sqrt(row_dots(descriptors, descriptors)),
+                             [np.linalg.norm(v) for v in descriptors]), name
+
+    def test_degenerate_box_raises_as_the_scalar_call(self):
+        camera = CameraModel(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, -10.0]]), 10.0)
+        boxes = [(0.0, 0.0, 2.0, 4.0), (0.0, 8.0, 2.0, 2.0), (0.0, 9.0, 2.0, 1.0)]
+        with pytest.raises(DegenerateProjectionError) as scalar:
+            project_to_ground(camera, boxes[1])
+        with pytest.raises(DegenerateProjectionError) as batched:
+            ground_points(camera, boxes)
+        assert str(batched.value) == str(scalar.value)
+
+    def test_gathered_rows_match_one_gather(self, monkeypatch):
+        from fluenttrack import core
+
+        rng = np.random.default_rng(8)
+        a, b = rng.normal(size=(2, 50, 3))
+        i, j = rng.integers(0, 50, size=(2, 333))
+        monkeypatch.setattr(core, "GATHER_BLOCK", 10)
+        for kernel in (ground_distances, row_dots):
+            assert same_bits(core.gathered_rows(kernel, a, i, b, j), kernel(a[i], b[j]))
+        assert core.gathered_rows(row_dots, a, i[:0], b, j[:0]).shape == (0,)
+
+    def test_empty_inputs(self):
+        assert ground_points(CameraModel(np.eye(3), 10.0), []).shape == (0, 2)
+        assert ground_distances(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0,)

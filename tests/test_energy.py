@@ -1,7 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fluenttrack.core import ActionModel, VisibilityState, descriptor_similarity
 from fluenttrack.energy import (
@@ -11,6 +15,7 @@ from fluenttrack.energy import (
     edge_cost,
     node_exit_cost,
     pose_distance,
+    pose_distances,
     sigmoid,
     transition_energy,
     vehicle_fluent_distance,
@@ -21,12 +26,13 @@ from fluenttrack.grammar import (
     O,
     V,
     default_grammar,
+    default_action_models,
     default_parameters,
     default_vehicle_templates,
     fit_transition_table,
 )
 
-from conftest import Stop
+from conftest import Stop, same_bits
 
 FRAME_RATE = 10.0
 
@@ -182,6 +188,52 @@ class TestPoseDistance:
         # rejected when the model is built, before any pose is scored
         with pytest.raises(ValueError, match="positive definite"):
             ActionModel("walking", np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+
+def solved_pose_distance(x, model):
+    """``pose_distance`` as one 1-D solve per feature: the scalar reference."""
+    diff = np.asarray(x, dtype=float) - model.mean
+    quad = float(diff @ np.linalg.solve(model.covariance, diff))
+    d = model.mean.shape[0]
+    return 0.5 * (quad + model.log_det + d * math.log(2.0 * math.pi))
+
+
+@st.composite
+def pose_instances(draw):
+    d = draw(st.integers(1, 9))
+    elements = st.floats(-3.0, 3.0)
+    a = draw(hnp.arrays(float, (d, d), elements=elements))
+    mean = draw(hnp.arrays(float, d, elements=elements))
+    features = draw(hnp.arrays(float, st.tuples(st.integers(1, 20), st.just(d)),
+                               elements=st.floats(-10.0, 10.0)))
+    return ActionModel("walking", mean, a @ a.T + 0.1 * np.eye(d)), features
+
+
+class TestPoseDistances:
+    """The stacked solve keeps the bits of one solve per feature."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pose_instances())
+    def test_match_per_feature_solve(self, instance):
+        model, features = instance
+        expected = [solved_pose_distance(x, model) for x in features]
+        assert same_bits(pose_distances(features, model), expected)
+        assert same_bits([pose_distance(x, model) for x in features], expected)
+
+    def test_suite_pose_features_match(self, suite_runs):
+        features = [d.pose_feature for _, sim in suite_runs for d in sim.detections
+                    if d.pose_feature is not None]
+        assert len(features) > 1000
+        for model in default_action_models().values():
+            assert same_bits(pose_distances(features, model),
+                             [solved_pose_distance(x, model) for x in features]), model.name
+
+    def test_dimension_mismatch_names_both(self):
+        model = ActionModel("walking", np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match=re.escape("(3,) != model dimension (2,)")):
+            pose_distances(np.zeros((4, 3)), model)
+        with pytest.raises(ValueError, match=re.escape("(3,) != model dimension (2,)")):
+            pose_distance(np.zeros(3), model)
 
 
 class TestVehicleFluentDistance:

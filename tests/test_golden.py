@@ -1,11 +1,14 @@
-"""Golden digests: the bytes `track` writes for three suite sequences.
+"""Golden digests: the bytes `track` and `evaluate` write for three suite
+sequences.
 
 The sha256 of ``trajectories.jsonl``, ``frame_parses.jsonl`` and
 ``summary.json`` is pinned for ``walk_crossing``, ``occlude_long`` and
 ``capacity_stress``, simulated as the suite authors them (benchmark seed 0),
 in each solve mode. The files are written through the ``fileio`` writers,
-as ``track`` writes them. Criterion 8 compares two runs of the same code;
-this test compares the code with the outputs it wrote before a change.
+as ``track`` writes them. So is the JSON report of ``fluenttrack evaluate``
+on those trajectories against the sequence's ground truth, which pins the
+MOTP and MODP bits. Criterion 8 compares two runs of the same code; this
+test compares the code with the outputs it wrote before a change.
 
 The digests belong to the environment they were taken in: Python 3.11.7,
 NumPy 2.4.6 and SciPy 1.17.1. Another build of those libraries may round a
@@ -19,6 +22,7 @@ import hashlib
 import pytest
 
 from fluenttrack import fileio
+from fluenttrack.cli import EXIT_OK, main
 from fluenttrack.simulator import default_camera, scenario_by_name, simulate
 from fluenttrack.solver import joint_solve
 
@@ -73,21 +77,76 @@ DIGESTS = {
 }
 
 
+# sha256 of the `evaluate` JSON report of each sequence and mode
+REPORT_DIGESTS = {
+    ("walk_crossing", "full"):
+        "0e5039b5f79783d0b5660300777ac3b7e00ea3f20cca56063502548e040167f8",
+    ("walk_crossing", "prior_only"):
+        "e30a35967f9c8526e4de71089852fa9efbad2ef1b55d489c1a5025c83f8f0639",
+    ("walk_crossing", "visible_only"):
+        "3e24fb29b79a34eac6f8ec56848b558690c0df54052a1e335b5da40c9ffc1828",
+    ("occlude_long", "full"):
+        "e212d47d7866867f4141dbfa88493919b55245ab76efe60bcd71598301b8340f",
+    ("occlude_long", "prior_only"):
+        "a184e216faabec350e84b4c688d7f6a69eb850abace0a733e0f38674532f9357",
+    ("occlude_long", "visible_only"):
+        "a355022418a8ecd91dbce14c89cb86960850f52478eb6221aa622d9e2e5cc8c3",
+    ("capacity_stress", "full"):
+        "39de0ae121079d89d39be491bcdbaa1cdc3e4389fd008924228485fccc73bb5e",
+    ("capacity_stress", "prior_only"):
+        "12b4d7fb623878c50f34077a7feba9c65e78476df7f42171673f22053bf15121",
+    ("capacity_stress", "visible_only"):
+        "fc0a2d5e45fdd25bf218403b18991b93ea720b43b470b646680070b87072116e",
+}
+
+
 @pytest.fixture(scope="module")
-def detections(params):
-    """The simulated detections of each pinned sequence, simulated once."""
+def simulated(params):
+    """The simulation of each pinned sequence, simulated once."""
     out = {}
     for name in {name for name, _ in DIGESTS}:
         script, noise = scenario_by_name(name)
-        out[name] = simulate(script, noise, default_camera(), params).detections
+        out[name] = simulate(script, noise, default_camera(), params)
     return out
 
 
+@pytest.fixture(scope="module")
+def outputs(simulated, params, tmp_path_factory):
+    """The directory `track` output of a (sequence, mode) is written to,
+    solved once per module."""
+    made = {}
+
+    def written(name, mode):
+        if (name, mode) not in made:
+            out = tmp_path_factory.mktemp(f"{name}-{mode}")
+            result = joint_solve(simulated[name].detections, default_camera(), params,
+                                 mode=mode)
+            fileio.write_trajectories(out / FILES[0], result.trajectories)
+            fileio.write_frame_parses(out / FILES[1], result.frame_parses)
+            fileio.write_json(out / FILES[2], result.summary)
+            made[name, mode] = out
+        return made[name, mode]
+
+    return written
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("name,mode", sorted(DIGESTS), ids=lambda v: v)
-def test_output_digests(detections, params, tmp_path, name, mode):
-    result = joint_solve(detections[name], default_camera(), params, mode=mode)
-    fileio.write_trajectories(tmp_path / FILES[0], result.trajectories)
-    fileio.write_frame_parses(tmp_path / FILES[1], result.frame_parses)
-    fileio.write_json(tmp_path / FILES[2], result.summary)
-    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in FILES)
+def test_output_digests(outputs, name, mode):
+    out = outputs(name, mode)
+    digests = tuple(sha256(out / f) for f in FILES)
     assert dict(zip(FILES, digests)) == dict(zip(FILES, DIGESTS[name, mode]))
+
+
+@pytest.mark.parametrize("name,mode", sorted(DIGESTS), ids=lambda v: v)
+def test_evaluate_report_digests(outputs, simulated, tmp_path, name, mode):
+    out = outputs(name, mode)
+    fileio.write_ground_truth(tmp_path / "ground_truth.jsonl", simulated[name].ground_truth)
+    report = tmp_path / "report.json"
+    assert main(["evaluate", "--predictions", str(out / FILES[0]),
+                 "--ground-truth", str(tmp_path / "ground_truth.jsonl"),
+                 "--out", str(report), "--sequence", name]) == EXIT_OK
+    assert sha256(report) == REPORT_DIGESTS[name, mode]

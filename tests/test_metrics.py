@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
-from fluenttrack.core import ObjectClass, Trajectory, TrajectoryPoint, VisibilityState
+from scipy.optimize import linear_sum_assignment
+
+from fluenttrack.core import (
+    ObjectClass,
+    Trajectory,
+    TrajectoryPoint,
+    VisibilityState,
+    ground_distance,
+)
 from fluenttrack.metrics import (
+    INFEASIBLE,
+    PERSISTENCE_TIEBREAK,
     Gate,
     MatchResult,
     TrackObservation,
@@ -20,6 +30,57 @@ def obs(frame, oid, x, y=0.0, state=None):
 
 def track(oid, frames, xs, jitter=0.0):
     return [obs(f, oid, x + jitter) for f, x in zip(frames, xs)]
+
+
+def per_pair_match(gt, pred, gate):
+    """``match_frames`` with one ``ground_distance`` per same-frame pair:
+    its scalar reference."""
+    gt_frames, pred_frames = {}, {}
+    for o in gt:
+        gt_frames.setdefault(o.frame, []).append(o)
+    for o in pred:
+        pred_frames.setdefault(o.frame, []).append(o)
+    result = MatchResult()
+    last_pred_of, was_matched, seen_matched = {}, {}, {}
+    for frame in sorted(set(gt_frames) | set(pred_frames)):
+        gts = sorted(gt_frames.get(frame, []), key=lambda o: o.object_id)
+        preds = sorted(pred_frames.get(frame, []), key=lambda o: o.object_id)
+        pairs, qualities = (), []
+        if gts and preds:
+            cost = np.full((len(gts), len(preds)), INFEASIBLE)
+            quality = np.zeros((len(gts), len(preds)))
+            for i, g in enumerate(gts):
+                for j, p in enumerate(preds):
+                    d = ground_distance(g.location, p.location)
+                    if d > gate.threshold:
+                        continue
+                    c = d - PERSISTENCE_TIEBREAK if last_pred_of.get(g.object_id) == p.object_id else d
+                    cost[i, j], quality[i, j] = c, 1.0 - d / gate.threshold
+            rows, cols = linear_sum_assignment(cost)
+            chosen = sorted((i, j) for i, j in zip(rows, cols) if cost[i, j] < INFEASIBLE)
+            pairs = tuple((gts[i].object_id, preds[j].object_id) for i, j in chosen)
+            qualities = [quality[i, j] for i, j in chosen]
+        matched_gt = {g for g, _ in pairs}
+        result.matches[frame] = pairs
+        result.fn += len(gts) - len(matched_gt)
+        result.fp += len(preds) - len({p for _, p in pairs})
+        result.n_matches += len(pairs)
+        result.quality_sum += float(sum(qualities))
+        if pairs:
+            result.frame_precisions.append(float(np.mean(qualities)))
+        for g, p in pairs:
+            if g in last_pred_of and last_pred_of[g] != p:
+                result.ids += 1
+            last_pred_of[g] = p
+        for g_obs in gts:
+            hit = g_obs.object_id in matched_gt
+            if hit and seen_matched.get(g_obs.object_id, False) and not was_matched.get(
+                    g_obs.object_id, True):
+                result.frag += 1
+            was_matched[g_obs.object_id] = hit
+            if hit:
+                seen_matched[g_obs.object_id] = True
+    return result
 
 
 class TestMatchFrames:
@@ -53,6 +114,28 @@ class TestMatchFrames:
         pred = [obs(0, 1, 5.0)]
         m = match_frames(gt, pred, Gate(threshold=1.0))
         assert m.fp == 1 and m.fn == 1
+
+    @pytest.mark.parametrize("threshold,jitter", [(1.0, 0.3), (0.05, 0.02)])
+    def test_suite_matches_per_pair_reference(self, suite_runs, threshold, jitter):
+        # predictions are the truth with noise, some points dropped and
+        # some identities swapped; every field must keep its bits
+        rng = np.random.default_rng(12)
+        gate = Gate(threshold=threshold)
+        for name, sim in suite_runs:
+            gt = [TrackObservation(r.frame, r.object_id, r.location, r.state)
+                  for r in sim.ground_truth]
+            pred = [TrackObservation(o.frame, (o.object_id * 7 + o.frame // 40) % 23,
+                                     o.location + rng.normal(scale=jitter, size=2))
+                    for o in gt if rng.random() > 0.1]
+            pred = list({(o.frame, o.object_id): o for o in pred}.values())
+            got, expected = match_frames(gt, pred, gate), per_pair_match(gt, pred, gate)
+            assert got.matches == expected.matches, name
+            assert ((got.fp, got.fn, got.ids, got.frag, got.n_matches)
+                    == (expected.fp, expected.fn, expected.ids, expected.frag,
+                        expected.n_matches)), name
+            assert float.hex(got.quality_sum) == float.hex(expected.quality_sum), name
+            assert ([float.hex(v) for v in got.frame_precisions]
+                    == [float.hex(v) for v in expected.frame_precisions]), name
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):

@@ -4,12 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.interpolate import make_interp_spline
 
 from fluenttrack import tracklets as tk
-from fluenttrack.core import ObjectClass, Tracklet, ground_distance
+from fluenttrack.core import (
+    ObjectClass,
+    Tracklet,
+    descriptor_similarity,
+    ground_distance,
+    ground_points,
+)
 from fluenttrack.energy import log_odds
 from fluenttrack.grammar import default_parameters
+from fluenttrack.simulator import default_camera
+from fluenttrack.solver import CONTAINER_LINK_GAP
 
 from conftest import make_detection, unit_vector
 
@@ -208,6 +217,84 @@ def forward_link_instances(draw):
     return rewards, links, entry, exit
 
 
+def per_pair_links(dets, positions, frame_rate, params, max_gap):
+    """The links of ``detection_links`` by one ``ground_distance`` per
+    candidate pair, in (i, frames apart, j) order: its scalar reference."""
+    by_frame = {}
+    for i, det in enumerate(dets):
+        by_frame.setdefault(det.frame, []).append(i)
+    links = []
+    for i, det in enumerate(dets):
+        for dt in range(1, max_gap + 1):
+            for j in by_frame.get(det.frame + dt, ()):
+                if dets[j].object_class is not det.object_class:
+                    continue
+                bound = params.speed_bound(det.object_class) * dt / frame_rate
+                dist = ground_distance(positions[i], positions[j])
+                if dist > tk.LINK_GATE_SLACK * bound:
+                    continue
+                links.append((i, j, dist / bound + tk.SKIP_FRAME_PENALTY * (dt - 1)))
+    return links
+
+
+def link_bits(links):
+    """Links with each cost as its exact bits."""
+    return [(i, j, float.hex(cost)) for i, j, cost in links]
+
+
+CLASSES = (ObjectClass.PERSON, ObjectClass.SUITCASE, ObjectClass.VEHICLE)
+
+
+@st.composite
+def link_instances(draw):
+    """Frame-sorted detections of mixed classes over frames with gaps (some
+    frames empty, some crowded), their ground points, and a largest gap."""
+    frames = sorted(draw(st.lists(st.integers(0, 15), max_size=40)))
+    classes = draw(st.lists(st.sampled_from(CLASSES), min_size=len(frames),
+                            max_size=len(frames)))
+    positions = draw(hnp.arrays(float, (len(frames), 2), elements=st.floats(-3.0, 3.0)))
+    dets = [make_detection(f, 0.0, 0.0, object_class=c) for f, c in zip(frames, classes)]
+    return dets, positions, draw(st.integers(1, 5))
+
+
+class TestDetectionLinks:
+    """``detection_links`` keeps the links, order and bits of the per-pair loop."""
+
+    def test_suite_links_match_per_pair_loop(self, suite_runs, params):
+        camera = default_camera()
+        total = 0
+        for name, sim in suite_runs:
+            others = [d for d in sim.detections if d.object_class is not ObjectClass.VEHICLE]
+            order = sorted(range(len(others)), key=lambda i: (others[i].frame, i))
+            vehicles = sorted((d for d in sim.detections
+                               if d.object_class is ObjectClass.VEHICLE),
+                              key=lambda d: (d.frame, d.bbox))
+            # tracklets link one frame apart, containers up to CONTAINER_LINK_GAP
+            for dets, max_gap in (([others[i] for i in order], 1),
+                                  ([others[i] for i in order], CONTAINER_LINK_GAP),
+                                  (vehicles, CONTAINER_LINK_GAP)):
+                positions = ground_points(camera, [d.bbox for d in dets])
+                links = tk.detection_links(dets, positions, camera.frame_rate, params, max_gap)
+                expected = per_pair_links(dets, positions, camera.frame_rate, params, max_gap)
+                assert link_bits(links) == link_bits(expected), name
+                total += len(links)
+        assert total > 10000
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(link_instances())
+    def test_random_links_match_per_pair_loop(self, instance):
+        dets, positions, max_gap = instance
+        params = default_parameters()
+        links = tk.detection_links(dets, positions, 10.0, params, max_gap)
+        assert link_bits(links) == link_bits(per_pair_links(dets, positions, 10.0, params,
+                                                            max_gap))
+
+    def test_unsorted_detections_rejected(self, params):
+        dets = [make_detection(2, 0.0, 0.0), make_detection(1, 0.0, 0.0)]
+        with pytest.raises(ValueError, match="sorted by frame"):
+            tk.detection_links(dets, np.zeros((2, 2)), 10.0, params, 1)
+
+
 class TestMinCostFlowTracker:
     """``min_cost_paths``, the flow behind tracklets and containers."""
 
@@ -284,6 +371,80 @@ def line_tracklet(tid, start_frame, points, descriptor=None):
     desc = descriptor if descriptor is not None else np.eye(8)[0]
     return Tracklet(id=tid, object_class=ObjectClass.PERSON, start_frame=start_frame,
                     positions=np.asarray(points, dtype=float), pooled_descriptor=desc)
+
+
+def per_pair_compatible(tracklets, params):
+    """``compatible_pairs`` by one ``descriptor_similarity`` per pair: its
+    scalar reference, as (before id, after id, similarity bits)."""
+    by_id = sorted(tracklets, key=lambda t: t.id)
+    pairs = []
+    for before in by_id:
+        for after in by_id:
+            if before.object_class is not after.object_class:
+                continue
+            if tk.gap_between(before, after) < 1:
+                continue
+            similarity = descriptor_similarity(before.pooled_descriptor,
+                                               after.pooled_descriptor)
+            if similarity >= params.tau_sigma:
+                pairs.append((before.id, after.id, float.hex(similarity)))
+    return pairs
+
+
+def pair_bits(pairs):
+    return [(before.id, after.id, float.hex(similarity)) for before, after, similarity in pairs]
+
+
+@st.composite
+def random_tracklets(draw):
+    """Tracklets of mixed classes, lengths and starts, in shuffled id order,
+    with descriptors near a few shared prototypes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    prototypes = [unit_vector(rng) for _ in range(3)]
+    count = draw(st.integers(0, 25))
+    ids = draw(st.permutations(range(count)))
+    out = []
+    for tid in ids:
+        d = prototypes[int(rng.integers(3))] + rng.normal(scale=0.3, size=8)
+        out.append(Tracklet(id=tid, object_class=CLASSES[int(rng.integers(3))],
+                            start_frame=int(rng.integers(0, 40)),
+                            positions=np.zeros((int(rng.integers(1, 6)), 2)),
+                            pooled_descriptor=d / np.linalg.norm(d)))
+    return out
+
+
+class TestCompatiblePairs:
+    """The stacked similarities keep the pairs, order and bits of the
+    per-pair ``descriptor_similarity`` loop."""
+
+    def test_suite_pairs_match_per_pair_loop(self, suite_runs, params):
+        camera = default_camera()
+        total = 0
+        for name, sim in suite_runs:
+            others = [d for d in sim.detections if d.object_class is not ObjectClass.VEHICLE]
+            tracklets = tk.generate_tracklets(others, camera, params)
+            pairs = tk.compatible_pairs(tracklets, params)
+            assert pair_bits(pairs) == per_pair_compatible(tracklets, params), name
+            total += len(pairs)
+        assert total > 1000
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(random_tracklets(), st.sampled_from([0.05, 0.5, 0.8]))
+    def test_random_pairs_match_per_pair_loop(self, tracklets, tau_sigma):
+        params = default_parameters(tau_sigma=tau_sigma)
+        assert (pair_bits(tk.compatible_pairs(tracklets, params))
+                == per_pair_compatible(tracklets, params))
+
+    def test_more_pairs_than_one_block(self, monkeypatch):
+        from fluenttrack import core
+
+        rng = np.random.default_rng(3)
+        tracklets = [line_tracklet(tid, 3 * tid, [[0.0, 0.0]], unit_vector(rng))
+                     for tid in range(20)]
+        params = default_parameters(tau_sigma=0.05)
+        monkeypatch.setattr(core, "GATHER_BLOCK", 7)
+        assert (pair_bits(tk.compatible_pairs(tracklets, params))
+                == per_pair_compatible(tracklets, params))
 
 
 class TestGapCandidates:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -143,6 +143,82 @@ class Detection:
                 "vehicle_fluent_feature",
                 _as_readonly_vector(self.vehicle_fluent_feature, "vehicle_fluent_feature"),
             )
+
+
+# The class each optional detection feature is valid for.
+FEATURE_CLASSES = {"pose_feature": ObjectClass.PERSON,
+                   "vehicle_fluent_feature": ObjectClass.VEHICLE}
+
+
+def detections_from_columns(
+    frames: Sequence[int],
+    classes: Sequence[ObjectClass],
+    bboxes: np.ndarray,
+    scores: np.ndarray,
+    descriptors: np.ndarray,
+    features: Mapping[str, Tuple[Sequence[int], np.ndarray]],
+) -> List[Detection]:
+    """The ``Detection`` of each row of the columns, with the checks of
+    ``Detection.__post_init__`` made once per column.
+
+    Row ``i`` is ``frames[i]``, ``classes[i]``, the ``(n, 4)`` ``bboxes``,
+    ``scores`` and the ``(n, k)`` ``descriptors``. ``features`` maps a name
+    of ``FEATURE_CLASSES`` to ``(rows, values)``: ``values[j]`` is that
+    feature of detection ``rows[j]``, and the others have none. A check that
+    ``__post_init__`` would fail on some row raises its ``ValueError``,
+    naming the first such row; checks run in ``__post_init__``'s order. The
+    detections are then built without running it: each field holds the
+    value ``__post_init__`` would give it, and every vector is a row of a
+    read-only array.
+    """
+    def check(bad: np.ndarray, message: str) -> None:
+        rows = np.flatnonzero(bad)
+        if len(rows):
+            raise ValueError(f"detection {rows[0]}: {message}")
+
+    n = len(frames)
+    if n == 0:
+        return []
+    check(np.array([f < 0 for f in frames]), "frame index must be >= 0")
+    bboxes = np.array(bboxes, dtype=float)
+    check(~np.isfinite(bboxes).all(axis=1), "bbox values must be finite")
+    check(~((bboxes[:, 2] > 0) & (bboxes[:, 3] > 0)), "bbox width and height must be positive")
+    scores = np.array(scores, dtype=float)
+    check(~((scores >= 0.0) & (scores <= 1.0)), "score must lie in [0, 1]")
+    descriptors = np.array(descriptors, dtype=float)
+    check(~np.isfinite(descriptors).all(axis=1), "descriptor entries must be finite")
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, which fails the check
+        norms = np.sqrt(row_dots(descriptors, descriptors))
+    check(np.abs(norms - 1.0) > UNIT_NORM_TOL, "descriptor must be unit norm (within 1e-6)")
+    descriptors.setflags(write=False)
+    by_row = {}
+    for name, object_class in FEATURE_CLASSES.items():
+        rows, values = features.get(name, ((), np.empty((0, 0))))
+        values = np.array(values, dtype=float)
+        wrong_class = np.zeros(n, dtype=bool)
+        wrong_class[list(rows)] = [classes[r] is not object_class for r in rows]
+        check(wrong_class, f"{name} is only valid for {object_class.value}s")
+        not_finite = np.zeros(n, dtype=bool)
+        not_finite[list(rows)] = ~np.isfinite(values).all(axis=1)
+        check(not_finite, f"{name} entries must be finite")
+        values.setflags(write=False)
+        column = [None] * n
+        for r, row in zip(rows, values):
+            column[r] = row
+        by_row[name] = column
+
+    boxes = map(tuple, bboxes.tolist())
+    new = object.__new__
+    detections = []
+    for frame, object_class, bbox, score, descriptor, pose, fluent in zip(
+            frames, classes, boxes, scores.tolist(), descriptors,
+            by_row["pose_feature"], by_row["vehicle_fluent_feature"]):
+        detection = new(Detection)
+        object.__setattr__(detection, "__dict__", {
+            "frame": frame, "object_class": object_class, "bbox": bbox, "score": score,
+            "descriptor": descriptor, "pose_feature": pose, "vehicle_fluent_feature": fluent})
+        detections.append(detection)
+    return detections
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,15 @@ becomes ``InputFormatError("path[:line]: bad <what>: <reason>")``. The line
 is named for JSON Lines files, the file alone for documents. Every list of
 numbers goes through ``_numbers``: JSON numbers only (not bools), each
 finite, of a fixed length or as long as the first of its name in the file.
+
+Detections, the largest input, are checked as columns first: each line is
+decoded as ``_parse`` decodes it, then each field's JSON types, finiteness
+and lengths are checked in one pass over the file, and
+``core.detections_from_columns`` makes the checks of ``Detection`` once per
+column and builds the detections on rows of read-only arrays. A file that
+fails any of these checks is parsed again record by record through
+``_parse``, which raises at the first bad line with the message that line
+gets on its own; a valid file is never parsed twice.
 """
 
 from __future__ import annotations
@@ -26,12 +35,14 @@ import io
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (
+    FEATURE_CLASSES,
     ActionModel,
     CameraModel,
     Detection,
@@ -40,6 +51,7 @@ from .core import (
     Trajectory,
     TrajectoryPoint,
     VisibilityState,
+    detections_from_columns,
 )
 from .grammar import ActionStateTable
 from .metrics import ClearMetrics, FluentReport, TrackObservation
@@ -190,7 +202,83 @@ def write_detections(path, detections: Sequence[Detection]) -> None:
 
 def read_detections(path, model_lengths: Optional[Mapping] = None) -> List[Detection]:
     """``model_lengths`` maps a feature's field name to the lengths of the
-    models that price it, each of which the file's features must have."""
+    models that price it, each of which the file's features must have.
+
+    The file is checked as columns (``_detection_columns``). A file that
+    fails any check is read again record by record, which raises at the
+    first bad line; a valid file never takes that path."""
+    try:
+        detections = _detection_columns(path, model_lengths)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        detections = None
+    if detections is None:
+        detections = _detection_records(path, model_lengths)
+    return detections
+
+
+def _float_column(values: list) -> Optional[np.ndarray]:
+    """``values`` as a float array if ``_finite`` accepts each of them,
+    else None."""
+    types = set(map(type, values))
+    if not types <= {int, float}:
+        return None
+    if int in types and not all(abs(v) <= _FLOAT_MAX for v in values if type(v) is int):
+        return None  # an int that rounds down to the largest float is still too large
+    column = np.array(values, dtype=float)
+    return column if np.isfinite(column).all() else None
+
+
+def _numbers_column(values: list, length: Optional[int] = None) -> Optional[np.ndarray]:
+    """``values`` as one ``(len(values), k)`` float array if each is a list
+    that ``_numbers`` accepts and all have one length ``k`` (``length`` if
+    given), else None."""
+    lengths = set(map(len, values)) if set(map(type, values)) == {list} else set()
+    if len(lengths) != 1 or (length is not None and lengths != {length}):
+        return None
+    column = _float_column(list(chain.from_iterable(values)))
+    return None if column is None else column.reshape(len(values), lengths.pop())
+
+
+def _detection_columns(path, model_lengths: Optional[Mapping]) -> Optional[List[Detection]]:
+    """The file's detections, with every check of ``_detection_records`` made
+    once per column: each line decoded as ``_parse`` decodes it, the JSON
+    types of each field in one pass, then ``core.detections_from_columns``
+    for the checks of ``Detection``. If any check fails, None or one of the
+    errors ``_parse`` turns into an input error."""
+    with open(path, "rb") as fh:
+        records = [json.loads(line.decode("utf-8")) for line in fh if not line.isspace()]
+    if not records:
+        return []
+    if set(map(type, records)) != {dict}:
+        return None
+    frames = [r["frame"] for r in records]
+    names = [r["class"] for r in records]
+    if (set(map(type, frames)) != {int} or set(map(type, names)) != {str}
+            or not set(names) <= _CLASSES.keys()):
+        return None
+    columns = {"bbox": _numbers_column([r["bbox"] for r in records], 4),
+               "score": _float_column([r["score"] for r in records]),
+               "descriptor": _numbers_column([r["descriptor"] for r in records])}
+    features = {}
+    for name in FEATURE_CLASSES:
+        values = [r.get(name) for r in records]
+        rows = [i for i, v in enumerate(values) if v is not None]
+        if rows:
+            columns[name] = _numbers_column([values[i] for i in rows])
+            features[name] = (rows, columns[name])
+    if any(column is None for column in columns.values()):
+        return None
+    for name in ("descriptor", *features):
+        length = columns[name].shape[1]
+        if ((model_lengths or {}).get(name) or {length}) != {length}:
+            return None
+    return detections_from_columns(frames, [_CLASSES[c] for c in names], columns["bbox"],
+                                   columns["score"], columns["descriptor"], features)
+
+
+def _detection_records(path, model_lengths: Optional[Mapping]) -> List[Detection]:
+    """The file's detections, parsed and checked one record at a time: the
+    first bad record raises its ``path:line: message``."""
     lengths = {}  # every descriptor (pose, fluent feature) as long as the first
 
     def detection(r, lineno) -> Detection:

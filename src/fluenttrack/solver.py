@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,9 +50,11 @@ from .core import (
     TrajectoryPoint,
     VisibilityState,
     ground_distance,
+    ground_distances,
     ground_points,
 )
 from .energy import (
+    NEUTRAL_SIGMOID,
     EnergyBreakdown,
     ZERO_BREAKDOWN,
     edge_cost,
@@ -58,6 +62,8 @@ from .energy import (
     node_exit_cost,
     pose_distances,
     pose_model,
+    sigmoid,
+    transition_energy,
     vehicle_fluent_distance,
 )
 from .grammar import (
@@ -272,13 +278,13 @@ def _strip_likelihood(breakdown: EnergyBreakdown) -> EnergyBreakdown:
 
 
 class _Stop(NamedTuple):
-    """One interior frame of a contracted chain: where the trajectory passes,
-    in which state, and the evidence its outgoing hop is priced with."""
+    """One occluded stop of a spline bridge: where the trajectory passes, in
+    which state, and the evidence its outgoing hop is priced with. The other
+    evidence ``edge_cost`` reads is absent (None)."""
 
     frame: int
     location: np.ndarray
     state: VisibilityState
-    reward: float
     detection_score: Optional[float] = None
     gap_similarity: Optional[float] = None
     pose_feature: Optional[np.ndarray] = None
@@ -392,13 +398,58 @@ class _GraphBuilder:
         self.append_edge(src, dst, breakdown, hops[0][0][1], net,
                          interior=Interior(src.frame + 1, locations, state, runs))
 
-    def contract(self, src: GraphNode, dst: GraphNode, stops: Sequence[_Stop],
-                 locations: np.ndarray) -> None:
-        """One ``src -> dst`` super-edge over a tracklet interior: every hop
-        is priced as if the visible ``stops`` were nodes."""
-        chain = (src, *stops, dst)
-        hops = [(self.price(u, v), u.reward, 1) for u, v in zip(chain, chain[1:])]
-        self.chain_edge(src, dst, hops, locations, VisibilityState.VISIBLE)
+    @cached_property
+    def visible_transitions(self) -> Tuple[Tuple[str, float], ...]:
+        """(action, transition energy) of each legal visible -> visible
+        action, in ``LEGAL_ACTIONS`` order."""
+        return tuple((action, transition_energy(VisibilityState.VISIBLE, VisibilityState.VISIBLE,
+                                                action, self.params.transition_table))
+                     for action in LEGAL_ACTIONS[(VisibilityState.VISIBLE, VisibilityState.VISIBLE)])
+
+    def contract(self, src: GraphNode, dst: GraphNode, positions: np.ndarray,
+                 scores: Sequence[float], pose_energies: Sequence[Optional[Mapping[str, float]]]
+                 ) -> None:
+        """One ``src -> dst`` super-edge over a tracklet, its interior priced
+        in one pass.
+
+        The tracklet's stops are at ``positions``, with detection ``scores``
+        and ``pose_energies`` (None for a stop without a pose feature); hop
+        ``i`` leaves stop ``i`` and pays its evidence. Each hop costs what
+        ``edge_cost`` (stripped in ``prior_only``) gives one visible ->
+        visible frame: displacement 0/1 against the same bound, the minimum
+        of transition + action term over ``visible_transitions`` with its tie
+        rule, visibility ``1 - score``, and an action term of the sigmoid of
+        the cached pose energy plus the neutral fluent term. The components
+        and the net cost are added hop by hop in hop order, as ``chain_edge``
+        adds them.
+        """
+        hops = len(positions) - 1
+        bound = self.params.tau_s / self.camera.frame_rate  # displacement_energy's, dt = 1
+        displacement = np.where(ground_distances(positions[1:], positions[:-1]) > bound, 1.0, 0.0)
+        best = np.zeros(hops, dtype=int)
+        best_value = np.full(hops, math.inf)
+        transition = np.zeros(hops)
+        action_term = np.zeros(hops)
+        for k, (action, energy) in enumerate(self.visible_transitions):
+            term = np.array([NEUTRAL_SIGMOID if e is None else sigmoid(e[action])
+                             for e in pose_energies[:-1]]) + NEUTRAL_SIGMOID
+            value = energy + term
+            better = value < best_value - 1e-15
+            best[better], best_value[better] = k, value[better]
+            transition[better], action_term[better] = energy, term[better]
+        if self.mode == "prior_only":
+            visibility = action_term = np.zeros(hops)
+        else:
+            visibility = 1.0 - np.asarray(scores[:-1], dtype=float)
+        total = displacement + transition + visibility + action_term
+        net = total - np.array([log_odds(score) for score in scores[:-1]])
+        parts = np.vstack((displacement, transition, visibility, action_term, total, net))
+        sums = np.add.accumulate(np.hstack((np.zeros((6, 1)), parts)), axis=1)[:, -1].tolist()
+        names = [self.visible_transitions[k][0] for k in best.tolist()]
+        runs = tuple((action, len(list(run))) for action, run in groupby(names[1:]))
+        self.append_edge(src, dst, EnergyBreakdown(*sums[:5]), names[0], sums[5],
+                         interior=Interior(src.frame + 1, positions[1:-1],
+                                           VisibilityState.VISIBLE, runs))
 
     def bridge(self, tail: GraphNode, head: GraphNode, link: GapLink, gate: float) -> None:
         """One ``tail -> head`` super-edge whose stops are the occluded
@@ -417,7 +468,7 @@ class _GraphBuilder:
         reward = self.occluded_reward()
 
         def stop(i: int) -> _Stop:
-            return _Stop(tail.frame + 1 + i, samples[i], VisibilityState.OCCLUDED, reward,
+            return _Stop(tail.frame + 1 + i, samples[i], VisibilityState.OCCLUDED,
                          gap_similarity=link.similarity)
 
         first, last = stop(0), stop(link.gap_frames - 1)
@@ -491,26 +542,26 @@ def build_graph(
     det_list = list(detections)
     pose_energies = _price_poses(det_list, params)
     for t in sorted(tracklets, key=lambda t: t.id):
-        stops = []
-        for i, location in enumerate(t.positions):
-            score = t.scores[i] if t.scores else 0.5
-            det = t.detection_indices[i] if t.detection_indices else None
-            stops.append(_Stop(
-                frame=t.start_frame + i,
-                location=location,
-                state=VisibilityState.VISIBLE,
-                reward=log_odds(score),
-                detection_score=score,
-                pose_feature=det_list[det].pose_feature if det is not None else None,
-                pose_energies=pose_energies[det] if det is not None else None,
-            ))
-        kinds = ("head", "tail") if len(stops) > 1 else ("single",)
-        ids = [b.add_node(**stop._asdict(), kind=kind, object_class=t.object_class, capacity=1,
-                          tracklet_id=t.id)
-               for stop, kind in zip((stops[0], stops[-1]), kinds)]
-        head_ids[t.id], tail_ids[t.id] = ids[0], ids[-1]
-        if len(ids) > 1:
-            b.contract(b.nodes[ids[0]], b.nodes[ids[1]], stops[1:-1], t.positions[1:-1])
+        n = len(t.positions)
+        scores = t.scores or (0.5,) * n
+        dets = t.detection_indices or (None,) * n
+        energies = [None if det is None else pose_energies[det] for det in dets]
+
+        def endpoint(i: int, kind: str) -> GraphNode:
+            det = dets[i]
+            return b.nodes[b.add_node(
+                frame=t.start_frame + i, location=t.positions[i],
+                state=VisibilityState.VISIBLE, kind=kind, object_class=t.object_class,
+                reward=log_odds(scores[i]), capacity=1, detection_score=scores[i],
+                pose_feature=None if det is None else det_list[det].pose_feature,
+                pose_energies=energies[i], tracklet_id=t.id)]
+
+        if n == 1:
+            head = tail = endpoint(0, "single")
+        else:
+            head, tail = endpoint(0, "head"), endpoint(n - 1, "tail")
+            b.contract(head, tail, t.positions, scores, energies)
+        head_ids[t.id], tail_ids[t.id] = head.id, tail.id
 
     # leftover detections (non-vehicle, unused by any tracklet)
     used = set()
@@ -611,16 +662,16 @@ def build_graph(
                 b.connect(b.nodes[cnode], v, fluent=fluent)
         b.connect(nodes_chain[-1], after_head)
 
-    # container chains, shared by up to max_contained objects
+    # container chains, shared by up to max_contained objects. A chain hop
+    # pays no fluent: riding is no door or trunk interaction, and the fluent
+    # term, never below the neutral one, could only price those actions up
     for traj in containers.trajectories:
         for f in range(traj.birth_frame, traj.death_frame):
             src_id = contained_ids.get((traj.object_id, f))
             dst_id = contained_ids.get((traj.object_id, f + 1))
             if src_id is None or dst_id is None:
                 continue
-            b.connect(b.nodes[src_id], b.nodes[dst_id],
-                      fluent=containers.evidence[traj.object_id][f][1],
-                      is_container_chain=True)
+            b.connect(b.nodes[src_id], b.nodes[dst_id], is_container_chain=True)
 
     # exits (births/deaths live on visible evidence only)
     for n in b.nodes:

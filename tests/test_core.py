@@ -16,6 +16,7 @@ from fluenttrack.core import (
     ObjectClass,
     Tracklet,
     descriptor_similarity,
+    detections_from_columns,
     ground_distance,
     ground_distances,
     ground_points,
@@ -322,3 +323,121 @@ class TestBatchedGeometry:
     def test_empty_inputs(self):
         assert ground_points(CameraModel(np.eye(3), 10.0), []).shape == (0, 2)
         assert ground_distances(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0,)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def _set(name, value):
+    return lambda draw, r: r.update({name: value})
+
+
+def _entry(name, values):
+    def fault(draw, r):
+        v = list(r[name])
+        v[draw(st.integers(0, len(v) - 1))] = draw(st.sampled_from(values))
+        r[name] = type(r[name])(v)
+    return fault
+
+
+def _scaled(factor):
+    return lambda draw, r: r.update(descriptor=[factor * v for v in r["descriptor"]])
+
+
+def _feature_on(name, object_class):
+    return lambda draw, r: r.update({"object_class": object_class, name: [0.5] * 3})
+
+
+# Ways to change one record that Detection accepts, each aimed at one of its
+# checks; the scores 0 and 1 and a descriptor scaled by less than
+# UNIT_NORM_TOL sit on the accepting side of their bounds
+DETECTION_FAULTS = (
+    _set("frame", -1), _entry("bbox", NON_FINITE), _entry("bbox", [0.0, -0.0, -1.0]),
+    _set("score", 1.5), _set("score", -0.25), _set("score", math.nan), _set("score", 1.0),
+    _set("score", 0.0), _entry("descriptor", NON_FINITE), _scaled(1 + 2e-6), _scaled(1 + 5e-7),
+    _feature_on("pose_feature", ObjectClass.VEHICLE),
+    _feature_on("pose_feature", ObjectClass.SUITCASE),
+    _feature_on("vehicle_fluent_feature", ObjectClass.PERSON),
+    _feature_on("vehicle_fluent_feature", ObjectClass.SUITCASE),
+)
+
+
+@st.composite
+def detection_columns(draw):
+    """One to four records that ``Detection`` accepts, each then broken by
+    at most one of ``DETECTION_FAULTS`` (or a NaN in a feature); every
+    feature has one length across the records."""
+    finite = st.floats(-5.0, 5.0)
+    dim = draw(st.integers(1, 4))
+    records = []
+    for _ in range(draw(st.integers(1, 4))):
+        descriptor = np.array(draw(st.lists(finite, min_size=dim, max_size=dim)
+                                   .filter(lambda v: np.linalg.norm(v) > 0.1)))
+        object_class = draw(st.sampled_from(list(ObjectClass)))
+        record = {
+            "frame": draw(st.integers(0, 50)),
+            "object_class": object_class,
+            "bbox": (draw(finite), draw(finite), draw(st.floats(0.01, 5.0)),
+                     draw(st.floats(0.01, 5.0))),
+            "score": draw(st.floats(0.0, 1.0)),
+            "descriptor": (descriptor / np.linalg.norm(descriptor)).tolist(),
+        }
+        name = {ObjectClass.PERSON: "pose_feature",
+                ObjectClass.VEHICLE: "vehicle_fluent_feature"}.get(object_class)
+        if name and draw(st.booleans()):
+            record[name] = draw(st.lists(finite, min_size=3, max_size=3))
+        fault = draw(st.sampled_from((None,) * len(DETECTION_FAULTS) + DETECTION_FAULTS))
+        if fault is not None:
+            fault(draw, record)
+        elif name in record and draw(st.booleans()):
+            _entry(name, NON_FINITE)(draw, record)
+        records.append(record)
+    return records, {"descriptor": dim, "pose_feature": 3, "vehicle_fluent_feature": 3}
+
+
+class TestDetectionsFromColumns:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(detection_columns())
+    def test_accepts_and_rejects_as_post_init(self, drawn):
+        # the column check rejects a set of records if and only if
+        # Detection rejects one of them, with the message Detection gives the
+        # row it names; accepted rows are the Detections, bit for bit
+        records, dims = drawn
+        expected = []
+        for record in records:
+            try:
+                expected.append(Detection(**record))
+            except ValueError as exc:
+                expected.append(str(exc))
+        features = {}
+        for name in ("pose_feature", "vehicle_fluent_feature"):
+            rows = [i for i, r in enumerate(records) if name in r]
+            features[name] = (rows, np.reshape([records[i][name] for i in rows],
+                                               (len(rows), dims[name])))
+
+        def columns():
+            return detections_from_columns(
+                [r["frame"] for r in records], [r["object_class"] for r in records],
+                [r["bbox"] for r in records], [r["score"] for r in records],
+                [r["descriptor"] for r in records], features)
+
+        if any(isinstance(e, str) for e in expected):
+            with pytest.raises(ValueError) as exc:
+                columns()
+            row = int(re.match(r"detection (\d+): ", str(exc.value)).group(1))
+            assert str(exc.value) == f"detection {row}: {expected[row]}"
+            return
+        for got, want in zip(columns(), expected, strict=True):
+            assert got.frame == want.frame and got.object_class is want.object_class
+            assert type(got.bbox) is tuple and all(type(v) is float for v in got.bbox)
+            assert same_bits(got.bbox, want.bbox)
+            assert type(got.score) is float and same_bits(got.score, want.score)
+            for name in ("descriptor", "pose_feature", "vehicle_fluent_feature"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert same_bits(a, b) and a.ndim == 1 and not a.flags.writeable
+
+    def test_empty_columns(self):
+        assert detections_from_columns([], [], np.empty((0, 4)), np.empty(0),
+                                       np.empty((0, 2)), {}) == []

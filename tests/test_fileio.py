@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluenttrack import fileio
-from fluenttrack.cli import EXIT_INPUT, main
+from fluenttrack.cli import EXIT_INPUT, _model_lengths, main
 from fluenttrack.core import (
     CameraModel,
     Detection,
@@ -24,6 +25,7 @@ from fluenttrack.core import (
 from fluenttrack.fileio import InputFormatError
 from fluenttrack.grammar import (
     default_action_models,
+    default_parameters,
     default_transition_table,
     default_vehicle_templates,
 )
@@ -39,7 +41,7 @@ from fluenttrack.simulator import (
     scenario_by_name,
 )
 
-from conftest import unit_vector
+from conftest import same_bits, unit_vector
 
 
 def sample_detections():
@@ -470,6 +472,144 @@ class TestReaderProperties:
             return ["fit-model", "--clips", path, "--out", out]
 
         self.check(pose_samples, *files, fit_model)
+
+
+# -- detections as checked columns ----------------------------------------------
+
+# (field, value, the record reader's message after "path:line: ") of one
+# corrupted detection record
+RECORD_FAULTS = {
+    "bbox_width": ("bbox", lambda r: r["bbox"][:2] + [-1.0, r["bbox"][3]],
+                   "bad detection record: bbox width and height must be positive"),
+    "descriptor_type": ("descriptor", lambda r: "x",
+                        "descriptor must be a list of any number of finite numbers, got 'x'"),
+    "score_range": ("score", lambda r: 1.5, "bad detection record: score must lie in [0, 1]"),
+    "frame_type": ("frame", lambda r: 2.0, "frame has the wrong type: 2.0"),
+    "negative_frame": ("frame", lambda r: -3, "bad detection record: frame index must be >= 0"),
+    "class_name": ("class", lambda r: "bus",
+                   "class must be one of person, vehicle, suitcase, got 'bus'"),
+    "descriptor_norm": ("descriptor", lambda r: [2.0 * v for v in r["descriptor"]],
+                        "bad detection record: descriptor must be unit norm (within 1e-6)"),
+}
+
+
+@pytest.fixture(scope="module")
+def suite_lines(suite_runs, tmp_path_factory):
+    """The lines of the detections file of the suite's largest sequence."""
+    _, sim = max(suite_runs, key=lambda run: len(run[1].detections))
+    path = tmp_path_factory.mktemp("suite") / "detections.jsonl"
+    fileio.write_detections(path, sim.detections)
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def _with_faults(lines, faults):
+    """``lines`` with the record at each 0-based index of ``faults``
+    changed by its ``RECORD_FAULTS`` entry."""
+    lines = list(lines)
+    for index, name in faults.items():
+        record = json.loads(lines[index])
+        field, value, _ = RECORD_FAULTS[name]
+        record[field] = value(record)
+        lines[index] = json.dumps(record)
+    return lines
+
+
+class TestDetectionColumns:
+    """``read_detections`` checks a file as columns, and reads a file that
+    fails a check again record by record, which names the first bad line."""
+
+    def test_suite_roundtrip_keeps_bits(self, suite_runs, tmp_path, monkeypatch):
+        def record_reader(*args):
+            raise AssertionError("a valid file was read record by record")
+
+        monkeypatch.setattr(fileio, "_detection_records", record_reader)
+        lengths = _model_lengths(default_parameters())
+        for name, sim in suite_runs:
+            path = tmp_path / f"{name}.jsonl"
+            fileio.write_detections(path, sim.detections)
+            loaded = fileio.read_detections(path, lengths)
+            assert len(loaded) == len(sim.detections), name
+            for a, b in zip(sim.detections, loaded):
+                assert type(b.frame) is int and b.frame == a.frame
+                assert b.object_class is a.object_class
+                assert type(b.bbox) is tuple and all(type(v) is float for v in b.bbox)
+                assert same_bits(b.bbox, a.bbox)
+                assert type(b.score) is float and same_bits(b.score, a.score)
+                for field in ("descriptor", "pose_feature", "vehicle_fluent_feature"):
+                    u, v = getattr(a, field), getattr(b, field)
+                    assert (u is None) == (v is None), (name, field)
+                    if v is not None:
+                        assert same_bits(v, u) and not v.flags.writeable, (name, field)
+
+    @pytest.mark.parametrize("first,second", [("bbox_width", "descriptor_type"),
+                                              ("descriptor_type", "score_range"),
+                                              ("frame_type", "class_name"),
+                                              ("descriptor_norm", "negative_frame")])
+    def test_two_corrupt_records_name_the_earlier_line(self, suite_lines, tmp_path,
+                                                       first, second):
+        path = tmp_path / "detections.jsonl"
+        earlier, later = 100, len(suite_lines) // 2
+        _write_lines(path, _with_faults(suite_lines, {earlier: first, later: second}))
+        with pytest.raises(InputFormatError) as exc:
+            fileio.read_detections(path)
+        assert str(exc.value) == f"{path}:{earlier + 1}: {RECORD_FAULTS[first][2]}"
+
+    @pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
+    def test_corrupt_last_line_is_named(self, suite_lines, tmp_path, fault):
+        path = tmp_path / "detections.jsonl"
+        _write_lines(path, _with_faults(suite_lines, {len(suite_lines) - 1: fault}))
+        with pytest.raises(InputFormatError) as exc:
+            fileio.read_detections(path)
+        assert str(exc.value) == f"{path}:{len(suite_lines)}: {RECORD_FAULTS[fault][2]}"
+
+    @pytest.mark.parametrize("field", ["bbox", "score"])
+    def test_int_just_past_the_largest_float_is_rejected(self, suite_lines, tmp_path, field):
+        # such an int converts to the largest float, not to infinity, so
+        # only its own bound rejects it
+        record = json.loads(suite_lines[0])
+        too_large = 2**1024 - 2**970 - 1
+        assert float(too_large) == sys.float_info.max
+        record[field] = [too_large] + record["bbox"][1:] if field == "bbox" else too_large
+        path = tmp_path / "detections.jsonl"
+        _write_lines(path, [json.dumps(record)] + suite_lines[1:])
+        with pytest.raises(InputFormatError) as expected:
+            fileio._detection_records(path, None)
+        with pytest.raises(InputFormatError) as exc:
+            fileio.read_detections(path)
+        assert str(exc.value) == str(expected.value)
+        assert str(exc.value).startswith(f"{path}:1: ")
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_random_corruptions_read_as_the_record_reader(self, suite_lines, data):
+        # two records corrupted in random fields, by a wrong JSON type, a
+        # non-finite or missing value, or a value a Detection check rejects:
+        # the message is the record reader's, naming the earlier line
+        lines = list(suite_lines)
+        indices = data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2,
+                                     unique=True).map(sorted))
+        for index in indices:
+            record = json.loads(lines[index])
+            fields = [(record, key, kind, True) for key, kind in
+                      (("frame", "int"), ("class", "name"), ("bbox", "box"),
+                       ("score", "number"), ("descriptor", "feature"))]
+            fields += [(record, key, "feature", False) for key in
+                       ("pose_feature", "vehicle_fluent_feature") if key in record]
+            if data.draw(st.booleans()):
+                bad = corrupted_copy(data.draw, record, fields)
+            else:
+                bad = json.loads(_with_faults([lines[index]], {
+                    0: data.draw(st.sampled_from(sorted(RECORD_FAULTS)))})[0])
+            lines[index] = json.dumps(bad)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "detections.jsonl"
+            _write_lines(path, lines)
+            with pytest.raises(InputFormatError) as expected:
+                fileio._detection_records(path, None)
+            with pytest.raises(InputFormatError) as exc:
+                fileio.read_detections(path)
+        assert str(exc.value) == str(expected.value)
+        assert str(exc.value).startswith(f"{path}:{indices[0] + 1}: ")
 
 
 # -- property tests over the single-document readers --------------------------

@@ -150,3 +150,22 @@ def test_evaluate_report_digests(outputs, simulated, tmp_path, name, mode):
                  "--ground-truth", str(tmp_path / "ground_truth.jsonl"),
                  "--out", str(report), "--sequence", name]) == EXIT_OK
     assert sha256(report) == REPORT_DIGESTS[name, mode]
+
+
+# sha256 over the `prior_only` outputs of all 20 suite sequences: each
+# sequence's three files in FILES order, the sequences in suite order
+SUITE_PRIOR_ONLY_DIGEST = "90bdb7887a231129f1b48a4fd1e930dfaf54aa3c983724df51268a4994196476"
+
+
+def test_suite_prior_only_digest(suite_runs, params, tmp_path):
+    digest = hashlib.sha256()
+    for name, sim in suite_runs:
+        result = joint_solve(sim.detections, default_camera(), params, mode="prior_only")
+        out = tmp_path / name
+        out.mkdir()
+        fileio.write_trajectories(out / FILES[0], result.trajectories)
+        fileio.write_frame_parses(out / FILES[1], result.frame_parses)
+        fileio.write_json(out / FILES[2], result.summary)
+        for f in FILES:
+            digest.update((out / f).read_bytes())
+    assert digest.hexdigest() == SUITE_PRIOR_ONLY_DIGEST

@@ -4,17 +4,27 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluenttrack.core import CameraModel, ObjectClass, Tracklet, VisibilityState, ground_distance
 from fluenttrack.energy import EnergyBreakdown, edge_cost, log_odds
-from fluenttrack.grammar import default_grammar, default_parameters, min_inertial_energy
-from fluenttrack.simulator import scenario_by_name, simulate
+from fluenttrack.grammar import (
+    LEGAL_ACTIONS,
+    ActionStateTable,
+    default_grammar,
+    default_parameters,
+    min_inertial_energy,
+)
+from fluenttrack.simulator import default_camera, scenario_by_name, simulate
 from fluenttrack.solver import (
+    SOLVE_MODES,
     ContainerSolution,
     GraphEdge,
     GraphNode,
     OracleLimitError,
     TransitionGraph,
+    _GraphBuilder,
     brute_force_oracle,
     build_graph,
     joint_solve,
@@ -24,7 +34,7 @@ from fluenttrack.solver import (
 )
 from fluenttrack.tracklets import LINK_GATE_SLACK, GapLink, build_gap_links, generate_tracklets
 
-from conftest import Stop, make_detection, random_walk_instance, unit_vector
+from conftest import Stop, make_detection, random_walk_instance, same_bits, unit_vector
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +61,41 @@ def vehicle_track(detection_frames, camera, params, x=20.0, y=10.0, score=0.95):
         for f in detection_frames
     ]
     return solve_containers(dets, camera, params)
+
+
+V = VisibilityState.VISIBLE
+
+
+def per_hop_tracklet_edge(builder, head, tail, stops):
+    """The super-edge over a tracklet's ``stops`` (its endpoints included)
+    as the per-hop reference builds it: one ``builder.price`` (``edge_cost``,
+    stripped in ``prior_only``) per hop from ``head`` over the interior
+    stops to ``tail``, the sums added by ``chain_edge``."""
+    chain = [head, *stops[1:-1], tail]
+    hops = [(builder.price(u, v), log_odds(u.detection_score), 1)
+            for u, v in zip(chain, chain[1:])]
+    builder.chain_edge(head, tail, hops, np.array([s.location for s in stops[1:-1]]), V)
+    return builder.edges[-1]
+
+
+def assert_same_edge(edge, reference):
+    """Bit-equal energies, net cost and stops; the reference's one-stop
+    action runs merged into maximal runs."""
+    fields = ("displacement", "transition", "visibility", "action", "total")
+    assert same_bits([getattr(edge.breakdown, f) for f in fields],
+                     [getattr(reference.breakdown, f) for f in fields])
+    assert same_bits(edge.net_cost, reference.net_cost)
+    assert edge.action == reference.action
+    runs = []
+    for action, count in reference.interior.actions:
+        if runs and runs[-1][0] == action:
+            action, count = action, runs.pop()[1] + count
+        runs.append((action, count))
+    assert edge.interior.actions == tuple(runs)
+    assert edge.interior.first_frame == reference.interior.first_frame
+    assert edge.interior.state is V
+    assert same_bits(edge.interior.locations.reshape(-1, 2),
+                     reference.interior.locations.reshape(-1, 2))
 
 
 class TestSolveContainers:
@@ -522,8 +567,9 @@ class TestInvariants:
         # every edge of a graph with containers is the price of its hops, read
         # from the stops they join: a plain edge from its two nodes, paying
         # the container's fluent at its source frame when a contained node is
-        # either end; a tracklet super-edge hop by hop over the tracklet's
-        # scores and its detections' pose features
+        # one end (a container chain edge, with two, pays none, and the fluent
+        # would not change its price); a tracklet super-edge hop by hop over
+        # the tracklet's scores and its detections' pose features
         script, noise = scenario_by_name("enter_drive_exit")
         dets = simulate(script, noise, camera, params).detections
         graph = pipeline_graph(dets, camera, params)
@@ -537,8 +583,11 @@ class TestInvariants:
                 ends = [n for n in (src, dst) if n.state is VisibilityState.CONTAINED]
                 fluent = (graph.containers.evidence[ends[0].container_id][src.frame][1]
                           if ends else None)
-                assert (edge.breakdown, edge.action) == edge_cost(src, dst, params,
-                                                                  camera.frame_rate, fluent)
+                price = edge_cost(src, dst, params, camera.frame_rate, fluent)
+                assert edge.is_container_chain == (len(ends) == 2)
+                if edge.is_container_chain:
+                    assert price == edge_cost(src, dst, params, camera.frame_rate)
+                assert (edge.breakdown, edge.action) == price
                 assert edge.net_cost == edge.breakdown.total - src.reward
                 continue
             if edge.interior.state is VisibilityState.OCCLUDED:
@@ -568,6 +617,73 @@ class TestInvariants:
                      ("vestibule", "head")):
             assert kinds[pair], pair
 
+
+    def test_suite_tracklet_edges_match_per_hop_reference(self, suite_runs, params):
+        # every tracklet super-edge of the suite, in every mode, is the per-hop
+        # edge_cost + chain_edge reference bit for bit; the reference solves
+        # each stop's pose on its own instead of reading cached energies
+        camera = default_camera()
+        for name, sim in suite_runs:
+            vehicles = [d for d in sim.detections if d.object_class is ObjectClass.VEHICLE]
+            others = [d for d in sim.detections if d.object_class is not ObjectClass.VEHICLE]
+            containers = solve_containers(vehicles, camera, params)
+            tracks = generate_tracklets(others, camera, params)
+            links = build_gap_links(tracks, params, camera.frame_rate)
+            for mode in SOLVE_MODES:
+                graph = build_graph(others, tracks, links if mode == "full" else [], containers,
+                                    camera, params, mode)
+                edges = [e for e in graph.edges
+                         if e.interior is not None and e.interior.state is V]
+                assert len(edges) == sum(len(t.positions) > 1 for t in tracks), (name, mode)
+                for edge in edges:
+                    head, tail = graph.nodes[edge.src], graph.nodes[edge.dst]
+                    t = tracks[head.tracklet_id]
+                    assert t.id == head.tracklet_id == tail.tracklet_id
+                    stops = [Stop(t.start_frame + i, location, V, detection_score=t.scores[i],
+                                  pose_feature=others[t.detection_indices[i]].pose_feature)
+                             for i, location in enumerate(t.positions)]
+                    reference = per_hop_tracklet_edge(_GraphBuilder(camera, params, mode),
+                                                      head, tail, stops)
+                    assert_same_edge(edge, reference)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_tracklet_edge_keeps_min_and_tie_rule(self, camera, params, data):
+        # with a second legal visible -> visible action, each hop takes the
+        # cheaper action, and a tie within 1e-15 goes to the first one
+        second = "open_vehicle_door"
+        p_walk = params.transition_table.rows[(V, "walking")][V]
+        p_second = data.draw(st.sampled_from([p_walk, 1.0, 0.5]))
+        rows = dict(params.transition_table.rows)
+        rows[(V, second)] = {V: p_second, VisibilityState.OCCLUDED: 1.0 - p_second} \
+            if p_second < 1.0 else {V: 1.0}
+        table_params = default_parameters(transition_table=ActionStateTable(rows=rows))
+        mode = data.draw(st.sampled_from(SOLVE_MODES))
+        energy = st.sampled_from([0.0, 1.0, 2.5])
+        stops = []
+        for i in range(data.draw(st.integers(2, 8))):
+            score = data.draw(st.floats(0.0, 1.0))
+            posed = data.draw(st.booleans())
+            stops.append(Stop(
+                10 + i, np.array([0.3 * i + data.draw(st.floats(-0.2, 0.2)), 1.0]), V,
+                detection_score=score, pose_feature=np.zeros(9) if posed else None,
+                pose_energies={"walking": data.draw(energy), second: data.draw(energy)}
+                if posed else None))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(LEGAL_ACTIONS, (V, V), ("walking", second))
+            builder = _GraphBuilder(camera, table_params, mode)
+            head, tail = (builder.nodes[builder.add_node(
+                frame=stop.frame, location=stop.location, state=V, kind=kind,
+                object_class=ObjectClass.PERSON, reward=log_odds(stop.detection_score),
+                capacity=1, detection_score=stop.detection_score,
+                pose_feature=stop.pose_feature, pose_energies=stop.pose_energies)]
+                for stop, kind in ((stops[0], "head"), (stops[-1], "tail")))
+            builder.contract(head, tail, np.array([s.location for s in stops]),
+                             [s.detection_score for s in stops],
+                             [s.pose_energies for s in stops])
+            reference = per_hop_tracklet_edge(_GraphBuilder(camera, table_params, mode),
+                                              head, tail, stops)
+        assert_same_edge(builder.edges[-1], reference)
 
 class TestJointSolve:
     def test_empty_scene(self, camera, params):

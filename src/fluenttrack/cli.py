@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import logging
 import os
 import sys
@@ -294,7 +295,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# whether this process has frozen its import-time objects; gc.get_freeze_count
+# would tell too, but it walks every frozen object on each call
+_frozen = False
+
+
+def _freeze_imports() -> None:
+    """Move every object alive now, most of them numpy's and scipy's import
+    state, out of reach of the garbage collector, once per process: a full
+    collection no longer re-scans them. A second freeze would also pin the
+    uncollected cycles of the commands run since."""
+    global _frozen
+    if not _frozen:
+        gc.freeze()
+        _frozen = True
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _freeze_imports()
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)

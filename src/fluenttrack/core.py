@@ -304,6 +304,70 @@ class Trajectory:
         return self.points[frame - self.birth_frame]
 
 
+def trajectories_from_columns(
+    object_ids: Sequence[int],
+    classes: Sequence[ObjectClass],
+    lengths: Sequence[int],
+    frames: Sequence[int],
+    locations: np.ndarray,
+    states: Sequence[VisibilityState],
+    actions: Sequence[Optional[str]],
+    container_ids: Sequence[Optional[int]],
+) -> List[Trajectory]:
+    """The ``Trajectory`` of each row of ``object_ids`` and ``classes``,
+    with the checks of ``TrajectoryPoint`` and ``Trajectory`` made once per
+    column.
+
+    Trajectory ``t`` has the next ``lengths[t]`` rows of the point columns:
+    ``frames``, the ``(n, 2)`` ``locations``, ``states``, ``actions`` and
+    ``container_ids``. Each check of ``__post_init__`` runs over all rows at
+    once, points' checks before trajectories'; the first that fails raises
+    its ``ValueError``, naming the first point or trajectory it fails on.
+    The trajectories are then built without running ``__post_init__``:
+    each location is a row of a read-only array.
+    """
+    def check(bad, what: str, message: str) -> None:
+        rows = np.flatnonzero(bad)
+        if len(rows):
+            raise ValueError(f"{what} {rows[0]}: {message}")
+
+    locations = np.array(locations, dtype=float)
+    if locations.shape != (len(frames), 2):
+        raise ValueError("location must be a 2-D ground point")
+    check([(c is not None) != (s is VisibilityState.CONTAINED)
+           for c, s in zip(container_ids, states)],
+          "point", "container_id must be present iff state is Contained")
+    lengths = np.array(lengths, dtype=np.int64)
+    check(lengths < 1, "trajectory", "trajectory must contain at least one point")
+    ends = np.cumsum(lengths)
+    skips = np.diff(np.array(frames, dtype=np.int64)) != 1
+    skips[ends[:-1] - 1] = False  # the step from one trajectory to the next
+    bad = np.zeros(len(lengths), dtype=bool)
+    bad[np.searchsorted(ends, np.flatnonzero(skips), side="right")] = True
+    check(bad, "trajectory", "trajectory frames must be contiguous and increasing")
+    locations.setflags(write=False)
+
+    new = object.__new__
+    points = []
+    for frame, location, state, action, container_id in zip(
+            frames, locations, states, actions, container_ids):
+        point = new(TrajectoryPoint)
+        object.__setattr__(point, "__dict__", {
+            "frame": frame, "location": location, "state": state, "action": action,
+            "container_id": container_id})
+        points.append(point)
+    trajectories = []
+    start = 0
+    for object_id, object_class, n in zip(object_ids, classes, lengths.tolist()):
+        trajectory = new(Trajectory)
+        object.__setattr__(trajectory, "__dict__", {
+            "object_id": object_id, "object_class": object_class,
+            "points": tuple(points[start:start + n])})
+        trajectories.append(trajectory)
+        start += n
+    return trajectories
+
+
 @dataclass(frozen=True)
 class ParseEntry:
     object_id: int

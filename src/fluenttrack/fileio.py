@@ -17,14 +17,16 @@ is named for JSON Lines files, the file alone for documents. Every list of
 numbers goes through ``_numbers``: JSON numbers only (not bools), each
 finite, of a fixed length or as long as the first of its name in the file.
 
-Detections, the largest input, are checked as columns first: each line is
-decoded as ``_parse`` decodes it, then each field's JSON types, finiteness
-and lengths are checked in one pass over the file, and
-``core.detections_from_columns`` makes the checks of ``Detection`` once per
-column and builds the detections on rows of read-only arrays. A file that
-fails any of these checks is parsed again record by record through
-``_parse``, which raises at the first bad line with the message that line
-gets on its own; a valid file is never parsed twice.
+Detections, ground truth and trajectories, the inputs read on every run,
+are checked as columns first (``_read_checked``): each line is decoded as
+``_parse`` decodes it, then each field's JSON types, finiteness and lengths
+are checked in one pass over the file. ``core.detections_from_columns`` and
+``core.trajectories_from_columns`` make the checks of ``Detection``,
+``TrajectoryPoint`` and ``Trajectory`` once per column, and every record is
+built without a ``_parse`` call, its vectors rows of read-only arrays. A
+file that fails any of these checks is parsed again record by record
+through ``_parse``, which raises at the first bad line with the message
+that line gets on its own; a valid file is never parsed twice.
 """
 
 from __future__ import annotations
@@ -52,9 +54,10 @@ from .core import (
     TrajectoryPoint,
     VisibilityState,
     detections_from_columns,
+    trajectories_from_columns,
 )
 from .grammar import ActionStateTable
-from .metrics import ClearMetrics, FluentReport, TrackObservation
+from .metrics import ClearMetrics, FluentReport, Observations, observations
 from .simulator import (
     AgentScript,
     GroundTruthRecord,
@@ -202,18 +205,8 @@ def write_detections(path, detections: Sequence[Detection]) -> None:
 
 def read_detections(path, model_lengths: Optional[Mapping] = None) -> List[Detection]:
     """``model_lengths`` maps a feature's field name to the lengths of the
-    models that price it, each of which the file's features must have.
-
-    The file is checked as columns (``_detection_columns``). A file that
-    fails any check is read again record by record, which raises at the
-    first bad line; a valid file never takes that path."""
-    try:
-        detections = _detection_columns(path, model_lengths)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        detections = None
-    if detections is None:
-        detections = _detection_records(path, model_lengths)
-    return detections
+    models that price it, each of which the file's features must have."""
+    return _read_checked(_detection_columns, _detection_records, path, model_lengths)
 
 
 def _float_column(values: list) -> Optional[np.ndarray]:
@@ -239,22 +232,52 @@ def _numbers_column(values: list, length: Optional[int] = None) -> Optional[np.n
     return None if column is None else column.reshape(len(values), lengths.pop())
 
 
+def _all_of(values: list, *types) -> bool:
+    """Whether the type of each value is exactly one of ``types``."""
+    return set(map(type, values)) <= set(types)
+
+
+def _members(members, values: list) -> Optional[list]:
+    """The enum member that ``members`` maps each value to, if each is a
+    str that it maps, else None."""
+    if not (_all_of(values, str) and set(values) <= members.keys()):
+        return None
+    return [members[v] for v in values]
+
+
+def _decoded(path) -> Optional[list]:
+    """Each non-blank line of the file decoded as ``_parse`` decodes it, or
+    None if one is not a JSON object."""
+    with open(path, "rb") as fh:
+        records = [json.loads(line.decode("utf-8")) for line in fh if not line.isspace()]
+    return records if _all_of(records, dict) else None
+
+
+def _read_checked(columns, records, path, *args):
+    """``columns(path, *args)``, the file read and checked as columns. A
+    file that fails any check there (``columns`` returns None, or raises
+    one of the errors ``_parse`` turns into an input error) is read again
+    by ``records(path, *args)`` one record at a time, which raises at the
+    first bad line; a valid file is never parsed twice."""
+    try:
+        result = columns(path, *args)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        result = None
+    return records(path, *args) if result is None else result
+
+
 def _detection_columns(path, model_lengths: Optional[Mapping]) -> Optional[List[Detection]]:
     """The file's detections, with every check of ``_detection_records`` made
     once per column: each line decoded as ``_parse`` decodes it, the JSON
     types of each field in one pass, then ``core.detections_from_columns``
     for the checks of ``Detection``. If any check fails, None or one of the
     errors ``_parse`` turns into an input error."""
-    with open(path, "rb") as fh:
-        records = [json.loads(line.decode("utf-8")) for line in fh if not line.isspace()]
+    records = _decoded(path)
     if not records:
-        return []
-    if set(map(type, records)) != {dict}:
-        return None
+        return records
     frames = [r["frame"] for r in records]
-    names = [r["class"] for r in records]
-    if (set(map(type, frames)) != {int} or set(map(type, names)) != {str}
-            or not set(names) <= _CLASSES.keys()):
+    classes = _members(_CLASSES, [r["class"] for r in records])
+    if not _all_of(frames, int) or classes is None:
         return None
     columns = {"bbox": _numbers_column([r["bbox"] for r in records], 4),
                "score": _float_column([r["score"] for r in records]),
@@ -272,7 +295,7 @@ def _detection_columns(path, model_lengths: Optional[Mapping]) -> Optional[List[
         length = columns[name].shape[1]
         if ((model_lengths or {}).get(name) or {length}) != {length}:
             return None
-    return detections_from_columns(frames, [_CLASSES[c] for c in names], columns["bbox"],
+    return detections_from_columns(frames, classes, columns["bbox"],
                                    columns["score"], columns["descriptor"], features)
 
 
@@ -342,6 +365,41 @@ def write_trajectories(path, trajectories: Sequence[Trajectory]) -> None:
 
 
 def read_trajectories(path) -> List[Trajectory]:
+    return _read_checked(_trajectory_columns, _trajectory_records, path)
+
+
+def _trajectory_columns(path) -> Optional[List[Trajectory]]:
+    """The file's trajectories, with every check of ``_trajectory_records``
+    made once per column: the JSON types of each field, then
+    ``core.trajectories_from_columns`` for the checks of ``TrajectoryPoint``
+    and ``Trajectory``. If any check fails, None or one of the errors
+    ``_parse`` turns into an input error."""
+    records = _decoded(path)
+    if not records:
+        return records
+    object_ids = [r["object_id"] for r in records]
+    classes = _members(_CLASSES, [r["class"] for r in records])
+    tracks = [r["track"] for r in records]
+    if not (_all_of(object_ids, int) and classes is not None and _all_of(tracks, list)):
+        return None
+    points = list(chain.from_iterable(tracks))
+    if not _all_of(points, dict):
+        return None
+    frames = [p["frame"] for p in points]
+    locations = _numbers_column([p["location"] for p in points], 2)
+    states = _members(_STATES, [p["state"] for p in points])
+    actions = [p.get("action") for p in points]
+    container_ids = [p.get("container_id") for p in points]
+    if not (_all_of(frames, int) and locations is not None and states is not None
+            and _all_of(actions, str, type(None)) and _all_of(container_ids, *_OPTIONAL_INT)):
+        return None
+    return trajectories_from_columns(object_ids, classes, list(map(len, tracks)), frames,
+                                     locations, states, actions, container_ids)
+
+
+def _trajectory_records(path) -> List[Trajectory]:
+    """The file's trajectories, parsed and checked one record at a time:
+    the first bad record raises its ``path:line: message``."""
     def trajectory(r, lineno) -> Trajectory:
         points = tuple(
             TrajectoryPoint(
@@ -400,6 +458,43 @@ def write_ground_truth(path, records: Sequence[GroundTruthRecord]) -> None:
 
 
 def read_ground_truth(path) -> List[GroundTruthRecord]:
+    return _read_checked(_ground_truth_columns, _ground_truth_records, path)
+
+
+def _ground_truth_columns(path) -> Optional[List[GroundTruthRecord]]:
+    """The file's records, with every check of ``_ground_truth_records``
+    made once per column, each location a row of a read-only array. If any
+    check fails, None or one of the errors ``_parse`` turns into an input
+    error."""
+    records = _decoded(path)
+    if not records:
+        return records
+    frames = [r["frame"] for r in records]
+    object_ids = [r["object_id"] for r in records]
+    classes = _members(_CLASSES, [r.get("class", "person") for r in records])
+    locations = _numbers_column([r["location"] for r in records], 2)
+    states = _members(_STATES, [r["state"] for r in records])
+    container_ids = [r.get("container_id") for r in records]
+    if not (_all_of(frames, int) and _all_of(object_ids, int) and classes is not None
+            and locations is not None and states is not None
+            and _all_of(container_ids, *_OPTIONAL_INT)):
+        return None
+    locations.setflags(write=False)
+    new = object.__new__
+    out = []
+    for frame, object_id, object_class, location, state, container_id in zip(
+            frames, object_ids, classes, locations, states, container_ids):
+        record = new(GroundTruthRecord)
+        object.__setattr__(record, "__dict__", {
+            "frame": frame, "object_id": object_id, "object_class": object_class,
+            "location": location, "state": state, "container_id": container_id})
+        out.append(record)
+    return out
+
+
+def _ground_truth_records(path) -> List[GroundTruthRecord]:
+    """The file's records, parsed and checked one record at a time: the
+    first bad record raises its ``path:line: message``."""
     def record(r, lineno) -> GroundTruthRecord:
         return GroundTruthRecord(
             frame=_typed(r["frame"], (int,), path, lineno, "frame"),
@@ -415,12 +510,10 @@ def read_ground_truth(path) -> List[GroundTruthRecord]:
     return _read_jsonl(path, "ground-truth record", record)
 
 
-def ground_truth_observations(records: Sequence[GroundTruthRecord]) -> List[TrackObservation]:
-    return [
-        TrackObservation(frame=r.frame, object_id=r.object_id, location=r.location,
-                         state=r.state)
-        for r in records
-    ]
+def ground_truth_observations(records: Sequence[GroundTruthRecord]) -> Observations:
+    """The records as the columns ``metrics`` evaluates."""
+    return observations([r.frame for r in records], [r.object_id for r in records],
+                        [r.location for r in records], [r.state for r in records])
 
 
 # -- transition table (inside the action-models file) -------------------------

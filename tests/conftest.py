@@ -31,6 +31,17 @@ def suite_runs():
             for script, noise in standard_suite()]
 
 
+@pytest.fixture(scope="session")
+def suite_prior_only(suite_runs, params):
+    """Each suite sequence solved in ``prior_only`` mode: (name,
+    SimulationResult, JointResult) triples, in suite order."""
+    from fluenttrack.simulator import default_camera
+    from fluenttrack.solver import joint_solve
+
+    return [(name, sim, joint_solve(sim.detections, default_camera(), params, mode="prior_only"))
+            for name, sim in suite_runs]
+
+
 def same_bits(a, b) -> bool:
     """Whether two float arrays have the same shape and the same bits in
     every entry (so -0.0 != 0.0, and a NaN equals only the same NaN)."""

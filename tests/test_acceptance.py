@@ -25,8 +25,9 @@ from fluenttrack.metrics import (
     STATE_ORDER,
     TrackObservation,
     clear_metrics,
-    evaluate_trajectories,
+    fluent_metrics,
     match_frames,
+    trajectories_to_observations,
 )
 from fluenttrack.simulator import default_camera, scenario_by_name, simulate, standard_suite
 from fluenttrack.solver import brute_force_oracle, joint_solve, pipeline_graph, solve_objects
@@ -60,7 +61,9 @@ def suite_results(camera, params):
         entry = {"sim": sim, "gt": gt}
         for mode in ("full", "prior_only", "visible_only"):
             joint = joint_solve(sim.detections, camera, params, mode=mode)
-            clear, fluents, match = evaluate_trajectories(gt, joint.trajectories)
+            pred = trajectories_to_observations(joint.trajectories)
+            match = match_frames(gt, pred)
+            clear, fluents = clear_metrics(match, len(gt)), fluent_metrics(gt, pred, match)
             entry[mode] = {"joint": joint, "clear": clear, "fluents": fluents,
                            "match": match}
         results[script.name] = entry

@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import shlex
@@ -529,3 +530,16 @@ def test_readme_commands_run(tmp_path, monkeypatch):
     Path("clips.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
     for command in readme_commands():
         assert main(shlex.split(command)[1:]) == EXIT_OK, command
+
+
+def test_main_freezes_import_state_once():
+    # the first command freezes what the imports made; later commands leave
+    # their own leftovers, such as this cycle, to the collector
+    assert run(["evaluate"]) == EXIT_INPUT
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    cycle = []
+    cycle.append(cycle)
+    del cycle
+    assert run(["evaluate"]) == EXIT_INPUT
+    assert gc.get_freeze_count() == frozen

@@ -754,3 +754,143 @@ class TestDocumentReaderProperties:
             return ["simulate", "--script", path, "--out", out]
 
         self.check(fileio.read_scenario, *documents, simulate)
+
+
+# -- ground truth and trajectories as checked columns ----------------------------
+
+# (name, change to one parsed line, the record reader's message after
+# "path:line: ") for a ground-truth line and for a trajectory line
+TRUTH_FAULTS = {
+    "location_inf": (lambda r: r.update(location=[float("inf"), 1.0]),
+                     "location must be a list of 2 finite numbers, got [inf, 1.0]"),
+    "state_name": (lambda r: r.update(state="Hidden"),
+                   "state must be one of Visible, Occluded, Contained, got 'Hidden'"),
+    "frame_type": (lambda r: r.update(frame=2.0), "frame has the wrong type: 2.0"),
+    "id_missing": (lambda r: r.pop("object_id"), "bad ground-truth record: 'object_id'"),
+    "container_type": (lambda r: r.update(container_id="0"),
+                       "container_id has the wrong type: '0'"),
+    "class_name": (lambda r: r.update({"class": "bus"}),
+                   "class must be one of person, vehicle, suitcase, got 'bus'"),
+}
+TRAJECTORY_FAULTS = {
+    "container_on_visible": (
+        lambda r: r["track"][-1].update(state="Visible", container_id=3),
+        "bad trajectory record: container_id must be present iff state is Contained"),
+    "frame_skip": (lambda r: r["track"][-1].update(frame=r["track"][-1]["frame"] + 2),
+                   "bad trajectory record: trajectory frames must be contiguous and increasing"),
+    "empty_track": (lambda r: r.update(track=[]),
+                    "bad trajectory record: trajectory must contain at least one point"),
+    "location_length": (lambda r: r["track"][-1].update(location=[1.0, 2.0, 3.0]),
+                        "location must be a list of 2 finite numbers, got [1.0, 2.0, 3.0]"),
+    "action_type": (lambda r: r["track"][-1].update(action=5), "action has the wrong type: 5"),
+    "id_type": (lambda r: r.update(object_id=True), "object_id has the wrong type: True"),
+}
+
+
+@pytest.fixture(scope="module")
+def evaluate_lines(suite_prior_only, tmp_path_factory):
+    """The lines of the ground truth and of the `prior_only` trajectories of
+    the suite's sequence with the most ground truth."""
+    _, sim, result = max(suite_prior_only, key=lambda run: len(run[1].ground_truth))
+    out = tmp_path_factory.mktemp("evaluate")
+    fileio.write_ground_truth(out / "ground_truth.jsonl", sim.ground_truth)
+    fileio.write_trajectories(out / "trajectories.jsonl", result.trajectories)
+    return {name: (out / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()
+            for name in ("ground_truth", "trajectories")}
+
+
+def _same_truth(a, b):
+    return ((a.frame, a.object_id, a.object_class, a.state, a.container_id)
+            == (b.frame, b.object_id, b.object_class, b.state, b.container_id)
+            and type(b.frame) is int and type(b.object_id) is int
+            and same_bits(a.location, b.location))
+
+
+def _same_trajectory(a, b):
+    return ((a.object_id, a.object_class, len(a.points)) == (b.object_id, b.object_class,
+                                                              len(b.points))
+            and all((p.frame, p.state, p.action, p.container_id)
+                    == (q.frame, q.state, q.action, q.container_id)
+                    and type(q.frame) is int and same_bits(p.location, q.location)
+                    for p, q in zip(a.points, b.points)))
+
+
+@st.composite
+def record_lines(draw, records, faults):
+    """1-4 lines, each a valid record, the record with one field corrupted,
+    or the record broken by one of ``faults``."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        record, fields = draw(records)
+        kind = draw(st.sampled_from(["valid", "field", "fault"] if faults else ["valid", "field"]))
+        if kind == "field":
+            record = corrupted_copy(draw, record, fields)
+        elif kind == "fault":
+            faults[draw(st.sampled_from(sorted(faults)))][0](record)
+        lines.append(json.dumps(record))
+    return lines
+
+
+class TestEvaluateColumns:
+    """``read_ground_truth`` and ``read_trajectories`` check a file as
+    columns, and read a file that fails a check again record by record,
+    which names the first bad line."""
+
+    def test_suite_roundtrip_keeps_bits(self, suite_prior_only, tmp_path, monkeypatch):
+        def record_reader(*args):
+            raise AssertionError("a valid file was read record by record")
+
+        monkeypatch.setattr(fileio, "_ground_truth_records", record_reader)
+        monkeypatch.setattr(fileio, "_trajectory_records", record_reader)
+        for name, sim, result in suite_prior_only:
+            fileio.write_ground_truth(tmp_path / "gt.jsonl", sim.ground_truth)
+            fileio.write_trajectories(tmp_path / "traj.jsonl", result.trajectories)
+            truth = fileio.read_ground_truth(tmp_path / "gt.jsonl")
+            trajectories = fileio.read_trajectories(tmp_path / "traj.jsonl")
+            assert len(truth) == len(sim.ground_truth), name
+            assert all(map(_same_truth, sim.ground_truth, truth)), name
+            assert not any(r.location.flags.writeable for r in truth), name
+            assert len(trajectories) == len(result.trajectories), name
+            assert all(map(_same_trajectory, result.trajectories, trajectories)), name
+            assert not any(p.location.flags.writeable for t in trajectories for p in t.points)
+
+    @pytest.mark.parametrize("what,fault", [("ground_truth", f) for f in sorted(TRUTH_FAULTS)]
+                             + [("trajectories", f) for f in sorted(TRAJECTORY_FAULTS)])
+    def test_corrupt_late_line_is_named(self, evaluate_lines, tmp_path, what, fault):
+        lines = list(evaluate_lines[what])
+        change, message = (TRUTH_FAULTS if what == "ground_truth" else TRAJECTORY_FAULTS)[fault]
+        record = json.loads(lines[-2])
+        change(record)
+        lines[-2] = json.dumps(record)
+        path = tmp_path / f"{what}.jsonl"
+        _write_lines(path, lines)
+        reader = fileio.read_ground_truth if what == "ground_truth" else fileio.read_trajectories
+        with pytest.raises(InputFormatError) as exc:
+            reader(path)
+        assert str(exc.value) == f"{path}:{len(lines) - 1}: {message}"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(["ground_truth", "trajectories"]), st.data())
+    def test_columns_accept_and_reject_as_records(self, what, data):
+        if what == "ground_truth":
+            lines = data.draw(record_lines(ground_truth_records(), {}))
+            columns, records, same = (fileio._ground_truth_columns,
+                                      fileio._ground_truth_records, _same_truth)
+        else:
+            lines = data.draw(record_lines(trajectory_records(), TRAJECTORY_FAULTS))
+            columns, records, same = (fileio._trajectory_columns,
+                                      fileio._trajectory_records, _same_trajectory)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.jsonl"
+            _write_lines(path, lines)
+            try:
+                expected = records(path)
+            except InputFormatError:
+                expected = None
+            try:
+                got = columns(path)
+            except (KeyError, TypeError, ValueError, OverflowError):
+                got = None
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert len(got) == len(expected) and all(map(same, expected, got))

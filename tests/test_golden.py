@@ -7,7 +7,9 @@ The sha256 of ``trajectories.jsonl``, ``frame_parses.jsonl`` and
 in each solve mode. The files are written through the ``fileio`` writers,
 as ``track`` writes them. So is the JSON report of ``fluenttrack evaluate``
 on those trajectories against the sequence's ground truth, which pins the
-MOTP and MODP bits. Criterion 8 compares two runs of the same code; this
+MOTP and MODP bits. One more sha256 each covers all 20 suite sequences in
+``prior_only`` mode: one over their track outputs, one over their
+``evaluate`` reports. Criterion 8 compares two runs of the same code; this
 test compares the code with the outputs it wrote before a change.
 
 The digests belong to the environment they were taken in: Python 3.11.7,
@@ -157,10 +159,9 @@ def test_evaluate_report_digests(outputs, simulated, tmp_path, name, mode):
 SUITE_PRIOR_ONLY_DIGEST = "90bdb7887a231129f1b48a4fd1e930dfaf54aa3c983724df51268a4994196476"
 
 
-def test_suite_prior_only_digest(suite_runs, params, tmp_path):
+def test_suite_prior_only_digest(suite_prior_only, tmp_path):
     digest = hashlib.sha256()
-    for name, sim in suite_runs:
-        result = joint_solve(sim.detections, default_camera(), params, mode="prior_only")
+    for name, _, result in suite_prior_only:
         out = tmp_path / name
         out.mkdir()
         fileio.write_trajectories(out / FILES[0], result.trajectories)
@@ -169,3 +170,21 @@ def test_suite_prior_only_digest(suite_runs, params, tmp_path):
         for f in FILES:
             digest.update((out / f).read_bytes())
     assert digest.hexdigest() == SUITE_PRIOR_ONLY_DIGEST
+
+
+# sha256 over the `evaluate` JSON reports of all 20 suite sequences'
+# `prior_only` trajectories against their ground truth, in suite order
+SUITE_PRIOR_ONLY_REPORTS_DIGEST = "53b361edfc540a422a5371ac32773c3cf57b2c47fd66394d53bb81cf5a9cd6a3"
+
+
+def test_suite_prior_only_reports_digest(suite_prior_only, tmp_path):
+    digest = hashlib.sha256()
+    for name, sim, result in suite_prior_only:
+        fileio.write_trajectories(tmp_path / "trajectories.jsonl", result.trajectories)
+        fileio.write_ground_truth(tmp_path / "ground_truth.jsonl", sim.ground_truth)
+        report = tmp_path / f"{name}.json"
+        assert main(["evaluate", "--predictions", str(tmp_path / "trajectories.jsonl"),
+                     "--ground-truth", str(tmp_path / "ground_truth.jsonl"),
+                     "--out", str(report), "--sequence", name]) == EXIT_OK
+        digest.update(report.read_bytes())
+    assert digest.hexdigest() == SUITE_PRIOR_ONLY_REPORTS_DIGEST

@@ -3,6 +3,8 @@ import pytest
 
 from scipy.optimize import linear_sum_assignment
 
+from fluenttrack import fileio, metrics
+
 from fluenttrack.core import (
     ObjectClass,
     Trajectory,
@@ -13,6 +15,7 @@ from fluenttrack.core import (
 from fluenttrack.metrics import (
     INFEASIBLE,
     PERSISTENCE_TIEBREAK,
+    STATE_CODES,
     Gate,
     MatchResult,
     TrackObservation,
@@ -21,6 +24,8 @@ from fluenttrack.metrics import (
     match_frames,
     trajectories_to_observations,
 )
+
+from conftest import same_bits
 
 
 def obs(frame, oid, x, y=0.0, state=None):
@@ -83,6 +88,155 @@ def per_pair_match(gt, pred, gate):
     return result
 
 
+def per_pair_fluent(gt, pred, match):
+    """``fluent_metrics``' confusion from dicts keyed by (frame, id): its
+    reference."""
+    gt_state = {(o.frame, o.object_id): o.state for o in gt}
+    pred_state = {(o.frame, o.object_id): o.state for o in pred}
+    confusion = np.zeros((3, 3), dtype=int)
+    for frame, pairs in match.matches.items():
+        for g, p in pairs:
+            gs, ps = gt_state.get((frame, g)), pred_state.get((frame, p))
+            if gs is not None and ps is not None:
+                confusion[STATE_CODES[gs], STATE_CODES[ps]] += 1
+    return confusion
+
+
+def assert_same_match(got, expected, label=None):
+    """Every field of two match results equal, floats bit for bit."""
+    assert got.matches == expected.matches, label
+    assert ((got.fp, got.fn, got.ids, got.frag, got.n_matches)
+            == (expected.fp, expected.fn, expected.ids, expected.frag,
+                expected.n_matches)), label
+    assert float.hex(got.quality_sum) == float.hex(expected.quality_sum), label
+    assert ([float.hex(v) for v in got.frame_precisions]
+            == [float.hex(v) for v in expected.frame_precisions]), label
+
+
+def grid_instance(rng, n_frames):
+    """Truth and predictions on a quarter-metre grid, in shuffled input
+    order. Many pairs lie exactly at a gate of 0.25, 0.5 or 1 m, or tie in
+    distance; some frames hold only truth or only predictions; ids recur
+    across frames, so persistence, switches and fragments come into play."""
+    gt, pred = [], []
+    for f in range(n_frames):
+        kind = rng.integers(0, 4)  # 0, 1: both sides; 2: truth only; 3: predictions only
+        for i in rng.choice(6, 0 if kind == 3 else rng.integers(1, 5), replace=False):
+            gt.append(obs(f, int(i), *(rng.integers(0, 5, size=2) * 0.25)))
+        for j in rng.choice(6, 0 if kind == 2 else rng.integers(1, 5), replace=False):
+            pred.append(obs(f, 10 + int(j), *(rng.integers(0, 5, size=2) * 0.25)))
+    return ([gt[k] for k in rng.permutation(len(gt))],
+            [pred[k] for k in rng.permutation(len(pred))])
+
+
+class TestMatcherEquivalence:
+    """``match_frames`` on columns, solving the assignment only on
+    contested frames, equals ``per_pair_match`` bit for bit."""
+
+    def test_grid_instances(self, monkeypatch):
+        solved = []  # the size of each assignment match_frames solves
+        monkeypatch.setattr(metrics, "linear_sum_assignment",
+                            lambda cost: solved.append(cost.shape) or linear_sum_assignment(cost))
+        rng = np.random.default_rng(19)
+        at_gate = frames_with_pairs = 0
+        for trial in range(150):
+            gt, pred = grid_instance(rng, int(rng.integers(1, 9)))
+            for threshold in (0.25, 0.5, 1.0):
+                gate = Gate(threshold)
+                expected = per_pair_match(gt, pred, gate)
+                assert_same_match(match_frames(gt, pred, gate), expected, (trial, threshold))
+                got_confusion = fluent_metrics(gt, pred, expected).confusion
+                assert (got_confusion == per_pair_fluent(gt, pred, expected)).all()
+                at_gate += sum(ground_distance(g.location, p.location) == threshold
+                               for g in gt for p in pred if g.frame == p.frame)
+                frames_with_pairs += len({g.frame for g in gt} & {p.frame for p in pred})
+        # contested frames were solved, uncontested ones were not
+        assert 0 < len(solved) < frames_with_pairs
+        assert at_gate > 0
+
+    def test_crowded_frames_keep_the_mean_bits(self):
+        # 40 matches a frame: np.mean sums a frame's qualities pairwise,
+        # which a sequential sum does not reproduce; frame 0 is contested
+        rng = np.random.default_rng(7)
+        gt = [obs(f, i, 3.0 * i) for f in range(8) for i in range(40)]
+        pred = [obs(f, 100 + i, 3.0 * i + rng.uniform(-0.9, 0.9)) for f in range(8)
+                for i in range(40)] + [obs(0, 200, 0.5)]
+        m = match_frames(gt, pred)
+        assert [len(pairs) for pairs in m.matches.values()] == [40] * 8
+        assert_same_match(m, per_pair_match(gt, pred, Gate()))
+
+    def test_pair_at_the_gate_matches_with_quality_zero(self):
+        gt = [obs(0, 0, 0.0), obs(1, 0, 0.0), obs(1, 1, 2.0)]
+        pred = [obs(0, 5, 0.5), obs(1, 5, 0.5), obs(1, 6, 1.5)]
+        m = match_frames(gt, pred, Gate(0.5))
+        assert m.matches == {0: ((0, 5),), 1: ((0, 5), (1, 6))}
+        assert m.frame_precisions == [0.0, 0.0]
+        assert_same_match(m, per_pair_match(gt, pred, Gate(0.5)))
+        assert match_frames(gt, [obs(0, 5, np.nextafter(0.5, 1.0))], Gate(0.5)).matches[0] == ()
+
+    @pytest.mark.parametrize("kept", [7, 8])
+    def test_persistence_decides_a_contested_tie(self, kept):
+        # in frame 1 both assignments of truths 0, 1 to predictions 7, 8
+        # cost the same: the pair kept from frame 0 wins
+        gt = [obs(0, 0, 0.0), obs(1, 0, 0.0), obs(1, 1, 1.0)]
+        pred = [obs(0, kept, 0.5, 0.2), obs(1, 7, 0.5, 0.2), obs(1, 8, 0.5, -0.2)]
+        m = match_frames(gt, pred)
+        assert m.matches[1] == ((0, kept), (1, 15 - kept))
+        assert m.ids == 0
+        assert_same_match(m, per_pair_match(gt, pred, Gate()))
+
+    def test_nan_location_is_rejected_as_by_the_reference(self):
+        gt, pred = [obs(0, 0, float("nan"))], [obs(0, 1, 0.0)]
+        with pytest.raises(ValueError):
+            per_pair_match(gt, pred, Gate())
+        with pytest.raises(ValueError):
+            match_frames(gt, pred)
+
+    def test_gate_beyond_infeasible_solves_every_frame(self):
+        # a pair within such a gate can cost more than INFEASIBLE, and the
+        # assignment then leaves it unmatched
+        gate = Gate(2 * INFEASIBLE)
+        gt, pred = [obs(0, 0, 0.0), obs(1, 0, 0.0)], [obs(0, 1, 1.5 * INFEASIBLE), obs(1, 1, 0.5)]
+        m = match_frames(gt, pred, gate)
+        assert m.matches == {0: (), 1: ((0, 1),)}
+        assert_same_match(m, per_pair_match(gt, pred, gate))
+
+    def test_frames_with_one_side_only(self):
+        gt = [obs(0, 0, 0.0), obs(2, 0, 0.0)]
+        pred = [obs(1, 4, 0.0), obs(2, 4, 0.1)]
+        m = match_frames(gt, pred)
+        assert m.matches == {0: (), 1: (), 2: ((0, 4),)}
+        assert (m.fp, m.fn) == (1, 1)
+        assert_same_match(m, per_pair_match(gt, pred, Gate()))
+
+    def test_duplicate_named_first_in_input_order(self):
+        # (0, 0) repeats first in (frame, id) order, (1, 3) first in input order
+        gt = [obs(1, 3, 0.0), obs(0, 0, 0.0), obs(1, 5, 0.0), obs(1, 3, 1.0), obs(0, 0, 1.0)]
+        pred = [obs(2, 7, 0.0), obs(2, 7, 0.5)]
+        with pytest.raises(ValueError, match=r"^duplicate gt id 3 in frame 1$"):
+            match_frames(gt, [])
+        with pytest.raises(ValueError, match=r"^duplicate prediction id 7 in frame 2$"):
+            match_frames([], pred)
+        with pytest.raises(ValueError, match=r"^duplicate gt id 3 in frame 1$"):
+            match_frames(gt, pred)
+
+    @pytest.mark.parametrize("threshold", [1.0, 0.3])
+    def test_suite_outputs(self, suite_prior_only, threshold):
+        gate = Gate(threshold)
+        for name, sim, result in suite_prior_only:
+            records = fileio.ground_truth_observations(sim.ground_truth)
+            pred_columns = trajectories_to_observations(result.trajectories)
+            gt = [TrackObservation(r.frame, r.object_id, r.location, r.state)
+                  for r in sim.ground_truth]
+            pred = [TrackObservation(p.frame, t.object_id, p.location, p.state)
+                    for t in result.trajectories for p in t.points]
+            expected = per_pair_match(gt, pred, gate)
+            got = match_frames(records, pred_columns, gate)
+            assert_same_match(got, expected, name)
+            assert (fluent_metrics(records, pred_columns, got).confusion
+                    == per_pair_fluent(gt, pred, expected)).all(), name
+
+
 class TestMatchFrames:
     def test_perfect_tracking(self):
         gt = track(0, range(10), [0.1 * f for f in range(10)])
@@ -128,14 +282,8 @@ class TestMatchFrames:
                                      o.location + rng.normal(scale=jitter, size=2))
                     for o in gt if rng.random() > 0.1]
             pred = list({(o.frame, o.object_id): o for o in pred}.values())
-            got, expected = match_frames(gt, pred, gate), per_pair_match(gt, pred, gate)
-            assert got.matches == expected.matches, name
-            assert ((got.fp, got.fn, got.ids, got.frag, got.n_matches)
-                    == (expected.fp, expected.fn, expected.ids, expected.frag,
-                        expected.n_matches)), name
-            assert float.hex(got.quality_sum) == float.hex(expected.quality_sum), name
-            assert ([float.hex(v) for v in got.frame_precisions]
-                    == [float.hex(v) for v in expected.frame_precisions]), name
+            assert_same_match(match_frames(gt, pred, gate), per_pair_match(gt, pred, gate),
+                              name)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -253,6 +401,7 @@ class TestAdapters:
         )
         traj = Trajectory(4, ObjectClass.PERSON, points)
         observations = trajectories_to_observations([traj])
-        assert [o.frame for o in observations] == [0, 1, 2]
-        assert all(o.object_id == 4 for o in observations)
-        assert all(o.state is VisibilityState.VISIBLE for o in observations)
+        assert observations.frame.tolist() == [0, 1, 2]
+        assert observations.object_id.tolist() == [4, 4, 4]
+        assert observations.state.tolist() == [STATE_CODES[VisibilityState.VISIBLE]] * 3
+        assert same_bits(observations.location, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])

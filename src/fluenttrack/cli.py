@@ -15,7 +15,6 @@ import gc
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set
 
@@ -162,11 +161,10 @@ def cmd_track(args) -> int:
 
     made: List[Path] = []
     try:
-        # a failure cancels the sequences not yet started; the pool waits
-        # for the running ones before their outputs are removed
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for done in pool.map(lambda job: _track_one(*job, params, args.mode, made), jobs):
-                log.info("tracked %s", done)
+        # one sequence after another on this thread: the interpreter lock
+        # serializes a thread pool's workers, which only adds their overhead
+        for job in jobs:
+            log.info("tracked %s", _track_one(*job, params, args.mode, made))
     except BaseException:
         _remove(made)
         raise
@@ -262,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_track.add_argument("--mode", choices=SOLVE_MODES, default="full")
     p_track.add_argument("--out", default="track_out", help="output directory")
     p_track.add_argument("--jobs", type=int, default=1,
-                         help="worker threads for sequence directories (at least 1)")
+                         help="accepted for compatibility and changes nothing: sequences "
+                              "are tracked one after another (at least 1)")
     p_track.add_argument("--action-models", dest="action_models",
                          help="pose models, vehicle templates and transition table "
                               "written by fit-model")
@@ -275,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--predictions")
     p_eval.add_argument("--ground-truth", dest="ground_truth")
     p_eval.add_argument("--gate", type=float, default=1.0,
-                        help="largest matching distance, in metres (default 1)")
+                        help="largest matching distance, in metres: positive and below 5e8 "
+                             "(default 1)")
     p_eval.add_argument("--format", choices=["json", "csv"], default="json")
     p_eval.add_argument("--sequence", default="sequence")
     p_eval.add_argument("--out", default="metrics.json")
@@ -311,11 +311,18 @@ def _freeze_imports() -> None:
         _frozen = True
 
 
+# the parser of this process, built on the first call of main: parse_args
+# fills a new namespace on each call, so no value carries over between calls
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    global _parser
     _freeze_imports()
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (fileio.InputFormatError, OSError, KeyError, ValueError) as exc:

@@ -28,8 +28,8 @@ within the gate costs its distance, at most the gate (less
 ``PERSISTENCE_TIEBREAK`` for a kept pair), and a pair outside it costs
 ``INFEASIBLE``; every assignment can hold all the gated pairs, so one that
 drops a gated pair for an outside one costs ``INFEASIBLE`` minus at most
-the gate more. That holds while the gate is well below ``INFEASIBLE``; a
-larger gate solves every frame. Identity switches, fragmentations and the
+the gate more. ``Gate`` keeps the gate below ``INFEASIBLE / 2``, so that
+always holds. Identity switches, fragmentations and the
 MOTP and MODP sums stay one loop over frames in frame order, so their
 sums keep their order and bits.
 """
@@ -108,13 +108,17 @@ def _columns(obs: ObservationsLike) -> Observations:
 @dataclass(frozen=True)
 class Gate:
     """Match feasibility rule: ground-plane distance of at most
-    ``threshold`` metres."""
+    ``threshold`` metres, a positive distance below ``INFEASIBLE / 2``: a
+    pair within the gate must cost less than one outside it, with room for
+    the assignment to prefer every pair within the gate."""
 
     threshold: float = 1.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.threshold) and self.threshold > 0):
             raise ValueError(f"gate must be a finite positive distance, got {self.threshold}")
+        if not self.threshold < INFEASIBLE / 2:
+            raise ValueError(f"gate must be below {INFEASIBLE / 2:g} m, got {self.threshold:g}")
 
     def score(self, distances: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(whether each pair passes the gate, its matching cost, its match
@@ -181,10 +185,7 @@ def match_frames(gt: ObservationsLike, pred: ObservationsLike, gate: Gate = Gate
               | (np.bincount(pj[gated], minlength=len(pred))[pj[gated]] > 1)
               | np.isnan(distances[gated]))
     pair_frame = np.repeat(np.arange(len(frames)), counts)
-    if gate.threshold >= INFEASIBLE / 2:
-        contested = counts > 0
-    else:
-        contested = np.bincount(pair_frame[gated[shared]], minlength=len(frames)) > 0
+    contested = np.bincount(pair_frame[gated[shared]], minlength=len(frames)) > 0
     # on the other frames the gated pairs are the assignment, in (i, j) order
     kept = gated[~contested[pair_frame[gated]]]
     kept_start = np.searchsorted(pair_frame[kept], np.arange(len(frames) + 1)).tolist()

@@ -1,16 +1,21 @@
 """Detection linking, confident tracklets, and occlusion-gap bridging.
 
 One linker serves both detection flows: ``link_detections`` gates and prices
-links between same-class detections and hands them to ``min_cost_paths``, an
-exact successive-shortest-paths min-cost flow (log-odds node rewards against
-entry, exit, and motion costs) solved on each weak component of the link
-graph separately: components share only the source and the sink, so the
-union of their optimal paths is the optimum of the whole. Tracklets link
-consecutive frames only; containers (in ``solver``) link across short
-dropouts. Gaps between appearance-compatible tracklets (``compatible_pairs``)
-are filled with interpolating cubic splines: one spline solve per gap shape
-serves every gap of that shape, and each bridge keeps its samples as one
-array.
+links between same-class detections and hands them to ``min_cost_paths``,
+which finds the exact min-cost cover of the detections by disjoint paths
+(log-odds node rewards against entry, exit, and motion costs). That cover
+is the unit-capacity min-cost flow, and it is exactly a min-weight perfect
+matching on a sparse bipartite graph of ``2 * links + 4 * items`` edges: the
+``[link | term; init | 0]`` assignment matrix of Huang, Wu & Nevatia (ECCV
+2008) without its dense blocks, proved in ``min_cost_paths``. One call of
+``scipy.sparse.csgraph.min_weight_full_bipartite_matching`` (LAPJVsp,
+Jonker & Volgenant 1987) solves it in C; the reported cost is the
+``math.fsum`` of the chosen paths' own terms, never the shifted matching
+weight. Tracklets link consecutive frames only; containers (in ``solver``)
+link across short dropouts. Gaps between appearance-compatible tracklets
+(``compatible_pairs``) are filled with interpolating cubic splines: one
+spline solve per gap shape serves every gap of that shape, and each bridge
+keeps its samples as one array.
 
 The per-pair numerics run as arrays with the bits of the scalar loop they
 replace: ``detection_links`` finds each gap's candidate pairs by
@@ -24,13 +29,15 @@ matrix would not (see ``core``).
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .core import (
     UNIT_NORM_TOL,
@@ -56,171 +63,84 @@ def min_cost_paths(
     entry_cost: float,
     exit_cost: float,
 ) -> Tuple[List[List[int]], float]:
-    """Exact unit-capacity min-cost flow over items ``0 .. len(rewards) - 1``.
+    """Exact min-cost cover of items ``0 .. len(rewards) - 1`` by disjoint paths.
 
     Item ``i`` earns ``rewards[i]``; a path pays ``entry_cost`` and
     ``exit_cost`` once each and the cost of every ``(a, b, cost)`` link it
-    takes. Index order is the topological order, so every link must have
-    ``a < b``. Returns (paths as increasing item lists, total flow cost).
+    takes; an item may stay on no path. Index order is the topological
+    order, so every link must have ``a < b``; of parallel links the
+    cheapest counts. Returns (paths as increasing item lists ordered by
+    their first item, total cost).
 
-    Items that no chain of links joins share no arc but the source's and the
-    sink's unit arcs, so the optimum is the union of the optima of the weak
-    components, and each component is solved by successive shortest paths
-    (SSP) with Johnson potentials over that component alone. Every accepted
-    source->sink path has strictly negative true cost, and augmentation stops
-    at the first nonnegative one, which is the exact optimum for convex unit
-    flows.
+    The cover is solved as one min-weight perfect matching (see the module
+    docstring). Rows are each item's out-copy ``L_i`` and entry slot
+    ``E_i``, columns its in-copy ``R_i`` and exit slot ``X_i``, with edges
+    ``L_a-R_b`` (link, ``cost - r_b``), ``E_b-R_b`` (start,
+    ``entry_cost - r_b``), ``L_a-X_a`` (end, ``exit_cost``), ``L_i-R_i`` and
+    ``E_i-X_i`` (item unused, 0) and ``E_b-X_a`` (link's freed slots, 0).
+
+    Proof that the optimum is the same. A cover maps to a perfect matching
+    of the same weight: take ``L_a-R_b`` and ``E_b-X_a`` for each link it
+    uses, ``E_b-R_b`` at each path's start, ``L_a-X_a`` at each end, and
+    ``L_i-R_i``, ``E_i-X_i`` for each unused item; every row and column is
+    then covered once. Conversely, in any perfect matching ``L_i`` and
+    ``R_i`` are either matched to each other (``i`` unused) or ``L_i`` has
+    one successor or end and ``R_i`` one predecessor or start, so its
+    ``L_a-R_b`` edges form disjoint forward paths that start and end
+    exactly where its start and end edges are; the ``E-X`` edges weigh 0,
+    so the matching weighs what that cover costs. csgraph drops zero
+    weights, so every weight is shifted by one constant that makes it at
+    least 1; each perfect matching has ``2 n`` edges, so the shift adds the
+    same ``2 n`` times that constant to all of them and keeps the optimum.
+
+    The returned cost is ``math.fsum`` over the unshifted terms of the
+    chosen paths (entry, exit, link costs, minus rewards), so it is the
+    exactly rounded cost of those paths and does not depend on the order
+    of its terms. Between covers of equal cost the choice is LAPJVsp's,
+    not that of a search in item order; ``tests/test_tracklets.py`` pins
+    the ties it breaks.
     """
-    for a, b, _ in links:
-        if not 0 <= a < b < len(rewards):
-            raise ValueError(f"link ({a}, {b}) must join items a < b of {len(rewards)}")
+    n = len(rewards)
+    columns = np.array(links, dtype=float).reshape(-1, 3)
+    a, b, cost = columns[:, 0].astype(np.int64), columns[:, 1].astype(np.int64), columns[:, 2]
+    backward = ~((0 <= a) & (a < b) & (b < n))
+    if backward.any():
+        first = links[int(np.argmax(backward))]
+        raise ValueError(f"link ({first[0]}, {first[1]}) must join items a < b of {n}")
+    if n == 0:
+        return [], 0.0
+    # of parallel links keep the cheapest, so each (row, column) is one edge;
+    # the links are then in (a, b) order
+    order = np.lexsort((cost, b, a))
+    a, b, cost = a[order], b[order], cost[order]
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    a, b, cost = a[first], b[first], cost[first]
+
+    reward = np.asarray(rewards, dtype=float)
+    items = np.arange(n)
+    # rows: L_i = i, E_i = n + i; columns: R_i = i, X_i = n + i
+    rows = np.concatenate((a, n + b, n + items, items, items, n + items))
+    cols = np.concatenate((b, n + a, items, n + items, items, n + items))
+    weights = np.concatenate((cost - reward[b], np.zeros(len(a)), entry_cost - reward,
+                              np.full(n, float(exit_cost)), np.zeros(2 * n)))
+    weights += 1.0 - weights.min()
+    _, matched = min_weight_full_bipartite_matching(
+        csr_array((weights, (rows, cols)), shape=(2 * n, 2 * n)))
+
+    successor = matched[:n].tolist()  # R_b, or X_a at a path's end
     paths: List[List[int]] = []
-    total_cost = 0.0
-    for items, component_links in _components(len(rewards), links):
-        flow = _UnitFlow(items, rewards, component_links, entry_cost, exit_cost)
-        component_paths, cost = flow.solve()
-        paths.extend(component_paths)
-        total_cost += cost
+    for item in np.flatnonzero(matched[n:] == items).tolist():  # E_b-R_b
+        path = [item]
+        while successor[path[-1]] < n:
+            path.append(successor[path[-1]])
+        paths.append(path)
+    used = np.flatnonzero(matched[:n] != items)
+    linked = used[matched[used] < n]
+    taken = np.searchsorted(a * n + b, linked * n + matched[linked])
+    total_cost = math.fsum(itertools.chain([entry_cost, exit_cost] * len(paths),
+                                           cost[taken].tolist(), (-reward[used]).tolist()))
     return paths, total_cost
-
-
-def _components(
-    num_items: int, links: Sequence[Tuple[int, int, float]]
-) -> List[Tuple[List[int], List[Tuple[int, int, float]]]]:
-    """Weak components of the link graph as (items, links) pairs, both in
-    input order, listed by their lowest item."""
-    root = list(range(num_items))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for a, b, _ in links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            root[max(ra, rb)] = min(ra, rb)
-    components: Dict[int, Tuple[List[int], List[Tuple[int, int, float]]]] = {}
-    for item in range(num_items):
-        components.setdefault(find(item), ([], []))[0].append(item)
-    for link in links:
-        components[find(link[0])][1].append(link)
-    return list(components.values())
-
-
-class _UnitFlow:
-    """The residual graph of one weak component and its SSP solve.
-
-    ``items`` come in increasing order. Local node ids: 0 is the source,
-    1 the sink, and the k-th item gets in-node 2 + 2k and out-node 3 + 2k,
-    so node order, arc order and heap tie-breaks follow the global item
-    order, and the local node ids in order are a topological order.
-    """
-
-    def __init__(self, items: Sequence[int], rewards: Sequence[float],
-                 links: Sequence[Tuple[int, int, float]], entry_cost: float,
-                 exit_cost: float):
-        self.items = list(items)
-        local = {item: k for k, item in enumerate(self.items)}
-        self.source = 0
-        self.sink = 1
-        self.num_nodes = 2 + 2 * len(self.items)
-        self.graph: List[List[list]] = [[] for _ in range(self.num_nodes)]
-        for k, item in enumerate(self.items):
-            self._add_arc(self.source, 2 + 2 * k, entry_cost)
-            self._add_arc(2 + 2 * k, 3 + 2 * k, -rewards[item])
-            self._add_arc(3 + 2 * k, self.sink, exit_cost)
-        for a, b, cost in links:
-            self._add_arc(3 + 2 * local[a], 2 + 2 * local[b], cost)
-        self.topo_order = [self.source, *range(2, self.num_nodes), self.sink]
-
-    def _add_arc(self, u: int, v: int, cost: float) -> None:
-        self.graph[u].append([v, 1, cost, len(self.graph[v]), True])
-        self.graph[v].append([u, 0, -cost, len(self.graph[u]) - 1, False])
-
-    def _initial_potentials(self) -> List[float]:
-        # Zero flow means the residual graph is the original DAG; one
-        # relaxation sweep in topological order yields exact distances.
-        dist = [math.inf] * self.num_nodes
-        dist[self.source] = 0.0
-        for u in self.topo_order:
-            if not math.isfinite(dist[u]):
-                continue
-            for arc in self.graph[u]:
-                v, cap, cost, _, _ = arc
-                if cap > 0 and dist[u] + cost < dist[v]:
-                    dist[v] = dist[u] + cost
-        return dist
-
-    def solve(self) -> Tuple[List[List[int]], float]:
-        potential = self._initial_potentials()
-        total_cost = 0.0
-        n = self.num_nodes
-        while True:
-            dist = [math.inf] * n
-            parent: List[Optional[Tuple[int, int]]] = [None] * n
-            dist[self.source] = 0.0
-            heap = [(0.0, self.source)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if d > dist[u] + 1e-12:
-                    continue
-                for idx, arc in enumerate(self.graph[u]):
-                    v, cap, cost, _, _ = arc
-                    if cap <= 0 or not math.isfinite(potential[v]):
-                        continue
-                    reduced = max(cost + potential[u] - potential[v], 0.0)
-                    nd = d + reduced
-                    if nd < dist[v] - 1e-15:
-                        dist[v] = nd
-                        parent[v] = (u, idx)
-                        heapq.heappush(heap, (nd, v))
-            if not math.isfinite(dist[self.sink]):
-                break
-            true_cost = dist[self.sink] + potential[self.sink] - potential[self.source]
-            if true_cost >= -1e-12:
-                break
-            # augment one unit along the shortest path
-            v = self.sink
-            while v != self.source:
-                u, idx = parent[v]
-                arc = self.graph[u][idx]
-                arc[1] -= 1
-                self.graph[v][arc[3]][1] += 1
-                v = u
-            total_cost += true_cost
-            bound = dist[self.sink]
-            for v in range(n):
-                if math.isfinite(potential[v]):
-                    potential[v] += min(dist[v], bound)
-        return self._decompose_paths(), total_cost
-
-    def _decompose_paths(self) -> List[List[int]]:
-        # Flow on a forward arc equals the residual capacity of its reverse
-        # twin (created empty). Walk unit paths source -> sink, consuming flow.
-        paths: List[List[int]] = []
-        while True:
-            u = self.source
-            path_items: List[int] = []
-            while u != self.sink:
-                step = None
-                for arc in self.graph[u]:
-                    v, _, _, rev, forward = arc
-                    if forward and self.graph[v][rev][1] > 0:
-                        step = (v, rev)
-                        break
-                if step is None:
-                    break
-                v, rev = step
-                self.graph[v][rev][1] -= 1
-                if u >= 2 and (u - 2) % 2 == 0 and v == u + 1:
-                    path_items.append(self.items[(u - 2) // 2])
-                u = v
-            if u != self.sink or not path_items:
-                break
-            paths.append(path_items)
-        return paths
 
 
 # Link cost per skipped frame, added to the link's speed term dist / bound.

@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fluenttrack import fileio
+from fluenttrack import cli, fileio
 from fluenttrack.cli import EXIT_INPUT, EXIT_OK, build_parser, fit_pose_model, main
 from fluenttrack.core import ObjectClass, Trajectory, TrajectoryPoint, VisibilityState
+from fluenttrack.metrics import Gate
 
 
 def run(args):
@@ -321,6 +322,41 @@ class TestEvaluateCommand:
                     "--gate", gate, "--out", out])
         assert code == EXIT_INPUT
         assert not out.exists()
+
+    @pytest.mark.parametrize("gate", ["5e8", "2e9"])
+    def test_gate_beyond_half_infeasible_is_input_error(self, simulated, tmp_path, capsys,
+                                                        gate):
+        # a pair within such a gate could cost as much as one outside it
+        pred = tmp_path / "pred.jsonl"
+        write_perfect_predictions(simulated / "ground_truth.jsonl", pred)
+        out = tmp_path / "metrics.json"
+        code = run(["evaluate", "--predictions", pred,
+                    "--ground-truth", simulated / "ground_truth.jsonl",
+                    "--gate", gate, "--out", out])
+        assert code == EXIT_INPUT
+        assert not out.exists()
+        assert "gate must be below 5e+08 m" in capsys.readouterr().err
+
+    def test_parsed_values_do_not_carry_over(self, simulated, tmp_path, monkeypatch):
+        # the parser is built once per process, and a --gate given to one
+        # call is not the default of the next
+        built, gates = [], []
+
+        def counting_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_parser)
+        monkeypatch.setattr(cli, "Gate", lambda threshold: gates.append(threshold) or
+                            Gate(threshold))
+        pred = tmp_path / "pred.jsonl"
+        write_perfect_predictions(simulated / "ground_truth.jsonl", pred)
+        for extra in (["--gate", "0.5"], []):
+            assert run(["evaluate", "--predictions", pred,
+                        "--ground-truth", simulated / "ground_truth.jsonl",
+                        "--out", tmp_path / "metrics.json", *extra]) == EXIT_OK
+        assert (built, gates) == ([1], [0.5, 1.0])
 
     def test_id_collision_is_input_error(self, simulated, tmp_path):
         gt = tmp_path / "gt.jsonl"

@@ -64,17 +64,17 @@ DIGESTS = {
     ("capacity_stress", "full"): (
         "248976e53b773eaf94d646c53b3e849d16151cdfbb52623f1467cb77ba15d3ac",
         "5cbc334bb79ee4aa3d879919057d31aec069d766bce21802af5f2ae091e344da",
-        "c2de891d9176595c6f9e950851fe6d9f940b5213c947bd66f018a86983d31246",
+        "ed542db237889b51da300dde7c2106c51c1283300d9e2b797cd1af157741235c",
     ),
     ("capacity_stress", "prior_only"): (
         "5526014e7fbca21f47dae1c0ab70c6f6d79aa3017aa736fb53d454382b27fb35",
         "520a2a29e06b3e76d7f6188205207623aa795ed1bcece3d8cd74ccc1d869e473",
-        "49730a739ff2dbbbbc37ab9055e08f9a92c8668f6d2c9115c6b065fe51541926",
+        "3792bae40a1f8d29103309763c54189ad87d9330be46598085f0c53d1dd9d24a",
     ),
     ("capacity_stress", "visible_only"): (
         "4bab59a1d4d91eeeca60aaf4cd46de79c2fdeb187ec038377ad1814da4548314",
         "7088b1d8cd150c7ae71f986672b71cdecde065505b6236f034731d3cfc1e9fd1",
-        "a0829f6c571373ce6414c2919f1c5ec264ffb56a895ae47dd557736f2cdeb5e7",
+        "df67dd6098e52dfcc1985a822789b301ad518cf4f642abe5ea348a50cfee2ab5",
     ),
 }
 
@@ -156,7 +156,7 @@ def test_evaluate_report_digests(outputs, simulated, tmp_path, name, mode):
 
 # sha256 over the `prior_only` outputs of all 20 suite sequences: each
 # sequence's three files in FILES order, the sequences in suite order
-SUITE_PRIOR_ONLY_DIGEST = "90bdb7887a231129f1b48a4fd1e930dfaf54aa3c983724df51268a4994196476"
+SUITE_PRIOR_ONLY_DIGEST = "07307757f7e75722f48efbb52842e345f82c3a8241f11d9f571c83dec814f1fd"
 
 
 def test_suite_prior_only_digest(suite_prior_only, tmp_path):

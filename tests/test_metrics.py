@@ -192,13 +192,16 @@ class TestMatcherEquivalence:
         with pytest.raises(ValueError):
             match_frames(gt, pred)
 
-    def test_gate_beyond_infeasible_solves_every_frame(self):
-        # a pair within such a gate can cost more than INFEASIBLE, and the
-        # assignment then leaves it unmatched
-        gate = Gate(2 * INFEASIBLE)
-        gt, pred = [obs(0, 0, 0.0), obs(1, 0, 0.0)], [obs(0, 1, 1.5 * INFEASIBLE), obs(1, 1, 0.5)]
+    def test_gate_beyond_infeasible_rejected(self):
+        # a pair within such a gate could cost as much as one outside it, and
+        # the assignment would then drop it
+        for threshold in (INFEASIBLE / 2, INFEASIBLE, 2 * INFEASIBLE):
+            with pytest.raises(ValueError, match="gate must be below 5e\\+08 m"):
+                Gate(threshold)
+        gate = Gate(0.4 * INFEASIBLE)
+        gt, pred = [obs(0, 0, 0.0), obs(1, 0, 0.0)], [obs(0, 1, 0.3 * INFEASIBLE), obs(1, 1, 0.5)]
         m = match_frames(gt, pred, gate)
-        assert m.matches == {0: (), 1: ((0, 1),)}
+        assert m.matches == {0: ((0, 1),), 1: ((0, 1),)}
         assert_same_match(m, per_pair_match(gt, pred, gate))
 
     def test_frames_with_one_side_only(self):

@@ -1,8 +1,10 @@
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.interpolate import make_interp_spline
@@ -20,6 +22,7 @@ from fluenttrack.grammar import default_parameters
 from fluenttrack.simulator import default_camera
 from fluenttrack.solver import CONTAINER_LINK_GAP
 
+import ssp_reference
 from conftest import make_detection, unit_vector
 
 
@@ -217,6 +220,75 @@ def forward_link_instances(draw):
     return rewards, links, entry, exit
 
 
+@st.composite
+def forward_link_dags(draw):
+    """Forward-link DAGs made of up to three blocks of 0-6 items that no
+    link joins, so an instance may be empty, one item, or disconnected;
+    links are in random order, and rewards and costs take any sign."""
+    sizes = draw(st.lists(st.integers(0, 6), max_size=3))
+    rewards, links, offset = [], [], 0
+    for size in sizes:
+        rewards += draw(st.lists(st.floats(-3.0, 6.0), min_size=size, max_size=size))
+        pairs = [(offset + a, offset + b) for a in range(size) for b in range(a + 1, size)]
+        if pairs:
+            chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+            links += [(a, b, draw(st.floats(-1.0, 3.0))) for a, b in chosen]
+        offset += size
+    entry = draw(st.floats(0.0, 3.0))
+    exit = draw(st.floats(0.0, 3.0))
+    return rewards, draw(st.permutations(links)), entry, exit
+
+
+def exact_cost(paths, rewards, links, entry, exit):
+    """The cost of ``paths``, rounded once from its exact sum; of parallel
+    links the cheapest counts."""
+    cheapest = {}
+    for a, b, cost in links:
+        cheapest[a, b] = min(cost, cheapest.get((a, b), cost))
+    total = Fraction(0)
+    for path in paths:
+        total += Fraction(entry) + Fraction(exit) - sum(Fraction(rewards[i]) for i in path)
+        total += sum(Fraction(cheapest[a, b]) for a, b in zip(path, path[1:]))
+    return float(total)
+
+
+def assert_valid_cover(paths, num_items, links):
+    """Paths are disjoint, increasing, follow links, and come in order of
+    their first item."""
+    used = [i for path in paths for i in path]
+    assert len(used) == len(set(used))
+    assert all(0 <= i < num_items for i in used)
+    linked = {(a, b) for a, b, _ in links}
+    for path in paths:
+        assert all((a, b) in linked for a, b in zip(path, path[1:]))
+        assert path == sorted(path)
+    assert [path[0] for path in paths] == sorted(path[0] for path in paths)
+
+
+def linker_flows(sims, camera, params):
+    """Every ``min_cost_paths`` call the container and tracklet flows of
+    ``sims`` make, as (rewards, links, entry, exit)."""
+    from fluenttrack.solver import solve_containers
+
+    flows = []
+    solve = tk.min_cost_paths
+
+    def recording(rewards, links, entry_cost, exit_cost):
+        flows.append((rewards, links, entry_cost, exit_cost))
+        return solve(rewards, links, entry_cost, exit_cost)
+
+    tk.min_cost_paths = recording
+    try:
+        for sim in sims:
+            vehicles = [d for d in sim.detections if d.object_class is ObjectClass.VEHICLE]
+            others = [d for d in sim.detections if d.object_class is not ObjectClass.VEHICLE]
+            solve_containers(vehicles, camera, params)
+            tk.generate_tracklets(others, camera, params)
+    finally:
+        tk.min_cost_paths = solve
+    return flows
+
+
 def per_pair_links(dets, positions, frame_rate, params, max_gap):
     """The links of ``detection_links`` by one ``ground_distance`` per
     candidate pair, in (i, frames apart, j) order: its scalar reference."""
@@ -314,7 +386,7 @@ class TestMinCostFlowTracker:
 
     def test_components_follow_links(self):
         links = [(1, 2, 0.1), (2, 4, 0.1)]
-        components = tk._components(5, links)
+        components = ssp_reference.components(5, links)
         assert components == [([0], []), ([1, 2, 4], [(1, 2, 0.1), (2, 4, 0.1)]), ([3], [])]
 
     @pytest.mark.parametrize("link", [(2, 1, 0.5), (1, 1, 0.5), (-1, 1, 0.5), (1, 3, 0.5)])
@@ -329,11 +401,71 @@ class TestMinCostFlowTracker:
         paths, cost = tk.min_cost_paths(rewards, links, entry, exit)
         expected, rounding = network_simplex_cost(rewards, links, entry, exit)
         assert abs(cost - expected) <= rounding + 1e-9
-        used = [i for path in paths for i in path]
-        assert len(used) == len(set(used))
-        linked = {(a, b) for a, b, _ in links}
-        for path in paths:
-            assert all((a, b) in linked for a, b in zip(path, path[1:]))
+        assert_valid_cover(paths, len(rewards), links)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(forward_link_dags())
+    @example(([], [], 2.0, 2.0))  # no item
+    @example(([3.0], [], 1.0, 1.0))  # one item
+    @example(([5.0, 5.0, 5.0, 5.0], [(2, 3, 0.5), (0, 1, 0.5)], 1.0, 1.0))  # two components
+    def test_random_dags_match_ssp_and_network_simplex(self, instance):
+        rewards, links, entry, exit = instance
+        paths, cost = tk.min_cost_paths(rewards, links, entry, exit)
+        assert_valid_cover(paths, len(rewards), links)
+        assert cost == exact_cost(paths, rewards, links, entry, exit)
+        _, ssp_cost = ssp_reference.ssp_min_cost_paths(rewards, links, entry, exit)
+        assert cost == pytest.approx(ssp_cost, rel=1e-12, abs=1e-12)
+        expected, rounding = network_simplex_cost(rewards, links, entry, exit)
+        assert abs(cost - expected) <= rounding + 1e-9
+
+    def test_parallel_links_take_the_cheapest(self):
+        links = [(0, 1, 3.0), (0, 1, 0.5), (0, 1, 1.0)]
+        assert tk.min_cost_paths([5.0, 5.0], links, 2.0, 2.0) == ([[0, 1]], -5.5)
+
+    # (rewards, links, SSP's paths, the engine's paths); every case ties two
+    # optima. Observed with SciPy 1.17.1, which says that the choice between
+    # optima may vary with its version.
+    TIES = {
+        "two successors": ([5.0] * 3, [(0, 1, 0.5), (0, 2, 0.5)],
+                           [[0, 1], [2]], [[0, 2], [1]]),
+        "three successors": ([5.0] * 4, [(0, 1, 0.5), (0, 2, 0.5), (0, 3, 0.5)],
+                             [[0, 1], [2], [3]], [[0, 3], [1], [2]]),
+        "two predecessors": ([5.0] * 3, [(0, 2, 0.5), (1, 2, 0.5)],
+                             [[0, 2], [1]], [[0, 2], [1]]),
+        "crossing pairs": ([5.0] * 4, [(0, 2, 0.5), (0, 3, 0.5), (1, 2, 0.5), (1, 3, 0.5)],
+                           [[0, 2], [1, 3]], [[0, 3], [1, 2]]),
+        "zero-cost pair": ([2.0, 2.0], [(0, 1, 0.0)], [], [[0, 1]]),
+        "zero-cost item": ([4.0], [], [], []),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TIES))
+    def test_tie_rule(self, case):
+        """Of equal successors the engine takes the last, where SSP took the
+        first; of equal predecessors both take the first; a path of cost
+        exactly 0 may be taken, where SSP never takes one."""
+        rewards, links, ssp_paths, paths = self.TIES[case]
+        ssp = ssp_reference.ssp_min_cost_paths(rewards, links, 2.0, 2.0)
+        engine = tk.min_cost_paths(rewards, links, 2.0, 2.0)
+        assert (sorted(ssp[0]), engine[0]) == (ssp_paths, paths)
+        assert engine[1] == ssp[1]
+
+    def test_suite_flows_match_ssp(self, suite_runs):
+        """Every linker flow of the suite at benchmark seeds 0 and 1 has
+        SSP's path set and SSP's cost up to rounding; the cost is the exactly
+        rounded sum of the paths' terms."""
+        from fluenttrack.simulator import default_camera, simulate, standard_suite
+
+        camera, params = default_camera(), default_parameters()
+        seed_1 = [simulate(script, dataclasses.replace(noise, seed=noise.seed + 1), camera,
+                           params) for script, noise in standard_suite()]
+        flows = linker_flows([sim for _, sim in suite_runs] + seed_1, camera, params)
+        assert len(flows) == 80  # a tracklet flow per sequence and seed, 40 container flows
+        for rewards, links, entry, exit in flows:
+            paths, cost = tk.min_cost_paths(rewards, links, entry, exit)
+            ssp_paths, ssp_cost = ssp_reference.ssp_min_cost_paths(rewards, links, entry, exit)
+            assert paths == sorted(ssp_paths)
+            assert cost == pytest.approx(ssp_cost, rel=1e-14)
+            assert cost == exact_cost(paths, rewards, links, entry, exit)
 
     def test_suite_flows_match_network_simplex(self, monkeypatch):
         from fluenttrack.simulator import default_camera, simulate, standard_suite

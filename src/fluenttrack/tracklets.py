@@ -113,9 +113,9 @@ def min_cost_paths(
     # the links are then in (a, b) order
     order = np.lexsort((cost, b, a))
     a, b, cost = a[order], b[order], cost[order]
-    first = np.ones(len(a), dtype=bool)
-    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    a, b, cost = a[first], b[first], cost[first]
+    distinct = np.ones(len(a), dtype=bool)
+    distinct[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    a, b, cost = a[distinct], b[distinct], cost[distinct]
 
     reward = np.asarray(rewards, dtype=float)
     items = np.arange(n)

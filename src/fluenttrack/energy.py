@@ -12,7 +12,10 @@ the evidence it pays, ``detection_score``, ``container_score``,
 absent). ``pose_energies`` maps action names to the ``pose_distance`` of the
 stop's pose feature when the stop was priced in bulk by ``pose_distances``;
 a hop reads it instead of solving again. Graph nodes and the interior stops
-of contracted chains are both stops.
+of contracted chains are both stops. ``edge_cost`` is ``best_action``, the
+action choice that only the state pair and the action evidence determine,
+priced by ``hop_cost``; a caller that meets the same evidence again can keep
+the choice.
 """
 
 from __future__ import annotations
@@ -227,6 +230,75 @@ class EnergyBreakdown:
 ZERO_BREAKDOWN = EnergyBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def best_action(
+    src_state: VisibilityState,
+    dst_state: VisibilityState,
+    params: ModelParameters,
+    pose_feature: Optional[np.ndarray] = None,
+    pose_energies: Optional[Mapping[str, float]] = None,
+    fluent: Optional[np.ndarray] = None,
+) -> Tuple[str, float, float]:
+    """The action of a ``src_state -> dst_state`` hop, with its transition
+    energy and action term: (action, transition, action term).
+
+    The transition and action terms are minimized jointly over the actions
+    ``LEGAL_ACTIONS`` allows for the state pair (ties go to the first, i.e.
+    lowest-id, action). The evidence is the hop source's pose feature and
+    pose energies and the container's vehicle-fluent feature, as in
+    ``action_likelihood``; nothing else enters the choice.
+    """
+    legal_actions = LEGAL_ACTIONS[(src_state, dst_state)]
+    if not legal_actions:
+        raise ValueError(
+            f"no legal action for state pair {src_state.value} -> {dst_state.value}"
+        )
+    table = params.transition_table
+    if table is None:
+        raise ValueError("params.transition_table is required for edge costs")
+    best = None
+    best_transition = 0.0
+    best_action_term = 0.0
+    best_value = math.inf
+    for action in legal_actions:
+        transition = transition_energy(dst_state, src_state, action, table)
+        action_term = action_likelihood(
+            action,
+            params,
+            pose_feature=pose_feature,
+            vehicle_fluent_feature=fluent,
+            pose_energies=pose_energies,
+        )
+        value = transition + action_term
+        if value < best_value - 1e-15:
+            best_value = value
+            best = action
+            best_transition = transition
+            best_action_term = action_term
+    assert best is not None
+    return best, best_transition, best_action_term
+
+
+def hop_cost(src, dst, params: ModelParameters, frame_rate: float,
+             choice: Tuple[str, float, float]) -> Tuple[EnergyBreakdown, str]:
+    """``edge_cost`` of the hop ``src -> dst`` with its ``best_action``
+    ``choice`` given: the displacement and visibility terms are computed,
+    the transition and action terms are the choice's."""
+    dt_frames = dst.frame - src.frame
+    if dt_frames < 1:
+        raise ValueError("edges must advance time (dt_frames >= 1)")
+    displacement = displacement_energy(
+        dst.location, src.location, src.state, params, dt_frames, frame_rate
+    )
+    visibility = visibility_likelihood(
+        src.state,
+        detection_score=src.detection_score,
+        container_score=src.container_score,
+        gap_similarity=src.gap_similarity,
+    )
+    action, transition, action_term = choice
+    return EnergyBreakdown.build(displacement, transition, visibility, action_term), action
+
+
 def edge_cost(src, dst, params: ModelParameters, frame_rate: float,
               fluent: Optional[np.ndarray] = None) -> Tuple[EnergyBreakdown, str]:
     """Composite energy of the hop ``src -> dst`` and its best action label.
@@ -237,55 +309,14 @@ def edge_cost(src, dst, params: ModelParameters, frame_rate: float,
     ``pose_feature`` (each None when absent). ``fluent`` is the container's
     vehicle-fluent feature, for hops into, out of or along a container.
 
-    The transition and action terms are minimized jointly over the actions
-    ``LEGAL_ACTIONS`` allows for the state pair (ties go to the first, i.e.
-    lowest-id, action); displacement and visibility do not depend on the
-    action.
+    The transition and action terms are those of ``best_action``;
+    displacement and visibility do not depend on the action.
     """
-    dt_frames = dst.frame - src.frame
-    if dt_frames < 1:
+    if dst.frame - src.frame < 1:
         raise ValueError("edges must advance time (dt_frames >= 1)")
-    legal_actions = LEGAL_ACTIONS[(src.state, dst.state)]
-    if not legal_actions:
-        raise ValueError(
-            f"no legal action for state pair {src.state.value} -> {dst.state.value}"
-        )
-    table = params.transition_table
-    if table is None:
-        raise ValueError("params.transition_table is required for edge costs")
-
-    displacement = displacement_energy(
-        dst.location, src.location, src.state, params, dt_frames, frame_rate
-    )
-    visibility = visibility_likelihood(
-        src.state,
-        detection_score=src.detection_score,
-        container_score=src.container_score,
-        gap_similarity=src.gap_similarity,
-    )
-
-    best_action = None
-    best_transition = 0.0
-    best_action_term = 0.0
-    best_value = math.inf
-    for action in legal_actions:
-        transition = transition_energy(dst.state, src.state, action, table)
-        action_term = action_likelihood(
-            action,
-            params,
-            pose_feature=src.pose_feature,
-            vehicle_fluent_feature=fluent,
-            pose_energies=src.pose_energies,
-        )
-        value = transition + action_term
-        if value < best_value - 1e-15:
-            best_value = value
-            best_action = action
-            best_transition = transition
-            best_action_term = action_term
-    assert best_action is not None
-    breakdown = EnergyBreakdown.build(displacement, best_transition, visibility, best_action_term)
-    return breakdown, best_action
+    choice = best_action(src.state, dst.state, params, src.pose_feature, src.pose_energies,
+                         fluent)
+    return hop_cost(src, dst, params, frame_rate, choice)
 
 
 def node_exit_cost(node, params: ModelParameters) -> EnergyBreakdown:

@@ -75,12 +75,6 @@ class VisibilityGrammar:
             if (state, INERTIAL_ACTION, state) not in self.transitions:
                 raise ValueError(f"missing inertial self-loop for state {state.value}")
 
-    def action_by_name(self, name: str) -> AtomicAction:
-        for a in self.actions:
-            if a.name == name:
-                return a
-        raise KeyError(f"unknown action {name!r}")
-
     def is_legal(self, state: VisibilityState, action: str, succ: VisibilityState) -> bool:
         return (state, action, succ) in self.transitions
 

@@ -160,9 +160,6 @@ class SimulationResult:
     detections: Tuple[Detection, ...]
     ground_truth: Tuple[GroundTruthRecord, ...]
 
-    def states_of(self, object_id: int) -> Dict[int, VisibilityState]:
-        return {r.frame: r.state for r in self.ground_truth if r.object_id == object_id}
-
 
 def _segments_intersect(p1, p2, q1, q2) -> bool:
     def orient(a, b, c):

@@ -9,13 +9,18 @@ tracklet interiors and the occluded frames of spline gap links are pure
 chains, contracted into super-edges. A super-edge keeps its stops as one
 ``Interior`` record: a location array (the gap link's spline samples, or a
 slice of the tracklet's positions) and the stops' actions as runs, expanded
-frame by frame only for the edges of solved paths. Trajectories are
-extracted one at a time by dynamic programming over the DAG; in tests, an
-exhaustive oracle bounds its optimality gap on small instances. Each
-extraction returns the edges it walked, and a trajectory is decoded from
-those edges alone: every point keeps the action its outgoing edge was
-priced with, so the frame parses are the solved paths grouped by frame, not
-a second labelling pass.
+frame by frame only for the edges of solved paths. Both chains are priced in
+one array pass: a tracklet's hops by ``_GraphBuilder.contract``, every gap
+link's of a sequence by one ``_GraphBuilder.bridges`` call. A hop's action
+depends only on its state pair, its source's pose and the container's
+fluent, so the builder chooses it once per such evidence. The components are
+added hop by hop in hop order, so every super-edge has the bits of its chain
+priced hop by hop with ``energy.edge_cost``. Trajectories are extracted one
+at a time by dynamic programming over the DAG; in tests, an exhaustive
+oracle bounds its optimality gap on small instances. Each extraction returns
+the edges it walked, and a trajectory is decoded from those edges alone:
+every point keeps the action its outgoing edge was priced with, so the frame
+parses are the solved paths grouped by frame, not a second labelling pass.
 
 Maximizing the raw edge scores is degenerate (every term is non-positive, so
 the empty solution would win); nodes therefore carry log-odds evidence
@@ -57,7 +62,8 @@ from .energy import (
     NEUTRAL_SIGMOID,
     EnergyBreakdown,
     ZERO_BREAKDOWN,
-    edge_cost,
+    best_action,
+    hop_cost,
     log_odds,
     node_exit_cost,
     pose_distances,
@@ -277,21 +283,6 @@ def _strip_likelihood(breakdown: EnergyBreakdown) -> EnergyBreakdown:
     return EnergyBreakdown.build(breakdown.displacement, breakdown.transition, 0.0, 0.0)
 
 
-class _Stop(NamedTuple):
-    """One occluded stop of a spline bridge: where the trajectory passes, in
-    which state, and the evidence its outgoing hop is priced with. The other
-    evidence ``edge_cost`` reads is absent (None)."""
-
-    frame: int
-    location: np.ndarray
-    state: VisibilityState
-    detection_score: Optional[float] = None
-    gap_similarity: Optional[float] = None
-    pose_feature: Optional[np.ndarray] = None
-    container_score: Optional[float] = None
-    pose_energies: Optional[Mapping[str, float]] = None
-
-
 # The actions a visible stop can leave by: the legal actions out of the
 # visible state, and the inertial action a trajectory's last point is
 # priced under.
@@ -327,6 +318,7 @@ class _GraphBuilder:
         self.nodes: List[GraphNode] = []
         self.edges: List[GraphEdge] = []
         self.exit_costs: Dict[int, float] = {}
+        self.choices: Dict[tuple, Tuple[str, float, float]] = {}
         table = params.transition_table
         grammar = default_grammar()
         self.psi_occluded = min_inertial_energy(table, grammar, VisibilityState.OCCLUDED)
@@ -352,10 +344,46 @@ class _GraphBuilder:
 
     # -- edge constructors -----------------------------------------------------
 
-    def price(self, src, dst, fluent=None) -> Tuple[EnergyBreakdown, str]:
+    def choose(self, src_state: VisibilityState, dst_state: VisibilityState,
+               node: Optional[GraphNode] = None, fluent: Optional[np.ndarray] = None,
+               fluent_at: Optional[Tuple[int, int]] = None) -> Tuple[str, float, float]:
+        """``best_action`` of a hop from ``src_state`` to ``dst_state``, chosen
+        once per builder for what determines it: the state pair; ``node``,
+        the node of this builder whose pose evidence the hop pays (None for
+        a source without a pose feature); and ``fluent_at``, the (container
+        id, frame) whose vehicle fluent ``fluent`` is."""
+        if fluent is not None and fluent_at is None:
+            raise ValueError("a fluent must name the (container id, frame) it was read at")
+        key = (src_state, dst_state, None if node is None else node.id,
+               None if fluent is None else fluent_at)
+        choice = self.choices.get(key)
+        if choice is None:
+            pose_feature = pose_energies = None
+            if node is not None:
+                pose_feature, pose_energies = node.pose_feature, node.pose_energies
+            choice = self.choices[key] = best_action(src_state, dst_state, self.params,
+                                                     pose_feature, pose_energies, fluent)
+        return choice
+
+    def price(self, src, dst, fluent=None,
+              fluent_at: Optional[Tuple[int, int]] = None) -> Tuple[EnergyBreakdown, str]:
         """Energy and best action of one hop between nodes or chain stops;
-        the hop pays ``src``'s evidence."""
-        breakdown, action = edge_cost(src, dst, self.params, self.camera.frame_rate, fluent)
+        the hop pays ``src``'s evidence. ``fluent_at`` is the (container id,
+        frame) whose vehicle fluent ``fluent`` is.
+
+        The action is ``choose``'s, so it is chosen once per evidence. It is
+        chosen afresh for a source with a pose feature that is not a node of
+        this builder, and for a fluent without ``fluent_at``: nothing then
+        names the evidence.
+        """
+        posed = src.pose_feature is not None
+        own = isinstance(src, GraphNode) and src.id < len(self.nodes) and self.nodes[src.id] is src
+        if (posed and not own) or (fluent is not None and fluent_at is None):
+            choice = best_action(src.state, dst.state, self.params, src.pose_feature,
+                                 src.pose_energies, fluent)
+        else:
+            choice = self.choose(src.state, dst.state, src if posed else None, fluent, fluent_at)
+        breakdown, action = hop_cost(src, dst, self.params, self.camera.frame_rate, choice)
         if self.mode == "prior_only":
             breakdown = _strip_likelihood(breakdown)
         return breakdown, action
@@ -367,36 +395,11 @@ class _GraphBuilder:
                                     net_cost, is_container_chain, interior))
 
     def connect(self, src: GraphNode, dst: GraphNode, fluent=None,
+                fluent_at: Optional[Tuple[int, int]] = None,
                 is_container_chain: bool = False) -> None:
-        breakdown, action = self.price(src, dst, fluent)
+        breakdown, action = self.price(src, dst, fluent, fluent_at)
         self.append_edge(src, dst, breakdown, action, breakdown.total - src.reward,
                          is_container_chain)
-
-    def chain_edge(self, src: GraphNode, dst: GraphNode,
-                   hops: Sequence[Tuple[Tuple[EnergyBreakdown, str], float, int]],
-                   locations: np.ndarray, state: VisibilityState) -> None:
-        """One ``src -> dst`` super-edge over a pure chain of stops.
-
-        ``hops`` holds (price, reward of the stop the hop leaves, number of
-        consecutive hops with that price and reward) in hop order. The stops
-        are at the frames after ``src``, at ``locations``, all in ``state``.
-        The five energy components are added hop by hop, in hop order, so the
-        sums are those of the chain built as nodes.
-        """
-        displacement = transition = visibility = action_term = total = net = 0.0
-        for (step, _), reward, count in hops:
-            step_net = step.total - reward
-            for _ in range(count):
-                displacement += step.displacement
-                transition += step.transition
-                visibility += step.visibility
-                action_term += step.action
-                total += step.total
-                net += step_net
-        breakdown = EnergyBreakdown(displacement, transition, visibility, action_term, total)
-        runs = tuple((action, count) for (_, action), _, count in hops[1:])
-        self.append_edge(src, dst, breakdown, hops[0][0][1], net,
-                         interior=Interior(src.frame + 1, locations, state, runs))
 
     @cached_property
     def visible_transitions(self) -> Tuple[Tuple[str, float], ...]:
@@ -420,8 +423,8 @@ class _GraphBuilder:
         of transition + action term over ``visible_transitions`` with its tie
         rule, visibility ``1 - score``, and an action term of the sigmoid of
         the cached pose energy plus the neutral fluent term. The components
-        and the net cost are added hop by hop in hop order, as ``chain_edge``
-        adds them.
+        and the net cost are added hop by hop in hop order, as a chain of
+        nodes would add them.
         """
         hops = len(positions) - 1
         bound = self.params.tau_s / self.camera.frame_rate  # displacement_energy's, dt = 1
@@ -451,32 +454,89 @@ class _GraphBuilder:
                          interior=Interior(src.frame + 1, positions[1:-1],
                                            VisibilityState.VISIBLE, runs))
 
-    def bridge(self, tail: GraphNode, head: GraphNode, link: GapLink, gate: float) -> None:
-        """One ``tail -> head`` super-edge whose stops are the occluded
-        spline samples of ``link``.
+    def bridges(self, spans: Sequence[Tuple[GraphNode, GapLink, GraphNode]]) -> None:
+        """One ``tail -> head`` super-edge per ``(tail, link, head)`` whose
+        stops are the occluded spline samples of ``link``, all priced in one
+        pass and appended in the order given.
 
-        One pass over the chain's consecutive distances drops the bridge if
-        any hop is longer than ``gate`` metres. A hop that leaves an
-        occluded stop has no pose evidence, so it costs displacement 1
-        whatever its length: every stop-to-stop hop has one price, computed
-        once, and the bridge costs three ``price`` calls whatever its gap.
+        A link is dropped exactly when a hop of its chain (tail, samples,
+        head) is longer than its gate, ``LINK_GATE_SLACK`` speed bounds of
+        the tail's class per frame: one norm over every hop of a block of
+        chains (``_longest_hops``), and each link's largest. Each kept hop
+        costs what ``price`` gives it:
+
+        - tail -> first stop: displacement 0/1 against the visible bound
+          (one ``ground_distances`` call), visibility ``1 - score``, and the
+          action chosen once per tail node;
+        - stop -> stop and last stop -> head: displacement 1, since an
+          occluded stop has no speed bound; visibility ``sigmoid(1 -
+          similarity)``, once per link; and the action chosen once per
+          builder, since an occluded stop has no pose and no fluent.
+
+        Bridges exist only in ``full`` mode, so every term is paid. The five
+        components and the net cost are added hop by hop in hop order by
+        ``np.add.accumulate``, one gap length at a time, so the sums are
+        those of the chain built as nodes.
         """
-        samples = link.samples
-        points = np.vstack((tail.location, samples, head.location))
-        if (np.linalg.norm(np.diff(points, axis=0), axis=1) > gate).any():
+        if not spans:
             return
+        fps = self.camera.frame_rate
+        gaps = np.array([link.gap_frames for _, link, _ in spans])
+        # blocks of whole chains that start within one window of
+        # BRIDGE_BLOCK_POINTS stacked points
+        block = (np.cumsum(gaps + 2) - (gaps + 2)) // BRIDGE_BLOCK_POINTS
+        cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(spans)]
+        longest = np.concatenate([_longest_hops(spans[a:b]) for a, b in zip(cuts, cuts[1:])])
+        gates = np.array([LINK_GATE_SLACK * self.params.speed_bound(tail.object_class) / fps
+                          for tail, _, _ in spans])
+        kept = np.flatnonzero(~(longest > gates))
+        if not len(kept):
+            return
+        V, O = VisibilityState.VISIBLE, VisibilityState.OCCLUDED
+        kept_spans = [spans[i] for i in kept.tolist()]
+        tails = [tail for tail, _, _ in kept_spans]
+        tail_choices = [self.choose(V, O, None if t.pose_feature is None else t) for t in tails]
+        mid_action, mid_transition, mid_action_term = self.choose(O, O)
+        last_action, last_transition, last_action_term = self.choose(O, V)
+        bound = self.params.tau_s / fps  # displacement_energy's, dt = 1
+        far = ground_distances(np.array([link.samples[0] for _, link, _ in kept_spans]),
+                               np.array([tail.location for tail in tails], dtype=float)) > bound
+        displacement = np.where(far, 1.0, 0.0)
+        transition = np.array([choice[1] for choice in tail_choices])
+        visibility = 1.0 - np.array([t.detection_score for t in tails], dtype=float)
+        action_term = np.array([choice[2] for choice in tail_choices])
+        total = displacement + transition + visibility + action_term
+        first = np.vstack((displacement, transition, visibility, action_term, total,
+                           total - np.array([t.reward for t in tails])))
+        # every later hop leaves an occluded stop: displacement 1
+        occluded = np.array([sigmoid(1.0 - float(link.similarity)) for _, link, _ in kept_spans])
         reward = self.occluded_reward()
+        n = len(kept)
+        mid_total = 1.0 + mid_transition + occluded + mid_action_term
+        mid = np.vstack((np.ones(n), np.full(n, mid_transition), occluded,
+                         np.full(n, mid_action_term), mid_total, mid_total - reward))
+        last_total = 1.0 + last_transition + occluded + last_action_term
+        last = np.vstack((np.ones(n), np.full(n, last_transition), occluded,
+                          np.full(n, last_action_term), last_total, last_total - reward))
 
-        def stop(i: int) -> _Stop:
-            return _Stop(tail.frame + 1 + i, samples[i], VisibilityState.OCCLUDED,
-                         gap_similarity=link.similarity)
+        # hop sums, one gap length at a time: a zero, the first hop, gap - 1
+        # stop-to-stop hops, and the last hop, accumulated in that order
+        kept_gaps = gaps[kept]
+        sums = np.empty((6, n))
+        for gap in np.unique(kept_gaps).tolist():
+            group = np.flatnonzero(kept_gaps == gap)
+            chain = np.zeros((6, len(group), gap + 2))
+            chain[:, :, 1] = first[:, group]
+            chain[:, :, 2:gap + 1] = mid[:, group, None]
+            chain[:, :, gap + 1] = last[:, group]
+            sums[:, group] = np.add.accumulate(chain, axis=2)[:, :, -1]
 
-        first, last = stop(0), stop(link.gap_frames - 1)
-        hops = [(self.price(tail, first), tail.reward, 1)]
-        if link.gap_frames > 1:
-            hops.append((self.price(first, stop(1)), reward, link.gap_frames - 1))
-        hops.append((self.price(last, head), reward, 1))
-        self.chain_edge(tail, head, hops, samples, VisibilityState.OCCLUDED)
+        for (tail, link, head), choice, row in zip(kept_spans, tail_choices, sums.T.tolist()):
+            runs = ((last_action, 1),)
+            if link.gap_frames > 1:
+                runs = ((mid_action, link.gap_frames - 1), *runs)
+            self.append_edge(tail, head, EnergyBreakdown(*row[:5]), choice[0], row[5],
+                             interior=Interior(tail.frame + 1, link.samples, O, runs))
 
     def add_exit(self, node: GraphNode) -> None:
         breakdown = node_exit_cost(node, self.params)
@@ -485,6 +545,24 @@ class _GraphBuilder:
         self.exit_costs[node.id] = (
             self.params.solver_entry_exit_cost + breakdown.total - node.reward
         )
+
+
+# Stacked points of the chains whose hops ``_GraphBuilder.bridges`` measures
+# in one pass: a block takes whole chains until it holds this many, which
+# bounds the pass's memory whatever the number and length of the gaps.
+BRIDGE_BLOCK_POINTS = 4096
+
+
+def _longest_hops(spans: Sequence[Tuple[GraphNode, GapLink, GraphNode]]) -> np.ndarray:
+    """The longest hop of each ``(tail, link, head)`` chain: tail, the
+    link's samples, head. One norm runs over the hops of all the chains,
+    stacked one after another."""
+    points = np.vstack([part for tail, link, head in spans
+                        for part in (tail.location, link.samples, head.location)])
+    hops = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    starts = np.concatenate(([0], np.cumsum([link.gap_frames + 2 for _, link, _ in spans])[:-1]))
+    hops[starts[1:] - 1] = 0.0  # from one chain's head to the next chain's tail
+    return np.maximum.reduceat(hops, starts)
 
 
 def build_graph(
@@ -631,17 +709,26 @@ def build_graph(
 
     # spline bridges: one super-edge per gap link, its missing frames occluded
     if mode == "full":
-        for link in sorted(gap_links, key=lambda l: (l.before_id, l.after_id)):
-            before_tail = b.nodes[tail_ids[link.before_id]]
-            gate = LINK_GATE_SLACK * params.speed_bound(before_tail.object_class) / fps
-            b.bridge(before_tail, b.nodes[head_ids[link.after_id]], link, gate)
+        b.bridges([(b.nodes[tail_ids[link.before_id]], link, b.nodes[head_ids[link.after_id]])
+                   for link in sorted(gap_links, key=lambda l: (l.before_id, l.after_id))])
 
     # containment vestibule bridges; crossing into or out of a container
     # additionally requires the container's fluent evidence to support a
     # door/trunk interaction at that frame (objects cannot enter a vehicle
     # whose doors never open)
-    enter_actions = LEGAL_ACTIONS[(VisibilityState.OCCLUDED, VisibilityState.CONTAINED)]
-    exit_actions = LEGAL_ACTIONS[(VisibilityState.CONTAINED, VisibilityState.OCCLUDED)]
+    # whether the fluent of (container, frame) supports entering (True) or
+    # leaving (False); chains of several pairs share a container's frames
+    supports: Dict[Tuple[int, int, bool], bool] = {}
+
+    def supported(cid: int, frame: int, enter: bool) -> bool:
+        key = (cid, frame, enter)
+        if key not in supports:
+            pair = ((VisibilityState.OCCLUDED, VisibilityState.CONTAINED) if enter
+                    else (VisibilityState.CONTAINED, VisibilityState.OCCLUDED))
+            supports[key] = _fluent_supports(containers.evidence[cid][frame][1],
+                                             LEGAL_ACTIONS[pair], params)
+        return supports[key]
+
     for before, after, cid, chain in vestibule_chains:
         before_tail = b.nodes[tail_ids[before.id]]
         after_head = b.nodes[head_ids[after.id]]
@@ -652,14 +739,12 @@ def build_graph(
             b.connect(u, v)
         for u in nodes_chain[:-1]:
             cnode = contained_ids.get((cid, u.frame + 1))
-            fluent = fluent_of[u.frame][1]
-            if cnode is not None and _fluent_supports(fluent, enter_actions, params):
-                b.connect(u, b.nodes[cnode], fluent=fluent)
+            if cnode is not None and supported(cid, u.frame, True):
+                b.connect(u, b.nodes[cnode], fluent_of[u.frame][1], (cid, u.frame))
         for v in nodes_chain[1:]:
             cnode = contained_ids.get((cid, v.frame - 1))
-            fluent = fluent_of[v.frame - 1][1]
-            if cnode is not None and _fluent_supports(fluent, exit_actions, params):
-                b.connect(b.nodes[cnode], v, fluent=fluent)
+            if cnode is not None and supported(cid, v.frame - 1, False):
+                b.connect(b.nodes[cnode], v, fluent_of[v.frame - 1][1], (cid, v.frame - 1))
         b.connect(nodes_chain[-1], after_head)
 
     # container chains, shared by up to max_contained objects. A chain hop

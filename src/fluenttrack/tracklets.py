@@ -15,7 +15,13 @@ weight. Tracklets link consecutive frames only; containers (in ``solver``)
 link across short dropouts. Gaps between appearance-compatible tracklets
 (``compatible_pairs``) are filled with interpolating cubic splines: one
 spline solve per gap shape serves every gap of that shape, and each bridge
-keeps its samples as one array.
+keeps its samples as one array. The not-a-knot collocation matrix depends
+only on the shape (de Boor, *A Practical Guide to Splines*, 1978), so its
+banded LU (LAPACK ``gbtrf``) is factored once per shape and shared by every
+later call; a group of gaps is one ``gbtrs`` and one ``BSpline``
+evaluation. SciPy's interpolating spline solves with ``gbsv``, which is
+``gbtrf`` followed by ``gbtrs`` (Anderson et al., *LAPACK Users' Guide*),
+so reusing a factorization keeps its bits.
 
 The per-pair numerics run as arrays with the bits of the scalar loop they
 replace: ``detection_links`` finds each gap's candidate pairs by
@@ -29,13 +35,15 @@ matrix would not (see ``core``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
+from scipy.interpolate import BSpline
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
@@ -334,6 +342,59 @@ def find_gap_candidates(
     return candidates
 
 
+# Spline shapes whose factorization is kept for the next call. A shape is
+# (points before, points after, gap), so at most 25 * max_gap_frames exist;
+# this holds every shape of the default 150-frame gap bound.
+SPLINE_FACTOR_CACHE_SIZE = 4096
+
+
+def _not_a_knot(frames: np.ndarray, k: int) -> np.ndarray:
+    """The not-a-knot knot vector that SciPy's interpolating spline builds
+    for degree ``k`` on strictly increasing ``frames``: the frames
+    themselves for odd ``k``, the midpoints between them for even ``k``,
+    less ``k // 2`` interior knots at each end, padded to ``k + 1`` boundary
+    knots."""
+    if k % 2:
+        inner = frames[(k + 1) // 2:-((k + 1) // 2)]
+    else:
+        inner = ((frames[1:] + frames[:-1]) / 2)[k // 2:-(k // 2)]
+    return np.concatenate((np.full(k + 1, frames[0]), inner, np.full(k + 1, frames[-1])))
+
+
+@functools.lru_cache(maxsize=SPLINE_FACTOR_CACHE_SIZE)
+def _spline_factor(n_before: int, n_after: int, gap: int
+                   ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """(knots, banded LU, pivots) of the interpolating spline of one gap shape.
+
+    The control frames are ``n_before`` frames ending at 0 and ``n_after``
+    frames starting at ``gap + 1``; the degree is ``min(3, points - 1)``.
+    For degree 1 the coefficients are the data, so there is no LU (None).
+    Otherwise the collocation matrix of the B-spline basis at the control
+    frames is laid out in LAPACK band storage with ``k`` sub- and
+    super-diagonals and factored by ``gbtrf``.
+    """
+    frames = np.array([*range(1 - n_before, 1), *range(gap + 1, gap + 1 + n_after)],
+                      dtype=float)
+    n = len(frames)
+    k = min(3, n - 1)
+    if k == 1:
+        knots = np.concatenate((frames[:1], frames, frames[-1:]))
+        knots.setflags(write=False)
+        return knots, None, None
+    knots = _not_a_knot(frames, k)
+    collocation = BSpline.construct_fast(knots, np.eye(n), k)(frames)  # row: frame, column: basis
+    row, column = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= k)
+    band = np.zeros((3 * k + 1, n), order="F")  # the first k rows are gbtrf's fill-in
+    band[2 * k + row - column, column] = collocation[row, column]
+    lu, pivots, info = dgbtrf(band, k, k)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"spline collocation matrix of shape "
+                                    f"{(n_before, n_after, gap)} is singular")
+    for shared in (knots, lu, pivots):  # one entry serves every caller
+        shared.setflags(write=False)
+    return knots, lu, pivots
+
+
 def bspline_fill(pairs: Sequence[Tuple[Tracklet, Tracklet]]) -> List[np.ndarray]:
     """Sample an interpolating cubic spline at each missing frame of each pair.
 
@@ -342,11 +403,15 @@ def bspline_fill(pairs: Sequence[Tuple[Tracklet, Tracklet]]) -> List[np.ndarray]
     boundary points are interpolated exactly. Returns one ``(gap, 2)`` array
     per pair, in input order.
 
-    Pairs of one shape (points used before, points used after, gap) share a
-    single spline solve: frames are taken relative to ``before.end_frame``
-    and each pair's control points are extra columns of the data. Every
-    basis term is a difference of integer frames, so the samples are the
-    same bits as one spline per pair on absolute frames.
+    Pairs of one shape (points used before, points used after, gap) share
+    one solve: frames are taken relative to ``before.end_frame`` and each
+    pair's control points are extra columns of the data. Every basis term is
+    a difference of integer frames, so the samples are the same bits as one
+    spline per pair on absolute frames. The shape alone fixes the knots and
+    the collocation matrix, so its factorization (``_spline_factor``) is
+    kept across calls; the group runs one ``gbtrs`` on it and one
+    ``BSpline`` evaluation. This is SciPy's interpolating spline step for
+    step: its ``gbsv`` is ``gbtrf`` followed by ``gbtrs``.
     """
     groups: Dict[Tuple[int, int, int], List[int]] = {}
     for index, (before, after) in enumerate(pairs):
@@ -357,15 +422,22 @@ def bspline_fill(pairs: Sequence[Tuple[Tracklet, Tracklet]]) -> List[np.ndarray]
         groups.setdefault(shape, []).append(index)
     filled: Dict[int, np.ndarray] = {}
     for (n_before, n_after, gap), members in groups.items():
-        ctrl_frames = np.array([*range(1 - n_before, 1), *range(gap + 1, gap + 1 + n_after)],
-                               dtype=float)
         ctrl_points = np.stack([  # (control point, pair, xy)
             np.vstack([pairs[i][0].positions[-n_before:], pairs[i][1].positions[:n_after]])
             for i in members
         ], axis=1)
-        k = min(3, len(ctrl_frames) - 1)
-        spline = make_interp_spline(ctrl_frames, ctrl_points, k=k)
-        values = spline(np.arange(1, gap + 1, dtype=float))
+        knots, lu, pivots = _spline_factor(n_before, n_after, gap)
+        k = min(3, n_before + n_after - 1)
+        if lu is None:
+            coefficients = ctrl_points
+        else:
+            solved, info = dgbtrs(lu, k, k, ctrl_points.reshape(n_before + n_after, -1),
+                                  pivots)
+            if info != 0:
+                raise ValueError(f"illegal argument {-info} to gbtrs")
+            coefficients = solved.reshape(ctrl_points.shape)
+        values = BSpline.construct_fast(knots, coefficients, k)(
+            np.arange(1, gap + 1, dtype=float))
         for column, i in enumerate(members):
             filled[i] = values[:, column]
     return [filled[i] for i in range(len(pairs))]

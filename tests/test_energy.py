@@ -338,7 +338,8 @@ class TestEdgeCost:
     def test_tie_broken_by_lowest_action_id(self):
         g = default_grammar()
         uniform = default_parameters(transition_table=fit_transition_table([], 1.0, g))
-        assert g.action_by_name("enter_vehicle").id < g.action_by_name("load_baggage").id
+        ids = {a.name: a.id for a in g.actions}
+        assert ids["enter_vehicle"] < ids["load_baggage"]
         _, action = edge_cost(*self.enter_ctx(), uniform, FRAME_RATE)
         assert action == "enter_vehicle"
 

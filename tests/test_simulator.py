@@ -36,6 +36,11 @@ def simple_script(duration=40, events=(), obstacles=()):
                           obstacles=tuple(obstacles))
 
 
+def states_of(result, object_id):
+    """Frame -> ground-truth visibility state of one object."""
+    return {r.frame: r.state for r in result.ground_truth if r.object_id == object_id}
+
+
 def zero_noise(seed=0):
     return NoiseProfile(position_sigma=0.0, detection_miss_prob_visible=0.0,
                         false_positive_rate=0.0, descriptor_noise_sigma=0.0,
@@ -59,7 +64,7 @@ class TestSimulate:
         events = [ScenarioEvent("enter_vehicle", 0, 10, 16, target_id=1),
                   ScenarioEvent("exit_vehicle", 0, 26, 32, target_id=1)]
         result = simulate(simple_script(events=events), zero_noise(), camera, params)
-        states = result.states_of(0)
+        states = states_of(result, 0)
         assert states[9] is VisibilityState.VISIBLE
         assert states[10] is VisibilityState.OCCLUDED  # entry boundary
         assert states[11] is VisibilityState.CONTAINED
@@ -97,7 +102,7 @@ class TestSimulate:
     def test_occlude_event(self, camera, params):
         events = [ScenarioEvent("occlude", 0, 5, 9)]
         result = simulate(simple_script(events=events), zero_noise(), camera, params)
-        states = result.states_of(0)
+        states = states_of(result, 0)
         for f in range(5, 10):
             assert states[f] is VisibilityState.OCCLUDED
         assert states[4] is VisibilityState.VISIBLE
@@ -107,7 +112,7 @@ class TestSimulate:
         # obstacle shadowing the middle of the walker's path
         script = simple_script(obstacles=[sim.Obstacle((9.0, 0.0), (11.0, 0.0))])
         result = simulate(script, zero_noise(), camera, params)
-        states = result.states_of(0)
+        states = states_of(result, 0)
         occluded = [f for f, s in states.items() if s is VisibilityState.OCCLUDED]
         assert occluded  # the path crosses the shadow
         assert min(occluded) > 0 and max(occluded) < script.duration_frames - 1

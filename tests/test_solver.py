@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -16,12 +17,13 @@ from fluenttrack.grammar import (
     default_parameters,
     min_inertial_energy,
 )
-from fluenttrack.simulator import default_camera, scenario_by_name, simulate
+from fluenttrack.simulator import default_camera, simulate, standard_suite
 from fluenttrack.solver import (
     SOLVE_MODES,
     ContainerSolution,
     GraphEdge,
     GraphNode,
+    Interior,
     OracleLimitError,
     TransitionGraph,
     _GraphBuilder,
@@ -66,26 +68,50 @@ def vehicle_track(detection_frames, camera, params, x=20.0, y=10.0, score=0.95):
 V = VisibilityState.VISIBLE
 
 
-def per_hop_tracklet_edge(builder, head, tail, stops):
-    """The super-edge over a tracklet's ``stops`` (its endpoints included)
-    as the per-hop reference builds it: one ``builder.price`` (``edge_cost``,
-    stripped in ``prior_only``) per hop from ``head`` over the interior
-    stops to ``tail``, the sums added by ``chain_edge``."""
-    chain = [head, *stops[1:-1], tail]
-    hops = [(builder.price(u, v), log_odds(u.detection_score), 1)
-            for u, v in zip(chain, chain[1:])]
-    builder.chain_edge(head, tail, hops, np.array([s.location for s in stops[1:-1]]), V)
-    return builder.edges[-1]
+def per_hop_edge(chain, rewards, state, params, frame_rate, mode="full"):
+    """The super-edge over ``chain`` (its endpoints included) as the per-hop
+    reference builds it: one ``edge_cost`` per hop, its likelihood terms
+    zeroed in ``prior_only``, and each hop's five components and net cost
+    (its total less ``rewards[i]``, the reward of the stop it leaves) added
+    hop by hop in hop order. The interior stops leave by one-stop runs."""
+    sums = [0.0] * 6
+    actions = []
+    for u, v, reward in zip(chain, chain[1:], rewards):
+        step, action = edge_cost(u, v, params, frame_rate)
+        if mode == "prior_only":
+            step = EnergyBreakdown.build(step.displacement, step.transition, 0.0, 0.0)
+        for k, value in enumerate((step.displacement, step.transition, step.visibility,
+                                   step.action, step.total, step.total - reward)):
+            sums[k] += value
+        actions.append(action)
+    interior = Interior(chain[0].frame + 1, np.array([s.location for s in chain[1:-1]]), state,
+                        tuple((action, 1) for action in actions[1:]))
+    return GraphEdge(-1, chain[0].id, chain[-1].id, EnergyBreakdown(*sums[:5]), actions[0],
+                     sums[5], interior=interior)
 
 
-def assert_same_edge(edge, reference):
-    """Bit-equal energies, net cost and stops; the reference's one-stop
-    action runs merged into maximal runs."""
+def per_hop_tracklet_edge(head, tail, stops, params, frame_rate, mode):
+    """``per_hop_edge`` over a tracklet's ``stops`` (its endpoints included)
+    from ``head`` to ``tail``; a hop leaving a stop loses its log-odds
+    reward."""
+    return per_hop_edge([head, *stops[1:-1], tail],
+                        [log_odds(s.detection_score) for s in stops[:-1]], V, params,
+                        frame_rate, mode)
+
+
+def assert_same_breakdown(edge, reference):
+    """Bit-equal energies, net cost and first action."""
     fields = ("displacement", "transition", "visibility", "action", "total")
     assert same_bits([getattr(edge.breakdown, f) for f in fields],
                      [getattr(reference.breakdown, f) for f in fields])
     assert same_bits(edge.net_cost, reference.net_cost)
     assert edge.action == reference.action
+
+
+def assert_same_edge(edge, reference):
+    """Bit-equal energies, net cost and stops; the reference's one-stop
+    action runs merged into maximal runs."""
+    assert_same_breakdown(edge, reference)
     runs = []
     for action, count in reference.interior.actions:
         if runs and runs[-1][0] == action:
@@ -563,19 +589,33 @@ class TestInvariants:
         assert [f for f, _, _, _ in stops] == list(range(5, 15))
         assert all(np.array_equal(loc, sample) for (_, loc, _, _), sample in zip(stops, samples))
 
-    def test_containment_graph_edges_reprice_from_their_endpoints(self, camera, params):
-        # every edge of a graph with containers is the price of its hops, read
-        # from the stops they join: a plain edge from its two nodes, paying
-        # the container's fluent at its source frame when a contained node is
-        # one end (a container chain edge, with two, pays none, and the fluent
-        # would not change its price); a tracklet super-edge hop by hop over
-        # the tracklet's scores and its detections' pose features
-        script, noise = scenario_by_name("enter_drive_exit")
-        dets = simulate(script, noise, camera, params).detections
-        graph = pipeline_graph(dets, camera, params)
+    def test_containment_graph_edges_reprice_from_their_endpoints(self, suite_runs, params):
+        # every edge of each suite graph with containers is the price of its
+        # hops, read from the stops they join: a plain edge from its two
+        # nodes, paying the container's fluent at its source frame when a
+        # contained node is one end (a container chain edge, with two, pays
+        # none, and the fluent would not change its price); a tracklet
+        # super-edge hop by hop over the tracklet's scores and its
+        # detections' pose features. The builder chooses each action once
+        # per evidence, so this guards what that choice is keyed by
+        camera = default_camera()
+        kinds = Counter()
+        sequences = 0
+        for _, sim in suite_runs:
+            graph = pipeline_graph(sim.detections, camera, params)
+            if graph.containers.trajectories:
+                sequences += 1
+                self.assert_edges_reprice(graph, sim.detections, camera, params, kinds)
+        assert sequences >= 6
+        for pair in (("head", "tail"), ("tail", "vestibule"), ("vestibule", "contained"),
+                     ("contained", "contained"), ("contained", "vestibule"),
+                     ("vestibule", "head")):
+            assert kinds[pair], pair
+
+    @staticmethod
+    def assert_edges_reprice(graph, dets, camera, params, kinds):
         others = [d for d in dets if d.object_class is not ObjectClass.VEHICLE]
         tracklets = {t.id: t for t in generate_tracklets(others, camera, params)}
-        kinds = Counter()
         for edge in graph.edges:
             src, dst = graph.nodes[edge.src], graph.nodes[edge.dst]
             kinds[src.kind, dst.kind] += 1
@@ -612,15 +652,11 @@ class TestInvariants:
             assert edge.net_cost == net
             assert edge.action == actions[0]
             assert [a for _, _, _, a in edge.interior.stops()] == actions[1:]
-        for pair in (("head", "tail"), ("tail", "vestibule"), ("vestibule", "contained"),
-                     ("contained", "contained"), ("contained", "vestibule"),
-                     ("vestibule", "head")):
-            assert kinds[pair], pair
 
 
     def test_suite_tracklet_edges_match_per_hop_reference(self, suite_runs, params):
         # every tracklet super-edge of the suite, in every mode, is the per-hop
-        # edge_cost + chain_edge reference bit for bit; the reference solves
+        # edge_cost reference bit for bit; the reference solves
         # each stop's pose on its own instead of reading cached energies
         camera = default_camera()
         for name, sim in suite_runs:
@@ -642,9 +678,61 @@ class TestInvariants:
                     stops = [Stop(t.start_frame + i, location, V, detection_score=t.scores[i],
                                   pose_feature=others[t.detection_indices[i]].pose_feature)
                              for i, location in enumerate(t.positions)]
-                    reference = per_hop_tracklet_edge(_GraphBuilder(camera, params, mode),
-                                                      head, tail, stops)
+                    reference = per_hop_tracklet_edge(head, tail, stops, params,
+                                                      camera.frame_rate, mode)
                     assert_same_edge(edge, reference)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_suite_bridges_match_per_hop_reference(self, params, seed):
+        # every gap link of the suite in full mode is either absent, exactly
+        # when one hop of tail, samples, head exceeds the gate, or one bridge
+        # equal bit for bit to the per-hop edge_cost chain: tail -> first
+        # sample, each occluded hop, last sample -> head, summed hop by hop;
+        # the bridges come in link order, their actions as two runs
+        camera = default_camera()
+        O = VisibilityState.OCCLUDED
+        reward = _GraphBuilder(camera, params, "full").occluded_reward()
+        bridged = dropped = 0
+        for script, noise in standard_suite():
+            noise = dataclasses.replace(noise, seed=noise.seed + seed)
+            detections = simulate(script, noise, camera, params).detections
+            vehicles = [d for d in detections if d.object_class is ObjectClass.VEHICLE]
+            others = [d for d in detections if d.object_class is not ObjectClass.VEHICLE]
+            tracks = generate_tracklets(others, camera, params)
+            links = build_gap_links(tracks, params, camera.frame_rate)
+            graph = build_graph(others, tracks, links, solve_containers(vehicles, camera, params),
+                                camera, params)
+            tails = {n.tracklet_id: n for n in graph.nodes if n.kind in ("tail", "single")}
+            heads = {n.tracklet_id: n for n in graph.nodes if n.kind in ("head", "single")}
+            bridges = [e for e in graph.edges
+                       if e.interior is not None and e.interior.state is O]
+            expected = []
+            for link in sorted(links, key=lambda l: (l.before_id, l.after_id)):
+                tail, head = tails[link.before_id], heads[link.after_id]
+                gate = LINK_GATE_SLACK * params.speed_bound(tail.object_class) / camera.frame_rate
+                stops = [Stop(tail.frame + 1 + i, sample, O, gap_similarity=link.similarity)
+                         for i, sample in enumerate(link.samples)]
+                chain = [tail, *stops, head]
+                if any(ground_distance(u.location, v.location) > gate
+                       for u, v in zip(chain, chain[1:])):
+                    dropped += 1
+                    continue
+                expected.append(per_hop_edge(chain, [tail.reward] + [reward] * len(stops), O,
+                                             params, camera.frame_rate))
+            assert len(bridges) == len(expected), script.name
+            for edge, reference in zip(bridges, expected):
+                assert (edge.src, edge.dst) == (reference.src, reference.dst)
+                assert_same_breakdown(edge, reference)
+                actions = [action for action, _ in reference.interior.actions]
+                runs = ((actions[-1], 1),)
+                if len(actions) > 1:
+                    assert len(set(actions[:-1])) == 1
+                    runs = ((actions[0], len(actions) - 1), *runs)
+                assert edge.interior.actions == runs
+                assert edge.interior.first_frame == reference.interior.first_frame
+                assert same_bits(edge.interior.locations, reference.interior.locations)
+            bridged += len(bridges)
+        assert bridged > 1000 and dropped > 0
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
@@ -681,8 +769,8 @@ class TestInvariants:
             builder.contract(head, tail, np.array([s.location for s in stops]),
                              [s.detection_score for s in stops],
                              [s.pose_energies for s in stops])
-            reference = per_hop_tracklet_edge(_GraphBuilder(camera, table_params, mode),
-                                              head, tail, stops)
+            reference = per_hop_tracklet_edge(head, tail, stops, table_params,
+                                              camera.frame_rate, mode)
         assert_same_edge(builder.edges[-1], reference)
 
 class TestJointSolve:

@@ -23,7 +23,7 @@ from fluenttrack.simulator import default_camera
 from fluenttrack.solver import CONTAINER_LINK_GAP
 
 import ssp_reference
-from conftest import make_detection, unit_vector
+from conftest import make_detection, same_bits, unit_vector
 
 
 @pytest.fixture(scope="module")
@@ -712,6 +712,23 @@ class TestBsplineFill:
         assert len(filled) == len(pairs)
         for (before, after), samples in zip(pairs, filled):
             assert np.array_equal(samples, per_pair_spline(before, after))
+
+
+    def test_every_shape_matches_per_pair_spline(self):
+        # every shape bspline_fill factors once, up to five points a side and
+        # every gap up to max_gap_frames, on random data: the per-pair spline
+        # on absolute frames, bit for bit; each factor serves its own gap only
+        rng = np.random.default_rng(24)
+        pairs = []
+        for n_before in range(1, 6):
+            for n_after in range(1, 6):
+                for gap in range(1, default_parameters().max_gap_frames + 1):
+                    start = int(rng.integers(0, 10 ** 6))
+                    points = rng.uniform(-100.0, 100.0, size=(n_before + n_after, 2))
+                    pairs.append((line_tracklet(0, start, points[:n_before]),
+                                  line_tracklet(1, start + n_before + gap, points[n_before:])))
+        for (before, after), samples in zip(pairs, tk.bspline_fill(pairs)):
+            assert same_bits(samples, per_pair_spline(before, after))
 
 
 class TestGapLink:

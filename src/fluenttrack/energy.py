@@ -14,7 +14,8 @@ stop's pose feature when the stop was priced in bulk by ``pose_distances``;
 a hop reads it instead of solving again. Graph nodes and the interior stops
 of contracted chains are both stops. ``edge_cost`` is ``best_action``, the
 action choice that only the state pair and the action evidence determine,
-priced by ``hop_cost``; a caller that meets the same evidence again can keep
+plus the displacement and visibility terms; ``hop_cost`` prices a hop with
+the choice given, so a caller that meets the same evidence again can keep
 the choice.
 """
 
@@ -278,11 +279,9 @@ def best_action(
     return best, best_transition, best_action_term
 
 
-def hop_cost(src, dst, params: ModelParameters, frame_rate: float,
-             choice: Tuple[str, float, float]) -> Tuple[EnergyBreakdown, str]:
-    """``edge_cost`` of the hop ``src -> dst`` with its ``best_action``
-    ``choice`` given: the displacement and visibility terms are computed,
-    the transition and action terms are the choice's."""
+def _hop_terms(src, dst, params: ModelParameters, frame_rate: float) -> Tuple[float, float]:
+    """The displacement and visibility terms of the hop ``src -> dst``,
+    which do not depend on its action."""
     dt_frames = dst.frame - src.frame
     if dt_frames < 1:
         raise ValueError("edges must advance time (dt_frames >= 1)")
@@ -295,6 +294,15 @@ def hop_cost(src, dst, params: ModelParameters, frame_rate: float,
         container_score=src.container_score,
         gap_similarity=src.gap_similarity,
     )
+    return displacement, visibility
+
+
+def hop_cost(src, dst, params: ModelParameters, frame_rate: float,
+             choice: Tuple[str, float, float]) -> Tuple[EnergyBreakdown, str]:
+    """``edge_cost`` of the hop ``src -> dst`` with its ``best_action``
+    ``choice`` given: the displacement and visibility terms are computed,
+    the transition and action terms are the choice's."""
+    displacement, visibility = _hop_terms(src, dst, params, frame_rate)
     action, transition, action_term = choice
     return EnergyBreakdown.build(displacement, transition, visibility, action_term), action
 
@@ -312,11 +320,10 @@ def edge_cost(src, dst, params: ModelParameters, frame_rate: float,
     The transition and action terms are those of ``best_action``;
     displacement and visibility do not depend on the action.
     """
-    if dst.frame - src.frame < 1:
-        raise ValueError("edges must advance time (dt_frames >= 1)")
-    choice = best_action(src.state, dst.state, params, src.pose_feature, src.pose_energies,
-                         fluent)
-    return hop_cost(src, dst, params, frame_rate, choice)
+    displacement, visibility = _hop_terms(src, dst, params, frame_rate)
+    action, transition, action_term = best_action(src.state, dst.state, params,
+                                                  src.pose_feature, src.pose_energies, fluent)
+    return EnergyBreakdown.build(displacement, transition, visibility, action_term), action
 
 
 def node_exit_cost(node, params: ModelParameters) -> EnergyBreakdown:

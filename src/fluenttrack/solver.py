@@ -365,24 +365,14 @@ class _GraphBuilder:
                                                      pose_feature, pose_energies, fluent)
         return choice
 
-    def price(self, src, dst, fluent=None,
+    def price(self, src: GraphNode, dst: GraphNode, fluent=None,
               fluent_at: Optional[Tuple[int, int]] = None) -> Tuple[EnergyBreakdown, str]:
-        """Energy and best action of one hop between nodes or chain stops;
-        the hop pays ``src``'s evidence. ``fluent_at`` is the (container id,
-        frame) whose vehicle fluent ``fluent`` is.
-
-        The action is ``choose``'s, so it is chosen once per evidence. It is
-        chosen afresh for a source with a pose feature that is not a node of
-        this builder, and for a fluent without ``fluent_at``: nothing then
-        names the evidence.
-        """
-        posed = src.pose_feature is not None
-        own = isinstance(src, GraphNode) and src.id < len(self.nodes) and self.nodes[src.id] is src
-        if (posed and not own) or (fluent is not None and fluent_at is None):
-            choice = best_action(src.state, dst.state, self.params, src.pose_feature,
-                                 src.pose_energies, fluent)
-        else:
-            choice = self.choose(src.state, dst.state, src if posed else None, fluent, fluent_at)
+        """Energy and best action of one hop between nodes of this builder;
+        the hop pays ``src``'s evidence, and its action is ``choose``'s.
+        ``fluent_at`` is the (container id, frame) whose vehicle fluent
+        ``fluent`` is."""
+        choice = self.choose(src.state, dst.state,
+                             None if src.pose_feature is None else src, fluent, fluent_at)
         breakdown, action = hop_cost(src, dst, self.params, self.camera.frame_rate, choice)
         if self.mode == "prior_only":
             breakdown = _strip_likelihood(breakdown)
@@ -461,9 +451,7 @@ class _GraphBuilder:
 
         A link is dropped exactly when a hop of its chain (tail, samples,
         head) is longer than its gate, ``LINK_GATE_SLACK`` speed bounds of
-        the tail's class per frame: one norm over every hop of a block of
-        chains (``_longest_hops``), and each link's largest. Each kept hop
-        costs what ``price`` gives it:
+        the tail's class per frame. Each hop costs what ``price`` gives it:
 
         - tail -> first stop: displacement 0/1 against the visible bound
           (one ``ground_distances`` call), visibility ``1 - score``, and the
@@ -473,34 +461,26 @@ class _GraphBuilder:
           similarity)``, once per link; and the action chosen once per
           builder, since an occluded stop has no pose and no fluent.
 
-        Bridges exist only in ``full`` mode, so every term is paid. The five
-        components and the net cost are added hop by hop in hop order by
-        ``np.add.accumulate``, one gap length at a time, so the sums are
-        those of the chain built as nodes.
+        Bridges exist only in ``full`` mode, so every term is paid. The
+        links are taken one gap length at a time, so their chains stack
+        without padding: one norm over the group's hops gates it, and the
+        five components and the net cost are added hop by hop in hop order
+        by ``np.add.accumulate``, so the sums are those of the chain built
+        as nodes.
         """
         if not spans:
             return
-        fps = self.camera.frame_rate
-        gaps = np.array([link.gap_frames for _, link, _ in spans])
-        # blocks of whole chains that start within one window of
-        # BRIDGE_BLOCK_POINTS stacked points
-        block = (np.cumsum(gaps + 2) - (gaps + 2)) // BRIDGE_BLOCK_POINTS
-        cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(spans)]
-        longest = np.concatenate([_longest_hops(spans[a:b]) for a, b in zip(cuts, cuts[1:])])
-        gates = np.array([LINK_GATE_SLACK * self.params.speed_bound(tail.object_class) / fps
-                          for tail, _, _ in spans])
-        kept = np.flatnonzero(~(longest > gates))
-        if not len(kept):
-            return
         V, O = VisibilityState.VISIBLE, VisibilityState.OCCLUDED
-        kept_spans = [spans[i] for i in kept.tolist()]
-        tails = [tail for tail, _, _ in kept_spans]
+        fps = self.camera.frame_rate
+        n = len(spans)
+        tails = [tail for tail, _, _ in spans]
         tail_choices = [self.choose(V, O, None if t.pose_feature is None else t) for t in tails]
         mid_action, mid_transition, mid_action_term = self.choose(O, O)
         last_action, last_transition, last_action_term = self.choose(O, V)
         bound = self.params.tau_s / fps  # displacement_energy's, dt = 1
-        far = ground_distances(np.array([link.samples[0] for _, link, _ in kept_spans]),
-                               np.array([tail.location for tail in tails], dtype=float)) > bound
+        tail_points = np.array([tail.location for tail in tails], dtype=float)
+        far = ground_distances(np.array([link.samples[0] for _, link, _ in spans]),
+                               tail_points) > bound
         displacement = np.where(far, 1.0, 0.0)
         transition = np.array([choice[1] for choice in tail_choices])
         visibility = 1.0 - np.array([t.detection_score for t in tails], dtype=float)
@@ -509,33 +489,44 @@ class _GraphBuilder:
         first = np.vstack((displacement, transition, visibility, action_term, total,
                            total - np.array([t.reward for t in tails])))
         # every later hop leaves an occluded stop: displacement 1
-        occluded = np.array([sigmoid(1.0 - float(link.similarity)) for _, link, _ in kept_spans])
+        occluded = np.array([sigmoid(1.0 - float(link.similarity)) for _, link, _ in spans])
         reward = self.occluded_reward()
-        n = len(kept)
         mid_total = 1.0 + mid_transition + occluded + mid_action_term
         mid = np.vstack((np.ones(n), np.full(n, mid_transition), occluded,
                          np.full(n, mid_action_term), mid_total, mid_total - reward))
         last_total = 1.0 + last_transition + occluded + last_action_term
         last = np.vstack((np.ones(n), np.full(n, last_transition), occluded,
                           np.full(n, last_action_term), last_total, last_total - reward))
+        gates = np.array([LINK_GATE_SLACK * self.params.speed_bound(t.object_class) / fps
+                          for t in tails])
 
-        # hop sums, one gap length at a time: a zero, the first hop, gap - 1
-        # stop-to-stop hops, and the last hop, accumulated in that order
-        kept_gaps = gaps[kept]
+        # one gap length at a time: the chains' points (tail, gap samples,
+        # head) gate the links, and the hop sums are a zero, the first hop,
+        # gap - 1 stop-to-stop hops and the last hop, accumulated in order
+        gaps = np.array([link.gap_frames for _, link, _ in spans])
+        kept = np.zeros(n, dtype=bool)
         sums = np.empty((6, n))
-        for gap in np.unique(kept_gaps).tolist():
-            group = np.flatnonzero(kept_gaps == gap)
+        for gap in np.unique(gaps).tolist():
+            group = np.flatnonzero(gaps == gap)
+            points = np.empty((len(group), gap + 2, 2))
+            points[:, 0] = tail_points[group]
+            points[:, 1:-1] = [spans[i][1].samples for i in group.tolist()]
+            points[:, -1] = [spans[i][2].location for i in group.tolist()]
+            longest = np.linalg.norm(np.diff(points, axis=1), axis=-1).max(axis=1)
+            kept[group] = ~(longest > gates[group])
             chain = np.zeros((6, len(group), gap + 2))
             chain[:, :, 1] = first[:, group]
             chain[:, :, 2:gap + 1] = mid[:, group, None]
             chain[:, :, gap + 1] = last[:, group]
             sums[:, group] = np.add.accumulate(chain, axis=2)[:, :, -1]
 
-        for (tail, link, head), choice, row in zip(kept_spans, tail_choices, sums.T.tolist()):
+        for i in np.flatnonzero(kept).tolist():
+            tail, link, head = spans[i]
             runs = ((last_action, 1),)
             if link.gap_frames > 1:
                 runs = ((mid_action, link.gap_frames - 1), *runs)
-            self.append_edge(tail, head, EnergyBreakdown(*row[:5]), choice[0], row[5],
+            self.append_edge(tail, head, EnergyBreakdown(*sums[:, i].tolist()[:5]),
+                             tail_choices[i][0], float(sums[5, i]),
                              interior=Interior(tail.frame + 1, link.samples, O, runs))
 
     def add_exit(self, node: GraphNode) -> None:
@@ -545,24 +536,6 @@ class _GraphBuilder:
         self.exit_costs[node.id] = (
             self.params.solver_entry_exit_cost + breakdown.total - node.reward
         )
-
-
-# Stacked points of the chains whose hops ``_GraphBuilder.bridges`` measures
-# in one pass: a block takes whole chains until it holds this many, which
-# bounds the pass's memory whatever the number and length of the gaps.
-BRIDGE_BLOCK_POINTS = 4096
-
-
-def _longest_hops(spans: Sequence[Tuple[GraphNode, GapLink, GraphNode]]) -> np.ndarray:
-    """The longest hop of each ``(tail, link, head)`` chain: tail, the
-    link's samples, head. One norm runs over the hops of all the chains,
-    stacked one after another."""
-    points = np.vstack([part for tail, link, head in spans
-                        for part in (tail.location, link.samples, head.location)])
-    hops = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    starts = np.concatenate(([0], np.cumsum([link.gap_frames + 2 for _, link, _ in spans])[:-1]))
-    hops[starts[1:] - 1] = 0.0  # from one chain's head to the next chain's tail
-    return np.maximum.reduceat(hops, starts)
 
 
 def build_graph(

@@ -512,16 +512,18 @@ class TestInvariants:
             assert point.container_id is None
 
     def test_spline_hop_over_speed_gate_drops_bridge(self, camera, params):
-        # only the tail -> first-stop hop of the spline exceeds the speed gate
-        # when the gap and the later tracklet are shifted by ``offset``
+        # the chain of a 3-frame gap is tail (frame 4), three samples, head
+        # (frame 8); shifting every point after hop ``hop`` by ``offset``
+        # makes that hop, and no other, exceed the speed gate
         proto = unit_vector(np.random.default_rng(3))
         gate = LINK_GATE_SLACK * params.tau_s / camera.frame_rate
         before = Tracklet(0, ObjectClass.PERSON, 0, [[0.3 * f, 5.0] for f in range(5)], proto)
 
-        def bridges(offset):
+        def bridges(hop, offset):
+            shift = [offset if f - 4 > hop else 0.0 for f in range(4, 9)]
             after = Tracklet(1, ObjectClass.PERSON, 8,
-                             [[0.3 * f + offset, 5.0] for f in range(8, 13)], proto)
-            samples = np.array([[0.3 * f + offset, 5.0] for f in range(5, 8)])
+                             [[0.3 * f + shift[4], 5.0] for f in range(8, 13)], proto)
+            samples = np.array([[0.3 * f + shift[f - 4], 5.0] for f in range(5, 8)])
             link = GapLink(0, 1, 3, 1.0, samples)
             graph = build_graph([], [before, after], [link],
                                 ContainerSolution((), {}, 0.0, 0.0), camera, params)
@@ -529,9 +531,10 @@ class TestInvariants:
             return [e for e in graph.edges
                     if graph.nodes[e.src].tracklet_id == 0 and graph.nodes[e.dst].tracklet_id == 1]
 
-        assert len(bridges(0.0)) == 1
+        assert len(bridges(0, 0.0)) == 1
         assert gate > 0.3  # the unshifted hops stay under the gate
-        assert bridges(gate) == []
+        for hop in range(4):
+            assert bridges(hop, gate) == [], hop
 
     @pytest.mark.parametrize("shifted", [False, True])
     def test_spline_super_edge_matches_hop_by_hop_pricing(self, camera, params, shifted):

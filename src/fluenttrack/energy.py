@@ -1,4 +1,4 @@
-"""Scalar energy terms of the tracking objective and the composite edge cost.
+"""Energy terms of the tracking objective and the composite edge cost.
 
 Four components are combined on every transition-graph edge: a displacement
 term (motion consistency), a state-transition term (-log transition
@@ -11,12 +11,13 @@ the evidence it pays, ``detection_score``, ``container_score``,
 ``gap_similarity``, ``pose_feature`` and ``pose_energies`` (None when
 absent). ``pose_energies`` maps action names to the ``pose_distance`` of the
 stop's pose feature when the stop was priced in bulk by ``pose_distances``;
-a hop reads it instead of solving again. Graph nodes and the interior stops
-of contracted chains are both stops. ``edge_cost`` is ``best_action``, the
-action choice that only the state pair and the action evidence determine,
-plus the displacement and visibility terms; ``hop_cost`` prices a hop with
-the choice given, so a caller that meets the same evidence again can keep
-the choice.
+a hop reads it instead of solving again. ``edge_cost`` is ``best_action``,
+the action choice that only the state pair and the action evidence
+determine, plus the displacement and visibility terms. ``hop_costs`` is its
+array form for the graph builder: it prices a block of one-frame hops that
+leave stops of one state, with each hop's choice given, so a caller that
+meets the same evidence again keeps the choice; ``check_breakdowns`` holds
+``EnergyBreakdown``'s checks for such a block.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ from .grammar import INERTIAL_ACTION, LEGAL_ACTIONS, VEHICLE_ACTIONS, ActionStat
 
 PROBABILITY_FLOOR = 1e-9
 NEUTRAL_SIGMOID = 0.5  # sigmoid at zero evidence; used when a feature is absent
+
+# How far a breakdown's total may drift from the sum of its parts, relative
+# to the total and never below this absolute bound: a chain of a thousand
+# hops sums to totals near 1e5, whose rounding alone exceeds 1e-9.
+TOTAL_TOLERANCE = 1e-9
 
 
 def sigmoid(x: float) -> float:
@@ -203,7 +209,7 @@ class EnergyBreakdown:
             raise ValueError("energy components must be finite")
         if any(v < 0 for v in parts):
             raise ValueError("energy components must be >= 0")
-        if abs(self.total - sum(parts)) > 1e-9:
+        if abs(self.total - sum(parts)) > TOTAL_TOLERANCE * max(1.0, abs(self.total)):
             raise ValueError("total must equal the sum of the components")
 
     @classmethod
@@ -218,17 +224,28 @@ class EnergyBreakdown:
             total=displacement + transition + visibility + action,
         )
 
-    def add(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
-        return EnergyBreakdown(
-            displacement=self.displacement + other.displacement,
-            transition=self.transition + other.transition,
-            visibility=self.visibility + other.visibility,
-            action=self.action + other.action,
-            total=self.total + other.total,
-        )
-
 
 ZERO_BREAKDOWN = EnergyBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def row_totals(parts: np.ndarray) -> np.ndarray:
+    """Each row's displacement + transition + visibility + action, added in
+    that order, as ``EnergyBreakdown.build`` and ``sum`` of the parts add
+    them."""
+    return ((parts[:, 0] + parts[:, 1]) + parts[:, 2]) + parts[:, 3]
+
+
+def check_breakdowns(rows: np.ndarray) -> None:
+    """``EnergyBreakdown``'s checks on ``(m, 5)`` rows of (displacement,
+    transition, visibility, action, total), with its messages."""
+    if not np.isfinite(rows).all():
+        raise ValueError("energy components must be finite")
+    if (rows[:, :4] < 0).any():
+        raise ValueError("energy components must be >= 0")
+    total = rows[:, 4]
+    bound = TOTAL_TOLERANCE * np.maximum(1.0, np.abs(total))
+    if (np.abs(total - row_totals(rows)) > bound).any():
+        raise ValueError("total must equal the sum of the components")
 
 
 def best_action(
@@ -297,14 +314,48 @@ def _hop_terms(src, dst, params: ModelParameters, frame_rate: float) -> Tuple[fl
     return displacement, visibility
 
 
-def hop_cost(src, dst, params: ModelParameters, frame_rate: float,
-             choice: Tuple[str, float, float]) -> Tuple[EnergyBreakdown, str]:
-    """``edge_cost`` of the hop ``src -> dst`` with its ``best_action``
-    ``choice`` given: the displacement and visibility terms are computed,
-    the transition and action terms are the choice's."""
-    displacement, visibility = _hop_terms(src, dst, params, frame_rate)
-    action, transition, action_term = choice
-    return EnergyBreakdown.build(displacement, transition, visibility, action_term), action
+def sigmoids(x) -> np.ndarray:
+    """``sigmoid`` of each value, with its bits: the scalar kernel, once per
+    distinct value."""
+    values, inverse = np.unique(np.asarray(x, dtype=float), return_inverse=True)
+    return np.array([sigmoid(v) for v in values.tolist()])[inverse.reshape(-1)]
+
+
+def visibility_likelihoods(state: VisibilityState, evidence: np.ndarray) -> np.ndarray:
+    """``visibility_likelihood`` of stops in ``state`` with the evidence
+    that state reads (detection scores, container scores or gap
+    similarities), as one array with its bits."""
+    evidence = np.asarray(evidence, dtype=float)
+    if state is not VisibilityState.OCCLUDED:
+        return 1.0 - evidence
+    return sigmoids(1.0 - evidence)
+
+
+def hop_costs(src_state: VisibilityState, distance: Optional[np.ndarray],
+              visibility: np.ndarray, transition: np.ndarray, action_term: np.ndarray,
+              params: ModelParameters, frame_rate: float) -> np.ndarray:
+    """``edge_cost`` of ``m`` one-frame hops that leave stops in
+    ``src_state``, as ``(m, 5)`` rows of displacement, transition,
+    visibility, action and total.
+
+    ``distance`` is each hop's ground distance, read only for a visible
+    source, whose displacement is 0/1 against the speed bound; any other
+    source pays 1. ``visibility`` is the source's ``visibility_likelihoods``,
+    and ``transition`` and ``action_term`` are each hop's ``best_action``
+    choice; a caller that strips the likelihood terms passes zeros. Every
+    entry has the bits ``edge_cost`` gives its hop.
+    """
+    rows = np.empty((len(visibility), 5))
+    if src_state is VisibilityState.VISIBLE:
+        bound = params.tau_s / frame_rate  # displacement_energy's, dt = 1
+        rows[:, 0] = np.where(np.asarray(distance) > bound, 1.0, 0.0)
+    else:
+        rows[:, 0] = 1.0
+    rows[:, 1] = transition
+    rows[:, 2] = visibility
+    rows[:, 3] = action_term
+    rows[:, 4] = row_totals(rows)
+    return rows
 
 
 def edge_cost(src, dst, params: ModelParameters, frame_rate: float,
@@ -349,3 +400,10 @@ def log_odds(score: float) -> float:
     """Clamped log-odds of a detection score; the node reward unit."""
     h = min(max(float(score), LOG_ODDS_MIN_SCORE), LOG_ODDS_MAX_SCORE)
     return math.log(h / (1.0 - h))
+
+
+def log_odds_each(scores) -> np.ndarray:
+    """``log_odds`` of each score, as one array with its bits: the clamp and
+    the odds as arrays, the logarithm with the scalar kernel."""
+    h = np.clip(np.asarray(scores, dtype=float), LOG_ODDS_MIN_SCORE, LOG_ODDS_MAX_SCORE)
+    return np.array([math.log(odds) for odds in (h / (1.0 - h)).tolist()])

@@ -6,21 +6,33 @@ from tracklet endpoints and leftover detections, occluded nodes from
 container-adjacent vestibules, contained nodes ride the container
 trajectories. Graph nodes exist only where a trajectory can make a choice:
 tracklet interiors and the occluded frames of spline gap links are pure
-chains, contracted into super-edges. A super-edge keeps its stops as one
-``Interior`` record: a location array (the gap link's spline samples, or a
-slice of the tracklet's positions) and the stops' actions as runs, expanded
-frame by frame only for the edges of solved paths. Both chains are priced in
-one array pass: a tracklet's hops by ``_GraphBuilder.contract``, every gap
-link's of a sequence by one ``_GraphBuilder.bridges`` call. A hop's action
-depends only on its state pair, its source's pose and the container's
-fluent, so the builder chooses it once per such evidence. The components are
-added hop by hop in hop order, so every super-edge has the bits of its chain
-priced hop by hop with ``energy.edge_cost``. Trajectories are extracted one
-at a time by dynamic programming over the DAG; in tests, an exhaustive
-oracle bounds its optimality gap on small instances. Each extraction returns
-the edges it walked, and a trajectory is decoded from those edges alone:
-every point keeps the action its outgoing edge was priced with, so the frame
-parses are the solved paths grouped by frame, not a second labelling pass.
+chains, contracted into super-edges.
+
+The graph is columns (``TransitionGraph``): one array per node attribute
+(frame, location, state, kind, class, reward, capacity, and each optional
+piece of evidence with a mask), one per edge attribute (source, target, net
+cost, the ``(m, 5)`` energy breakdown, action code, container-chain flag,
+interior row), and interior tables that keep each super-edge's stops (a
+slice of its tracklet's positions, or its gap link's spline samples) and
+their actions as runs. The builder prices every kind of edge as one block
+with ``energy.hop_costs``: visible adjacency, vestibule hops, enter and exit
+hops, container chain hops and exits; every tracklet's interior in one pass
+(``_GraphBuilder.contract``) and every gap link's in another
+(``_GraphBuilder.bridges``). A hop's action depends only on its state pair,
+its source's pose and the container's fluent, so the builder chooses it
+once per such evidence. Chains are summed hop by hop in hop order, so every
+super-edge has the bits of its chain priced hop by hop with
+``energy.edge_cost``. The breakdown checks run once per graph, on the
+columns. ``nodes`` and ``edges`` are record views built from the columns on
+first access; the solve never builds them.
+
+Trajectories are extracted one at a time by dynamic programming over the
+DAG, reading plain lists built once from the columns; in tests, an
+exhaustive oracle (``tests/oracle_reference.py``) bounds its optimality gap
+on small instances. Each extraction returns the edges it walked, and a
+trajectory is decoded from the rows of those edges alone: every point keeps
+the action its outgoing edge was priced with, so the frame parses are the
+solved paths grouped by frame, not a second labelling pass.
 
 Maximizing the raw edge scores is degenerate (every term is non-positive, so
 the empty solution would win); nodes therefore carry log-odds evidence
@@ -39,12 +51,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (
+    GATHER_BLOCK,
     CameraModel,
     Detection,
     InternalInvariantError,
@@ -54,25 +66,28 @@ from .core import (
     Trajectory,
     TrajectoryPoint,
     VisibilityState,
-    ground_distance,
     ground_distances,
     ground_points,
+    row_dots,
 )
 from .energy import (
     NEUTRAL_SIGMOID,
     EnergyBreakdown,
     ZERO_BREAKDOWN,
     best_action,
-    hop_cost,
-    log_odds,
-    node_exit_cost,
+    check_breakdowns,
+    hop_costs,
+    log_odds_each,
     pose_distances,
     pose_model,
-    sigmoid,
+    row_totals,
+    sigmoids,
     transition_energy,
     vehicle_fluent_distance,
+    visibility_likelihoods,
 )
 from .grammar import (
+    DEFAULT_ACTIONS,
     INERTIAL_ACTION,
     LEGAL_ACTIONS,
     default_grammar,
@@ -94,10 +109,6 @@ MIN_CONTAINMENT_GAP = 3  # occluded boundary frame on each side plus >= 1 contai
 SOLVE_MODES = ("full", "visible_only", "prior_only")
 
 
-class OracleLimitError(ValueError):
-    """Instance exceeds the exhaustive oracle's guard rails."""
-
-
 # ---------------------------------------------------------------------------
 # container stage
 # ---------------------------------------------------------------------------
@@ -117,12 +128,6 @@ class ContainerSolution:
     evidence: Mapping[int, Mapping[int, Tuple[float, Optional[np.ndarray]]]]
     objective: float
     score_margin_total: float
-
-    def position(self, container_id: int, frame: int) -> Optional[np.ndarray]:
-        traj = self.trajectories[container_id]
-        if traj.birth_frame <= frame <= traj.death_frame:
-            return traj.point_at(frame).location
-        return None
 
 
 # Longest gap, in frames, that a container link may span: a vehicle can drop
@@ -185,8 +190,26 @@ def solve_containers(
 # transition graph
 # ---------------------------------------------------------------------------
 
+# Codes of the graph's categorical columns: a column holds the index of its
+# value in one of these tuples.
+STATES = tuple(VisibilityState)
+NODE_KINDS = ("head", "tail", "single", "detection", "vestibule", "contained")
+OBJECT_CLASSES = tuple(ObjectClass)
+ACTIONS = tuple(action.name for action in DEFAULT_ACTIONS)
+_ACTION_CODES = {name: code for code, name in enumerate(ACTIONS)}
+_VISIBLE, _OCCLUDED, _CONTAINED = (STATES.index(s) for s in (
+    VisibilityState.VISIBLE, VisibilityState.OCCLUDED, VisibilityState.CONTAINED))
+_HEAD, _TAIL, _SINGLE, _DETECTION, _VESTIBULE, _CONTAINED_NODE = range(len(NODE_KINDS))
+# trajectories start and end only on visible evidence: a head cannot end
+# one, a tail cannot start one
+ENTRY_KINDS = ("head", "single", "detection")
+EXIT_KINDS = ("tail", "single", "detection")
+
+
 @dataclass(frozen=True)
 class GraphNode:
+    """The record view of one node of a ``TransitionGraph``."""
+
     id: int
     frame: int
     location: np.ndarray
@@ -204,23 +227,6 @@ class GraphNode:
     pose_energies: Optional[Mapping[str, float]] = None
     container_id: Optional[int] = None
     tracklet_id: Optional[int] = None
-
-    @property
-    def can_emit(self) -> bool:
-        return self.kind != "head"
-
-    @property
-    def can_receive(self) -> bool:
-        return self.kind != "tail"
-
-    @property
-    def is_endpoint(self) -> bool:
-        # trajectory birth/death is restricted to visible evidence
-        return self.kind in ("tail", "single", "detection")
-
-    @property
-    def is_entry(self) -> bool:
-        return self.kind in ("head", "single", "detection")
 
 
 class Interior(NamedTuple):
@@ -249,6 +255,8 @@ class Interior(NamedTuple):
 
 @dataclass(frozen=True)
 class GraphEdge:
+    """The record view of one edge of a ``TransitionGraph``."""
+
     id: int
     src: int
     dst: int
@@ -259,28 +267,190 @@ class GraphEdge:
     interior: Optional[Interior] = None  # the stops of a contracted chain
 
 
+class Masked(NamedTuple):
+    """An optional column: row ``i`` holds a value only where ``mask[i]``."""
+
+    values: np.ndarray
+    mask: np.ndarray
+
+    def items(self) -> List:
+        """Each row's value, or None where it has none."""
+        return [v if m else None for v, m in zip(self.values.tolist(), self.mask.tolist())]
+
+
+class NodeColumns(NamedTuple):
+    """One row per node. ``state``, ``kind`` and ``object_class`` are codes
+    into ``STATES``, ``NODE_KINDS`` and ``OBJECT_CLASSES``; ``pose`` is the
+    row of the node's detection in the graph's ``PoseTable``."""
+
+    frame: np.ndarray
+    location: np.ndarray  # (n, 2)
+    state: np.ndarray
+    kind: np.ndarray
+    object_class: np.ndarray
+    reward: np.ndarray
+    capacity: np.ndarray
+    detection_score: Masked
+    container_score: Masked
+    gap_similarity: Masked
+    container_id: Masked
+    tracklet_id: Masked
+    pose: Masked
+
+
+def node_columns(frame, location, state, kind, object_class, reward, capacity,
+                 detection_score=None, container_score=None, gap_similarity=None,
+                 container_id=None, tracklet_id=None, pose=None) -> NodeColumns:
+    """``NodeColumns`` from per-node arrays. An optional column holds NaN
+    (scores) or -1 (ids) for a node without the value; one not given is
+    absent from every node."""
+    frame = np.asarray(frame, dtype=np.int64)
+    n = len(frame)
+
+    def scores(values) -> Masked:
+        values = np.full(n, math.nan) if values is None else np.asarray(values, dtype=float)
+        return Masked(values, ~np.isnan(values))
+
+    def ids(values) -> Masked:
+        values = np.full(n, -1) if values is None else np.asarray(values, dtype=np.int64)
+        return Masked(values, values >= 0)
+
+    return NodeColumns(frame, np.asarray(location, dtype=float).reshape(n, 2),
+                       np.asarray(state, dtype=np.int8), np.asarray(kind, dtype=np.int8),
+                       np.asarray(object_class, dtype=np.int8), np.asarray(reward, dtype=float),
+                       np.asarray(capacity, dtype=np.int64), scores(detection_score),
+                       scores(container_score), scores(gap_similarity), ids(container_id),
+                       ids(tracklet_id), ids(pose))
+
+
+class EdgeColumns(NamedTuple):
+    """One row per edge. ``breakdown`` rows are (displacement, transition,
+    visibility, action, total); ``action`` is a code into ``ACTIONS``;
+    ``interior`` is the edge's row in the graph's ``InteriorColumns``, -1
+    for a plain edge."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    net_cost: np.ndarray
+    breakdown: np.ndarray  # (m, 5)
+    action: np.ndarray
+    is_container_chain: np.ndarray
+    interior: np.ndarray
+
+
+class InteriorColumns(NamedTuple):
+    """One row per contracted chain: the frame of its first stop, its
+    stops' state, their locations (a slice of the tracklet's positions, or
+    the gap link's samples, not a copy), and the runs of actions they leave
+    by, rows ``run_offsets[i]:run_offsets[i + 1]`` of ``run_action`` (codes
+    into ``ACTIONS``) and ``run_length``."""
+
+    first_frame: np.ndarray
+    state: np.ndarray
+    locations: Tuple[np.ndarray, ...]
+    run_offsets: np.ndarray
+    run_action: np.ndarray
+    run_length: np.ndarray
+
+
+NO_INTERIORS = InteriorColumns(np.zeros(0, np.int64), np.zeros(0, np.int8), (),
+                               np.zeros(1, np.int64), np.zeros(0, np.int8), np.zeros(0, np.int64))
+
+
+class PoseTable(NamedTuple):
+    """The pose evidence of the detections a graph was built from: each
+    detection's pose feature (None without one) and its ``pose_distance``
+    under each of ``VISIBLE_STOP_ACTIONS`` (NaN without one)."""
+
+    features: Tuple[Optional[np.ndarray], ...]
+    energies: np.ndarray
+
+
+NO_POSES = PoseTable((), np.zeros((0, 0)))
+
+
 @dataclass(frozen=True)
 class TransitionGraph:
-    nodes: Tuple[GraphNode, ...]
-    edges: Tuple[GraphEdge, ...]
-    entry_cost: float
-    exit_costs: Mapping[int, float]  # node id -> full exit edge cost (incl. node terms)
-    containers: ContainerSolution
+    """The state-augmented DAG as columns.
 
-    def out_edges(self, node_id: int) -> Tuple[int, ...]:
-        return self._out[node_id]
+    ``exit_costs`` maps each node a trajectory may end at to its full exit
+    cost (node terms included). ``nodes`` and ``edges`` are record views of
+    the columns, built on first access; the solve reads only the columns.
+    """
+
+    node_columns: NodeColumns
+    edge_columns: EdgeColumns
+    entry_cost: float
+    exit_costs: Mapping[int, float]
+    containers: ContainerSolution
+    interior_columns: InteriorColumns = NO_INTERIORS
+    poses: PoseTable = NO_POSES
 
     def __post_init__(self) -> None:
-        out: List[List[int]] = [[] for _ in self.nodes]
-        for e in self.edges:
-            if self.nodes[e.dst].frame <= self.nodes[e.src].frame:
-                raise ValueError("graph edges must advance time")
-            out[e.src].append(e.id)
-        object.__setattr__(self, "_out", tuple(tuple(v) for v in out))
+        frame, edges = self.node_columns.frame, self.edge_columns
+        if (frame[edges.dst] <= frame[edges.src]).any():
+            raise ValueError("graph edges must advance time")
+        check_breakdowns(edges.breakdown)
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.node_columns.frame)
+
+    @cached_property
+    def adjacency(self) -> Tuple[Tuple[int, ...], ...]:
+        """The ids of each node's out-edges, in edge id order."""
+        out: List[List[int]] = [[] for _ in range(self.num_nodes)]
+        for eid, src in enumerate(self.edge_columns.src.tolist()):
+            out[src].append(eid)
+        return tuple(map(tuple, out))
+
+    def interior(self, index: int) -> Interior:
+        """The record of contracted chain ``index``."""
+        c = self.interior_columns
+        runs = slice(c.run_offsets[index], c.run_offsets[index + 1])
+        return Interior(int(c.first_frame[index]), c.locations[index], STATES[c.state[index]],
+                        tuple((ACTIONS[code], length) for code, length in
+                              zip(c.run_action[runs].tolist(), c.run_length[runs].tolist())))
+
+    @cached_property
+    def nodes(self) -> Tuple[GraphNode, ...]:
+        """A record of every node, built from the columns on first access."""
+        return _node_records(self)
+
+    @cached_property
+    def edges(self) -> Tuple[GraphEdge, ...]:
+        """A record of every edge, built from the columns on first access."""
+        return _edge_records(self)
 
 
-def _strip_likelihood(breakdown: EnergyBreakdown) -> EnergyBreakdown:
-    return EnergyBreakdown.build(breakdown.displacement, breakdown.transition, 0.0, 0.0)
+def _node_records(graph: TransitionGraph) -> Tuple[GraphNode, ...]:
+    c, poses = graph.node_columns, graph.poses
+    pose_energies = [None if p is None else
+                     dict(zip(VISIBLE_STOP_ACTIONS, poses.energies[p].tolist()))
+                     for p in c.pose.items()]
+    return tuple(
+        GraphNode(id=i, frame=frame, location=location, state=STATES[state], kind=NODE_KINDS[kind],
+                  object_class=OBJECT_CLASSES[cls], reward=reward, capacity=capacity,
+                  detection_score=score, container_score=container_score,
+                  gap_similarity=similarity,
+                  pose_feature=None if pose is None else poses.features[pose],
+                  pose_energies=energies, container_id=cid, tracklet_id=tid)
+        for i, (frame, location, state, kind, cls, reward, capacity, score, container_score,
+                similarity, pose, energies, cid, tid) in enumerate(zip(
+            c.frame.tolist(), c.location, c.state.tolist(), c.kind.tolist(),
+            c.object_class.tolist(), c.reward.tolist(), c.capacity.tolist(),
+            c.detection_score.items(), c.container_score.items(), c.gap_similarity.items(),
+            c.pose.items(), pose_energies, c.container_id.items(), c.tracklet_id.items())))
+
+
+def _edge_records(graph: TransitionGraph) -> Tuple[GraphEdge, ...]:
+    c = graph.edge_columns
+    return tuple(
+        GraphEdge(i, src, dst, EnergyBreakdown(*parts), ACTIONS[action], net, chain,
+                  None if interior < 0 else graph.interior(interior))
+        for i, (src, dst, parts, action, net, chain, interior) in enumerate(zip(
+            c.src.tolist(), c.dst.tolist(), c.breakdown.tolist(), c.action.tolist(),
+            c.net_cost.tolist(), c.is_container_chain.tolist(), c.interior.tolist())))
 
 
 # The actions a visible stop can leave by: the legal actions out of the
@@ -291,45 +461,89 @@ VISIBLE_STOP_ACTIONS = tuple(dict.fromkeys(
      INERTIAL_ACTION)))
 
 
-def _price_poses(detections: Sequence[Detection],
-                 params: ModelParameters) -> List[Optional[Dict[str, float]]]:
-    """Each detection's pose energies: the ``pose_distance`` of its pose
-    feature under each of ``VISIBLE_STOP_ACTIONS``, one stacked solve per
-    action, or None for a detection without a pose feature."""
-    posed = [i for i, det in enumerate(detections) if det.pose_feature is not None]
-    energies: List[Optional[Dict[str, float]]] = [None] * len(detections)
-    if not posed:
-        return energies
-    features = [detections[i].pose_feature for i in posed]
-    columns = [pose_distances(features, pose_model(action, params)).tolist()
-               for action in VISIBLE_STOP_ACTIONS]
-    for i, row in zip(posed, zip(*columns)):
-        energies[i] = dict(zip(VISIBLE_STOP_ACTIONS, row))
+def _price_poses(features: Sequence[Optional[np.ndarray]], params: ModelParameters) -> np.ndarray:
+    """The pose energies of detections with pose ``features`` (None for a
+    detection without one): the ``pose_distance`` of each feature under
+    each of ``VISIBLE_STOP_ACTIONS``, one stacked solve per action, as an
+    ``(n, len(VISIBLE_STOP_ACTIONS))`` array whose rows are NaN for a
+    detection without a pose feature."""
+    energies = np.full((len(features), len(VISIBLE_STOP_ACTIONS)), math.nan)
+    posed = [i for i, feature in enumerate(features) if feature is not None]
+    if posed:
+        for k, action in enumerate(VISIBLE_STOP_ACTIONS):
+            energies[posed, k] = pose_distances([features[i] for i in posed],
+                                                pose_model(action, params))
     return energies
 
 
+def _sequential_sums(parts: np.ndarray, first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The sum of columns ``first[i]:first[i] + counts[i]`` of each row of
+    ``parts``, added from 0 in column order, for every chain ``i``.
+
+    The chains are taken one length at a time, so they stack without
+    padding, and ``np.add.accumulate`` adds each chain's terms in order:
+    the bits of adding them one at a time."""
+    sums = np.zeros((len(parts), len(first)))
+    order = np.argsort(counts, kind="stable")
+    lengths, bounds = np.unique(counts[order], return_index=True)
+    for count, group in zip(lengths.tolist(), np.split(order, bounds[1:])):
+        chain = np.zeros((len(parts), len(group), count + 1))
+        chain[:, :, 1:] = parts[:, first[group, None] + np.arange(count)]
+        sums[:, group] = np.add.accumulate(chain, axis=2)[:, :, -1]
+    return sums
+
+
 class _GraphBuilder:
-    def __init__(self, camera, params, mode):
+    """Builds a ``TransitionGraph``: first every node, as blocks of columns,
+    then every edge, each kind of edge priced as one block, in the order
+    that fixes the edge ids."""
+
+    def __init__(self, camera, params, mode, detections: Sequence[Detection] = ()):
         if mode not in SOLVE_MODES:
             raise ValueError(f"unknown solve mode {mode!r}")
         self.camera = camera
         self.params = params
         self.mode = mode
-        self.nodes: List[GraphNode] = []
-        self.edges: List[GraphEdge] = []
-        self.exit_costs: Dict[int, float] = {}
+        features = tuple(det.pose_feature for det in detections)
+        self.poses = PoseTable(features, _price_poses(features, params))
+        # whether each detection has a pose feature, and a last False for
+        # the stops without a detection (index -1)
+        self.has_pose = np.array([f is not None for f in features] + [False], dtype=bool)
+        self.node_blocks: List[Dict[str, np.ndarray]] = []
+        self.num_nodes = 0
+        self.edge_blocks: List[Tuple[np.ndarray, ...]] = []
+        self.interior_blocks: List[Tuple[np.ndarray, ...]] = []
+        self.num_interiors = 0
         self.choices: Dict[tuple, Tuple[str, float, float]] = {}
         table = params.transition_table
         grammar = default_grammar()
         self.psi_occluded = min_inertial_energy(table, grammar, VisibilityState.OCCLUDED)
         self.psi_contained = min_inertial_energy(table, grammar, VisibilityState.CONTAINED)
 
-    # -- node constructors ---------------------------------------------------
+    # -- nodes -------------------------------------------------------------------
 
-    def add_node(self, **kw) -> int:
-        node = GraphNode(id=len(self.nodes), **kw)
-        self.nodes.append(node)
-        return node.id
+    def add_nodes(self, count: int, **columns) -> np.ndarray:
+        """Append ``count`` nodes (``node_columns``' arguments, scalars
+        broadcast) and return their ids."""
+        self.node_blocks.append({name: np.broadcast_to(value, (count, 2) if name == "location"
+                                                        else (count,))
+                                 for name, value in columns.items()})
+        ids = np.arange(self.num_nodes, self.num_nodes + count)
+        self.num_nodes += count
+        return ids
+
+    def finish_nodes(self) -> None:
+        """Join the node blocks into the columns the edges are priced from;
+        an optional column a block lacks is absent from its nodes."""
+        absent = {"detection_score": math.nan, "container_score": math.nan,
+                  "gap_similarity": math.nan, "container_id": -1, "tracklet_id": -1, "pose": -1}
+        self.nodes = node_columns(**{
+            name: np.concatenate([block[name] if name in block else
+                                  np.full(len(block["frame"]), absent[name])
+                                  for block in self.node_blocks])
+            for name in ("frame", "location", "state", "kind", "object_class", "reward",
+                         "capacity", *absent)})
+        self.node_blocks = []
 
     def occluded_reward(self) -> float:
         """Covers displacement, inertial transition, and the neutral action
@@ -337,121 +551,201 @@ class _GraphBuilder:
         costs its own evidence deficit."""
         return 1.0 + self.psi_occluded + 1.0
 
-    def contained_reward(self, score: float) -> float:
-        """Covers the full inertial continuation cost; riding a container is
+    def contained_rewards(self, scores: np.ndarray) -> np.ndarray:
+        """Cover the full inertial continuation cost; riding a container is
         per-frame neutral."""
-        return 1.0 + self.psi_contained + (1.0 - score) + 1.0
+        return 1.0 + self.psi_contained + (1.0 - scores) + 1.0
 
-    # -- edge constructors -----------------------------------------------------
+    # -- edges -------------------------------------------------------------------
+
+    @property
+    def likelihood(self) -> bool:
+        """Whether edges pay the likelihood terms (all but ``prior_only``)."""
+        return self.mode != "prior_only"
+
+    def posed(self, ids: Sequence[int]) -> List[Optional[int]]:
+        """Each node id, or None for a node without a pose feature: the
+        node ``choose`` is keyed by."""
+        ids = np.asarray(ids, dtype=np.int64)
+        pose = self.nodes.pose.mask[ids].tolist()
+        return [nid if has else None for nid, has in zip(ids.tolist(), pose)]
 
     def choose(self, src_state: VisibilityState, dst_state: VisibilityState,
-               node: Optional[GraphNode] = None, fluent: Optional[np.ndarray] = None,
+               node: Optional[int] = None, fluent: Optional[np.ndarray] = None,
                fluent_at: Optional[Tuple[int, int]] = None) -> Tuple[str, float, float]:
         """``best_action`` of a hop from ``src_state`` to ``dst_state``, chosen
         once per builder for what determines it: the state pair; ``node``,
-        the node of this builder whose pose evidence the hop pays (None for
-        a source without a pose feature); and ``fluent_at``, the (container
-        id, frame) whose vehicle fluent ``fluent`` is."""
+        the id of the node of this builder whose pose evidence the hop pays
+        (None for a source without a pose feature); and ``fluent_at``, the
+        (container id, frame) whose vehicle fluent ``fluent`` is."""
         if fluent is not None and fluent_at is None:
             raise ValueError("a fluent must name the (container id, frame) it was read at")
-        key = (src_state, dst_state, None if node is None else node.id,
-               None if fluent is None else fluent_at)
+        key = (src_state, dst_state, node, None if fluent is None else fluent_at)
         choice = self.choices.get(key)
         if choice is None:
             pose_feature = pose_energies = None
             if node is not None:
-                pose_feature, pose_energies = node.pose_feature, node.pose_energies
+                row = self.nodes.pose.values[node]
+                pose_feature = self.poses.features[row]
+                pose_energies = dict(zip(VISIBLE_STOP_ACTIONS, self.poses.energies[row].tolist()))
             choice = self.choices[key] = best_action(src_state, dst_state, self.params,
                                                      pose_feature, pose_energies, fluent)
         return choice
 
-    def price(self, src: GraphNode, dst: GraphNode, fluent=None,
-              fluent_at: Optional[Tuple[int, int]] = None) -> Tuple[EnergyBreakdown, str]:
-        """Energy and best action of one hop between nodes of this builder;
-        the hop pays ``src``'s evidence, and its action is ``choose``'s.
-        ``fluent_at`` is the (container id, frame) whose vehicle fluent
-        ``fluent`` is."""
-        choice = self.choose(src.state, dst.state,
-                             None if src.pose_feature is None else src, fluent, fluent_at)
-        breakdown, action = hop_cost(src, dst, self.params, self.camera.frame_rate, choice)
-        if self.mode == "prior_only":
-            breakdown = _strip_likelihood(breakdown)
-        return breakdown, action
+    @cached_property
+    def pose_terms(self) -> np.ndarray:
+        """The pose term ``action_likelihood`` gives each detection under
+        each of ``VISIBLE_STOP_ACTIONS``: the sigmoid of its pose energy,
+        once per detection with a pose feature, else the neutral term."""
+        energies = self.poses.energies
+        terms = np.full(energies.shape, NEUTRAL_SIGMOID)
+        posed = np.flatnonzero(self.has_pose[:-1])
+        terms[posed] = sigmoids(energies[posed].ravel()).reshape(-1, energies.shape[1])
+        return terms
 
-    def append_edge(self, src: GraphNode, dst: GraphNode, breakdown: EnergyBreakdown,
-                    action: str, net_cost: float, is_container_chain: bool = False,
-                    interior: Optional[Interior] = None) -> None:
-        self.edges.append(GraphEdge(len(self.edges), src.id, dst.id, breakdown, action,
-                                    net_cost, is_container_chain, interior))
+    def action_terms(self, ids: np.ndarray, action: str) -> np.ndarray:
+        """``action_likelihood`` of ``action`` without a fluent, for each of
+        the visible nodes (or tracklet stops) whose pose rows are ``ids``
+        (-1 without a pose)."""
+        terms = np.full(len(ids), NEUTRAL_SIGMOID)
+        posed = ids >= 0
+        terms[posed] = self.pose_terms[ids[posed], VISIBLE_STOP_ACTIONS.index(action)]
+        return terms + NEUTRAL_SIGMOID
 
-    def connect(self, src: GraphNode, dst: GraphNode, fluent=None,
-                fluent_at: Optional[Tuple[int, int]] = None,
-                is_container_chain: bool = False) -> None:
-        breakdown, action = self.price(src, dst, fluent, fluent_at)
-        self.append_edge(src, dst, breakdown, action, breakdown.total - src.reward,
-                         is_container_chain)
+    def add_edges(self, src, dst, rows: np.ndarray, net: np.ndarray, action: np.ndarray,
+                  is_container_chain: bool = False, interior: Optional[np.ndarray] = None) -> None:
+        m = len(net)
+        self.edge_blocks.append((np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
+                                 net, rows, np.asarray(action, dtype=np.int8),
+                                 np.full(m, is_container_chain),
+                                 np.full(m, -1, dtype=np.int64) if interior is None else interior))
+
+    def add_interiors(self, first_frame, state: int, locations: Sequence[np.ndarray],
+                      run_counts: np.ndarray, run_action: np.ndarray, run_length: np.ndarray
+                      ) -> np.ndarray:
+        """Append contracted chains: chain ``i`` has the stops at
+        ``locations[i]`` and ``run_counts[i]`` action runs, in the order of
+        the run columns. Returns their rows."""
+        count = len(locations)
+        self.interior_blocks.append((np.asarray(first_frame, dtype=np.int64),
+                                     np.full(count, state, dtype=np.int8), list(locations),
+                                     run_counts, run_action, run_length))
+        ids = np.arange(self.num_interiors, self.num_interiors + count)
+        self.num_interiors += count
+        return ids
+
+    def add_plain_edges(self, src: Sequence[int], dst: Sequence[int],
+                        choices: Sequence[Tuple[str, float, float]],
+                        is_container_chain: bool = False) -> None:
+        """Append the one-frame hops ``src -> dst`` (node ids) as edges, each
+        with its ``choose`` choice, priced as one block: ``hop_costs`` one
+        source state at a time, each hop paying its source's evidence and
+        losing its source's reward."""
+        nodes = self.nodes
+        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        transition = np.array([choice[1] for choice in choices], dtype=float)
+        action_term = np.array([choice[2] if self.likelihood else 0.0 for choice in choices],
+                               dtype=float)
+        rows = np.empty((len(src), 5))
+        state = nodes.state[src]
+        for code in np.unique(state).tolist():
+            k = np.flatnonzero(state == code)
+            s = src[k]
+            src_state = STATES[code]
+            distance = (ground_distances(nodes.location[dst[k]], nodes.location[s])
+                        if code == _VISIBLE else None)
+            evidence = {_VISIBLE: nodes.detection_score, _OCCLUDED: nodes.gap_similarity,
+                        _CONTAINED: nodes.container_score}[code].values[s]
+            visibility = (visibility_likelihoods(src_state, evidence) if self.likelihood
+                          else np.zeros(len(k)))
+            rows[k] = hop_costs(src_state, distance, visibility, transition[k], action_term[k],
+                                self.params, self.camera.frame_rate)
+        self.add_edges(src, dst, rows, rows[:, 4] - nodes.reward[src],
+                       [_ACTION_CODES[choice[0]] for choice in choices], is_container_chain)
 
     @cached_property
     def visible_transitions(self) -> Tuple[Tuple[str, float], ...]:
         """(action, transition energy) of each legal visible -> visible
         action, in ``LEGAL_ACTIONS`` order."""
-        return tuple((action, transition_energy(VisibilityState.VISIBLE, VisibilityState.VISIBLE,
-                                                action, self.params.transition_table))
-                     for action in LEGAL_ACTIONS[(VisibilityState.VISIBLE, VisibilityState.VISIBLE)])
+        V = VisibilityState.VISIBLE
+        return tuple((action, transition_energy(V, V, action, self.params.transition_table))
+                     for action in LEGAL_ACTIONS[(V, V)])
 
-    def contract(self, src: GraphNode, dst: GraphNode, positions: np.ndarray,
-                 scores: Sequence[float], pose_energies: Sequence[Optional[Mapping[str, float]]]
-                 ) -> None:
-        """One ``src -> dst`` super-edge over a tracklet, its interior priced
-        in one pass.
+    def contract(self, heads: np.ndarray, tails: np.ndarray, lengths: np.ndarray,
+                 positions: np.ndarray, scores: np.ndarray, rewards: np.ndarray,
+                 poses: np.ndarray) -> None:
+        """One ``head -> tail`` super-edge over each tracklet of two or more
+        stops, every tracklet's interior priced in one pass.
 
-        The tracklet's stops are at ``positions``, with detection ``scores``
-        and ``pose_energies`` (None for a stop without a pose feature); hop
-        ``i`` leaves stop ``i`` and pays its evidence. Each hop costs what
-        ``edge_cost`` (stripped in ``prior_only``) gives one visible ->
-        visible frame: displacement 0/1 against the same bound, the minimum
-        of transition + action term over ``visible_transitions`` with its tie
-        rule, visibility ``1 - score``, and an action term of the sigmoid of
-        the cached pose energy plus the neutral fluent term. The components
-        and the net cost are added hop by hop in hop order, as a chain of
+        The tracklets' stops are concatenated, tracklet by tracklet: at
+        ``positions``, with detection ``scores``, log-odds ``rewards`` and
+        pose rows ``poses`` (-1 for a stop without a pose feature); tracklet
+        ``i`` has ``lengths[i]`` stops. Hop ``j`` leaves stop ``j`` and pays
+        its evidence. Each hop costs what ``edge_cost`` (stripped in
+        ``prior_only``) gives one visible -> visible frame: displacement 0/1
+        against the same bound, the minimum of transition + action term over
+        ``visible_transitions`` with its tie rule, visibility ``1 - score``,
+        and an action term of the sigmoid of the cached pose energy plus the
+        neutral fluent term. Each tracklet's components and net cost are
+        added hop by hop in hop order (``_sequential_sums``), as a chain of
         nodes would add them.
         """
-        hops = len(positions) - 1
-        bound = self.params.tau_s / self.camera.frame_rate  # displacement_energy's, dt = 1
-        displacement = np.where(ground_distances(positions[1:], positions[:-1]) > bound, 1.0, 0.0)
-        best = np.zeros(hops, dtype=int)
-        best_value = np.full(hops, math.inf)
-        transition = np.zeros(hops)
-        action_term = np.zeros(hops)
+        last = np.cumsum(lengths) - 1
+        leaves = np.ones(len(positions), dtype=bool)
+        leaves[last] = False
+        hop = np.flatnonzero(leaves)  # the stop each hop leaves
+        best = np.zeros(len(hop), dtype=int)
+        best_value = np.full(len(hop), math.inf)
+        transition = np.zeros(len(hop))
+        action_term = np.zeros(len(hop))
         for k, (action, energy) in enumerate(self.visible_transitions):
-            term = np.array([NEUTRAL_SIGMOID if e is None else sigmoid(e[action])
-                             for e in pose_energies[:-1]]) + NEUTRAL_SIGMOID
+            term = self.action_terms(poses[hop], action)
             value = energy + term
             better = value < best_value - 1e-15
             best[better], best_value[better] = k, value[better]
             transition[better], action_term[better] = energy, term[better]
-        if self.mode == "prior_only":
-            visibility = action_term = np.zeros(hops)
+        if self.likelihood:
+            visibility = visibility_likelihoods(VisibilityState.VISIBLE, scores[hop])
         else:
-            visibility = 1.0 - np.asarray(scores[:-1], dtype=float)
-        total = displacement + transition + visibility + action_term
-        net = total - np.array([log_odds(score) for score in scores[:-1]])
-        parts = np.vstack((displacement, transition, visibility, action_term, total, net))
-        sums = np.add.accumulate(np.hstack((np.zeros((6, 1)), parts)), axis=1)[:, -1].tolist()
-        names = [self.visible_transitions[k][0] for k in best.tolist()]
-        runs = tuple((action, len(list(run))) for action, run in groupby(names[1:]))
-        self.append_edge(src, dst, EnergyBreakdown(*sums[:5]), names[0], sums[5],
-                         interior=Interior(src.frame + 1, positions[1:-1],
-                                           VisibilityState.VISIBLE, runs))
+            visibility = action_term = np.zeros(len(hop))
+        rows = hop_costs(VisibilityState.VISIBLE,
+                         ground_distances(positions[hop + 1], positions[hop]), visibility,
+                         transition, action_term, self.params, self.camera.frame_rate)
+        codes = np.array([_ACTION_CODES[action] for action, _ in self.visible_transitions],
+                         dtype=np.int8)[best]
 
-    def bridges(self, spans: Sequence[Tuple[GraphNode, GapLink, GraphNode]]) -> None:
-        """One ``tail -> head`` super-edge per ``(tail, link, head)`` whose
-        stops are the occluded spline samples of ``link``, all priced in one
-        pass and appended in the order given.
+        # a tracklet's first hop follows one hop per earlier stop, less the
+        # earlier tracklets' last stops
+        first = last - lengths + 1
+        chained = np.flatnonzero(lengths > 1)
+        first_hop = (first - np.arange(len(lengths)))[chained]
+        sums = _sequential_sums(np.vstack((rows.T, rows[:, 4] - rewards[hop])), first_hop,
+                                lengths[chained] - 1)
+        # interior stops leave by the hops after each tracklet's first
+        inner = leaves.copy()
+        inner[first] = False
+        inner_codes = codes[np.flatnonzero(inner[hop])]
+        owner = np.repeat(np.arange(len(chained)), lengths[chained] - 2)
+        new_run = np.ones(len(inner_codes), dtype=bool)
+        new_run[1:] = (inner_codes[1:] != inner_codes[:-1]) | (owner[1:] != owner[:-1])
+        run_start = np.flatnonzero(new_run)
+        interiors = self.add_interiors(
+            self.nodes.frame[heads[chained]] + 1, _VISIBLE,
+            [positions[a:b] for a, b in zip((first + 1)[chained].tolist(), last[chained].tolist())],
+            np.bincount(owner[run_start], minlength=len(chained)),
+            inner_codes[run_start], np.diff(np.append(run_start, len(inner_codes))))
+        self.add_edges(heads[chained], tails[chained], sums[:5].T, sums[5], codes[first_hop],
+                       interior=interiors)
+
+    def bridges(self, spans: Sequence[Tuple[int, GapLink, int]]) -> None:
+        """One ``tail -> head`` super-edge per ``(tail, link, head)`` (node
+        ids) whose stops are the occluded spline samples of ``link``, all
+        priced in one pass and appended in the order given.
 
         A link is dropped exactly when a hop of its chain (tail, samples,
         head) is longer than its gate, ``LINK_GATE_SLACK`` speed bounds of
-        the tail's class per frame. Each hop costs what ``price`` gives it:
+        the tail's class per frame: one norm over every hop of every chain.
+        Each hop costs what ``hop_costs`` gives it:
 
         - tail -> first stop: displacement 0/1 against the visible bound
           (one ``ground_distances`` call), visibility ``1 - score``, and the
@@ -461,81 +755,120 @@ class _GraphBuilder:
           similarity)``, once per link; and the action chosen once per
           builder, since an occluded stop has no pose and no fluent.
 
-        Bridges exist only in ``full`` mode, so every term is paid. The
-        links are taken one gap length at a time, so their chains stack
-        without padding: one norm over the group's hops gates it, and the
-        five components and the net cost are added hop by hop in hop order
-        by ``np.add.accumulate``, so the sums are those of the chain built
-        as nodes.
+        Bridges exist only in ``full`` mode, so every term is paid. The five
+        components and the net cost of each chain (its first hop, ``gap -
+        1`` stop-to-stop hops and its last hop) are added hop by hop in hop
+        order by ``_sequential_sums``, so the sums are those of the chain
+        built as nodes.
         """
         if not spans:
             return
         V, O = VisibilityState.VISIBLE, VisibilityState.OCCLUDED
+        nodes = self.nodes
         fps = self.camera.frame_rate
-        n = len(spans)
-        tails = [tail for tail, _, _ in spans]
-        tail_choices = [self.choose(V, O, None if t.pose_feature is None else t) for t in tails]
-        mid_action, mid_transition, mid_action_term = self.choose(O, O)
-        last_action, last_transition, last_action_term = self.choose(O, V)
-        bound = self.params.tau_s / fps  # displacement_energy's, dt = 1
-        tail_points = np.array([tail.location for tail in tails], dtype=float)
-        far = ground_distances(np.array([link.samples[0] for _, link, _ in spans]),
-                               tail_points) > bound
-        displacement = np.where(far, 1.0, 0.0)
-        transition = np.array([choice[1] for choice in tail_choices])
-        visibility = 1.0 - np.array([t.detection_score for t in tails], dtype=float)
-        action_term = np.array([choice[2] for choice in tail_choices])
-        total = displacement + transition + visibility + action_term
-        first = np.vstack((displacement, transition, visibility, action_term, total,
-                           total - np.array([t.reward for t in tails])))
+        tails = np.array([tail for tail, _, _ in spans], dtype=np.int64)
+        heads = np.array([head for _, _, head in spans], dtype=np.int64)
+        gaps = np.array([link.gap_frames for _, link, _ in spans], dtype=np.int64)
+        first_samples = np.array([link.samples[0] for _, link, _ in spans]).reshape(-1, 2)
+        last_samples = np.array([link.samples[-1] for _, link, _ in spans]).reshape(-1, 2)
+
+        # the gate: each chain's longest hop, from the norms of the hops
+        # into, between and out of its samples. The hops between samples
+        # are measured over the links' samples concatenated, about
+        # GATHER_BLOCK samples at a time, which bounds their temporaries
+        longest = np.maximum(np.linalg.norm(first_samples - nodes.location[tails], axis=-1),
+                             np.linalg.norm(nodes.location[heads] - last_samples, axis=-1))
+        offsets = np.cumsum(gaps) - gaps  # of each link's first sample
+        begin = 0
+        while begin < len(spans):
+            end = max(begin + 1, int(np.searchsorted(offsets, offsets[begin] + GATHER_BLOCK)))
+            samples = np.concatenate([link.samples for _, link, _ in spans[begin:end]])
+            between = np.zeros(len(samples))
+            between[:-1] = np.linalg.norm(np.diff(samples, axis=0), axis=-1)
+            firsts = offsets[begin:end] - offsets[begin]
+            between[firsts + gaps[begin:end] - 1] = 0.0  # one link's last sample to the next
+            longest[begin:end] = np.maximum(longest[begin:end],
+                                            np.maximum.reduceat(between, firsts))
+            begin = end
+        classes = nodes.object_class[tails]
+        gates = np.array([LINK_GATE_SLACK * self.params.speed_bound(cls) / fps
+                          for cls in OBJECT_CLASSES])[classes]
+        keep = ~(longest > gates)
+        if not keep.all():
+            spans = [span for span, kept in zip(spans, keep.tolist()) if kept]
+            tails, heads, gaps = tails[keep], heads[keep], gaps[keep]
+            first_samples = first_samples[keep]
+        if not spans:
+            return
+
+        m = len(spans)
+        tail_choices = [self.choose(V, O, node) for node in self.posed(tails)]
+        mid_choice, last_choice = self.choose(O, O), self.choose(O, V)
+        first = hop_costs(V, ground_distances(first_samples, nodes.location[tails]),
+                          visibility_likelihoods(V, nodes.detection_score.values[tails]),
+                          np.array([choice[1] for choice in tail_choices]),
+                          np.array([choice[2] for choice in tail_choices]), self.params, fps)
         # every later hop leaves an occluded stop: displacement 1
-        occluded = np.array([sigmoid(1.0 - float(link.similarity)) for _, link, _ in spans])
+        occluded = visibility_likelihoods(O, [link.similarity for _, link, _ in spans])
         reward = self.occluded_reward()
-        mid_total = 1.0 + mid_transition + occluded + mid_action_term
-        mid = np.vstack((np.ones(n), np.full(n, mid_transition), occluded,
-                         np.full(n, mid_action_term), mid_total, mid_total - reward))
-        last_total = 1.0 + last_transition + occluded + last_action_term
-        last = np.vstack((np.ones(n), np.full(n, last_transition), occluded,
-                          np.full(n, last_action_term), last_total, last_total - reward))
-        gates = np.array([LINK_GATE_SLACK * self.params.speed_bound(t.object_class) / fps
-                          for t in tails])
+        mid, last = (hop_costs(O, None, occluded, np.full(m, choice[1]), np.full(m, choice[2]),
+                               self.params, fps) for choice in (mid_choice, last_choice))
+        # each chain's sums, hop by hop from 0: the first hop, gap - 1
+        # middle hops and the last hop. With the chains longest first, the
+        # chains that still have a middle hop j are a prefix
+        order = np.argsort(-gaps, kind="stable")
+        first, mid, last = (np.vstack((rows.T, net))[:, order] for rows, net in (
+            (first, first[:, 4] - nodes.reward[tails]), (mid, mid[:, 4] - reward),
+            (last, last[:, 4] - reward)))
+        ordered = 0.0 + first
+        for alive in np.searchsorted(-gaps[order], -np.arange(2, gaps.max() + 1),
+                                     "right").tolist():
+            ordered[:, :alive] += mid[:, :alive]
+        ordered += last
+        sums = np.empty_like(ordered)
+        sums[:, order] = ordered
 
-        # one gap length at a time: the chains' points (tail, gap samples,
-        # head) gate the links, and the hop sums are a zero, the first hop,
-        # gap - 1 stop-to-stop hops and the last hop, accumulated in order
-        gaps = np.array([link.gap_frames for _, link, _ in spans])
-        kept = np.zeros(n, dtype=bool)
-        sums = np.empty((6, n))
-        for gap in np.unique(gaps).tolist():
-            group = np.flatnonzero(gaps == gap)
-            points = np.empty((len(group), gap + 2, 2))
-            points[:, 0] = tail_points[group]
-            points[:, 1:-1] = [spans[i][1].samples for i in group.tolist()]
-            points[:, -1] = [spans[i][2].location for i in group.tolist()]
-            longest = np.linalg.norm(np.diff(points, axis=1), axis=-1).max(axis=1)
-            kept[group] = ~(longest > gates[group])
-            chain = np.zeros((6, len(group), gap + 2))
-            chain[:, :, 1] = first[:, group]
-            chain[:, :, 2:gap + 1] = mid[:, group, None]
-            chain[:, :, gap + 1] = last[:, group]
-            sums[:, group] = np.add.accumulate(chain, axis=2)[:, :, -1]
+        # the stops leave by two runs: gap - 1 middle hops (none for a
+        # one-frame gap) and the last hop
+        run_length = np.stack((gaps - 1, np.ones(m, dtype=np.int64)), axis=1).ravel()
+        run_action = np.tile([_ACTION_CODES[mid_choice[0]], _ACTION_CODES[last_choice[0]]], m)
+        runs = run_length > 0
+        interiors = self.add_interiors(nodes.frame[tails] + 1, _OCCLUDED,
+                                       [link.samples for _, link, _ in spans], 1 + (gaps > 1),
+                                       run_action[runs], run_length[runs])
+        self.add_edges(tails, heads, sums[:5].T, sums[5],
+                       [_ACTION_CODES[choice[0]] for choice in tail_choices], interior=interiors)
 
-        for i in np.flatnonzero(kept).tolist():
-            tail, link, head = spans[i]
-            runs = ((last_action, 1),)
-            if link.gap_frames > 1:
-                runs = ((mid_action, link.gap_frames - 1), *runs)
-            self.append_edge(tail, head, EnergyBreakdown(*sums[:, i].tolist()[:5]),
-                             tail_choices[i][0], float(sums[5, i]),
-                             interior=Interior(tail.frame + 1, link.samples, O, runs))
+    def exit_costs(self) -> Dict[int, float]:
+        """The exit cost of every node a trajectory may end at: the entry
+        and exit cost plus ``node_exit_cost`` (visibility and the inertial
+        action's term, stripped in ``prior_only``), less the node's
+        reward."""
+        nodes = self.nodes
+        ids = np.flatnonzero(np.isin(nodes.kind, [NODE_KINDS.index(k) for k in EXIT_KINDS]))
+        rows = np.zeros((len(ids), 5))
+        if self.likelihood:
+            rows[:, 2] = visibility_likelihoods(VisibilityState.VISIBLE,
+                                                nodes.detection_score.values[ids])
+            rows[:, 3] = self.action_terms(nodes.pose.values[ids], INERTIAL_ACTION)
+        rows[:, 4] = row_totals(rows)
+        check_breakdowns(rows)
+        costs = (self.params.solver_entry_exit_cost + rows[:, 4]) - nodes.reward[ids]
+        return dict(zip(ids.tolist(), costs.tolist()))
 
-    def add_exit(self, node: GraphNode) -> None:
-        breakdown = node_exit_cost(node, self.params)
-        if self.mode == "prior_only":
-            breakdown = _strip_likelihood(breakdown)
-        self.exit_costs[node.id] = (
-            self.params.solver_entry_exit_cost + breakdown.total - node.reward
-        )
+    def graph(self, containers: ContainerSolution) -> TransitionGraph:
+        """The graph of the nodes and of the edge and interior blocks so far,
+        with every exit cost."""
+        edges = EdgeColumns(*(np.concatenate(column) for column in zip(*self.edge_blocks)))
+        first_frame, state, locations, run_counts, run_action, run_length = zip(
+            *self.interior_blocks)
+        interiors = InteriorColumns(
+            np.concatenate(first_frame), np.concatenate(state),
+            tuple(location for block in locations for location in block),
+            np.concatenate(([0], np.cumsum(np.concatenate(run_counts)))),
+            np.concatenate(run_action), np.concatenate(run_length))
+        return TransitionGraph(self.nodes, edges, self.params.solver_entry_exit_cost,
+                               self.exit_costs(), containers, interiors, self.poses)
 
 
 def build_graph(
@@ -561,237 +894,244 @@ def build_graph(
     touches a unit node, a chain edge joins two contained nodes, and a path
     visits a node at most once, so no edge can carry more objects than its
     ends admit.
+
+    Nodes are numbered contained nodes first, then tracklet endpoints,
+    leftover detections and vestibules; edges tracklet super-edges first,
+    then visible adjacency, spline bridges, containment chains and container
+    chains. Every kind of edge is priced as one block.
     """
     if params.transition_table is None:
         raise ValueError("params.transition_table is required to build the graph")
-    b = _GraphBuilder(camera, params, mode)
-    fps = camera.frame_rate
-
-    # contained nodes: one per container per frame
-    contained_ids: Dict[Tuple[int, int], int] = {}
-    if mode == "full":
-        for traj in containers.trajectories:
-            for point in traj.points:
-                score, _fluent = containers.evidence[traj.object_id][point.frame]
-                nid = b.add_node(
-                    frame=point.frame,
-                    location=point.location,
-                    state=VisibilityState.CONTAINED,
-                    kind="contained",
-                    object_class=ObjectClass.PERSON,  # hosts persons and suitcases
-                    reward=b.contained_reward(score),
-                    capacity=params.max_contained,
-                    container_score=score,
-                    container_id=traj.object_id,
-                )
-                contained_ids[(traj.object_id, point.frame)] = nid
-
-    # tracklet endpoint nodes, and the super-edge over each tracklet's
-    # contracted interior: these are the first edges, in tracklet order
-    head_ids: Dict[int, int] = {}
-    tail_ids: Dict[int, int] = {}
     det_list = list(detections)
-    pose_energies = _price_poses(det_list, params)
-    for t in sorted(tracklets, key=lambda t: t.id):
-        n = len(t.positions)
-        scores = t.scores or (0.5,) * n
-        dets = t.detection_indices or (None,) * n
-        energies = [None if det is None else pose_energies[det] for det in dets]
+    b = _GraphBuilder(camera, params, mode, det_list)
+    full = mode == "full"
+    V, O, C = VisibilityState.VISIBLE, VisibilityState.OCCLUDED, VisibilityState.CONTAINED
 
-        def endpoint(i: int, kind: str) -> GraphNode:
-            det = dets[i]
-            return b.nodes[b.add_node(
-                frame=t.start_frame + i, location=t.positions[i],
-                state=VisibilityState.VISIBLE, kind=kind, object_class=t.object_class,
-                reward=log_odds(scores[i]), capacity=1, detection_score=scores[i],
-                pose_feature=None if det is None else det_list[det].pose_feature,
-                pose_energies=energies[i], tracklet_id=t.id)]
+    # contained nodes: one per container per frame; container ``cid``'s
+    # node of frame f is ``contained[cid] + f - birth``
+    contained: Dict[int, int] = {}
+    container_points: Dict[int, np.ndarray] = {}
+    if full:
+        for traj in containers.trajectories:
+            cid = traj.object_id
+            container_points[cid] = np.array([point.location for point in traj.points])
+            scores = np.array([containers.evidence[cid][point.frame][0] for point in traj.points],
+                              dtype=float)
+            contained[cid] = int(b.add_nodes(
+                len(scores), frame=np.arange(traj.birth_frame, traj.death_frame + 1),
+                location=container_points[cid], state=_CONTAINED, kind=_CONTAINED_NODE,
+                object_class=OBJECT_CLASSES.index(ObjectClass.PERSON),  # hosts persons, suitcases
+                reward=b.contained_rewards(scores),
+                capacity=params.max_contained, container_score=scores, container_id=cid)[0])
 
-        if n == 1:
-            head = tail = endpoint(0, "single")
-        else:
-            head, tail = endpoint(0, "head"), endpoint(n - 1, "tail")
-            b.contract(head, tail, t.positions, scores, energies)
-        head_ids[t.id], tail_ids[t.id] = head.id, tail.id
+    # tracklet endpoint nodes: a head and a tail per tracklet, or one single
+    # node. The super-edges over the contracted interiors are priced from
+    # the tracklets' stops, concatenated in tracklet order
+    ordered = sorted(tracklets, key=lambda t: t.id)
+    lengths = np.array([len(t.positions) for t in ordered], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    positions = (np.concatenate([t.positions for t in ordered]) if ordered
+                 else np.zeros((0, 2)))
+    scores = np.array([s for t in ordered for s in (t.scores or (0.5,) * len(t.positions))],
+                      dtype=float)
+    stop_detections = np.array([d for t in ordered for d in
+                                (t.detection_indices or (-1,) * len(t.positions))], dtype=np.int64)
+    # a stop's pose row is its detection's, if that has a pose feature
+    stop_poses = np.where(b.has_pose[stop_detections], stop_detections, -1)
+    rewards = log_odds_each(scores)
+    single = lengths == 1
+    per_tracklet = 2 - single
+    # each tracklet's head (or single) stop, then its tail stop unless single
+    endpoint = np.stack((np.ones(len(ordered), dtype=bool), ~single), axis=1)
+    ends = np.stack((starts, starts + lengths - 1), axis=1)[endpoint]
+    kinds = np.stack((np.where(single, _SINGLE, _HEAD), np.full(len(ordered), _TAIL)),
+                     axis=1)[endpoint]
+    stop_frames = np.repeat(np.array([t.start_frame for t in ordered], dtype=np.int64) - starts,
+                            lengths) + np.arange(len(positions))
+    ids = b.add_nodes(
+        len(ends), frame=stop_frames[ends], location=positions[ends], state=_VISIBLE, kind=kinds,
+        object_class=np.repeat([OBJECT_CLASSES.index(t.object_class) for t in ordered],
+                               per_tracklet),
+        reward=rewards[ends], capacity=1, detection_score=scores[ends], pose=stop_poses[ends],
+        tracklet_id=np.repeat([t.id for t in ordered], per_tracklet))
+    head_ids = ids[np.cumsum(per_tracklet) - per_tracklet]
+    tail_ids = ids[np.cumsum(per_tracklet) - 1]
+    head_of = dict(zip([t.id for t in ordered], head_ids.tolist()))
+    tail_of = dict(zip([t.id for t in ordered], tail_ids.tolist()))
 
     # leftover detections (non-vehicle, unused by any tracklet)
-    used = set()
-    for t in tracklets:
-        if t.detection_indices:
-            used.update(t.detection_indices)
+    used = set(stop_detections.tolist())
     leftover = [idx for idx, det in enumerate(det_list)
                 if idx not in used and det.object_class is not ObjectClass.VEHICLE]
-    locations = ground_points(camera, [det_list[idx].bbox for idx in leftover])
-    for idx, location in zip(leftover, locations):
-        det = det_list[idx]
-        b.add_node(
-            frame=det.frame,
-            location=location,
-            state=VisibilityState.VISIBLE,
-            kind="detection",
-            object_class=det.object_class,
-            reward=log_odds(det.score),
-            capacity=1,
-            detection_score=det.score,
-            pose_feature=det.pose_feature,
-            pose_energies=pose_energies[idx],
-        )
+    leftover_scores = [det_list[idx].score for idx in leftover]
+    b.add_nodes(
+        len(leftover), frame=[det_list[idx].frame for idx in leftover],
+        location=ground_points(camera, [det_list[idx].bbox for idx in leftover]).reshape(-1, 2),
+        state=_VISIBLE, kind=_DETECTION,
+        object_class=[OBJECT_CLASSES.index(det_list[idx].object_class) for idx in leftover],
+        reward=log_odds_each(leftover_scores), capacity=1,
+        detection_score=leftover_scores,
+        pose=np.where(b.has_pose[np.asarray(leftover, dtype=np.int64)], leftover, -1))
 
     # containment vestibules: occluded nodes riding each compatible container
-    vestibule_chains: List[Tuple[Tracklet, Tracklet, int, List[int]]] = []
-    if mode == "full" and containers.trajectories:
-        pairs = _containment_pairs(tracklets, containers, params)
-        for before, after, cid, similarity in pairs:
-            chain = []
-            for frame in range(before.end_frame + 1, after.start_frame):
-                chain.append(
-                    b.add_node(
-                        frame=frame,
-                        location=containers.position(cid, frame),
-                        state=VisibilityState.OCCLUDED,
-                        kind="vestibule",
-                        object_class=before.object_class,
-                        reward=b.occluded_reward(),
-                        capacity=1,
-                        gap_similarity=similarity,
-                        container_id=cid,
-                    )
-                )
-            vestibule_chains.append((before, after, cid, chain))
+    chains: List[Tuple[int, np.ndarray, int, int]] = []
+    if full and containers.trajectories:
+        for before, after, cid, similarity in _containment_pairs(tracklets, containers,
+                                                                 container_points, params):
+            birth = containers.trajectories[cid].birth_frame
+            frames = np.arange(before.end_frame + 1, after.start_frame)
+            chain = b.add_nodes(
+                len(frames), frame=frames, location=container_points[cid][frames - birth],
+                state=_OCCLUDED, kind=_VESTIBULE,
+                object_class=OBJECT_CLASSES.index(before.object_class),
+                reward=b.occluded_reward(), capacity=1, gap_similarity=similarity,
+                container_id=cid)
+            chains.append((tail_of[before.id], chain, head_of[after.id], cid))
+    b.finish_nodes()
+    nodes = b.nodes
 
     # ---- edges ----
 
-    # visible adjacency (dt == 1) between emitting and receiving visible nodes
-    visible_nodes = [n for n in b.nodes if n.state is VisibilityState.VISIBLE]
-    recv_by_frame: Dict[int, List[GraphNode]] = {}
-    for n in visible_nodes:
-        if n.can_receive:
-            recv_by_frame.setdefault(n.frame, []).append(n)
-    for src in visible_nodes:
-        if not src.can_emit:
-            continue
-        for dst in recv_by_frame.get(src.frame + 1, ()):
-            if dst.object_class is not src.object_class:
-                continue
-            if src.tracklet_id is not None and src.tracklet_id == dst.tracklet_id:
-                continue
-            bound = LINK_GATE_SLACK * params.speed_bound(src.object_class) / fps
-            if ground_distance(src.location, dst.location) > bound:
-                continue
-            b.connect(src, dst)
+    b.contract(head_ids, tail_ids, lengths, positions, scores, rewards, stop_poses)
+
+    # visible adjacency (dt == 1) between emitting and receiving visible
+    # nodes of one class and not of one tracklet, within the class's gate:
+    # by source id, then by target id
+    visible = np.flatnonzero(nodes.state == _VISIBLE)
+    emitters = visible[nodes.kind[visible] != _HEAD]
+    receivers = visible[nodes.kind[visible] != _TAIL]
+    receivers = receivers[np.argsort(nodes.frame[receivers], kind="stable")]
+    target = nodes.frame[emitters] + 1
+    low = np.searchsorted(nodes.frame[receivers], target, "left")
+    count = np.searchsorted(nodes.frame[receivers], target, "right") - low
+    src = np.repeat(emitters, count)
+    dst = receivers[np.repeat(low - (np.cumsum(count) - count), count) + np.arange(count.sum())]
+    cls, tracklet = nodes.object_class, nodes.tracklet_id.values
+    keep = (cls[src] == cls[dst]) & ~((tracklet[src] >= 0) & (tracklet[src] == tracklet[dst]))
+    src, dst = src[keep], dst[keep]
+    gates = np.array([LINK_GATE_SLACK * params.speed_bound(c) / camera.frame_rate
+                      for c in OBJECT_CLASSES])
+    keep = ~(ground_distances(nodes.location[src], nodes.location[dst]) > gates[cls[src]])
+    src, dst = src[keep], dst[keep]
+    b.add_plain_edges(src, dst, [b.choose(V, V, node) for node in b.posed(src)])
 
     # spline bridges: one super-edge per gap link, its missing frames occluded
-    if mode == "full":
-        b.bridges([(b.nodes[tail_ids[link.before_id]], link, b.nodes[head_ids[link.after_id]])
+    if full:
+        b.bridges([(tail_of[link.before_id], link, head_of[link.after_id])
                    for link in sorted(gap_links, key=lambda l: (l.before_id, l.after_id))])
 
-    # containment vestibule bridges; crossing into or out of a container
-    # additionally requires the container's fluent evidence to support a
-    # door/trunk interaction at that frame (objects cannot enter a vehicle
-    # whose doors never open)
-    # whether the fluent of (container, frame) supports entering (True) or
-    # leaving (False); chains of several pairs share a container's frames
-    supports: Dict[Tuple[int, int, bool], bool] = {}
-
-    def supported(cid: int, frame: int, enter: bool) -> bool:
-        key = (cid, frame, enter)
-        if key not in supports:
-            pair = ((VisibilityState.OCCLUDED, VisibilityState.CONTAINED) if enter
-                    else (VisibilityState.CONTAINED, VisibilityState.OCCLUDED))
-            supports[key] = _fluent_supports(containers.evidence[cid][frame][1],
-                                             LEGAL_ACTIONS[pair], params)
-        return supports[key]
-
-    for before, after, cid, chain in vestibule_chains:
-        before_tail = b.nodes[tail_ids[before.id]]
-        after_head = b.nodes[head_ids[after.id]]
-        nodes_chain = [b.nodes[i] for i in chain]
-        fluent_of = containers.evidence[cid]
-        b.connect(before_tail, nodes_chain[0])
-        for u, v in zip(nodes_chain, nodes_chain[1:]):
-            b.connect(u, v)
-        for u in nodes_chain[:-1]:
-            cnode = contained_ids.get((cid, u.frame + 1))
-            if cnode is not None and supported(cid, u.frame, True):
-                b.connect(u, b.nodes[cnode], fluent_of[u.frame][1], (cid, u.frame))
-        for v in nodes_chain[1:]:
-            cnode = contained_ids.get((cid, v.frame - 1))
-            if cnode is not None and supported(cid, v.frame - 1, False):
-                b.connect(b.nodes[cnode], v, fluent_of[v.frame - 1][1], (cid, v.frame - 1))
-        b.connect(nodes_chain[-1], after_head)
+    # containment vestibule chains: per chain, tail -> first vestibule, the
+    # vestibule hops, enters, exits, last vestibule -> head. The container
+    # covers every frame of its chains (``_containment_pairs``), so every
+    # vestibule but the last has a contained node one frame on, and every
+    # one but the first a contained node one frame back. Crossing into or
+    # out of a container additionally requires the container's fluent
+    # evidence to support a door/trunk interaction at that frame (objects
+    # cannot enter a vehicle whose doors never open)
+    src, dst, choices = [], [], []
+    for tail, chain, head, cid in chains:
+        vestibules = chain.tolist()
+        frames = nodes.frame[chain[:-1]].tolist()
+        fluents = [containers.evidence[cid][frame][1] for frame in frames]
+        rides = contained[cid] - containers.trajectories[cid].birth_frame  # + frame: its node
+        src.append(tail)
+        dst.append(vestibules[0])
+        choices.append(b.choose(V, O, b.posed([tail])[0]))
+        src.extend(vestibules[:-1])
+        dst.extend(vestibules[1:])
+        choices.extend([b.choose(O, O)] * (len(vestibules) - 1))
+        for j in np.flatnonzero(_fluent_supports(fluents, LEGAL_ACTIONS[(O, C)], params)).tolist():
+            src.append(vestibules[j])
+            dst.append(rides + frames[j] + 1)
+            choices.append(b.choose(O, C, None, fluents[j], (cid, frames[j])))
+        for j in np.flatnonzero(_fluent_supports(fluents, LEGAL_ACTIONS[(C, O)], params)).tolist():
+            src.append(rides + frames[j])
+            dst.append(vestibules[j + 1])
+            choices.append(b.choose(C, O, None, fluents[j], (cid, frames[j])))
+        src.append(vestibules[-1])
+        dst.append(head)
+        choices.append(b.choose(O, V))
+    b.add_plain_edges(src, dst, choices)
 
     # container chains, shared by up to max_contained objects. A chain hop
     # pays no fluent: riding is no door or trunk interaction, and the fluent
     # term, never below the neutral one, could only price those actions up
-    for traj in containers.trajectories:
-        for f in range(traj.birth_frame, traj.death_frame):
-            src_id = contained_ids.get((traj.object_id, f))
-            dst_id = contained_ids.get((traj.object_id, f + 1))
-            if src_id is None or dst_id is None:
-                continue
-            b.connect(b.nodes[src_id], b.nodes[dst_id], is_container_chain=True)
+    src = [np.arange(first, first + len(containers.trajectories[cid].points) - 1)
+           for cid, first in contained.items()]
+    src = np.concatenate(src) if src else np.zeros(0, dtype=np.int64)
+    b.add_plain_edges(src, src + 1, [b.choose(C, C)] * len(src), is_container_chain=True)
 
-    # exits (births/deaths live on visible evidence only)
-    for n in b.nodes:
-        if n.is_endpoint:
-            b.add_exit(n)
-
-    return TransitionGraph(
-        nodes=tuple(b.nodes),
-        edges=tuple(b.edges),
-        entry_cost=params.solver_entry_exit_cost,
-        exit_costs=dict(b.exit_costs),
-        containers=containers,
-    )
+    # the graph, with the exit costs (births and deaths live on visible
+    # evidence only)
+    return b.graph(containers)
 
 
-def _fluent_supports(fluent, actions, params: ModelParameters) -> bool:
-    """Whether the container's fluent looks more like one of ``actions`` than
-    like the idle template. Permissive when evidence or templates are absent.
+def _fluent_supports(fluents: Sequence[Optional[np.ndarray]], actions,
+                     params: ModelParameters) -> np.ndarray:
+    """Whether each container fluent looks more like one of ``actions`` than
+    like the idle template: its nearest template among theirs is nearer than
+    the idle one, in ``vehicle_fluent_distance``'s bits. Permissive where
+    the fluent is absent, or when the templates are.
     """
-    if fluent is None:
-        return True
-    idle = params.vehicle_fluent_templates.get(INERTIAL_ACTION)
-    if idle is None:
-        return True
-    candidates = [params.vehicle_fluent_templates.get(a) for a in actions]
-    candidates = [c for c in candidates if c is not None]
-    if not candidates:
-        return True
-    best = min(vehicle_fluent_distance(fluent, c) for c in candidates)
-    return best < vehicle_fluent_distance(fluent, idle)
+    support = np.ones(len(fluents), dtype=bool)
+    templates = params.vehicle_fluent_templates
+    idle = templates.get(INERTIAL_ACTION)
+    candidates = [templates[a] for a in actions if templates.get(a) is not None]
+    present = [i for i, fluent in enumerate(fluents) if fluent is not None]
+    if idle is None or not candidates or not present:
+        return support
+    x = [np.asarray(fluents[i], dtype=float) for i in present]
+    for template in (*candidates, idle):
+        template = np.asarray(template, dtype=float)
+        for feature in x:
+            if feature.shape != template.shape:
+                raise ValueError(f"fluent feature dimension {feature.shape} != template "
+                                 f"dimension {template.shape}")
+    x = np.array(x)
+
+    def distance(template) -> np.ndarray:
+        diff = x - np.asarray(template, dtype=float)
+        return np.sqrt(row_dots(diff, diff))
+
+    support[present] = np.minimum.reduce([distance(t) for t in candidates]) < distance(idle)
+    return support
 
 
 def _containment_pairs(
     tracklets: Sequence[Tracklet],
     containers: ContainerSolution,
+    container_points: Mapping[int, np.ndarray],
     params: ModelParameters,
 ) -> List[Tuple[Tracklet, Tracklet, int, float]]:
-    """Compatible tracklet pairs that could be bridged through a container.
+    """Compatible tracklet pairs that could be bridged through a container,
+    by pair, then by container.
 
     Requires a gap of at least three frames and container proximity (tau_c)
     at both ends; the container must cover the whole gap. Unlike occlusion
     gaps there is no maximum gap: containment can carry an object for
-    arbitrarily long.
+    arbitrarily long. ``container_points`` holds each container's location
+    per frame from its birth; each container gates every pair at once.
     """
-    pairs = []
-    for before, after, similarity in compatible_pairs(tracklets, params):
-        if gap_between(before, after) < MIN_CONTAINMENT_GAP:
-            continue
-        for traj in containers.trajectories:
-            cid = traj.object_id
-            if traj.birth_frame > before.end_frame + 1 or traj.death_frame < after.start_frame - 1:
-                continue
-            entry_pos = containers.position(cid, before.end_frame + 1)
-            exit_pos = containers.position(cid, after.start_frame - 1)
-            if entry_pos is None or exit_pos is None:
-                continue
-            if ground_distance(before.positions[-1], entry_pos) > params.tau_c:
-                continue
-            if ground_distance(after.positions[0], exit_pos) > params.tau_c:
-                continue
-            pairs.append((before, after, cid, similarity))
-    return pairs
+    pairs = [(before, after, similarity)
+             for before, after, similarity in compatible_pairs(tracklets, params)
+             if gap_between(before, after) >= MIN_CONTAINMENT_GAP]
+    if not pairs:
+        return []
+    enter = np.array([before.end_frame + 1 for before, _, _ in pairs])
+    leave = np.array([after.start_frame - 1 for _, after, _ in pairs])
+    tail_points = np.array([before.positions[-1] for before, _, _ in pairs])
+    head_points = np.array([after.positions[0] for _, after, _ in pairs])
+    found = []
+    for traj in containers.trajectories:
+        cid, birth = traj.object_id, traj.birth_frame
+        covered = np.flatnonzero((birth <= enter) & (leave <= traj.death_frame))
+        points = container_points[cid]
+        near = (~(ground_distances(tail_points[covered], points[enter[covered] - birth])
+                  > params.tau_c)
+                & ~(ground_distances(head_points[covered], points[leave[covered] - birth])
+                    > params.tau_c))
+        found.extend((i, cid) for i in covered[near].tolist())
+    return [(pairs[i][0], pairs[i][1], cid, pairs[i][2]) for i, cid in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -809,38 +1149,63 @@ class FlowSolution:
     energy_totals: EnergyBreakdown = ZERO_BREAKDOWN
 
 
-def _shortest_path(
-    graph: TransitionGraph,
-    node_cap: List[int],
-    order: Sequence[int],
-) -> Tuple[float, List[int], List[int]]:
-    """One DP sweep over the node ids in topological ``order``; returns (net
-    cost, node id path, the edge ids walked between those nodes)."""
-    dist = [math.inf] * len(graph.nodes)
-    parent_edge: List[Optional[int]] = [None] * len(graph.nodes)
-    for nid in order:
-        node = graph.nodes[nid]
-        if node.is_entry and node_cap[nid] > 0:
-            if graph.entry_cost < dist[nid]:
-                dist[nid] = graph.entry_cost
+class _Sweep(NamedTuple):
+    """The graph as the DP reads it, as plain lists built once per solve;
+    each list of nodes is in topological order, by (frame, id)."""
+
+    entries: List[int]  # the nodes a trajectory may start at
+    relax: List[Tuple[int, Tuple[int, ...]]]  # each node with out-edges, and their ids
+    exits: List[Tuple[int, float]]  # the nodes a trajectory may end at, and its cost
+    src: List[int]
+    dst: List[int]
+    net_cost: List[float]
+    entry_cost: float
+
+
+def _sweep(graph: TransitionGraph) -> _Sweep:
+    nodes, edges = graph.node_columns, graph.edge_columns
+    order = np.argsort(nodes.frame, kind="stable")
+    entries = order[np.isin(nodes.kind[order], [NODE_KINDS.index(kind) for kind in ENTRY_KINDS])]
+    adjacency = graph.adjacency
+    order = order.tolist()
+    return _Sweep(entries.tolist(), [(nid, adjacency[nid]) for nid in order if adjacency[nid]],
+                  [(nid, graph.exit_costs[nid]) for nid in order if nid in graph.exit_costs],
+                  edges.src.tolist(), edges.dst.tolist(), edges.net_cost.tolist(),
+                  graph.entry_cost)
+
+
+def _shortest_path(sweep: _Sweep, node_cap: List[int]) -> Tuple[float, List[int], List[int]]:
+    """One DP sweep over the node ids in topological order; returns (net
+    cost, node id path, the edge ids walked between those nodes).
+
+    A candidate must beat the best so far by 1e-15, so ties go to the first
+    found. Above 16 in magnitude that margin is below half the spacing of
+    doubles and the comparison is a plain strict ``<``."""
+    dist = [math.inf] * len(node_cap)
+    parent_edge: List[Optional[int]] = [None] * len(node_cap)
+    dst, net_cost = sweep.dst, sweep.net_cost
+    for nid in sweep.entries:
+        if node_cap[nid] > 0:
+            if sweep.entry_cost < dist[nid]:
+                dist[nid] = sweep.entry_cost
                 parent_edge[nid] = None
-    for nid in order:
-        if not math.isfinite(dist[nid]):
+    for nid, out in sweep.relax:
+        here = dist[nid]
+        if not math.isfinite(here):
             continue
-        for eid in graph.out_edges(nid):
-            edge = graph.edges[eid]
-            if node_cap[edge.dst] <= 0:
+        for eid in out:
+            to = dst[eid]
+            if node_cap[to] <= 0:
                 continue
-            cand = dist[nid] + edge.net_cost
-            if cand < dist[edge.dst] - 1e-15:
-                dist[edge.dst] = cand
-                parent_edge[edge.dst] = eid
+            cand = here + net_cost[eid]
+            if cand < dist[to] - 1e-15:
+                dist[to] = cand
+                parent_edge[to] = eid
 
     best_cost = math.inf
     best_node = None
-    for nid in order:
-        exit_cost = graph.exit_costs.get(nid)
-        if exit_cost is None or not math.isfinite(dist[nid]) or node_cap[nid] <= 0:
+    for nid, exit_cost in sweep.exits:
+        if not math.isfinite(dist[nid]) or node_cap[nid] <= 0:
             continue
         total = dist[nid] + exit_cost
         if total < best_cost - 1e-15:
@@ -853,7 +1218,7 @@ def _shortest_path(
     while parent_edge[path[-1]] is not None:
         eid = parent_edge[path[-1]]
         edge_ids.append(eid)
-        path.append(graph.edges[eid].src)
+        path.append(sweep.src[eid])
     path.reverse()
     edge_ids.reverse()
     return best_cost, path, edge_ids
@@ -866,19 +1231,22 @@ def solve_objects(graph: TransitionGraph, params: ModelParameters) -> FlowSoluti
     the path is accepted iff its net cost is strictly negative. Contained
     nodes admit up to ``max_contained`` units, every other node one; edges
     need no capacity of their own (see ``build_graph``). Greedy extraction
-    is exact for a single object and for non-interacting objects; the
-    exhaustive oracle quantifies the gap otherwise.
+    is exact for a single object and for non-interacting objects; in tests,
+    an exhaustive oracle quantifies the gap otherwise. The energy totals
+    add the breakdown rows of the walked edges per component, in extraction
+    order.
     """
-    node_cap = [n.capacity for n in graph.nodes]
-    order = sorted(range(len(graph.nodes)), key=lambda i: (graph.nodes[i].frame, i))
+    sweep = _sweep(graph)
+    node_cap = graph.node_columns.capacity.tolist()
+    breakdown = graph.edge_columns.breakdown
     object_flows: Dict[int, int] = {}
     paths: List[Tuple[int, ...]] = []
     trajectories: List[Trajectory] = []
     objective = 0.0
-    totals = ZERO_BREAKDOWN
+    totals = [0.0] * 5
 
-    for _ in range(len(graph.nodes) + 1):
-        cost, path, edge_ids = _shortest_path(graph, node_cap, order)
+    for _ in range(graph.num_nodes + 1):
+        cost, path, edge_ids = _shortest_path(sweep, node_cap)
         if not path or cost >= -1e-12:
             break
         for nid in path:
@@ -887,7 +1255,9 @@ def solve_objects(graph: TransitionGraph, params: ModelParameters) -> FlowSoluti
                 raise InternalInvariantError(f"node {nid} capacity went negative")
         for eid in edge_ids:
             object_flows[eid] = object_flows.get(eid, 0) + 1
-            totals = totals.add(graph.edges[eid].breakdown)
+        for row in breakdown[edge_ids].tolist():
+            for k, value in enumerate(row):
+                totals[k] += value
         objective += -cost
         paths.append(tuple(path))
         trajectories.append(_decode_path(graph, path, edge_ids, object_id=len(trajectories)))
@@ -897,7 +1267,7 @@ def solve_objects(graph: TransitionGraph, params: ModelParameters) -> FlowSoluti
         objective=objective,
         trajectories=tuple(trajectories),
         paths=tuple(paths),
-        energy_totals=totals,
+        energy_totals=EnergyBreakdown(*totals),
     )
     _validate_solution(graph, solution, params)
     return solution
@@ -905,165 +1275,54 @@ def solve_objects(graph: TransitionGraph, params: ModelParameters) -> FlowSoluti
 
 def _decode_path(graph: TransitionGraph, path: Sequence[int], edge_ids: Sequence[int],
                  object_id: int) -> Trajectory:
-    """The trajectory along ``path``, whose hops are the edges ``edge_ids``.
+    """The trajectory along ``path``, whose hops are the edges ``edge_ids``,
+    read from the rows of those nodes and edges alone.
 
     Each point keeps the action its outgoing edge was priced with; the last
     point keeps the inertial action.
     """
+    nodes, edges = graph.node_columns, graph.edge_columns
+    path, edge_ids = np.asarray(path, dtype=np.int64), np.asarray(edge_ids, dtype=np.int64)
+    actions = [ACTIONS[code] for code in edges.action[edge_ids].tolist()] + [INERTIAL_ACTION]
+    interiors = edges.interior[edge_ids].tolist() + [-1]
     points: List[TrajectoryPoint] = []
-    cls = graph.nodes[path[0]].object_class
-    for i, nid in enumerate(path):
-        node = graph.nodes[nid]
-        action = graph.edges[edge_ids[i]].action if i < len(edge_ids) else INERTIAL_ACTION
-        points.append(
-            TrajectoryPoint(
-                frame=node.frame,
-                location=node.location,
-                state=node.state,
-                action=action,
-                container_id=node.container_id if node.state is VisibilityState.CONTAINED else None,
-            )
-        )
-        interior = graph.edges[edge_ids[i]].interior if i < len(edge_ids) else None
-        if interior is not None:
-            for frame, loc, state, action in interior.stops():
+    for frame, location, state, cid, action, interior in zip(
+            nodes.frame[path].tolist(), nodes.location[path], nodes.state[path].tolist(),
+            nodes.container_id.values[path].tolist(), actions, interiors):
+        state = STATES[state]
+        points.append(TrajectoryPoint(frame=frame, location=location, state=state, action=action,
+                                      container_id=cid if state is VisibilityState.CONTAINED
+                                      else None))
+        if interior >= 0:
+            for frame, loc, state, action in graph.interior(interior).stops():
                 points.append(TrajectoryPoint(frame=frame, location=loc, state=state,
                                               action=action))
+    cls = OBJECT_CLASSES[nodes.object_class[path[0]]]
     return Trajectory(object_id=object_id, object_class=cls, points=tuple(points))
 
 
 def _validate_solution(graph: TransitionGraph, solution: FlowSolution,
                        params: ModelParameters) -> None:
-    in_flow: Dict[int, int] = {}
-    out_flow: Dict[int, int] = {}
-    node_use: Dict[int, int] = {}
+    n = graph.num_nodes
+    nodes, edges = graph.node_columns, graph.edge_columns
+    node_use = np.zeros(n, dtype=np.int64)
+    in_flow = np.zeros(n, dtype=np.int64)
+    out_flow = np.zeros(n, dtype=np.int64)
     for path in solution.paths:
-        for nid in path:
-            node_use[nid] = node_use.get(nid, 0) + 1
-    for eid, flow in solution.object_flows.items():
-        edge = graph.edges[eid]
-        out_flow[edge.src] = out_flow.get(edge.src, 0) + flow
-        in_flow[edge.dst] = in_flow.get(edge.dst, 0) + flow
-    for path in solution.paths:
-        first, last = path[0], path[-1]
-        in_flow[first] = in_flow.get(first, 0) + 1
-        out_flow[last] = out_flow.get(last, 0) + 1
-    for nid, node in enumerate(graph.nodes):
-        used = node_use.get(nid, 0)
-        if in_flow.get(nid, 0) != out_flow.get(nid, 0):
-            raise InternalInvariantError(f"flow not conserved at node {nid}")
-        if used > node.capacity:
-            raise InternalInvariantError(f"node {nid} over capacity: {used} > {node.capacity}")
-        if node.state is VisibilityState.CONTAINED and used > params.max_contained:
-            raise InternalInvariantError("containment capacity exceeded")
-
-
-# ---------------------------------------------------------------------------
-# exhaustive oracle
-# ---------------------------------------------------------------------------
-
-# The oracle's guard rails: the largest instance it takes (frames, graph
-# nodes in one frame), the most objects it places, and the most entry -> exit
-# paths it enumerates before it gives up.
-ORACLE_MAX_FRAMES = 10
-ORACLE_MAX_NODES_PER_FRAME = 12
-ORACLE_MAX_OBJECTS = 4
-ORACLE_PATH_BUDGET = 50000
-
-
-def brute_force_oracle(graph: TransitionGraph) -> FlowSolution:
-    """Globally optimal joint flow by exhaustive path-subset enumeration.
-
-    Guard rails reject instances beyond ``ORACLE_MAX_FRAMES`` frames or
-    ``ORACLE_MAX_NODES_PER_FRAME`` nodes in a frame, and more than
-    ``ORACLE_PATH_BUDGET`` paths. The search enumerates every feasible set
-    of at most ``ORACLE_MAX_OBJECTS`` capacity-respecting paths and returns
-    the best total objective.
-    """
-    frames: Dict[int, int] = {}
-    for n in graph.nodes:
-        frames[n.frame] = frames.get(n.frame, 0) + 1
-    if len(frames) > ORACLE_MAX_FRAMES:
-        raise OracleLimitError(f"instance spans {len(frames)} frames > {ORACLE_MAX_FRAMES}")
-    if frames and max(frames.values()) > ORACLE_MAX_NODES_PER_FRAME:
-        raise OracleLimitError(
-            f"instance has {max(frames.values())} nodes in one frame > "
-            f"{ORACLE_MAX_NODES_PER_FRAME}"
-        )
-
-    # enumerate all entry -> exit paths
-    paths: List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = []
-
-    def extend(nid: int, cost: float, node_path: List[int], edge_path: List[int]) -> None:
-        if len(paths) > ORACLE_PATH_BUDGET:
-            raise OracleLimitError("path enumeration exceeded the oracle budget")
-        exit_cost = graph.exit_costs.get(nid)
-        if exit_cost is not None:
-            paths.append((cost + exit_cost, tuple(node_path), tuple(edge_path)))
-        for eid in graph.out_edges(nid):
-            edge = graph.edges[eid]
-            node_path.append(edge.dst)
-            edge_path.append(eid)
-            extend(edge.dst, cost + edge.net_cost, node_path, edge_path)
-            node_path.pop()
-            edge_path.pop()
-
-    for n in graph.nodes:
-        if n.is_entry:
-            extend(n.id, graph.entry_cost, [n.id], [])
-
-    candidates = sorted(
-        (p for p in paths if p[0] < -1e-12), key=lambda p: (p[0], p[1])
-    )
-    best_total = 0.0
-    best_subset: Tuple[int, ...] = ()
-    suffix_min = [0.0] * (len(candidates) + 1)
-    for i in range(len(candidates) - 1, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + min(candidates[i][0], 0.0)
-
-    node_capacity = [n.capacity for n in graph.nodes]
-
-    def feasible(idx: int) -> bool:
-        return all(node_capacity[n] > 0 for n in candidates[idx][1])
-
-    def search(start: int, count: int, total: float, chosen: List[int]) -> None:
-        # recursion depth is bounded by ORACLE_MAX_OBJECTS: we only recurse on takes
-        nonlocal best_total, best_subset
-        if total < best_total - 1e-15:
-            best_total = total
-            best_subset = tuple(chosen)
-        if count >= ORACLE_MAX_OBJECTS:
-            return
-        for idx in range(start, len(candidates)):
-            if total + suffix_min[idx] >= best_total - 1e-15:
-                break
-            if not feasible(idx):
-                continue
-            node_path = candidates[idx][1]
-            for n in node_path:
-                node_capacity[n] -= 1
-            chosen.append(idx)
-            search(idx + 1, count + 1, total + candidates[idx][0], chosen)
-            chosen.pop()
-            for n in node_path:
-                node_capacity[n] += 1
-
-    search(0, 0, 0.0, [])
-
-    flows: Dict[int, int] = {}
-    for idx in best_subset:
-        for eid in candidates[idx][2]:
-            flows[eid] = flows.get(eid, 0) + 1
-    trajectories = tuple(
-        _decode_path(graph, candidates[idx][1], candidates[idx][2], object_id=i)
-        for i, idx in enumerate(best_subset)
-    )
-    return FlowSolution(
-        object_flows=flows,
-        objective=-best_total,
-        trajectories=trajectories,
-        paths=tuple(candidates[idx][1] for idx in best_subset),
-    )
+        np.add.at(node_use, list(path), 1)
+        in_flow[path[0]] += 1
+        out_flow[path[-1]] += 1
+    eids = np.fromiter(solution.object_flows, dtype=np.int64, count=len(solution.object_flows))
+    flows = np.fromiter(solution.object_flows.values(), dtype=np.int64, count=len(eids))
+    np.add.at(out_flow, edges.src[eids], flows)
+    np.add.at(in_flow, edges.dst[eids], flows)
+    for nid in np.flatnonzero(in_flow != out_flow)[:1].tolist():
+        raise InternalInvariantError(f"flow not conserved at node {nid}")
+    for nid in np.flatnonzero(node_use > nodes.capacity)[:1].tolist():
+        raise InternalInvariantError(
+            f"node {nid} over capacity: {node_use[nid]} > {nodes.capacity[nid]}")
+    if (node_use[nodes.state == _CONTAINED] > params.max_contained).any():
+        raise InternalInvariantError("containment capacity exceeded")
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,9 @@ so reusing a factorization keeps its bits.
 The per-pair numerics run as arrays with the bits of the scalar loop they
 replace: ``detection_links`` finds each gap's candidate pairs by
 ``np.searchsorted`` and measures them with stacked ``ground_distances``
-calls, and ``compatible_pairs`` computes its similarities with stacked
-``row_dots`` calls. Both run, row by row, the BLAS kernel of the scalar call
+calls, as ``find_gap_candidates`` measures its gaps, and
+``compatible_pairs`` computes its similarities with stacked
+``row_dots`` calls. Each runs, row by row, the BLAS kernel of the scalar call
 (``ground_distance``, ``descriptor_similarity``), which is what keeps the
 bits; ``np.einsum``, a norm over ``axis=1`` or a ``D @ D.T`` similarity
 matrix would not (see ``core``).
@@ -53,14 +54,13 @@ from .core import (
     Detection,
     ModelParameters,
     Tracklet,
-    ground_distance,
     gathered_rows,
     ground_distances,
     ground_points,
     pool_descriptors,
     row_dots,
 )
-from .energy import log_odds
+from .energy import log_odds_each
 
 LINK_GATE_SLACK = 2.0  # structural distance gate, in multiples of tau_s * dt
 
@@ -219,7 +219,7 @@ def link_detections(
     detections' ground points. Returns (paths of detection indices ordered
     by their first detection, total flow cost).
     """
-    rewards = [log_odds(det.score) for det in dets]
+    rewards = log_odds_each([det.score for det in dets]).tolist()
     links = detection_links(dets, positions, frame_rate, params, max_gap)
     paths, cost = min_cost_paths(rewards, links, ENTRY_EXIT_COST, ENTRY_EXIT_COST)
     paths.sort()  # disjoint increasing paths: ordered by their first detection
@@ -328,18 +328,24 @@ def find_gap_candidates(
     """Compatible pairs that could plausibly bridge an occlusion.
 
     Gates: gap <= max_gap_frames, and straight-line speed across the gap at
-    most ``LINK_GATE_SLACK`` times the class speed bound.
+    most ``LINK_GATE_SLACK`` times the class speed bound. The distances of
+    every pair within the gap bound are one stacked ``ground_distances``
+    call (``gathered_rows``), with the bits of ``ground_distance``.
     """
-    candidates = []
-    for before, after, similarity in compatible_pairs(tracklets, params):
-        if gap_between(before, after) > params.max_gap_frames:
-            continue
-        dt = after.start_frame - before.end_frame
-        speed = ground_distance(before.positions[-1], after.positions[0]) / (dt / frame_rate)
-        if speed > LINK_GATE_SLACK * params.speed_bound(before.object_class):
-            continue
-        candidates.append((before, after, similarity))
-    return candidates
+    pairs = [(before, after, similarity)
+             for before, after, similarity in compatible_pairs(tracklets, params)
+             if gap_between(before, after) <= params.max_gap_frames]
+    if not pairs:
+        return []
+    ends = np.array([before.positions[-1] for before, _, _ in pairs]).reshape(-1, 2)
+    starts = np.array([after.positions[0] for _, after, _ in pairs]).reshape(-1, 2)
+    rows = np.arange(len(pairs))
+    distance = gathered_rows(ground_distances, ends, rows, starts, rows)
+    dt = np.array([after.start_frame - before.end_frame for before, after, _ in pairs])
+    bound = np.array([LINK_GATE_SLACK * params.speed_bound(before.object_class)
+                      for before, _, _ in pairs])
+    keep = ~(distance / (dt / frame_rate) > bound)
+    return [pair for pair, kept in zip(pairs, keep.tolist()) if kept]
 
 
 # Spline shapes whose factorization is kept for the next call. A shape is

@@ -30,9 +30,10 @@ from fluenttrack.metrics import (
     trajectories_to_observations,
 )
 from fluenttrack.simulator import default_camera, scenario_by_name, simulate, standard_suite
-from fluenttrack.solver import brute_force_oracle, joint_solve, pipeline_graph, solve_objects
+from fluenttrack.solver import joint_solve, pipeline_graph, solve_objects
 
 from conftest import random_walk_instance
+from oracle_reference import brute_force_oracle
 
 
 def report(criterion: int, name: str, detail: str = "") -> None:

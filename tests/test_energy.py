@@ -13,10 +13,13 @@ from fluenttrack.energy import (
     action_likelihood,
     displacement_energy,
     edge_cost,
+    log_odds,
+    log_odds_each,
     node_exit_cost,
     pose_distance,
     pose_distances,
     sigmoid,
+    sigmoids,
     transition_energy,
     vehicle_fluent_distance,
     visibility_likelihood,
@@ -314,6 +317,19 @@ class TestEdgeCost:
         bd = EnergyBreakdown.build(0.0, 0.0, 0.0, 0.0)
         assert bd.total == 0.0
 
+    def test_large_total_drift_accepted(self):
+        # a super-edge over a 1760-frame tracklet sums its total and its
+        # parts hop by hop: near a total of 87,299 they drift apart by about
+        # 1.1e-9, past an absolute 1e-9 bound. The bound grows with |total|
+        parts = (1700.0, 606.8123456789, 84_000.25, 992.0987654321)
+        total = math.fsum(parts) + 1.1e-9
+        assert abs(total - sum(parts)) > 1e-9
+        EnergyBreakdown(*parts, total)
+        with pytest.raises(ValueError, match="sum of the components"):
+            EnergyBreakdown(*parts, total + 1e-9 * 87_299 * 2)
+        with pytest.raises(ValueError, match="sum of the components"):
+            EnergyBreakdown(0.1, 0.2, 0.3, 0.4, 1.0 + 2e-9)  # never tighter than 1e-9
+
     def test_random_breakdown_sums(self, params):
         rng = np.random.default_rng(13)
         for _ in range(300):
@@ -364,3 +380,19 @@ class TestEdgeCost:
         bd = node_exit_cost(Stop(0, np.zeros(2), V, detection_score=0.75), params)
         assert bd.displacement == 0.0 and bd.transition == 0.0
         assert bd.visibility == pytest.approx(0.25)
+
+
+class TestArrayKernels:
+    """The array forms keep the scalar kernels' bits."""
+
+    def test_log_odds_each_matches_log_odds(self):
+        rng = np.random.default_rng(5)
+        scores = [0.0, 1.0, 0.005, 0.01, 0.5, 0.99, 0.995, *rng.uniform(0, 1, 500).tolist()]
+        assert same_bits(log_odds_each(scores), [log_odds(s) for s in scores])
+        assert log_odds_each([]).shape == (0,)
+
+    def test_sigmoids_match_sigmoid(self):
+        rng = np.random.default_rng(6)
+        x = [0.0, -0.0, 40.0, -40.0, *rng.normal(0, 5, 500).tolist(), 1.5, 1.5]
+        assert same_bits(sigmoids(x), [sigmoid(v) for v in x])
+

@@ -2,14 +2,23 @@ import dataclasses
 import itertools
 import math
 from collections import Counter
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluenttrack.core import CameraModel, ObjectClass, Tracklet, VisibilityState, ground_distance
-from fluenttrack.energy import EnergyBreakdown, edge_cost, log_odds
+from fluenttrack import solver
+from fluenttrack.core import (
+    CameraModel,
+    Detection,
+    ObjectClass,
+    Tracklet,
+    VisibilityState,
+    ground_distance,
+)
+from fluenttrack.energy import EnergyBreakdown, edge_cost, log_odds, vehicle_fluent_distance
 from fluenttrack.grammar import (
     LEGAL_ACTIONS,
     ActionStateTable,
@@ -19,17 +28,19 @@ from fluenttrack.grammar import (
 )
 from fluenttrack.simulator import default_camera, simulate, standard_suite
 from fluenttrack.solver import (
+    ACTIONS,
+    NODE_KINDS,
+    OBJECT_CLASSES,
     SOLVE_MODES,
+    STATES,
     ContainerSolution,
-    GraphEdge,
-    GraphNode,
+    EdgeColumns,
     Interior,
-    OracleLimitError,
     TransitionGraph,
     _GraphBuilder,
-    brute_force_oracle,
     build_graph,
     joint_solve,
+    node_columns,
     pipeline_graph,
     solve_containers,
     solve_objects,
@@ -37,6 +48,7 @@ from fluenttrack.solver import (
 from fluenttrack.tracklets import LINK_GATE_SLACK, GapLink, build_gap_links, generate_tracklets
 
 from conftest import Stop, make_detection, random_walk_instance, same_bits, unit_vector
+from oracle_reference import OracleLimitError, brute_force_oracle
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +80,41 @@ def vehicle_track(detection_frames, camera, params, x=20.0, y=10.0, score=0.95):
 V = VisibilityState.VISIBLE
 
 
+class EdgeRow(NamedTuple):
+    """An edge as a test compares it: its breakdown, first action, net cost
+    and interior."""
+
+    breakdown: EnergyBreakdown
+    action: str
+    net_cost: float
+    interior: Optional[Interior]
+
+
+def edge_row(graph, eid):
+    """Edge ``eid`` read from the graph's edge columns."""
+    edges = graph.edge_columns
+    interior = int(edges.interior[eid])
+    return EdgeRow(EnergyBreakdown(*edges.breakdown[eid].tolist()), ACTIONS[edges.action[eid]],
+                   float(edges.net_cost[eid]), None if interior < 0 else graph.interior(interior))
+
+
+def node_stop(graph, nid):
+    """Node ``nid`` as the stop ``edge_cost`` reads, from the graph's node
+    columns and pose table."""
+    nodes = graph.node_columns
+
+    def optional(column):
+        return column.values[nid].item() if column.mask[nid] else None
+
+    pose = optional(nodes.pose)
+    return Stop(int(nodes.frame[nid]), nodes.location[nid], STATES[nodes.state[nid]],
+                optional(nodes.detection_score), optional(nodes.container_score),
+                optional(nodes.gap_similarity),
+                None if pose is None else graph.poses.features[pose],
+                None if pose is None else dict(zip(solver.VISIBLE_STOP_ACTIONS,
+                                                   graph.poses.energies[pose].tolist())))
+
+
 def per_hop_edge(chain, rewards, state, params, frame_rate, mode="full"):
     """The super-edge over ``chain`` (its endpoints included) as the per-hop
     reference builds it: one ``edge_cost`` per hop, its likelihood terms
@@ -86,8 +133,7 @@ def per_hop_edge(chain, rewards, state, params, frame_rate, mode="full"):
         actions.append(action)
     interior = Interior(chain[0].frame + 1, np.array([s.location for s in chain[1:-1]]), state,
                         tuple((action, 1) for action in actions[1:]))
-    return GraphEdge(-1, chain[0].id, chain[-1].id, EnergyBreakdown(*sums[:5]), actions[0],
-                     sums[5], interior=interior)
+    return EdgeRow(EnergyBreakdown(*sums[:5]), actions[0], sums[5], interior)
 
 
 def per_hop_tracklet_edge(head, tail, stops, params, frame_rate, mode):
@@ -187,43 +233,65 @@ class TestSolveContainers:
         assert len(cs.trajectories) == 2
 
 
-def tiny_graph(per_frame_rewards, entry=1.0, exits=1.0, edge_cost_value=0.1):
-    """Hand-built visible-only graph: one node per (frame, slot), dense edges."""
-    from fluenttrack.energy import EnergyBreakdown
+V_CODE, O_CODE, C_CODE = (STATES.index(state) for state in VisibilityState)
 
-    nodes = []
-    for f, rewards in enumerate(per_frame_rewards):
-        for r in rewards:
-            nodes.append(GraphNode(
-                id=len(nodes), frame=f, location=np.array([float(len(nodes)), 0.0]),
-                state=VisibilityState.VISIBLE, kind="detection",
-                object_class=ObjectClass.PERSON, reward=r, capacity=1,
-                detection_score=0.9,
-            ))
-    edges = []
-    for u in nodes:
-        for v in nodes:
-            if v.frame == u.frame + 1:
-                bd = EnergyBreakdown.build(edge_cost_value, 0.0, 0.0, 0.0)
-                edges.append(GraphEdge(
-                    id=len(edges), src=u.id, dst=v.id, breakdown=bd,
-                    action="walking", net_cost=bd.total - u.reward,
-                ))
-    exit_costs = {n.id: exits - n.reward for n in nodes}
-    return TransitionGraph(
-        nodes=tuple(nodes), edges=tuple(edges), entry_cost=entry,
-        exit_costs=exit_costs, containers=ContainerSolution((), {}, 0, 0),
-    )
+
+def columns_graph(frames, rewards, src, dst, breakdown, entry=1.0, exits=1.0):
+    """Hand-built visible-only graph as columns: one detection node per
+    entry of ``frames``, with its reward, and the edges ``src -> dst`` with
+    their ``breakdown`` rows (displacement, transition, visibility, action,
+    total); every node can end a trajectory."""
+    n, m = len(frames), len(src)
+    rewards = np.asarray(rewards, dtype=float)
+    nodes = node_columns(frame=frames, location=[[float(i), 0.0] for i in range(n)],
+                         state=np.full(n, V_CODE), kind=np.full(n, NODE_KINDS.index("detection")),
+                         object_class=np.full(n, OBJECT_CLASSES.index(ObjectClass.PERSON)),
+                         reward=rewards, capacity=np.ones(n), detection_score=np.full(n, 0.9))
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    breakdown = np.asarray(breakdown, dtype=float).reshape(m, 5)
+    edges = EdgeColumns(src, dst, breakdown[:, 4] - rewards[src], breakdown,
+                        np.full(m, ACTIONS.index("walking")), np.zeros(m, dtype=bool),
+                        np.full(m, -1))
+    exit_costs = {i: exits - reward for i, reward in enumerate(rewards.tolist())}
+    return TransitionGraph(nodes, edges, entry, exit_costs, ContainerSolution((), {}, 0, 0))
+
+
+def tiny_graph(per_frame_rewards, entry=1.0, exits=1.0, edge_cost_value=0.1):
+    """``columns_graph`` with one node per (frame, slot) and an edge of
+    displacement ``edge_cost_value`` from every node to every node of the
+    next frame."""
+    frames = [f for f, rewards in enumerate(per_frame_rewards) for _ in rewards]
+    pairs = [(u, v) for u, fu in enumerate(frames) for v, fv in enumerate(frames) if fv == fu + 1]
+    return columns_graph(frames, [r for rewards in per_frame_rewards for r in rewards],
+                         [u for u, _ in pairs], [v for _, v in pairs],
+                         [[edge_cost_value, 0.0, 0.0, 0.0, edge_cost_value]] * len(pairs),
+                         entry, exits)
 
 
 @pytest.mark.parametrize("src, dst", [(0, 1), (2, 0)], ids=["same_frame", "backwards"])
 def test_graph_edge_must_advance_time(src, dst):
-    graph = tiny_graph([[0.5, 0.5], [0.5]])  # nodes 0 and 1 in frame 0, node 2 in frame 1
-    edge = GraphEdge(id=0, src=src, dst=dst, breakdown=EnergyBreakdown.build(0.0, 0.0, 0.0, 0.0),
-                     action="walking", net_cost=0.0)
+    # nodes 0 and 1 in frame 0, node 2 in frame 1
     with pytest.raises(ValueError, match="advance time"):
-        TransitionGraph(nodes=graph.nodes, edges=(edge,), entry_cost=graph.entry_cost,
-                        exit_costs=graph.exit_costs, containers=graph.containers)
+        columns_graph([0, 0, 1], [0.5] * 3, [src], [dst], [[0.0] * 5])
+
+
+# a long chain's parts: its total drifts from their sum by more than 1e-9,
+# within a bound relative to the total
+LARGE_PARTS = [80_000.0, 7_000.123456789, 299.87654321, 0.1]
+
+
+@pytest.mark.parametrize("row, message", [
+    ([math.nan, 0.0, 0.0, 0.0, math.nan], "finite"),
+    ([0.0, -0.1, 0.0, 0.0, -0.1], ">= 0"),
+    ([1.0, 0.5, 0.2, 0.3, 2.0 + 2e-9], "sum of the components"),
+    ([*LARGE_PARTS, sum(LARGE_PARTS) + 3e-4], "sum of the components"),
+], ids=["nan", "negative", "total_off", "large_total_off"])
+def test_graph_rejects_bad_breakdown_row(row, message):
+    # one bad row among good ones fails the whole graph
+    good = [[0.1, 0.0, 0.0, 0.0, 0.1], [*LARGE_PARTS, sum(LARGE_PARTS) + 1.1e-9]]
+    with pytest.raises(ValueError, match=message):
+        columns_graph([0, 1, 2], [0.5] * 3, [0, 1], [1, 2], [good[0], row])
+    columns_graph([0, 1, 2], [0.5] * 3, [0, 1], [1, 2], good)
 
 
 class TestSolveObjectsDP:
@@ -432,6 +500,37 @@ class TestContainment:
                 assert min(n.capacity for n in ends) == 1
 
 
+def per_fluent_supports(fluent, actions, params):
+    """The scalar rule ``_fluent_supports`` applies to each fluent."""
+    templates = params.vehicle_fluent_templates
+    idle = templates.get("walking")
+    candidates = [templates[a] for a in actions if templates.get(a) is not None]
+    if fluent is None or idle is None or not candidates:
+        return True
+    return (min(vehicle_fluent_distance(fluent, c) for c in candidates)
+            < vehicle_fluent_distance(fluent, idle))
+
+
+@pytest.mark.parametrize("pair", [(VisibilityState.OCCLUDED, VisibilityState.CONTAINED),
+                                  (VisibilityState.CONTAINED, VisibilityState.OCCLUDED)],
+                         ids=["enter", "exit"])
+def test_fluent_supports_match_per_fluent_rule(params, pair):
+    # random fluents and fluents near each template, some absent: the
+    # stacked distances keep the per-fluent decision
+    rng = np.random.default_rng(12)
+    templates = list(params.vehicle_fluent_templates.values())
+    fluents = [None if k % 7 == 0 else
+               templates[k % len(templates)] + rng.normal(0, 0.05 * (k % 4), templates[0].shape)
+               for k in range(300)]
+    support = solver._fluent_supports(fluents, LEGAL_ACTIONS[pair], params)
+    expected = [per_fluent_supports(f, LEGAL_ACTIONS[pair], params) for f in fluents]
+    assert support.tolist() == expected
+    assert 0 < sum(expected) < len(expected) - 300 // 7
+    no_idle = default_parameters(vehicle_fluent_templates={
+        name: t for name, t in params.vehicle_fluent_templates.items() if name != "walking"})
+    assert solver._fluent_supports(fluents, LEGAL_ACTIONS[pair], no_idle).all()
+
+
 class TestInvariants:
     def test_flow_and_legality_over_random_instances(self, camera, oracle_params):
         grammar = default_grammar()
@@ -619,24 +718,25 @@ class TestInvariants:
     def assert_edges_reprice(graph, dets, camera, params, kinds):
         others = [d for d in dets if d.object_class is not ObjectClass.VEHICLE]
         tracklets = {t.id: t for t in generate_tracklets(others, camera, params)}
-        for edge in graph.edges:
-            src, dst = graph.nodes[edge.src], graph.nodes[edge.dst]
-            kinds[src.kind, dst.kind] += 1
-            if edge.interior is None:
-                ends = [n for n in (src, dst) if n.state is VisibilityState.CONTAINED]
-                fluent = (graph.containers.evidence[ends[0].container_id][src.frame][1]
-                          if ends else None)
+        nodes, edges = graph.node_columns, graph.edge_columns
+        for eid, (s, d) in enumerate(zip(edges.src.tolist(), edges.dst.tolist())):
+            row, src, dst = edge_row(graph, eid), node_stop(graph, s), node_stop(graph, d)
+            kinds[NODE_KINDS[nodes.kind[s]], NODE_KINDS[nodes.kind[d]]] += 1
+            if row.interior is None:
+                ends = [n for n in (s, d) if nodes.state[n] == C_CODE]
+                fluent = (graph.containers.evidence[nodes.container_id.values[ends[0]]]
+                          [src.frame][1] if ends else None)
                 price = edge_cost(src, dst, params, camera.frame_rate, fluent)
-                assert edge.is_container_chain == (len(ends) == 2)
-                if edge.is_container_chain:
+                assert edges.is_container_chain[eid] == (len(ends) == 2)
+                if edges.is_container_chain[eid]:
                     assert price == edge_cost(src, dst, params, camera.frame_rate)
-                assert (edge.breakdown, edge.action) == price
-                assert edge.net_cost == edge.breakdown.total - src.reward
+                assert (row.breakdown, row.action) == price
+                assert row.net_cost == row.breakdown.total - nodes.reward[s]
                 continue
-            if edge.interior.state is VisibilityState.OCCLUDED:
+            if row.interior.state is VisibilityState.OCCLUDED:
                 continue  # a spline bridge, priced in the test above
-            t = tracklets[src.tracklet_id]
-            assert dst.tracklet_id == t.id and t.scores
+            t = tracklets[nodes.tracklet_id.values[s]]
+            assert nodes.tracklet_id.values[d] == t.id and t.scores
             stops = [Stop(t.start_frame + i, location, VisibilityState.VISIBLE,
                           detection_score=t.scores[i],
                           pose_feature=others[t.detection_indices[i]].pose_feature)
@@ -651,16 +751,16 @@ class TestInvariants:
                     sums[k] += value
                 net += step.total - log_odds(u.detection_score)
                 actions.append(action)
-            assert edge.breakdown == EnergyBreakdown(*sums)
-            assert edge.net_cost == net
-            assert edge.action == actions[0]
-            assert [a for _, _, _, a in edge.interior.stops()] == actions[1:]
-
+            assert row.breakdown == EnergyBreakdown(*sums)
+            assert row.net_cost == net
+            assert row.action == actions[0]
+            assert [a for _, _, _, a in row.interior.stops()] == actions[1:]
 
     def test_suite_tracklet_edges_match_per_hop_reference(self, suite_runs, params):
-        # every tracklet super-edge of the suite, in every mode, is the per-hop
-        # edge_cost reference bit for bit; the reference solves
-        # each stop's pose on its own instead of reading cached energies
+        # every tracklet super-edge of the suite, in every mode, read from the
+        # edge columns, is the per-hop edge_cost reference bit for bit; the
+        # reference solves each stop's pose on its own instead of reading
+        # cached energies
         camera = default_camera()
         for name, sim in suite_runs:
             vehicles = [d for d in sim.detections if d.object_class is ObjectClass.VEHICLE]
@@ -671,19 +771,21 @@ class TestInvariants:
             for mode in SOLVE_MODES:
                 graph = build_graph(others, tracks, links if mode == "full" else [], containers,
                                     camera, params, mode)
-                edges = [e for e in graph.edges
-                         if e.interior is not None and e.interior.state is V]
-                assert len(edges) == sum(len(t.positions) > 1 for t in tracks), (name, mode)
-                for edge in edges:
-                    head, tail = graph.nodes[edge.src], graph.nodes[edge.dst]
-                    t = tracks[head.tracklet_id]
-                    assert t.id == head.tracklet_id == tail.tracklet_id
+                nodes, edges = graph.node_columns, graph.edge_columns
+                interiors = graph.interior_columns
+                rows = [eid for eid, k in enumerate(edges.interior.tolist())
+                        if k >= 0 and interiors.state[k] == V_CODE]
+                assert len(rows) == sum(len(t.positions) > 1 for t in tracks), (name, mode)
+                for eid in rows:
+                    s, d = int(edges.src[eid]), int(edges.dst[eid])
+                    t = tracks[nodes.tracklet_id.values[s]]
+                    assert t.id == nodes.tracklet_id.values[s] == nodes.tracklet_id.values[d]
                     stops = [Stop(t.start_frame + i, location, V, detection_score=t.scores[i],
                                   pose_feature=others[t.detection_indices[i]].pose_feature)
                              for i, location in enumerate(t.positions)]
-                    reference = per_hop_tracklet_edge(head, tail, stops, params,
-                                                      camera.frame_rate, mode)
-                    assert_same_edge(edge, reference)
+                    reference = per_hop_tracklet_edge(node_stop(graph, s), node_stop(graph, d),
+                                                      stops, params, camera.frame_rate, mode)
+                    assert_same_edge(edge_row(graph, eid), reference)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_suite_bridges_match_per_hop_reference(self, params, seed):
@@ -694,7 +796,7 @@ class TestInvariants:
         # the bridges come in link order, their actions as two runs
         camera = default_camera()
         O = VisibilityState.OCCLUDED
-        reward = _GraphBuilder(camera, params, "full").occluded_reward()
+        occluded = _GraphBuilder(camera, params, "full").occluded_reward()
         bridged = dropped = 0
         for script, noise in standard_suite():
             noise = dataclasses.replace(noise, seed=noise.seed + seed)
@@ -705,14 +807,20 @@ class TestInvariants:
             links = build_gap_links(tracks, params, camera.frame_rate)
             graph = build_graph(others, tracks, links, solve_containers(vehicles, camera, params),
                                 camera, params)
-            tails = {n.tracklet_id: n for n in graph.nodes if n.kind in ("tail", "single")}
-            heads = {n.tracklet_id: n for n in graph.nodes if n.kind in ("head", "single")}
-            bridges = [e for e in graph.edges
-                       if e.interior is not None and e.interior.state is O]
+            nodes, edges = graph.node_columns, graph.edge_columns
+            ends = {}
+            for nid in np.flatnonzero(nodes.tracklet_id.mask).tolist():
+                ends.setdefault(nodes.tracklet_id.values[nid], []).append(nid)
+            tails = {tid: ids[-1] for tid, ids in ends.items()}
+            heads = {tid: ids[0] for tid, ids in ends.items()}
+            bridges = [eid for eid, k in enumerate(edges.interior.tolist())
+                       if k >= 0 and graph.interior_columns.state[k] == O_CODE]
             expected = []
             for link in sorted(links, key=lambda l: (l.before_id, l.after_id)):
-                tail, head = tails[link.before_id], heads[link.after_id]
-                gate = LINK_GATE_SLACK * params.speed_bound(tail.object_class) / camera.frame_rate
+                ids = tails[link.before_id], heads[link.after_id]
+                tail, head = (node_stop(graph, nid) for nid in ids)
+                cls = OBJECT_CLASSES[nodes.object_class[ids[0]]]
+                gate = LINK_GATE_SLACK * params.speed_bound(cls) / camera.frame_rate
                 stops = [Stop(tail.frame + 1 + i, sample, O, gap_similarity=link.similarity)
                          for i, sample in enumerate(link.samples)]
                 chain = [tail, *stops, head]
@@ -720,11 +828,13 @@ class TestInvariants:
                        for u, v in zip(chain, chain[1:])):
                     dropped += 1
                     continue
-                expected.append(per_hop_edge(chain, [tail.reward] + [reward] * len(stops), O,
-                                             params, camera.frame_rate))
+                expected.append((ids, per_hop_edge(chain,
+                                                   [nodes.reward[ids[0]]] + [occluded] * len(stops),
+                                                   O, params, camera.frame_rate)))
             assert len(bridges) == len(expected), script.name
-            for edge, reference in zip(bridges, expected):
-                assert (edge.src, edge.dst) == (reference.src, reference.dst)
+            for eid, (ids, reference) in zip(bridges, expected):
+                edge = edge_row(graph, eid)
+                assert (edges.src[eid], edges.dst[eid]) == ids
                 assert_same_breakdown(edge, reference)
                 actions = [action for action, _ in reference.interior.actions]
                 runs = ((actions[-1], 1),)
@@ -760,23 +870,56 @@ class TestInvariants:
                 detection_score=score, pose_feature=np.zeros(9) if posed else None,
                 pose_energies={"walking": data.draw(energy), second: data.draw(energy)}
                 if posed else None))
+        # the stops are one tracklet over detections whose pose energies
+        # under both actions are the drawn ones
+        energies = np.array([[math.nan] * 2 if s.pose_energies is None else
+                             [s.pose_energies["walking"], s.pose_energies[second]]
+                             for s in stops])
+        detections = [Detection(s.frame, ObjectClass.PERSON, (1.0, 1.0, 0.5, 1.7),
+                                s.detection_score, np.eye(8)[0], pose_feature=s.pose_feature)
+                      for s in stops]
+        tracklet = Tracklet(0, ObjectClass.PERSON, stops[0].frame,
+                            np.array([s.location for s in stops]), np.eye(8)[0],
+                            scores=tuple(s.detection_score for s in stops),
+                            detection_indices=tuple(range(len(stops))))
         with pytest.MonkeyPatch.context() as patch:
             patch.setitem(LEGAL_ACTIONS, (V, V), ("walking", second))
-            builder = _GraphBuilder(camera, table_params, mode)
-            head, tail = (builder.nodes[builder.add_node(
-                frame=stop.frame, location=stop.location, state=V, kind=kind,
-                object_class=ObjectClass.PERSON, reward=log_odds(stop.detection_score),
-                capacity=1, detection_score=stop.detection_score,
-                pose_feature=stop.pose_feature, pose_energies=stop.pose_energies)]
-                for stop, kind in ((stops[0], "head"), (stops[-1], "tail")))
-            builder.contract(head, tail, np.array([s.location for s in stops]),
-                             [s.detection_score for s in stops],
-                             [s.pose_energies for s in stops])
+            patch.setattr(solver, "VISIBLE_STOP_ACTIONS", ("walking", second))
+            patch.setattr(solver, "_price_poses", lambda features, params: energies)
+            graph = build_graph(detections, [tracklet], [], ContainerSolution((), {}, 0.0, 0.0),
+                                camera, table_params, mode)
+            (eid,) = np.flatnonzero(graph.edge_columns.interior >= 0)
+            head, tail = (node_stop(graph, int(nid)) for nid in
+                          (graph.edge_columns.src[eid], graph.edge_columns.dst[eid]))
+            assert head.pose_energies == stops[0].pose_energies
             reference = per_hop_tracklet_edge(head, tail, stops, table_params,
                                               camera.frame_rate, mode)
-        assert_same_edge(builder.edges[-1], reference)
+        assert_same_edge(edge_row(graph, eid), reference)
+
 
 class TestJointSolve:
+    def test_track_path_builds_no_records(self, suite_runs, params, monkeypatch):
+        # joint_solve reads the graph's columns only: it builds no node or
+        # edge record, and one checked breakdown, the solution's totals
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph record was built")
+
+        checked = []
+        check = EnergyBreakdown.__post_init__
+        monkeypatch.setattr(solver, "GraphNode", refuse)
+        monkeypatch.setattr(solver, "GraphEdge", refuse)
+        monkeypatch.setattr(EnergyBreakdown, "__post_init__",
+                            lambda self: (checked.append(self), check(self)))
+        sim = dict(suite_runs)["enter_drive_exit"]
+        result = joint_solve(sim.detections, default_camera(), params)
+        assert any(p.state is VisibilityState.CONTAINED
+                   for t in result.solution.trajectories for p in t.points)
+        assert len(checked) == 1
+        monkeypatch.undo()
+        with pytest.raises(AssertionError, match="record"):
+            monkeypatch.setattr(solver, "GraphEdge", refuse)
+            pipeline_graph(sim.detections, default_camera(), params).edges
+
     def test_empty_scene(self, camera, params):
         result = joint_solve([], camera, params)
         assert result.trajectories == ()

@@ -579,7 +579,38 @@ class TestCompatiblePairs:
                 == per_pair_compatible(tracklets, params))
 
 
+def per_pair_gap_candidates(tracklets, params, frame_rate):
+    """``find_gap_candidates`` as a per-pair loop with the scalar distance."""
+    out = []
+    for before, after, similarity in tk.compatible_pairs(tracklets, params):
+        if tk.gap_between(before, after) > params.max_gap_frames:
+            continue
+        dt = after.start_frame - before.end_frame
+        speed = ground_distance(before.positions[-1], after.positions[0]) / (dt / frame_rate)
+        if speed > tk.LINK_GATE_SLACK * params.speed_bound(before.object_class):
+            continue
+        out.append((before.id, after.id, similarity))
+    return out
+
+
 class TestGapCandidates:
+    def test_suite_candidates_match_per_pair_loop(self, suite_runs, params):
+        # the stacked distances keep the candidates, their order and their
+        # similarities' bits; some pairs fail each gate
+        camera = default_camera()
+        kept = gated = 0
+        for name, sim in suite_runs:
+            others = [d for d in sim.detections if d.object_class is not ObjectClass.VEHICLE]
+            tracklets = tk.generate_tracklets(others, camera, params)
+            found = [(a.id, b.id, s) for a, b, s in
+                     tk.find_gap_candidates(tracklets, params, camera.frame_rate)]
+            expected = per_pair_gap_candidates(tracklets, params, camera.frame_rate)
+            assert found == expected, name
+            kept += len(found)
+            gated += sum(tk.gap_between(a, b) <= params.max_gap_frames
+                         for a, b, _ in tk.compatible_pairs(tracklets, params)) - len(found)
+        assert kept > 1000 and gated > 10
+
     def test_all_gates_pass(self, params):
         t1 = line_tracklet(0, 0, [[0, 0], [0.2, 0]])
         t2 = line_tracklet(1, 12, [[1.0, 0], [1.2, 0]])

@@ -20,10 +20,8 @@ from .core import (
     Trajectory,
     TrajectoryPoint,
     VisibilityState,
-    descriptor_similarity,
     ground_distance,
     pool_descriptors,
-    project_to_ground,
 )
 
 __version__ = "0.1.0"
@@ -41,9 +39,7 @@ __all__ = [
     "Trajectory",
     "TrajectoryPoint",
     "VisibilityState",
-    "descriptor_similarity",
     "ground_distance",
     "pool_descriptors",
-    "project_to_ground",
     "__version__",
 ]

@@ -9,14 +9,15 @@ Log level comes from the FLUENT_TRACK_LOG environment variable.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import gc
 import logging
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set
 
 import numpy as np
 
@@ -99,21 +100,17 @@ def _model_lengths(params: ModelParameters) -> Dict[str, Set[int]]:
 
 
 def _track_one(detections_path: str, camera_path: str, out_dir: Path,
-               params: ModelParameters, mode: str, made: List[Path]) -> Path:
-    """Solve one sequence into ``out_dir``. Each directory and file it
-    creates is added to ``made`` before it is written."""
+               params: ModelParameters, mode: str) -> None:
+    """Solve one sequence and write its outputs into ``out_dir``."""
     detections = fileio.read_detections(detections_path, _model_lengths(params))
     camera = fileio.read_camera(camera_path)
     result = joint_solve(detections, camera, params, mode=mode)
-    made.extend(d for d in (out_dir, *out_dir.parents) if not d.exists())
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, write, payload in (
             ("trajectories.jsonl", fileio.write_trajectories, result.trajectories),
             ("frame_parses.jsonl", fileio.write_frame_parses, result.frame_parses),
             ("summary.json", fileio.write_json, result.summary)):
-        made.append(out_dir / name)
         write(out_dir / name, payload)
-    return out_dir
 
 
 def _out_file(out: str) -> Path:
@@ -124,18 +121,11 @@ def _out_file(out: str) -> Path:
     return path
 
 
-def _remove(made: Sequence[Path]) -> None:
-    """Remove the files and directories a failed run made, deepest first;
-    a directory that is not empty stays."""
-    for path in sorted(set(made), key=lambda p: len(p.parts), reverse=True):
-        with contextlib.suppress(OSError):
-            if path.is_dir():
-                path.rmdir()
-            else:
-                path.unlink()
-
-
 def cmd_track(args) -> int:
+    """Track each sequence into a staging directory under ``--out`` and
+    move the outputs into place only when every sequence has succeeded. If
+    a sequence fails, the run removes the staging directory, and ``--out``
+    too if the run created it, so ``--out`` is left as it was."""
     out_dir = Path(args.out)
     if args.jobs < 1:
         raise fileio.InputFormatError(f"--jobs must be at least 1, got {args.jobs}")
@@ -151,23 +141,32 @@ def cmd_track(args) -> int:
                     f"sequence directories {seen[name]} and {seq} would both write "
                     f"{out_dir / name}")
             seen[name] = seq
-        jobs = [(Path(seq) / "detections.jsonl", Path(seq) / "camera.json",
-                 out_dir / Path(seq).name) for seq in args.sequence_dirs]
+        # (detections, camera, the output subdirectory of out_dir: "" for out_dir)
+        jobs = [(Path(seq) / "detections.jsonl", Path(seq) / "camera.json", Path(seq).name)
+                for seq in args.sequence_dirs]
     elif args.detections and args.camera:
-        jobs = [(args.detections, args.camera, out_dir)]
+        jobs = [(args.detections, args.camera, "")]
     else:
         raise fileio.InputFormatError("track requires --detections and --camera")
     params = _build_parameters(args)
 
-    made: List[Path] = []
+    created = next((d for d in reversed((out_dir, *out_dir.parents)) if not d.exists()), None)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".track-", dir=out_dir))
     try:
         # one sequence after another on this thread: the interpreter lock
         # serializes a thread pool's workers, which only adds their overhead
-        for job in jobs:
-            log.info("tracked %s", _track_one(*job, params, args.mode, made))
+        for detections, camera, name in jobs:
+            _track_one(detections, camera, staging / name, params, args.mode)
+            log.info("tracked %s", out_dir / name)
+        for _, _, name in jobs:
+            (out_dir / name).mkdir(exist_ok=True)
+            for output in (staging / name).iterdir():
+                os.replace(output, out_dir / name / output.name)
     except BaseException:
-        _remove(made)
+        shutil.rmtree(created or staging, ignore_errors=True)
         raise
+    shutil.rmtree(staging)  # only the emptied sequence directories are left
     return EXIT_OK
 
 

@@ -6,7 +6,8 @@ instances can be shared freely between threads.
 Batched kernels keep the bits of their scalar references. ``ground_points``
 and ``ground_distances`` compute a whole sequence in one stacked call, and
 each row is the same BLAS kernel on the same operands as one call of
-``project_to_ground`` or ``ground_distance``: a stacked ``np.matmul`` of
+``project_to_ground`` (kept in ``tests/core_reference.py``) or
+``ground_distance``: a stacked ``np.matmul`` of
 ``(n, 3, 3) @ (n, 3, 1)`` runs the ``gemv`` of ``homography @ foot``, and
 ``row_dots``, a stacked ``(n, 1, k) @ (n, k, 1)``, runs the ``ddot`` of a
 1-D ``a @ b``, ``np.dot(a, b)`` and ``np.linalg.norm(v)``. Forms that look
@@ -476,26 +477,12 @@ class ModelParameters:
 # geometry and descriptor operations
 # ---------------------------------------------------------------------------
 
-def project_to_ground(camera: CameraModel, bbox: Sequence[float]) -> np.ndarray:
-    """Map a pixel box to ground-plane meters via its bottom-center point.
-
-    Raises :class:`DegenerateProjectionError` when the homogeneous scale of
-    the projected point is (near) zero. The scalar reference of
-    ``ground_points``.
-    """
-    x, y, w, hh = (float(v) for v in bbox)
-    foot = np.array([x + w / 2.0, y + hh, 1.0])
-    projected = camera.homography @ foot
-    if abs(projected[2]) < 1e-9:
-        raise DegenerateProjectionError(
-            f"bottom-center {foot[:2]} projects to homogeneous scale {projected[2]:.3e}"
-        )
-    return projected[:2] / projected[2]
-
-
 def ground_points(camera: CameraModel, bboxes: Sequence[Sequence[float]]) -> np.ndarray:
-    """``project_to_ground`` of every box, as one ``(n, 2)`` array with the
-    same bits; the first degenerate box raises as it would there."""
+    """Map each pixel box to ground-plane meters via its bottom-center
+    point, as one ``(n, 2)`` array with the bits of the scalar
+    ``project_to_ground`` in ``tests/core_reference.py``. Raises
+    :class:`DegenerateProjectionError` for the first box whose projected
+    homogeneous scale is (near) zero."""
     boxes = np.asarray(bboxes, dtype=float).reshape(-1, 4)
     feet = np.stack([boxes[:, 0] + boxes[:, 2] / 2.0, boxes[:, 1] + boxes[:, 3],
                      np.ones(len(boxes))], axis=1)
@@ -546,18 +533,6 @@ def gathered_rows(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
         rows = slice(start, start + GATHER_BLOCK)
         out[rows] = kernel(a[i[rows]], b[j[rows]])
     return out
-
-
-def descriptor_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two unit-norm appearance descriptors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"descriptor dimensions differ: {a.shape} vs {b.shape}")
-    for v in (a, b):
-        if abs(math.sqrt(v @ v) - 1.0) > UNIT_NORM_TOL:
-            raise ValueError("descriptors must be unit norm (within 1e-6)")
-    return float(a @ b)
 
 
 def pool_descriptors(descriptors: Sequence[np.ndarray]) -> np.ndarray:

@@ -1,41 +1,32 @@
-"""Energy terms of the tracking objective and the composite edge cost.
+"""Energy terms of the tracking objective, priced as arrays.
 
 Four components are combined on every transition-graph edge: a displacement
 term (motion consistency), a state-transition term (-log transition
 probability), a visibility term (how well the data supports the state), and
-an action term (pose / vehicle-fluent evidence). All functions are pure.
+an action term (pose / vehicle-fluent evidence).
 
-``edge_cost`` prices a hop between two stops, read by attribute: any stop
-has ``frame``, ``location`` and ``state``, and the hop's source also carries
-the evidence it pays, ``detection_score``, ``container_score``,
-``gap_similarity``, ``pose_feature`` and ``pose_energies`` (None when
-absent). ``pose_energies`` maps action names to the ``pose_distance`` of the
-stop's pose feature when the stop was priced in bulk by ``pose_distances``;
-a hop reads it instead of solving again. ``edge_cost`` is ``best_action``,
-the action choice that only the state pair and the action evidence
-determine, plus the displacement and visibility terms. ``hop_costs`` is its
-array form for the graph builder: it prices a block of one-frame hops that
-leave stops of one state, with each hop's choice given, so a caller that
-meets the same evidence again keeps the choice; ``check_breakdowns`` holds
-``EnergyBreakdown``'s checks for such a block.
+A hop's action is chosen by one kernel, ``best_actions``: for a block of
+hops between one pair of states, each hop takes the legal action of least
+transition energy plus action term. The action term (``action_terms``)
+reads each hop's pose terms and its container fluent's distances to the
+action templates (``FluentDistances``). ``hop_costs`` adds the displacement
+and visibility terms, which do not depend on the action, and gives the
+block's ``(m, 5)`` breakdown rows; ``check_breakdowns`` holds
+``EnergyBreakdown``'s checks for such rows. Every kernel keeps, entry by
+entry, the bits of the scalar per-hop pricing in
+``tests/energy_reference.py``, which the tests compare it against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (
-    ActionModel,
-    ModelParameters,
-    VisibilityState,
-    ground_distance,
-    row_dots,
-)
-from .grammar import INERTIAL_ACTION, LEGAL_ACTIONS, VEHICLE_ACTIONS, ActionStateTable
+from .core import ActionModel, ModelParameters, VisibilityState, row_dots
+from .grammar import DEFAULT_ACTIONS, LEGAL_ACTIONS, VEHICLE_ACTIONS, ActionStateTable
 
 PROBABILITY_FLOOR = 1e-9
 NEUTRAL_SIGMOID = 0.5  # sigmoid at zero evidence; used when a feature is absent
@@ -45,6 +36,10 @@ NEUTRAL_SIGMOID = 0.5  # sigmoid at zero evidence; used when a feature is absent
 # hops sums to totals near 1e5, whose rounding alone exceeds 1e-9.
 TOTAL_TOLERANCE = 1e-9
 
+# The action names; an action code is an index into this tuple.
+ACTIONS = tuple(action.name for action in DEFAULT_ACTIONS)
+_ACTION_CODES = {name: code for code, name in enumerate(ACTIONS)}
+
 
 def sigmoid(x: float) -> float:
     """Numerically stable logistic function."""
@@ -52,27 +47,6 @@ def sigmoid(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     z = math.exp(x)
     return z / (1.0 + z)
-
-
-def displacement_energy(
-    l_next,
-    l_cur,
-    state_cur: VisibilityState,
-    params: ModelParameters,
-    dt_frames: int,
-    frame_rate: float,
-) -> float:
-    """Motion-consistency gate: 0/1 speed indicator for visible objects.
-
-    Invisible (occluded or contained) steps always cost 1, which makes every
-    frame spent out of sight carry a fixed displacement penalty.
-    """
-    if dt_frames < 1:
-        raise ValueError("dt_frames must be >= 1")
-    if state_cur is not VisibilityState.VISIBLE:
-        return 1.0
-    bound = params.tau_s * dt_frames / frame_rate
-    return 1.0 if ground_distance(l_next, l_cur) > bound else 0.0
 
 
 def transition_energy(
@@ -86,31 +60,6 @@ def transition_energy(
     return -math.log(max(p, PROBABILITY_FLOOR))
 
 
-def visibility_likelihood(
-    state: VisibilityState,
-    detection_score: Optional[float] = None,
-    container_score: Optional[float] = None,
-    gap_similarity: Optional[float] = None,
-) -> float:
-    """Evidence energy for a node's visibility state.
-
-    Visible nodes cost 1 - detection score, contained nodes 1 - container
-    score, and occluded nodes the sigmoid of the appearance discrepancy
-    (1 - pooled-descriptor similarity) between the two tracklets they bridge.
-    """
-    if state is VisibilityState.VISIBLE:
-        if detection_score is None:
-            raise ValueError("visible state requires a detection score")
-        return 1.0 - float(detection_score)
-    if state is VisibilityState.CONTAINED:
-        if container_score is None:
-            raise ValueError("contained state requires a container score")
-        return 1.0 - float(container_score)
-    if gap_similarity is None:
-        raise ValueError("occluded state requires a gap similarity")
-    return sigmoid(1.0 - float(gap_similarity))
-
-
 def pose_model(action: str, params: ModelParameters) -> ActionModel:
     """The fitted pose model of ``action``; KeyError if there is none."""
     model = params.action_pose_models.get(action)
@@ -120,11 +69,12 @@ def pose_model(action: str, params: ModelParameters) -> ActionModel:
 
 
 def pose_distances(features: Sequence[np.ndarray], model: ActionModel) -> np.ndarray:
-    """``pose_distance`` of each of ``n`` pose features, as one array.
+    """The negative Gaussian log-density of each of ``n`` pose features
+    under an action model, as one array.
 
     One stacked ``np.linalg.solve`` with one right-hand side per feature
-    runs LAPACK's ``gesv`` on each feature as the 1-D solve does, so every
-    value keeps its bits; solving all features as the columns of one
+    runs LAPACK's ``gesv`` on each feature as the 1-D solve of the scalar
+    reference does, so every value keeps its bits; solving all features as the columns of one
     right-hand side matrix does not (2,093 of the suite's 8,278 energies
     under the walking model move in the last digit).
     """
@@ -139,58 +89,6 @@ def pose_distances(features: Sequence[np.ndarray], model: ActionModel) -> np.nda
         raise ValueError(f"covariance for action {model.name!r} is not positive definite")
     d = mean.shape[0]
     return 0.5 * (quad + model.log_det + d * math.log(2.0 * math.pi))
-
-
-def pose_distance(pose_feature: np.ndarray, model: ActionModel) -> float:
-    """Negative Gaussian log-density of a pose feature under an action model."""
-    x = np.asarray(pose_feature, dtype=float)
-    if x.shape != model.mean.shape:
-        raise ValueError(
-            f"pose feature dimension {x.shape} != model dimension {model.mean.shape}")
-    return float(pose_distances(x[None], model)[0])
-
-
-def vehicle_fluent_distance(fluent_feature: np.ndarray, template: np.ndarray) -> float:
-    """Euclidean distance between an observed vehicle fluent and a template."""
-    x = np.asarray(fluent_feature, dtype=float)
-    t = np.asarray(template, dtype=float)
-    if x.shape != t.shape:
-        raise ValueError(f"fluent feature dimension {x.shape} != template dimension {t.shape}")
-    diff = x - t
-    return math.sqrt(diff @ diff)
-
-
-def action_likelihood(
-    action: str,
-    params: ModelParameters,
-    pose_feature: Optional[np.ndarray] = None,
-    vehicle_fluent_feature: Optional[np.ndarray] = None,
-    pose_energies: Optional[Mapping[str, float]] = None,
-) -> float:
-    """sigmoid(pose distance) + sigmoid(fluent distance) for one action.
-
-    A missing feature contributes the neutral constant 0.5 (the sigmoid at
-    zero evidence). The fluent term only consults features for actions that
-    involve a vehicle; walking always takes the neutral term.
-    ``pose_energies`` holds the pose distance of ``pose_feature`` for the
-    actions it was already priced for.
-    """
-    if pose_feature is not None:
-        if pose_energies is not None and action in pose_energies:
-            distance = pose_energies[action]
-        else:
-            distance = pose_distance(pose_feature, pose_model(action, params))
-        pose_term = sigmoid(distance)
-    else:
-        pose_term = NEUTRAL_SIGMOID
-    if vehicle_fluent_feature is not None and action in VEHICLE_ACTIONS:
-        template = params.vehicle_fluent_templates.get(action)
-        if template is None:
-            raise KeyError(f"no fluent template for action {action!r}")
-        fluent_term = sigmoid(vehicle_fluent_distance(vehicle_fluent_feature, template))
-    else:
-        fluent_term = NEUTRAL_SIGMOID
-    return pose_term + fluent_term
 
 
 @dataclass(frozen=True)
@@ -248,72 +146,6 @@ def check_breakdowns(rows: np.ndarray) -> None:
         raise ValueError("total must equal the sum of the components")
 
 
-def best_action(
-    src_state: VisibilityState,
-    dst_state: VisibilityState,
-    params: ModelParameters,
-    pose_feature: Optional[np.ndarray] = None,
-    pose_energies: Optional[Mapping[str, float]] = None,
-    fluent: Optional[np.ndarray] = None,
-) -> Tuple[str, float, float]:
-    """The action of a ``src_state -> dst_state`` hop, with its transition
-    energy and action term: (action, transition, action term).
-
-    The transition and action terms are minimized jointly over the actions
-    ``LEGAL_ACTIONS`` allows for the state pair (ties go to the first, i.e.
-    lowest-id, action). The evidence is the hop source's pose feature and
-    pose energies and the container's vehicle-fluent feature, as in
-    ``action_likelihood``; nothing else enters the choice.
-    """
-    legal_actions = LEGAL_ACTIONS[(src_state, dst_state)]
-    if not legal_actions:
-        raise ValueError(
-            f"no legal action for state pair {src_state.value} -> {dst_state.value}"
-        )
-    table = params.transition_table
-    if table is None:
-        raise ValueError("params.transition_table is required for edge costs")
-    best = None
-    best_transition = 0.0
-    best_action_term = 0.0
-    best_value = math.inf
-    for action in legal_actions:
-        transition = transition_energy(dst_state, src_state, action, table)
-        action_term = action_likelihood(
-            action,
-            params,
-            pose_feature=pose_feature,
-            vehicle_fluent_feature=fluent,
-            pose_energies=pose_energies,
-        )
-        value = transition + action_term
-        if value < best_value - 1e-15:
-            best_value = value
-            best = action
-            best_transition = transition
-            best_action_term = action_term
-    assert best is not None
-    return best, best_transition, best_action_term
-
-
-def _hop_terms(src, dst, params: ModelParameters, frame_rate: float) -> Tuple[float, float]:
-    """The displacement and visibility terms of the hop ``src -> dst``,
-    which do not depend on its action."""
-    dt_frames = dst.frame - src.frame
-    if dt_frames < 1:
-        raise ValueError("edges must advance time (dt_frames >= 1)")
-    displacement = displacement_energy(
-        dst.location, src.location, src.state, params, dt_frames, frame_rate
-    )
-    visibility = visibility_likelihood(
-        src.state,
-        detection_score=src.detection_score,
-        container_score=src.container_score,
-        gap_similarity=src.gap_similarity,
-    )
-    return displacement, visibility
-
-
 def sigmoids(x) -> np.ndarray:
     """``sigmoid`` of each value, with its bits: the scalar kernel, once per
     distinct value."""
@@ -322,32 +154,135 @@ def sigmoids(x) -> np.ndarray:
 
 
 def visibility_likelihoods(state: VisibilityState, evidence: np.ndarray) -> np.ndarray:
-    """``visibility_likelihood`` of stops in ``state`` with the evidence
-    that state reads (detection scores, container scores or gap
-    similarities), as one array with its bits."""
+    """The visibility term of stops in ``state`` from the evidence that
+    state reads: ``1 - score`` for detection scores (visible) and container
+    scores (contained), the sigmoid of ``1 - similarity`` for the gap
+    similarities of the two tracklets an occluded stop bridges."""
     evidence = np.asarray(evidence, dtype=float)
     if state is not VisibilityState.OCCLUDED:
         return 1.0 - evidence
     return sigmoids(1.0 - evidence)
 
 
+class FluentDistances:
+    """The container fluents of ``m`` hops (None for a hop without one) and
+    their Euclidean distance to each action's template, measured once per
+    action on first use: the enter/exit gate and the action terms read one
+    table."""
+
+    def __init__(self, fluents: Sequence[Optional[np.ndarray]],
+                 templates: Mapping[str, np.ndarray]):
+        self.fluents = list(fluents)
+        self.templates = templates
+        self.present = np.array([f is not None for f in self.fluents], dtype=bool)
+        self.columns: Dict[str, np.ndarray] = {}
+
+    def __call__(self, action: str) -> np.ndarray:
+        """Each hop's distance to ``action``'s template, NaN for a hop
+        without a fluent; each value has the bits of ``math.sqrt(d @ d)``.
+        KeyError if ``action`` has no template, ValueError if a fluent's
+        length is not the template's."""
+        column = self.columns.get(action)
+        if column is None:
+            template = self.templates.get(action)
+            if template is None:
+                raise KeyError(f"no fluent template for action {action!r}")
+            template = np.asarray(template, dtype=float)
+            features = [np.asarray(f, dtype=float) for f in self.fluents if f is not None]
+            for feature in features:
+                if feature.shape != template.shape:
+                    raise ValueError(f"fluent feature dimension {feature.shape} != template "
+                                     f"dimension {template.shape}")
+            column = np.full(len(self.fluents), math.nan)
+            if features:
+                diff = np.array(features) - template
+                column[self.present] = np.sqrt(row_dots(diff, diff))
+            self.columns[action] = column
+        return column
+
+    def take(self, rows: np.ndarray) -> "FluentDistances":
+        """The table of the hops ``rows``, with the distances measured so far."""
+        table = FluentDistances([self.fluents[i] for i in rows.tolist()], self.templates)
+        table.columns = {action: column[rows] for action, column in self.columns.items()}
+        return table
+
+
+def action_terms(action: str, count: int, pose_terms: Optional[Mapping[str, np.ndarray]] = None,
+                 fluents: Optional[FluentDistances] = None) -> np.ndarray:
+    """The action term of ``action`` for each of ``count`` hops: its pose
+    term plus its fluent term.
+
+    ``pose_terms[action]`` holds each hop's pose term, the sigmoid of its
+    source's pose distance under the action's model, or the neutral 0.5
+    for a source without a pose feature; without ``pose_terms`` every hop
+    takes the neutral term. The fluent term is the sigmoid of the hop's
+    ``fluents`` distance for an action that involves a vehicle and a hop
+    that has a fluent, and the neutral 0.5 otherwise.
+    """
+    pose = np.full(count, NEUTRAL_SIGMOID) if pose_terms is None else pose_terms[action]
+    fluent = np.full(count, NEUTRAL_SIGMOID)
+    if fluents is not None and action in VEHICLE_ACTIONS and fluents.present.any():
+        fluent[fluents.present] = sigmoids(fluents(action)[fluents.present])
+    return pose + fluent
+
+
+def best_actions(src_state: VisibilityState, dst_state: VisibilityState,
+                 params: ModelParameters, count: int,
+                 pose_terms: Optional[Mapping[str, np.ndarray]] = None,
+                 fluents: Optional[FluentDistances] = None
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The action of each of ``count`` hops from ``src_state`` to
+    ``dst_state``, with its transition energy and action term, as three
+    arrays: action codes into ``ACTIONS``, transition energies and action
+    terms.
+
+    Each hop takes the action of least transition energy plus action term
+    (``action_terms`` of its ``pose_terms`` and ``fluents``) among those
+    ``LEGAL_ACTIONS`` allows for the state pair; an action replaces the
+    best so far only when it is lower by more than 1e-15, so a tie goes to
+    the first in ``LEGAL_ACTIONS`` order. ValueError for a state pair with
+    no legal action; when a hop has a fluent, ``fluents`` raises KeyError
+    for a legal vehicle action without a template and ValueError for a
+    fluent whose length is not the template's.
+    """
+    legal = LEGAL_ACTIONS[(src_state, dst_state)]
+    if not legal:
+        raise ValueError(
+            f"no legal action for state pair {src_state.value} -> {dst_state.value}")
+    table = params.transition_table
+    if table is None:
+        raise ValueError("params.transition_table is required for edge costs")
+    codes = np.zeros(count, dtype=np.int8)
+    best = np.full(count, math.inf)
+    transition = np.zeros(count)
+    action_term = np.zeros(count)
+    for action in legal:
+        energy = transition_energy(dst_state, src_state, action, table)
+        term = action_terms(action, count, pose_terms, fluents)
+        value = energy + term
+        better = value < best - 1e-15
+        codes[better], best[better] = _ACTION_CODES[action], value[better]
+        transition[better], action_term[better] = energy, term[better]
+    return codes, transition, action_term
+
+
 def hop_costs(src_state: VisibilityState, distance: Optional[np.ndarray],
               visibility: np.ndarray, transition: np.ndarray, action_term: np.ndarray,
               params: ModelParameters, frame_rate: float) -> np.ndarray:
-    """``edge_cost`` of ``m`` one-frame hops that leave stops in
+    """The energy of ``m`` one-frame hops that leave stops in
     ``src_state``, as ``(m, 5)`` rows of displacement, transition,
     visibility, action and total.
 
     ``distance`` is each hop's ground distance, read only for a visible
-    source, whose displacement is 0/1 against the speed bound; any other
-    source pays 1. ``visibility`` is the source's ``visibility_likelihoods``,
-    and ``transition`` and ``action_term`` are each hop's ``best_action``
-    choice; a caller that strips the likelihood terms passes zeros. Every
-    entry has the bits ``edge_cost`` gives its hop.
+    source, whose displacement is 0/1 against the speed bound
+    ``tau_s / frame_rate``; any other source pays 1. ``visibility`` is the
+    source's ``visibility_likelihoods``, and ``transition`` and
+    ``action_term`` are each hop's ``best_actions`` choice; a caller that
+    strips the likelihood terms passes zeros.
     """
     rows = np.empty((len(visibility), 5))
     if src_state is VisibilityState.VISIBLE:
-        bound = params.tau_s / frame_rate  # displacement_energy's, dt = 1
+        bound = params.tau_s / frame_rate
         rows[:, 0] = np.where(np.asarray(distance) > bound, 1.0, 0.0)
     else:
         rows[:, 0] = 1.0
@@ -358,52 +293,15 @@ def hop_costs(src_state: VisibilityState, distance: Optional[np.ndarray],
     return rows
 
 
-def edge_cost(src, dst, params: ModelParameters, frame_rate: float,
-              fluent: Optional[np.ndarray] = None) -> Tuple[EnergyBreakdown, str]:
-    """Composite energy of the hop ``src -> dst`` and its best action label.
-
-    A stop is anything with ``frame``, ``location`` and ``state``; the hop
-    spans ``dst.frame - src.frame`` frames. The hop pays ``src``'s evidence:
-    its ``detection_score``, ``container_score``, ``gap_similarity`` and
-    ``pose_feature`` (each None when absent). ``fluent`` is the container's
-    vehicle-fluent feature, for hops into, out of or along a container.
-
-    The transition and action terms are those of ``best_action``;
-    displacement and visibility do not depend on the action.
-    """
-    displacement, visibility = _hop_terms(src, dst, params, frame_rate)
-    action, transition, action_term = best_action(src.state, dst.state, params,
-                                                  src.pose_feature, src.pose_energies, fluent)
-    return EnergyBreakdown.build(displacement, transition, visibility, action_term), action
-
-
-def node_exit_cost(node, params: ModelParameters) -> EnergyBreakdown:
-    """Likelihood terms paid when a trajectory ends at ``node`` (no
-    transition), scored under the inertial action. ``node`` supplies the
-    same evidence as an ``edge_cost`` source stop."""
-    visibility = visibility_likelihood(
-        node.state, detection_score=node.detection_score,
-        container_score=node.container_score, gap_similarity=node.gap_similarity,
-    )
-    action_term = action_likelihood(INERTIAL_ACTION, params, pose_feature=node.pose_feature,
-                                    pose_energies=node.pose_energies)
-    return EnergyBreakdown.build(0.0, 0.0, visibility, action_term)
-
-
 # Scores are clamped to this range before their log-odds are taken, so a
 # detection of score 0 or 1 still has a finite reward.
 LOG_ODDS_MIN_SCORE = 0.01
 LOG_ODDS_MAX_SCORE = 0.99
 
 
-def log_odds(score: float) -> float:
-    """Clamped log-odds of a detection score; the node reward unit."""
-    h = min(max(float(score), LOG_ODDS_MIN_SCORE), LOG_ODDS_MAX_SCORE)
-    return math.log(h / (1.0 - h))
-
-
 def log_odds_each(scores) -> np.ndarray:
-    """``log_odds`` of each score, as one array with its bits: the clamp and
-    the odds as arrays, the logarithm with the scalar kernel."""
+    """The clamped log-odds of each detection score, the node reward unit:
+    the clamp and the odds as arrays, the logarithm with the scalar
+    ``math.log``."""
     h = np.clip(np.asarray(scores, dtype=float), LOG_ODDS_MIN_SCORE, LOG_ODDS_MAX_SCORE)
     return np.array([math.log(odds) for odds in (h / (1.0 - h)).tolist()])

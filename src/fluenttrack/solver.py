@@ -18,12 +18,14 @@ their actions as runs. The builder prices every kind of edge as one block
 with ``energy.hop_costs``: visible adjacency, vestibule hops, enter and exit
 hops, container chain hops and exits; every tracklet's interior in one pass
 (``_GraphBuilder.contract``) and every gap link's in another
-(``_GraphBuilder.bridges``). A hop's action depends only on its state pair,
-its source's pose and the container's fluent, so the builder chooses it
-once per such evidence. Chains are summed hop by hop in hop order, so every
-super-edge has the bits of its chain priced hop by hop with
-``energy.edge_cost``. The breakdown checks run once per graph, on the
-columns. ``nodes`` and ``edges`` are record views built from the columns on
+(``_GraphBuilder.bridges``). Every block takes its hops' actions from one
+kernel, ``energy.best_actions``, which reads each hop's pose terms (the
+graph's ``PoseTable`` rows) and its container fluent's distances to the
+action templates; the enter/exit gate reads the same distances. Chains are
+summed hop by hop in hop order, so every super-edge has the bits of its
+chain priced hop by hop with the scalar reference in
+``tests/energy_reference.py``. The breakdown checks run once per graph, on
+the columns. ``nodes`` and ``edges`` are record views built from the columns on
 first access; the solve never builds them.
 
 Trajectories are extracted one at a time by dynamic programming over the
@@ -68,13 +70,15 @@ from .core import (
     VisibilityState,
     ground_distances,
     ground_points,
-    row_dots,
 )
 from .energy import (
+    ACTIONS,
     NEUTRAL_SIGMOID,
     EnergyBreakdown,
+    FluentDistances,
     ZERO_BREAKDOWN,
-    best_action,
+    action_terms,
+    best_actions,
     check_breakdowns,
     hop_costs,
     log_odds_each,
@@ -82,12 +86,9 @@ from .energy import (
     pose_model,
     row_totals,
     sigmoids,
-    transition_energy,
-    vehicle_fluent_distance,
     visibility_likelihoods,
 )
 from .grammar import (
-    DEFAULT_ACTIONS,
     INERTIAL_ACTION,
     LEGAL_ACTIONS,
     default_grammar,
@@ -195,8 +196,6 @@ def solve_containers(
 STATES = tuple(VisibilityState)
 NODE_KINDS = ("head", "tail", "single", "detection", "vestibule", "contained")
 OBJECT_CLASSES = tuple(ObjectClass)
-ACTIONS = tuple(action.name for action in DEFAULT_ACTIONS)
-_ACTION_CODES = {name: code for code, name in enumerate(ACTIONS)}
 _VISIBLE, _OCCLUDED, _CONTAINED = (STATES.index(s) for s in (
     VisibilityState.VISIBLE, VisibilityState.OCCLUDED, VisibilityState.CONTAINED))
 _HEAD, _TAIL, _SINGLE, _DETECTION, _VESTIBULE, _CONTAINED_NODE = range(len(NODE_KINDS))
@@ -359,8 +358,9 @@ NO_INTERIORS = InteriorColumns(np.zeros(0, np.int64), np.zeros(0, np.int8), (),
 
 class PoseTable(NamedTuple):
     """The pose evidence of the detections a graph was built from: each
-    detection's pose feature (None without one) and its ``pose_distance``
-    under each of ``VISIBLE_STOP_ACTIONS`` (NaN without one)."""
+    detection's pose feature (None without one) and its
+    ``energy.pose_distances`` under each of ``VISIBLE_STOP_ACTIONS`` (NaN
+    without one)."""
 
     features: Tuple[Optional[np.ndarray], ...]
     energies: np.ndarray
@@ -463,16 +463,16 @@ VISIBLE_STOP_ACTIONS = tuple(dict.fromkeys(
 
 def _price_poses(features: Sequence[Optional[np.ndarray]], params: ModelParameters) -> np.ndarray:
     """The pose energies of detections with pose ``features`` (None for a
-    detection without one): the ``pose_distance`` of each feature under
+    detection without one): the ``pose_distances`` of the features under
     each of ``VISIBLE_STOP_ACTIONS``, one stacked solve per action, as an
     ``(n, len(VISIBLE_STOP_ACTIONS))`` array whose rows are NaN for a
     detection without a pose feature."""
     energies = np.full((len(features), len(VISIBLE_STOP_ACTIONS)), math.nan)
-    posed = [i for i, feature in enumerate(features) if feature is not None]
-    if posed:
+    with_pose = [i for i, feature in enumerate(features) if feature is not None]
+    if with_pose:
         for k, action in enumerate(VISIBLE_STOP_ACTIONS):
-            energies[posed, k] = pose_distances([features[i] for i in posed],
-                                                pose_model(action, params))
+            energies[with_pose, k] = pose_distances([features[i] for i in with_pose],
+                                                    pose_model(action, params))
     return energies
 
 
@@ -514,7 +514,6 @@ class _GraphBuilder:
         self.edge_blocks: List[Tuple[np.ndarray, ...]] = []
         self.interior_blocks: List[Tuple[np.ndarray, ...]] = []
         self.num_interiors = 0
-        self.choices: Dict[tuple, Tuple[str, float, float]] = {}
         table = params.transition_table
         grammar = default_grammar()
         self.psi_occluded = min_inertial_energy(table, grammar, VisibilityState.OCCLUDED)
@@ -563,54 +562,24 @@ class _GraphBuilder:
         """Whether edges pay the likelihood terms (all but ``prior_only``)."""
         return self.mode != "prior_only"
 
-    def posed(self, ids: Sequence[int]) -> List[Optional[int]]:
-        """Each node id, or None for a node without a pose feature: the
-        node ``choose`` is keyed by."""
-        ids = np.asarray(ids, dtype=np.int64)
-        pose = self.nodes.pose.mask[ids].tolist()
-        return [nid if has else None for nid, has in zip(ids.tolist(), pose)]
-
-    def choose(self, src_state: VisibilityState, dst_state: VisibilityState,
-               node: Optional[int] = None, fluent: Optional[np.ndarray] = None,
-               fluent_at: Optional[Tuple[int, int]] = None) -> Tuple[str, float, float]:
-        """``best_action`` of a hop from ``src_state`` to ``dst_state``, chosen
-        once per builder for what determines it: the state pair; ``node``,
-        the id of the node of this builder whose pose evidence the hop pays
-        (None for a source without a pose feature); and ``fluent_at``, the
-        (container id, frame) whose vehicle fluent ``fluent`` is."""
-        if fluent is not None and fluent_at is None:
-            raise ValueError("a fluent must name the (container id, frame) it was read at")
-        key = (src_state, dst_state, node, None if fluent is None else fluent_at)
-        choice = self.choices.get(key)
-        if choice is None:
-            pose_feature = pose_energies = None
-            if node is not None:
-                row = self.nodes.pose.values[node]
-                pose_feature = self.poses.features[row]
-                pose_energies = dict(zip(VISIBLE_STOP_ACTIONS, self.poses.energies[row].tolist()))
-            choice = self.choices[key] = best_action(src_state, dst_state, self.params,
-                                                     pose_feature, pose_energies, fluent)
-        return choice
-
     @cached_property
     def pose_terms(self) -> np.ndarray:
-        """The pose term ``action_likelihood`` gives each detection under
-        each of ``VISIBLE_STOP_ACTIONS``: the sigmoid of its pose energy,
-        once per detection with a pose feature, else the neutral term."""
+        """The pose term of each detection under each of
+        ``VISIBLE_STOP_ACTIONS``: the sigmoid of its pose energy, once per
+        detection with a pose feature, else the neutral term; a last
+        neutral row stands for the stops without a detection (pose row
+        -1)."""
         energies = self.poses.energies
-        terms = np.full(energies.shape, NEUTRAL_SIGMOID)
-        posed = np.flatnonzero(self.has_pose[:-1])
-        terms[posed] = sigmoids(energies[posed].ravel()).reshape(-1, energies.shape[1])
+        terms = np.full((len(energies) + 1, energies.shape[1]), NEUTRAL_SIGMOID)
+        with_pose = np.flatnonzero(self.has_pose)
+        terms[with_pose] = sigmoids(energies[with_pose].ravel()).reshape(-1, energies.shape[1])
         return terms
 
-    def action_terms(self, ids: np.ndarray, action: str) -> np.ndarray:
-        """``action_likelihood`` of ``action`` without a fluent, for each of
-        the visible nodes (or tracklet stops) whose pose rows are ``ids``
-        (-1 without a pose)."""
-        terms = np.full(len(ids), NEUTRAL_SIGMOID)
-        posed = ids >= 0
-        terms[posed] = self.pose_terms[ids[posed], VISIBLE_STOP_ACTIONS.index(action)]
-        return terms + NEUTRAL_SIGMOID
+    def pose_terms_of(self, rows: np.ndarray) -> Dict[str, np.ndarray]:
+        """The pose terms of the hops that leave stops with pose rows
+        ``rows`` (-1 without a pose feature), per action, as
+        ``best_actions`` reads them."""
+        return {action: self.pose_terms[rows, k] for k, action in enumerate(VISIBLE_STOP_ACTIONS)}
 
     def add_edges(self, src, dst, rows: np.ndarray, net: np.ndarray, action: np.ndarray,
                   is_container_chain: bool = False, interior: Optional[np.ndarray] = None) -> None:
@@ -634,18 +603,18 @@ class _GraphBuilder:
         self.num_interiors += count
         return ids
 
-    def add_plain_edges(self, src: Sequence[int], dst: Sequence[int],
-                        choices: Sequence[Tuple[str, float, float]],
+    def add_plain_edges(self, src: np.ndarray, dst: np.ndarray,
+                        choices: Tuple[np.ndarray, np.ndarray, np.ndarray],
                         is_container_chain: bool = False) -> None:
         """Append the one-frame hops ``src -> dst`` (node ids) as edges, each
-        with its ``choose`` choice, priced as one block: ``hop_costs`` one
-        source state at a time, each hop paying its source's evidence and
-        losing its source's reward."""
+        with its ``best_actions`` choice (codes, transition energies, action
+        terms), priced as one block: ``hop_costs`` one source state at a
+        time, each hop paying its source's evidence and losing its source's
+        reward."""
         nodes = self.nodes
-        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
-        transition = np.array([choice[1] for choice in choices], dtype=float)
-        action_term = np.array([choice[2] if self.likelihood else 0.0 for choice in choices],
-                               dtype=float)
+        codes, transition, action_term = choices
+        if not self.likelihood:
+            action_term = np.zeros(len(src))
         rows = np.empty((len(src), 5))
         state = nodes.state[src]
         for code in np.unique(state).tolist():
@@ -660,16 +629,7 @@ class _GraphBuilder:
                           else np.zeros(len(k)))
             rows[k] = hop_costs(src_state, distance, visibility, transition[k], action_term[k],
                                 self.params, self.camera.frame_rate)
-        self.add_edges(src, dst, rows, rows[:, 4] - nodes.reward[src],
-                       [_ACTION_CODES[choice[0]] for choice in choices], is_container_chain)
-
-    @cached_property
-    def visible_transitions(self) -> Tuple[Tuple[str, float], ...]:
-        """(action, transition energy) of each legal visible -> visible
-        action, in ``LEGAL_ACTIONS`` order."""
-        V = VisibilityState.VISIBLE
-        return tuple((action, transition_energy(V, V, action, self.params.transition_table))
-                     for action in LEGAL_ACTIONS[(V, V)])
+        self.add_edges(src, dst, rows, rows[:, 4] - nodes.reward[src], codes, is_container_chain)
 
     def contract(self, heads: np.ndarray, tails: np.ndarray, lengths: np.ndarray,
                  positions: np.ndarray, scores: np.ndarray, rewards: np.ndarray,
@@ -681,38 +641,26 @@ class _GraphBuilder:
         ``positions``, with detection ``scores``, log-odds ``rewards`` and
         pose rows ``poses`` (-1 for a stop without a pose feature); tracklet
         ``i`` has ``lengths[i]`` stops. Hop ``j`` leaves stop ``j`` and pays
-        its evidence. Each hop costs what ``edge_cost`` (stripped in
-        ``prior_only``) gives one visible -> visible frame: displacement 0/1
-        against the same bound, the minimum of transition + action term over
-        ``visible_transitions`` with its tie rule, visibility ``1 - score``,
-        and an action term of the sigmoid of the cached pose energy plus the
-        neutral fluent term. Each tracklet's components and net cost are
-        added hop by hop in hop order (``_sequential_sums``), as a chain of
-        nodes would add them.
+        its evidence. Each hop is one visible -> visible frame priced by
+        ``hop_costs`` (stripped in ``prior_only``): displacement 0/1 against
+        the speed bound, the ``best_actions`` choice of its stop's pose
+        terms, and visibility ``1 - score``. Each tracklet's components and
+        net cost are added hop by hop in hop order (``_sequential_sums``), as
+        a chain of nodes would add them.
         """
         last = np.cumsum(lengths) - 1
         leaves = np.ones(len(positions), dtype=bool)
         leaves[last] = False
         hop = np.flatnonzero(leaves)  # the stop each hop leaves
-        best = np.zeros(len(hop), dtype=int)
-        best_value = np.full(len(hop), math.inf)
-        transition = np.zeros(len(hop))
-        action_term = np.zeros(len(hop))
-        for k, (action, energy) in enumerate(self.visible_transitions):
-            term = self.action_terms(poses[hop], action)
-            value = energy + term
-            better = value < best_value - 1e-15
-            best[better], best_value[better] = k, value[better]
-            transition[better], action_term[better] = energy, term[better]
+        V = VisibilityState.VISIBLE
+        codes, transition, action_term = best_actions(V, V, self.params, len(hop),
+                                                      self.pose_terms_of(poses[hop]))
         if self.likelihood:
-            visibility = visibility_likelihoods(VisibilityState.VISIBLE, scores[hop])
+            visibility = visibility_likelihoods(V, scores[hop])
         else:
             visibility = action_term = np.zeros(len(hop))
-        rows = hop_costs(VisibilityState.VISIBLE,
-                         ground_distances(positions[hop + 1], positions[hop]), visibility,
+        rows = hop_costs(V, ground_distances(positions[hop + 1], positions[hop]), visibility,
                          transition, action_term, self.params, self.camera.frame_rate)
-        codes = np.array([_ACTION_CODES[action] for action, _ in self.visible_transitions],
-                         dtype=np.int8)[best]
 
         # a tracklet's first hop follows one hop per earlier stop, less the
         # earlier tracklets' last stops
@@ -749,11 +697,12 @@ class _GraphBuilder:
 
         - tail -> first stop: displacement 0/1 against the visible bound
           (one ``ground_distances`` call), visibility ``1 - score``, and the
-          action chosen once per tail node;
+          ``best_actions`` choice of the tail's pose terms;
         - stop -> stop and last stop -> head: displacement 1, since an
           occluded stop has no speed bound; visibility ``sigmoid(1 -
-          similarity)``, once per link; and the action chosen once per
-          builder, since an occluded stop has no pose and no fluent.
+          similarity)``, once per link; and the ``best_actions`` choice
+          without evidence, since an occluded stop has no pose and no
+          fluent.
 
         Bridges exist only in ``full`` mode, so every term is paid. The five
         components and the net cost of each chain (its first hop, ``gap -
@@ -802,17 +751,17 @@ class _GraphBuilder:
             return
 
         m = len(spans)
-        tail_choices = [self.choose(V, O, node) for node in self.posed(tails)]
-        mid_choice, last_choice = self.choose(O, O), self.choose(O, V)
+        tail_codes, transition, action_term = best_actions(
+            V, O, self.params, m, self.pose_terms_of(nodes.pose.values[tails]))
         first = hop_costs(V, ground_distances(first_samples, nodes.location[tails]),
                           visibility_likelihoods(V, nodes.detection_score.values[tails]),
-                          np.array([choice[1] for choice in tail_choices]),
-                          np.array([choice[2] for choice in tail_choices]), self.params, fps)
+                          transition, action_term, self.params, fps)
         # every later hop leaves an occluded stop: displacement 1
         occluded = visibility_likelihoods(O, [link.similarity for _, link, _ in spans])
         reward = self.occluded_reward()
-        mid, last = (hop_costs(O, None, occluded, np.full(m, choice[1]), np.full(m, choice[2]),
-                               self.params, fps) for choice in (mid_choice, last_choice))
+        mid_choice, last_choice = (best_actions(O, dst, self.params, m) for dst in (O, V))
+        mid, last = (hop_costs(O, None, occluded, choice[1], choice[2], self.params, fps)
+                     for choice in (mid_choice, last_choice))
         # each chain's sums, hop by hop from 0: the first hop, gap - 1
         # middle hops and the last hop. With the chains longest first, the
         # chains that still have a middle hop j are a prefix
@@ -831,26 +780,26 @@ class _GraphBuilder:
         # the stops leave by two runs: gap - 1 middle hops (none for a
         # one-frame gap) and the last hop
         run_length = np.stack((gaps - 1, np.ones(m, dtype=np.int64)), axis=1).ravel()
-        run_action = np.tile([_ACTION_CODES[mid_choice[0]], _ACTION_CODES[last_choice[0]]], m)
+        run_action = np.stack((mid_choice[0], last_choice[0]), axis=1).ravel()
         runs = run_length > 0
         interiors = self.add_interiors(nodes.frame[tails] + 1, _OCCLUDED,
                                        [link.samples for _, link, _ in spans], 1 + (gaps > 1),
                                        run_action[runs], run_length[runs])
-        self.add_edges(tails, heads, sums[:5].T, sums[5],
-                       [_ACTION_CODES[choice[0]] for choice in tail_choices], interior=interiors)
+        self.add_edges(tails, heads, sums[:5].T, sums[5], tail_codes, interior=interiors)
 
     def exit_costs(self) -> Dict[int, float]:
         """The exit cost of every node a trajectory may end at: the entry
-        and exit cost plus ``node_exit_cost`` (visibility and the inertial
-        action's term, stripped in ``prior_only``), less the node's
-        reward."""
+        and exit cost plus the node's visibility term and its
+        ``action_terms`` under the inertial action (both stripped in
+        ``prior_only``), less the node's reward."""
         nodes = self.nodes
         ids = np.flatnonzero(np.isin(nodes.kind, [NODE_KINDS.index(k) for k in EXIT_KINDS]))
         rows = np.zeros((len(ids), 5))
         if self.likelihood:
             rows[:, 2] = visibility_likelihoods(VisibilityState.VISIBLE,
                                                 nodes.detection_score.values[ids])
-            rows[:, 3] = self.action_terms(nodes.pose.values[ids], INERTIAL_ACTION)
+            rows[:, 3] = action_terms(INERTIAL_ACTION, len(ids),
+                                      self.pose_terms_of(nodes.pose.values[ids]))
         rows[:, 4] = row_totals(rows)
         check_breakdowns(rows)
         costs = (self.params.solver_entry_exit_cost + rows[:, 4]) - nodes.reward[ids]
@@ -974,7 +923,8 @@ def build_graph(
         pose=np.where(b.has_pose[np.asarray(leftover, dtype=np.int64)], leftover, -1))
 
     # containment vestibules: occluded nodes riding each compatible container
-    chains: List[Tuple[int, np.ndarray, int, int]] = []
+    # (tail, first vestibule, vestibules, head, container id) of each chain
+    chains: List[Tuple[int, int, int, int, int]] = []
     if full and containers.trajectories:
         for before, after, cid, similarity in _containment_pairs(tracklets, containers,
                                                                  container_points, params):
@@ -986,7 +936,7 @@ def build_graph(
                 object_class=OBJECT_CLASSES.index(before.object_class),
                 reward=b.occluded_reward(), capacity=1, gap_similarity=similarity,
                 container_id=cid)
-            chains.append((tail_of[before.id], chain, head_of[after.id], cid))
+            chains.append((tail_of[before.id], chain[0], len(chain), head_of[after.id], cid))
     b.finish_nodes()
     nodes = b.nodes
 
@@ -1013,7 +963,8 @@ def build_graph(
                       for c in OBJECT_CLASSES])
     keep = ~(ground_distances(nodes.location[src], nodes.location[dst]) > gates[cls[src]])
     src, dst = src[keep], dst[keep]
-    b.add_plain_edges(src, dst, [b.choose(V, V, node) for node in b.posed(src)])
+    b.add_plain_edges(src, dst, best_actions(V, V, params, len(src),
+                                             b.pose_terms_of(nodes.pose.values[src])))
 
     # spline bridges: one super-edge per gap link, its missing frames occluded
     if full:
@@ -1027,31 +978,37 @@ def build_graph(
     # one but the first a contained node one frame back. Crossing into or
     # out of a container additionally requires the container's fluent
     # evidence to support a door/trunk interaction at that frame (objects
-    # cannot enter a vehicle whose doors never open)
-    src, dst, choices = [], [], []
-    for tail, chain, head, cid in chains:
-        vestibules = chain.tolist()
-        frames = nodes.frame[chain[:-1]].tolist()
-        fluents = [containers.evidence[cid][frame][1] for frame in frames]
-        rides = contained[cid] - containers.trajectories[cid].birth_frame  # + frame: its node
-        src.append(tail)
-        dst.append(vestibules[0])
-        choices.append(b.choose(V, O, b.posed([tail])[0]))
-        src.extend(vestibules[:-1])
-        dst.extend(vestibules[1:])
-        choices.extend([b.choose(O, O)] * (len(vestibules) - 1))
-        for j in np.flatnonzero(_fluent_supports(fluents, LEGAL_ACTIONS[(O, C)], params)).tolist():
-            src.append(vestibules[j])
-            dst.append(rides + frames[j] + 1)
-            choices.append(b.choose(O, C, None, fluents[j], (cid, frames[j])))
-        for j in np.flatnonzero(_fluent_supports(fluents, LEGAL_ACTIONS[(C, O)], params)).tolist():
-            src.append(rides + frames[j])
-            dst.append(vestibules[j + 1])
-            choices.append(b.choose(C, O, None, fluents[j], (cid, frames[j])))
-        src.append(vestibules[-1])
-        dst.append(head)
-        choices.append(b.choose(O, V))
-    b.add_plain_edges(src, dst, choices)
+    # cannot enter a vehicle whose doors never open). Each kind of hop is
+    # chosen as one block over every chain, then the hops are put in chain
+    # order
+    tails, firsts, lengths, heads, cids = np.array(chains, dtype=np.int64).reshape(-1, 5).T
+    steps = lengths - 1  # vestibule hops per chain
+    owner = np.repeat(np.arange(len(chains)), steps)
+    # the source of each vestibule hop: every vestibule but its chain's last
+    hops = firsts[owner] + np.arange(steps.sum()) - np.repeat(np.cumsum(steps) - steps, steps)
+    frames = nodes.frame[hops]
+    # the contained node of each hop's container at the hop's frame
+    rides = np.array([contained[cid] - containers.trajectories[cid].birth_frame
+                      for cid in cids.tolist()], dtype=np.int64)[owner] + frames
+    fluents = FluentDistances([containers.evidence[cid][frame][1] for cid, frame in
+                               zip(cids[owner].tolist(), frames.tolist())],
+                              params.vehicle_fluent_templates)
+    enters = np.flatnonzero(_fluent_gate(fluents, LEGAL_ACTIONS[(O, C)]))
+    exits = np.flatnonzero(_fluent_gate(fluents, LEGAL_ACTIONS[(C, O)]))
+    each = np.arange(len(chains))
+    blocks = (
+        (tails, firsts, each, best_actions(V, O, params, len(chains),
+                                            b.pose_terms_of(nodes.pose.values[tails]))),
+        (hops, hops + 1, owner, best_actions(O, O, params, len(hops))),
+        (hops[enters], rides[enters] + 1, owner[enters],
+         best_actions(O, C, params, len(enters), fluents=fluents.take(enters))),
+        (rides[exits], hops[exits] + 1, owner[exits],
+         best_actions(C, O, params, len(exits), fluents=fluents.take(exits))),
+        (firsts + steps, heads, each, best_actions(O, V, params, len(chains))))
+    order = np.argsort(np.concatenate([block[2] for block in blocks]), kind="stable")
+    src, dst = (np.concatenate([block[k] for block in blocks])[order] for k in (0, 1))
+    b.add_plain_edges(src, dst, tuple(np.concatenate([block[3][k] for block in blocks])[order]
+                                      for k in range(3)))
 
     # container chains, shared by up to max_contained objects. A chain hop
     # pays no fluent: riding is no door or trunk interaction, and the fluent
@@ -1059,42 +1016,25 @@ def build_graph(
     src = [np.arange(first, first + len(containers.trajectories[cid].points) - 1)
            for cid, first in contained.items()]
     src = np.concatenate(src) if src else np.zeros(0, dtype=np.int64)
-    b.add_plain_edges(src, src + 1, [b.choose(C, C)] * len(src), is_container_chain=True)
+    b.add_plain_edges(src, src + 1, best_actions(C, C, params, len(src)),
+                      is_container_chain=True)
 
     # the graph, with the exit costs (births and deaths live on visible
     # evidence only)
     return b.graph(containers)
 
 
-def _fluent_supports(fluents: Sequence[Optional[np.ndarray]], actions,
-                     params: ModelParameters) -> np.ndarray:
-    """Whether each container fluent looks more like one of ``actions`` than
-    like the idle template: its nearest template among theirs is nearer than
-    the idle one, in ``vehicle_fluent_distance``'s bits. Permissive where
-    the fluent is absent, or when the templates are.
-    """
-    support = np.ones(len(fluents), dtype=bool)
-    templates = params.vehicle_fluent_templates
-    idle = templates.get(INERTIAL_ACTION)
-    candidates = [templates[a] for a in actions if templates.get(a) is not None]
-    present = [i for i, fluent in enumerate(fluents) if fluent is not None]
-    if idle is None or not candidates or not present:
-        return support
-    x = [np.asarray(fluents[i], dtype=float) for i in present]
-    for template in (*candidates, idle):
-        template = np.asarray(template, dtype=float)
-        for feature in x:
-            if feature.shape != template.shape:
-                raise ValueError(f"fluent feature dimension {feature.shape} != template "
-                                 f"dimension {template.shape}")
-    x = np.array(x)
-
-    def distance(template) -> np.ndarray:
-        diff = x - np.asarray(template, dtype=float)
-        return np.sqrt(row_dots(diff, diff))
-
-    support[present] = np.minimum.reduce([distance(t) for t in candidates]) < distance(idle)
-    return support
+def _fluent_gate(fluents: FluentDistances, actions) -> np.ndarray:
+    """Whether each container fluent of ``fluents`` looks more like one of
+    ``actions`` than like the idle template: its nearest template among
+    theirs is nearer than the idle one. Permissive where the fluent is
+    absent, or when the templates are."""
+    templates = fluents.templates
+    candidates = [a for a in actions if templates.get(a) is not None]
+    if templates.get(INERTIAL_ACTION) is None or not candidates or not fluents.present.any():
+        return np.ones(len(fluents.present), dtype=bool)
+    nearest = np.minimum.reduce([fluents(a) for a in candidates])
+    return ~fluents.present | (nearest < fluents(INERTIAL_ACTION))
 
 
 def _containment_pairs(

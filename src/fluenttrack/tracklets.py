@@ -29,9 +29,10 @@ replace: ``detection_links`` finds each gap's candidate pairs by
 calls, as ``find_gap_candidates`` measures its gaps, and
 ``compatible_pairs`` computes its similarities with stacked
 ``row_dots`` calls. Each runs, row by row, the BLAS kernel of the scalar call
-(``ground_distance``, ``descriptor_similarity``), which is what keeps the
-bits; ``np.einsum``, a norm over ``axis=1`` or a ``D @ D.T`` similarity
-matrix would not (see ``core``).
+(``ground_distance``, and ``descriptor_similarity`` in
+``tests/core_reference.py``), which is what keeps the bits; ``np.einsum``,
+a norm over ``axis=1`` or a ``D @ D.T`` similarity matrix would not (see
+``core``).
 """
 
 from __future__ import annotations
@@ -293,8 +294,9 @@ def compatible_pairs(
     tau_sigma, in (before id, after id) order. Occlusion bridges and
     containment bridges are both chosen from these pairs.
 
-    Similarities are ``descriptor_similarity`` of each candidate pair, with
-    the same bits: each tracklet's unit norm is checked once, and the dots
+    Similarities are the cosine similarities of each candidate pair's unit
+    pooled descriptors, with the bits of ``descriptor_similarity`` in
+    ``tests/core_reference.py``: each tracklet's unit norm is checked once, and the dots
     are stacked ``row_dots`` calls (``gathered_rows``).
     """
     by_id = sorted(tracklets, key=lambda t: t.id)

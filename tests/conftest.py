@@ -51,7 +51,7 @@ def same_bits(a, b) -> bool:
 
 
 class Stop(NamedTuple):
-    """A stop as ``energy.edge_cost`` reads it: where and when, in which
+    """A stop as ``energy_reference.edge_cost`` reads it: where and when, in which
     state, and the evidence a hop leaving it pays."""
 
     frame: int

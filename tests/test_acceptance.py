@@ -14,7 +14,6 @@ import pytest
 
 from fluenttrack import fileio, tracklets
 from fluenttrack.core import ActionModel, ObjectClass, VisibilityState
-from fluenttrack.energy import log_odds, pose_distance
 from fluenttrack.grammar import (
     default_grammar,
     default_parameters,
@@ -33,6 +32,7 @@ from fluenttrack.simulator import default_camera, scenario_by_name, simulate, st
 from fluenttrack.solver import joint_solve, pipeline_graph, solve_objects
 
 from conftest import random_walk_instance
+from energy_reference import log_odds, pose_distance, vehicle_fluent_distance
 from oracle_reference import brute_force_oracle
 
 
@@ -217,12 +217,7 @@ class TestCriterion6EnergyUnits:
     def test_worked_examples(self, params):
         # representative derived values; the exhaustive example coverage
         # lives in test_energy / test_grammar / test_tracklets
-        from fluenttrack.energy import (
-            EnergyBreakdown,
-            sigmoid,
-            transition_energy,
-            vehicle_fluent_distance,
-        )
+        from fluenttrack.energy import EnergyBreakdown, sigmoid, transition_energy
         from fluenttrack.grammar import ActionStateTable, V, O
 
         assert sigmoid(0.0) == 0.5

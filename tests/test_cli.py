@@ -233,6 +233,24 @@ class TestTrackCommand:
         assert [p for p in out.rglob("*") if p.is_file()] == []
         assert not out.exists()
 
+    def test_failed_rerun_keeps_earlier_outputs(self, simulated, tmp_path):
+        # a batch succeeds; a re-run into the same --out fails on its second
+        # sequence after the first has solved. Every file of the first run
+        # stays byte for byte, and no staging directory is left behind
+        seqs = []
+        for name in ("a", "b"):
+            seqs.append(tmp_path / "in" / name)
+            shutil.copytree(simulated, seqs[-1])
+        out = tmp_path / "out"
+        assert run(["track", *seqs, "--out", out]) == EXIT_OK
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert len(before) == 6
+        with open(seqs[1] / "detections.jsonl", "a") as f:
+            f.write(json.dumps({"frame": "x"}) + "\n")
+        assert run(["track", *seqs, "--out", out]) == EXIT_INPUT
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert sorted(p.name for p in out.iterdir()) == ["a", "b"]
+
     @pytest.mark.parametrize("field", ["pose_feature", "vehicle_fluent_feature"])
     def test_feature_length_must_match_models(self, simulated, tmp_path, capsys, field):
         # every feature of the kind is cut alike, so the file agrees with itself

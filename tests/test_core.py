@@ -15,18 +15,17 @@ from fluenttrack.core import (
     ModelParameters,
     ObjectClass,
     Tracklet,
-    descriptor_similarity,
     detections_from_columns,
     ground_distance,
     ground_distances,
     ground_points,
     pool_descriptors,
-    project_to_ground,
     row_dots,
 )
 from fluenttrack.simulator import default_camera
 
 from conftest import same_bits
+from core_reference import descriptor_similarity, project_to_ground
 
 
 class TestProjectToGround:

@@ -7,35 +7,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fluenttrack.core import ActionModel, VisibilityState, descriptor_similarity
+from fluenttrack.core import ActionModel, VisibilityState
 from fluenttrack.energy import (
+    ACTIONS,
+    NEUTRAL_SIGMOID,
     EnergyBreakdown,
-    action_likelihood,
-    displacement_energy,
-    edge_cost,
-    log_odds,
+    FluentDistances,
+    best_actions,
     log_odds_each,
-    node_exit_cost,
-    pose_distance,
     pose_distances,
     sigmoid,
     sigmoids,
     transition_energy,
-    vehicle_fluent_distance,
-    visibility_likelihood,
 )
 from fluenttrack.grammar import (
     C,
+    LEGAL_ACTIONS,
     O,
     V,
+    VEHICLE_ACTIONS,
+    ActionStateTable,
     default_grammar,
     default_action_models,
     default_parameters,
+    default_transition_table,
     default_vehicle_templates,
     fit_transition_table,
 )
 
 from conftest import Stop, same_bits
+from core_reference import descriptor_similarity
+from energy_reference import (
+    action_likelihood,
+    best_action,
+    displacement_energy,
+    edge_cost,
+    log_odds,
+    node_exit_cost,
+    pose_distance,
+    vehicle_fluent_distance,
+    visibility_likelihood,
+)
 
 FRAME_RATE = 10.0
 
@@ -396,3 +408,80 @@ class TestArrayKernels:
         x = [0.0, -0.0, 40.0, -40.0, *rng.normal(0, 5, 500).tolist(), 1.5, 1.5]
         assert same_bits(sigmoids(x), [sigmoid(v) for v in x])
 
+
+def outcome(call):
+    """What ``call()`` returns, or the type of the KeyError or ValueError it
+    raises."""
+    try:
+        return call()
+    except (KeyError, ValueError) as exc:
+        return type(exc)
+
+
+class TestBestActions:
+    """``best_actions`` keeps, hop by hop, the action, the bits and the
+    errors of the scalar ``best_action``."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_rows_match_best_action(self, data):
+        # every state pair, the two without a legal action included. The
+        # transition rows make legal actions tie exactly (0.5 and 0.5) or
+        # within 1e-15 (0.5 and the next double up), and the pose energies
+        # take few values, so the tie rule decides often. Fluents are near a
+        # template or of the wrong length, and up to two vehicle actions
+        # have no template
+        src, dst = data.draw(st.sampled_from([(u, v) for u in VisibilityState
+                                              for v in VisibilityState]))
+        rows = dict(default_transition_table().rows)
+        other = next(s for s in VisibilityState if s is not dst)
+        for action in LEGAL_ACTIONS[(src, dst)]:
+            p = data.draw(st.sampled_from([0.5, math.nextafter(0.5, 1.0), 0.25, 1.0]))
+            rows[(src, action)] = {dst: 1.0} if p == 1.0 else {dst: p, other: 1.0 - p}
+        templates = default_vehicle_templates()
+        dropped = data.draw(st.sets(st.sampled_from(sorted(VEHICLE_ACTIONS)), max_size=2))
+        params = default_parameters(
+            transition_table=ActionStateTable(rows=rows),
+            vehicle_fluent_templates={a: t for a, t in templates.items() if a not in dropped})
+        energy = st.sampled_from([0.0, 1.0, 2.5])
+        hops = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            pose = {a: data.draw(energy) for a in ACTIONS} if data.draw(st.booleans()) else None
+            fluent = None
+            if data.draw(st.booleans()):
+                near = templates[data.draw(st.sampled_from(ACTIONS))]
+                fluent = (np.resize(near, data.draw(st.sampled_from([9, 9, 9, 4])))
+                          + data.draw(st.sampled_from([0.0, 0.05, 0.3])))
+            hops.append((pose, fluent))
+
+        def scalar(pose, fluent):
+            return best_action(src, dst, params, None if pose is None else np.zeros(9), pose,
+                               fluent)
+
+        def kernel(block):
+            pose_terms = {a: np.array([NEUTRAL_SIGMOID if pose is None else sigmoid(pose[a])
+                                       for pose, _ in block]) for a in ACTIONS}
+            fluents = FluentDistances([fluent for _, fluent in block],
+                                      params.vehicle_fluent_templates)
+            codes, transition, action_term = best_actions(src, dst, params, len(block),
+                                                          pose_terms, fluents)
+            return [ACTIONS[c] for c in codes.tolist()], transition, action_term
+
+        def assert_rows(rows, expected):
+            actions, transition, action_term = rows
+            assert actions == [e[0] for e in expected]
+            assert same_bits(transition, [e[1] for e in expected])
+            assert same_bits(action_term, [e[2] for e in expected])
+
+        expected = [outcome(lambda: scalar(*hop)) for hop in hops]
+        for hop, reference in zip(hops, expected):
+            got = outcome(lambda: kernel([hop]))
+            if isinstance(reference, type):
+                assert got is reference
+            else:
+                assert_rows(got, [reference])
+        errors = {e for e in expected if isinstance(e, type)}
+        if errors:
+            assert outcome(lambda: kernel(hops)) in errors
+        else:
+            assert_rows(kernel(hops), expected)

@@ -18,7 +18,7 @@ from fluenttrack.core import (
     VisibilityState,
     ground_distance,
 )
-from fluenttrack.energy import EnergyBreakdown, edge_cost, log_odds, vehicle_fluent_distance
+from fluenttrack.energy import EnergyBreakdown, FluentDistances
 from fluenttrack.grammar import (
     LEGAL_ACTIONS,
     ActionStateTable,
@@ -48,6 +48,7 @@ from fluenttrack.solver import (
 from fluenttrack.tracklets import LINK_GATE_SLACK, GapLink, build_gap_links, generate_tracklets
 
 from conftest import Stop, make_detection, random_walk_instance, same_bits, unit_vector
+from energy_reference import edge_cost, log_odds, node_exit_cost, vehicle_fluent_distance
 from oracle_reference import OracleLimitError, brute_force_oracle
 
 
@@ -501,7 +502,7 @@ class TestContainment:
 
 
 def per_fluent_supports(fluent, actions, params):
-    """The scalar rule ``_fluent_supports`` applies to each fluent."""
+    """The scalar rule ``_fluent_gate`` applies to each fluent."""
     templates = params.vehicle_fluent_templates
     idle = templates.get("walking")
     candidates = [templates[a] for a in actions if templates.get(a) is not None]
@@ -516,19 +517,19 @@ def per_fluent_supports(fluent, actions, params):
                          ids=["enter", "exit"])
 def test_fluent_supports_match_per_fluent_rule(params, pair):
     # random fluents and fluents near each template, some absent: the
-    # stacked distances keep the per-fluent decision
+    # gate, reading the stacked distance table, keeps the per-fluent decision
     rng = np.random.default_rng(12)
     templates = list(params.vehicle_fluent_templates.values())
     fluents = [None if k % 7 == 0 else
                templates[k % len(templates)] + rng.normal(0, 0.05 * (k % 4), templates[0].shape)
                for k in range(300)]
-    support = solver._fluent_supports(fluents, LEGAL_ACTIONS[pair], params)
+    table = FluentDistances(fluents, params.vehicle_fluent_templates)
+    support = solver._fluent_gate(table, LEGAL_ACTIONS[pair])
     expected = [per_fluent_supports(f, LEGAL_ACTIONS[pair], params) for f in fluents]
     assert support.tolist() == expected
     assert 0 < sum(expected) < len(expected) - 300 // 7
-    no_idle = default_parameters(vehicle_fluent_templates={
-        name: t for name, t in params.vehicle_fluent_templates.items() if name != "walking"})
-    assert solver._fluent_supports(fluents, LEGAL_ACTIONS[pair], no_idle).all()
+    no_idle = {name: t for name, t in params.vehicle_fluent_templates.items() if name != "walking"}
+    assert solver._fluent_gate(FluentDistances(fluents, no_idle), LEGAL_ACTIONS[pair]).all()
 
 
 class TestInvariants:
@@ -698,8 +699,9 @@ class TestInvariants:
         # contained node is one end (a container chain edge, with two, pays
         # none, and the fluent would not change its price); a tracklet
         # super-edge hop by hop over the tracklet's scores and its
-        # detections' pose features. The builder chooses each action once
-        # per evidence, so this guards what that choice is keyed by
+        # detections' pose features. Each kind of hop is chosen as one
+        # block by best_actions, so this guards the evidence each block
+        # reads
         camera = default_camera()
         kinds = Counter()
         sequences = 0
@@ -760,7 +762,7 @@ class TestInvariants:
         # every tracklet super-edge of the suite, in every mode, read from the
         # edge columns, is the per-hop edge_cost reference bit for bit; the
         # reference solves each stop's pose on its own instead of reading
-        # cached energies
+        # cached energies. Every exit cost is the node_exit_cost reference
         camera = default_camera()
         for name, sim in suite_runs:
             vehicles = [d for d in sim.detections if d.object_class is ObjectClass.VEHICLE]
@@ -786,6 +788,15 @@ class TestInvariants:
                     reference = per_hop_tracklet_edge(node_stop(graph, s), node_stop(graph, d),
                                                       stops, params, camera.frame_rate, mode)
                     assert_same_edge(edge_row(graph, eid), reference)
+                exits = np.flatnonzero(np.isin(nodes.kind, [NODE_KINDS.index(kind) for kind
+                                                            in ("tail", "single", "detection")]))
+                assert sorted(graph.exit_costs) == exits.tolist()
+                for nid in exits.tolist():
+                    # prior_only strips the exit's likelihood terms
+                    price = (0.0 if mode == "prior_only" else
+                             node_exit_cost(node_stop(graph, nid), params).total)
+                    assert same_bits(graph.exit_costs[nid],
+                                     (params.solver_entry_exit_cost + price) - nodes.reward[nid])
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_suite_bridges_match_per_hop_reference(self, params, seed):
@@ -851,10 +862,14 @@ class TestInvariants:
     @given(st.data())
     def test_tracklet_edge_keeps_min_and_tie_rule(self, camera, params, data):
         # with a second legal visible -> visible action, each hop takes the
-        # cheaper action, and a tie within 1e-15 goes to the first one
+        # cheaper action, and a tie within 1e-15 goes to the first one: the
+        # hops of a tracklet and a visible-adjacency hop from its tail to a
+        # leftover detection one frame on, both priced by best_actions
         second = "open_vehicle_door"
         p_walk = params.transition_table.rows[(V, "walking")][V]
-        p_second = data.draw(st.sampled_from([p_walk, 1.0, 0.5]))
+        # equal, within 1e-15 (one double up, so "second" is cheaper by less
+        # than the margin), and apart
+        p_second = data.draw(st.sampled_from([p_walk, math.nextafter(p_walk, 1.0), 1.0, 0.5]))
         rows = dict(params.transition_table.rows)
         rows[(V, second)] = {V: p_second, VisibilityState.OCCLUDED: 1.0 - p_second} \
             if p_second < 1.0 else {V: 1.0}
@@ -871,13 +886,17 @@ class TestInvariants:
                 pose_energies={"walking": data.draw(energy), second: data.draw(energy)}
                 if posed else None))
         # the stops are one tracklet over detections whose pose energies
-        # under both actions are the drawn ones
+        # under both actions are the drawn ones; the leftover detection,
+        # 0.1 m on from the tail, has no pose
         energies = np.array([[math.nan] * 2 if s.pose_energies is None else
                              [s.pose_energies["walking"], s.pose_energies[second]]
-                             for s in stops])
+                             for s in stops] + [[math.nan] * 2])
         detections = [Detection(s.frame, ObjectClass.PERSON, (1.0, 1.0, 0.5, 1.7),
                                 s.detection_score, np.eye(8)[0], pose_feature=s.pose_feature)
                       for s in stops]
+        x = stops[-1].location[0] + 0.1
+        detections.append(Detection(stops[-1].frame + 1, ObjectClass.PERSON,
+                                    (x - 0.25, 1.0 - 1.7, 0.5, 1.7), 0.9, np.eye(8)[0]))
         tracklet = Tracklet(0, ObjectClass.PERSON, stops[0].frame,
                             np.array([s.location for s in stops]), np.eye(8)[0],
                             scores=tuple(s.detection_score for s in stops),
@@ -889,12 +908,21 @@ class TestInvariants:
             graph = build_graph(detections, [tracklet], [], ContainerSolution((), {}, 0.0, 0.0),
                                 camera, table_params, mode)
             (eid,) = np.flatnonzero(graph.edge_columns.interior >= 0)
-            head, tail = (node_stop(graph, int(nid)) for nid in
-                          (graph.edge_columns.src[eid], graph.edge_columns.dst[eid]))
+            tail_id = int(graph.edge_columns.dst[eid])
+            head, tail = (node_stop(graph, nid) for nid in
+                          (int(graph.edge_columns.src[eid]), tail_id))
             assert head.pose_energies == stops[0].pose_energies
             reference = per_hop_tracklet_edge(head, tail, stops, table_params,
                                               camera.frame_rate, mode)
+            (hop,) = np.flatnonzero(graph.edge_columns.src == tail_id)
+            leftover = node_stop(graph, int(graph.edge_columns.dst[hop]))
+            assert leftover.frame == tail.frame + 1 and leftover.pose_feature is None
+            step, action = edge_cost(tail, leftover, table_params, camera.frame_rate)
         assert_same_edge(edge_row(graph, eid), reference)
+        if mode == "prior_only":
+            step = EnergyBreakdown.build(step.displacement, step.transition, 0.0, 0.0)
+        assert_same_breakdown(edge_row(graph, hop), EdgeRow(
+            step, action, step.total - graph.node_columns.reward[tail_id], None))
 
 
 class TestJointSolve:

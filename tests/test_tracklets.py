@@ -10,20 +10,15 @@ from hypothesis.extra import numpy as hnp
 from scipy.interpolate import make_interp_spline
 
 from fluenttrack import tracklets as tk
-from fluenttrack.core import (
-    ObjectClass,
-    Tracklet,
-    descriptor_similarity,
-    ground_distance,
-    ground_points,
-)
-from fluenttrack.energy import log_odds
+from fluenttrack.core import ObjectClass, Tracklet, ground_distance, ground_points
 from fluenttrack.grammar import default_parameters
 from fluenttrack.simulator import default_camera
 from fluenttrack.solver import CONTAINER_LINK_GAP
 
 import ssp_reference
 from conftest import make_detection, same_bits, unit_vector
+from core_reference import descriptor_similarity, project_to_ground
+from energy_reference import log_odds
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +39,6 @@ def brute_force_best_path_set(detections, camera, params):
     gate-respecting chains and returns the minimum total cost (entry + exit
     per chain, plus link costs, minus detection rewards).
     """
-    from fluenttrack.core import project_to_ground
-
     n = len(detections)
     positions = [project_to_ground(camera, d.bbox) for d in detections]
     rewards = [log_odds(d.score) for d in detections]
@@ -91,8 +84,6 @@ def solver_objective(detections, camera, params):
         return 0.0
     order = sorted(range(len(detections)), key=lambda i: (detections[i].frame, i))
     dets = [detections[i] for i in order]
-    from fluenttrack.core import project_to_ground
-
     positions = [project_to_ground(camera, d.bbox) for d in dets]
     links = []
     for i, d in enumerate(dets):

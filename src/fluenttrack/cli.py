@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import gc
 import logging
 import os
@@ -159,10 +160,20 @@ def cmd_track(args) -> int:
         for detections, camera, name in jobs:
             _track_one(detections, camera, staging / name, params, args.mode)
             log.info("tracked %s", out_dir / name)
+        moves = [(output, out_dir / name / output.name)
+                 for _, _, name in jobs for output in (staging / name).iterdir()]
+        # a target the file system blocks fails the run before the first
+        # move, so --out never holds outputs of two runs
+        for _, target in moves:
+            if target.parent.exists() and not target.parent.is_dir():
+                raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST),
+                                      str(target.parent))
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
         for _, _, name in jobs:
             (out_dir / name).mkdir(exist_ok=True)
-            for output in (staging / name).iterdir():
-                os.replace(output, out_dir / name / output.name)
+        for output, target in moves:
+            os.replace(output, target)
     except BaseException:
         shutil.rmtree(created or staging, ignore_errors=True)
         raise

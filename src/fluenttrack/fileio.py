@@ -7,26 +7,54 @@ JSON: a NaN or infinite value raises ``ValueError`` instead of being written
 as the non-standard ``NaN``/``Infinity`` tokens. The metrics report writes
 ``null`` for a per-state precision or recall that is undefined.
 
-Every reader shares one error path. ``_parse`` decodes one record (a line of
-a JSON Lines file) or one document and runs the reader's parse of it. A
-failed check raises :class:`InputFormatError` itself; any ``KeyError``,
-``TypeError``, ``ValueError`` or ``OverflowError`` raised while decoding or
-parsing (a missing field, an unknown enum value, a model's own check)
-becomes ``InputFormatError("path[:line]: bad <what>: <reason>")``. The line
-is named for JSON Lines files, the file alone for documents. Every list of
-numbers goes through ``_numbers``: JSON numbers only (not bools), each
-finite, of a fixed length or as long as the first of its name in the file.
+Two JSON libraries do the work. The JSON Lines files, the ones every run
+reads and writes, go through ``orjson``, which decodes and encodes at C
+speed; the single documents (camera, action models, scenario, summary,
+metrics report) are a few lines each and stay with the standard ``json``,
+indented.
 
-Detections, ground truth and trajectories, the inputs read on every run,
-are checked as columns first (``_read_checked``): each line is decoded as
-``_parse`` decodes it, then each field's JSON types, finiteness and lengths
-are checked in one pass over the file. ``core.detections_from_columns`` and
-``core.trajectories_from_columns`` make the checks of ``Detection``,
-``TrajectoryPoint`` and ``Trajectory`` once per column, and every record is
-built without a ``_parse`` call, its vectors rows of read-only arrays. A
-file that fails any of these checks is parsed again record by record
-through ``_parse``, which raises at the first bad line with the message
-that line gets on its own; a valid file is never parsed twice.
+- Writing. ``_write_jsonl`` encodes each record with one ``orjson.dumps``
+  call and writes it as its own line. ``orjson`` would write NaN and the
+  infinities as ``null``, so each JSON Lines writer first checks its
+  numbers with ``np.isfinite`` and raises ``ValueError`` before it opens the
+  file. ``orjson`` refuses an int outside [-2**63, 2**64); that too raises
+  ``ValueError``, and no file is left. Strings are written as UTF-8, not as
+  ``\\u`` escapes. A float is written as ``repr`` writes it for 0 and
+  1e-4 <= |x| < 1e16; outside that range the notation differs
+  (``1.2345e-9``, ``0.000012345`` and ``1.2345e16`` where ``repr`` gives
+  ``1.2345e-09``, ``1.2345e-05`` and ``1.2345e+16``), but both read back as
+  the same double.
+- Reading, record path. Every reader shares one error path. ``_parse``
+  decodes one record (a line of a JSON Lines file) or one document with
+  ``json`` and runs the reader's parse of it. A failed check raises
+  :class:`InputFormatError` itself; any ``KeyError``, ``TypeError``,
+  ``ValueError`` or ``OverflowError`` raised while decoding or parsing (a
+  missing field, an unknown enum value, a model's own check) becomes
+  ``InputFormatError("path[:line]: bad <what>: <reason>")``. The line is
+  named for JSON Lines files, the file alone for documents. Every list of
+  numbers goes through ``_numbers``: JSON numbers only (not bools), each
+  finite, of a fixed length or as long as the first of its name in the
+  file.
+- Reading, column path. Detections, ground truth and trajectories, the
+  inputs read on every run, are checked as columns first
+  (``_read_checked``): ``_decoded`` decodes each line with ``orjson``, then
+  each field's JSON types, finiteness and lengths are checked in one pass
+  over the file. ``core.detections_from_columns`` and
+  ``core.trajectories_from_columns`` make the checks of ``Detection``,
+  ``TrajectoryPoint`` and ``Trajectory`` once per column, and every record
+  is built without a ``_parse`` call, its vectors rows of read-only arrays.
+  A file that fails any of these checks is parsed again record by record
+  through ``_parse``, which raises at the first bad line with the message
+  that line gets on its own; a valid file is never parsed twice.
+
+The record path is the reference; the column path accepts only what it
+accepts, with the same values. Where the two decoders part, the column path
+gives the file to the record path: ``orjson`` refuses the ``NaN`` and
+``Infinity`` tokens, a number beyond the largest float (``1e400``), a lone
+surrogate escape and invalid UTF-8, which ``json`` decodes (or rejects with
+its own message). It decodes an int beyond 64 bits as the nearest float, so
+such an int fails an int field's type check, and one just past the largest
+float decodes to ±``_FLOAT_MAX``, which no float column accepts.
 """
 
 from __future__ import annotations
@@ -42,6 +70,7 @@ from pathlib import Path
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+import orjson
 
 from .core import (
     FEATURE_CLASSES,
@@ -105,12 +134,26 @@ def _read_json(path, what: str, parse):
     return _parse(parse, Path(path).read_bytes(), path, None, what)
 
 
+def _check_finite(arrays: list) -> None:
+    """Raise ``ValueError`` unless every entry of ``arrays`` (1-D arrays or
+    sequences of numbers) is finite: ``orjson`` would write NaN and the
+    infinities as ``null``."""
+    if arrays and not np.isfinite(np.concatenate(arrays)).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+
+
 def _write_jsonl(path, records: Iterable[dict]) -> None:
-    """One compact strict-JSON object per line, streamed; a NaN or infinity
-    raises ``ValueError`` at its record."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, separators=(",", ":"), allow_nan=False) + "\n")
+    """One compact JSON object per line, each encoded by one ``orjson.dumps``
+    call and written as it is made. The caller has checked that its numbers
+    are finite; an int ``orjson`` refuses raises ``ValueError`` and leaves no
+    file."""
+    try:
+        with open(path, "wb") as fh:
+            fh.writelines(orjson.dumps(record, option=orjson.OPT_APPEND_NEWLINE)
+                          for record in records)
+    except orjson.JSONEncodeError as exc:
+        Path(path).unlink()
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_json(path, payload) -> None:
@@ -124,6 +167,9 @@ _FLOAT_MAX = sys.float_info.max
 _OPTIONAL_INT = (int, type(None))
 _CLASSES = {c.value: c for c in ObjectClass}
 _STATES = {s.value: s for s in VisibilityState}
+# each class and state by member, for the writers: a dict lookup costs less
+# than the ``value`` property, and than ``orjson`` encoding the member
+_NAMES = {m: m.value for m in (*ObjectClass, *VisibilityState)}
 
 
 def _typed(value, types, path, lineno, name):
@@ -186,12 +232,17 @@ def _matrix(value, path, name) -> np.ndarray:
 # -- detections --------------------------------------------------------------
 
 def write_detections(path, detections: Sequence[Detection]) -> None:
+    scalars = [v for d in detections for v in (*d.bbox, d.score)]
+    vectors = [v for d in detections
+               for v in (d.descriptor, d.pose_feature, d.vehicle_fluent_feature) if v is not None]
+    _check_finite([scalars, *vectors])
+
     def record(d: Detection) -> dict:
         r = {
             "frame": d.frame,
-            "class": d.object_class.value,
+            "class": _NAMES[d.object_class],
             "bbox": list(d.bbox),
-            "score": d.score,
+            "score": float(d.score),
             "descriptor": d.descriptor.tolist(),
         }
         if d.pose_feature is not None:
@@ -210,15 +261,15 @@ def read_detections(path, model_lengths: Optional[Mapping] = None) -> List[Detec
 
 
 def _float_column(values: list) -> Optional[np.ndarray]:
-    """``values`` as a float array if ``_finite`` accepts each of them,
-    else None."""
-    types = set(map(type, values))
-    if not types <= {int, float}:
+    """``values``, as ``_decoded`` gives them, as a float array if
+    ``_finite`` accepts each of them, else None. A column that holds
+    ±``_FLOAT_MAX`` is refused too: ``orjson`` decodes an int just past the
+    largest float to it, which ``_finite`` rejects, and the record path
+    reads a float that is truly the largest as well."""
+    if not _all_of(values, int, float):
         return None
-    if int in types and not all(abs(v) <= _FLOAT_MAX for v in values if type(v) is int):
-        return None  # an int that rounds down to the largest float is still too large
     column = np.array(values, dtype=float)
-    return column if np.isfinite(column).all() else None
+    return column if (np.abs(column) < _FLOAT_MAX).all() else None
 
 
 def _numbers_column(values: list, length: Optional[int] = None) -> Optional[np.ndarray]:
@@ -246,10 +297,11 @@ def _members(members, values: list) -> Optional[list]:
 
 
 def _decoded(path) -> Optional[list]:
-    """Each non-blank line of the file decoded as ``_parse`` decodes it, or
-    None if one is not a JSON object."""
+    """Each non-blank line of the file decoded by ``orjson``, or None if one
+    is not a JSON object. A line that ``orjson`` refuses raises
+    ``ValueError``, so the file goes to the record path."""
     with open(path, "rb") as fh:
-        records = [json.loads(line.decode("utf-8")) for line in fh if not line.isspace()]
+        records = [orjson.loads(line) for line in fh if not line.isspace()]
     return records if _all_of(records, dict) else None
 
 
@@ -268,10 +320,10 @@ def _read_checked(columns, records, path, *args):
 
 def _detection_columns(path, model_lengths: Optional[Mapping]) -> Optional[List[Detection]]:
     """The file's detections, with every check of ``_detection_records`` made
-    once per column: each line decoded as ``_parse`` decodes it, the JSON
-    types of each field in one pass, then ``core.detections_from_columns``
-    for the checks of ``Detection``. If any check fails, None or one of the
-    errors ``_parse`` turns into an input error."""
+    once per column: each line decoded by ``_decoded``, the JSON types of
+    each field in one pass, then ``core.detections_from_columns`` for the
+    checks of ``Detection``. If any check fails, None or one of the errors
+    ``_parse`` turns into an input error."""
     records = _decoded(path)
     if not records:
         return records
@@ -347,19 +399,21 @@ def read_camera(path) -> CameraModel:
 # -- trajectories ---------------------------------------------------------------
 
 def write_trajectories(path, trajectories: Sequence[Trajectory]) -> None:
+    _check_finite([p.location for t in trajectories for p in t.points])
+
     def record(t: Trajectory) -> dict:
         track = []
         for p in t.points:
             entry = {
                 "frame": p.frame,
                 "location": p.location.tolist(),
-                "state": p.state.value,
+                "state": _NAMES[p.state],
                 "action": p.action,
             }
             if p.container_id is not None:
                 entry["container_id"] = p.container_id
             track.append(entry)
-        return {"object_id": t.object_id, "class": t.object_class.value, "track": track}
+        return {"object_id": t.object_id, "class": _NAMES[t.object_class], "track": track}
 
     _write_jsonl(path, (record(t) for t in trajectories))
 
@@ -422,13 +476,15 @@ def _trajectory_records(path) -> List[Trajectory]:
 # -- track outputs ---------------------------------------------------------------
 
 def write_frame_parses(path, parses: Sequence[FrameParse]) -> None:
+    _check_finite([e.location for p in parses for e in p.entries])
+
     def record(parse: FrameParse) -> dict:
         objects = []
         for e in parse.entries:
             entry = {
                 "object_id": e.object_id,
                 "location": e.location.tolist(),
-                "state": e.state.value,
+                "state": _NAMES[e.state],
                 "action": e.action,
             }
             if e.container_id is not None:
@@ -442,13 +498,15 @@ def write_frame_parses(path, parses: Sequence[FrameParse]) -> None:
 # -- ground truth ----------------------------------------------------------------
 
 def write_ground_truth(path, records: Sequence[GroundTruthRecord]) -> None:
+    _check_finite([r.location for r in records])
+
     def record(r: GroundTruthRecord) -> dict:
         d = {
             "frame": r.frame,
             "object_id": r.object_id,
             "location": r.location.tolist(),
-            "state": r.state.value,
-            "class": r.object_class.value,
+            "state": _NAMES[r.state],
+            "class": _NAMES[r.object_class],
         }
         if r.container_id is not None:
             d["container_id"] = r.container_id

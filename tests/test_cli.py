@@ -251,6 +251,33 @@ class TestTrackCommand:
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
         assert sorted(p.name for p in out.iterdir()) == ["a", "b"]
 
+    @pytest.mark.parametrize("blocked", ["b/summary.json", "b"])
+    def test_blocked_target_keeps_earlier_outputs(self, simulated, tmp_path, capsys, blocked):
+        # a batch succeeds; then one of its targets is blocked (an output
+        # path made a directory, or a sequence directory made a file) and
+        # the first sequence's input changes. The re-run solves every
+        # sequence, fails on the blocked target, and moves nothing
+        seqs = []
+        for name in ("a", "b"):
+            seqs.append(tmp_path / "in" / name)
+            shutil.copytree(simulated, seqs[-1])
+        out = tmp_path / "out"
+        assert run(["track", *seqs, "--out", out]) == EXIT_OK
+        if blocked == "b":
+            shutil.rmtree(out / "b")
+            (out / "b").write_text("kept\n")
+        else:
+            (out / blocked).unlink()
+            (out / blocked).mkdir()
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        lines = (seqs[0] / "detections.jsonl").read_text().splitlines()
+        (seqs[0] / "detections.jsonl").write_text("\n".join(lines[:len(lines) // 2]) + "\n")
+        assert run(["track", *seqs, "--out", out]) == EXIT_INPUT
+        assert str(out / blocked) in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert sorted(p.name for p in out.iterdir()) == ["a", "b"]
+        assert (out / blocked).is_dir() == (blocked != "b")
+
     @pytest.mark.parametrize("field", ["pose_feature", "vehicle_fluent_feature"])
     def test_feature_length_must_match_models(self, simulated, tmp_path, capsys, field):
         # every feature of the kind is cut alike, so the file agrees with itself

@@ -15,7 +15,6 @@ from .core import (
     FrameParse,
     ModelParameters,
     ObjectClass,
-    ParseEntry,
     Tracklet,
     Trajectory,
     TrajectoryPoint,
@@ -34,7 +33,6 @@ __all__ = [
     "FrameParse",
     "ModelParameters",
     "ObjectClass",
-    "ParseEntry",
     "Tracklet",
     "Trajectory",
     "TrajectoryPoint",

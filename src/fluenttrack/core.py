@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -301,9 +301,6 @@ class Trajectory:
     def death_frame(self) -> int:
         return self.points[-1].frame
 
-    def point_at(self, frame: int) -> TrajectoryPoint:
-        return self.points[frame - self.birth_frame]
-
 
 def trajectories_from_columns(
     object_ids: Sequence[int],
@@ -369,33 +366,13 @@ def trajectories_from_columns(
     return trajectories
 
 
-@dataclass(frozen=True)
-class ParseEntry:
-    object_id: int
-    location: np.ndarray
-    state: VisibilityState
-    action: str
-    container_id: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        loc = np.asarray(self.location, dtype=float)
-        loc.setflags(write=False)
-        object.__setattr__(self, "location", loc)
-        if (self.container_id is not None) != (self.state is VisibilityState.CONTAINED):
-            raise ValueError("container_id must be present iff state is Contained")
-
-
-@dataclass(frozen=True)
-class FrameParse:
-    """Per-frame assignment of location, state, and action for every object."""
+class FrameParse(NamedTuple):
+    """Every object's solved point at one frame: ``entries`` holds
+    ``(object_id, point)`` pairs in object-id order, and each point is its
+    trajectory's own, not a copy."""
 
     frame: int
-    entries: Tuple[ParseEntry, ...]
-
-    def __post_init__(self) -> None:
-        ids = [e.object_id for e in self.entries]
-        if len(ids) != len(set(ids)):
-            raise ValueError("object ids must be unique within a frame")
+    entries: Tuple[Tuple[int, TrajectoryPoint], ...]
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,8 @@ indented.
   named for JSON Lines files, the file alone for documents. Every list of
   numbers goes through ``_numbers``: JSON numbers only (not bools), each
   finite, of a fixed length or as long as the first of its name in the
-  file.
+  file. Every frame goes through ``_frame``: an int within ``MAX_FRAME``
+  of 0, so that no later stage overflows on it.
 - Reading, column path. Detections, ground truth and trajectories, the
   inputs read on every run, are checked as columns first
   (``_read_checked``): ``_decoded`` decodes each line with ``orjson``, then
@@ -164,6 +165,9 @@ def write_json(path, payload) -> None:
 
 _NUMBER = (int, float)
 _FLOAT_MAX = sys.float_info.max
+# The largest frame magnitude the readers accept: a float holds every frame
+# up to it exactly, and an int64 the sums and differences of frames.
+MAX_FRAME = 2**53
 _OPTIONAL_INT = (int, type(None))
 _CLASSES = {c.value: c for c in ObjectClass}
 _STATES = {s.value: s for s in VisibilityState}
@@ -177,6 +181,14 @@ def _typed(value, types, path, lineno, name):
     is not an int), else an input error."""
     if type(value) not in types:
         _fail(path, lineno, f"{name} has the wrong type: {value!r}")
+    return value
+
+
+def _frame(value, path, lineno):
+    """``value`` if it is an int frame within ``MAX_FRAME`` of 0, else an
+    input error."""
+    if abs(_typed(value, (int,), path, lineno, "frame")) > MAX_FRAME:
+        _fail(path, lineno, f"frame must lie within {MAX_FRAME} of 0, got {value!r}")
     return value
 
 
@@ -288,6 +300,11 @@ def _all_of(values: list, *types) -> bool:
     return set(map(type, values)) <= set(types)
 
 
+def _frames(values: list) -> bool:
+    """Whether ``_frame`` accepts each value."""
+    return _all_of(values, int) and max(map(abs, values), default=0) <= MAX_FRAME
+
+
 def _members(members, values: list) -> Optional[list]:
     """The enum member that ``members`` maps each value to, if each is a
     str that it maps, else None."""
@@ -329,7 +346,7 @@ def _detection_columns(path, model_lengths: Optional[Mapping]) -> Optional[List[
         return records
     frames = [r["frame"] for r in records]
     classes = _members(_CLASSES, [r["class"] for r in records])
-    if not _all_of(frames, int) or classes is None:
+    if not _frames(frames) or classes is None:
         return None
     columns = {"bbox": _numbers_column([r["bbox"] for r in records], 4),
                "score": _float_column([r["score"] for r in records]),
@@ -360,7 +377,7 @@ def _detection_records(path, model_lengths: Optional[Mapping]) -> List[Detection
         pose = r.get("pose_feature")
         fluent = r.get("vehicle_fluent_feature")
         return Detection(
-            frame=_typed(r["frame"], (int,), path, lineno, "frame"),
+            frame=_frame(r["frame"], path, lineno),
             object_class=_member(_CLASSES, r["class"], path, lineno, "class"),
             bbox=_numbers(r["bbox"], path, lineno, "bbox", 4),
             score=float(_typed(r["score"], _NUMBER, path, lineno, "score")),
@@ -372,7 +389,10 @@ def _detection_records(path, model_lengths: Optional[Mapping]) -> List[Detection
             if fluent is not None else None,
         )
 
-    detections = _read_jsonl(path, "detection record", detection)
+    # as in ``detections_from_columns``: a descriptor's norm that overflows
+    # is inf, which fails its check, so the overflow itself is no news
+    with np.errstate(over="ignore"):
+        detections = _read_jsonl(path, "detection record", detection)
     for name, (length, lineno) in lengths.items():
         wanted = (model_lengths or {}).get(name) or {length}
         if wanted != {length}:
@@ -444,7 +464,7 @@ def _trajectory_columns(path) -> Optional[List[Trajectory]]:
     states = _members(_STATES, [p["state"] for p in points])
     actions = [p.get("action") for p in points]
     container_ids = [p.get("container_id") for p in points]
-    if not (_all_of(frames, int) and locations is not None and states is not None
+    if not (_frames(frames) and locations is not None and states is not None
             and _all_of(actions, str, type(None)) and _all_of(container_ids, *_OPTIONAL_INT)):
         return None
     return trajectories_from_columns(object_ids, classes, list(map(len, tracks)), frames,
@@ -457,7 +477,7 @@ def _trajectory_records(path) -> List[Trajectory]:
     def trajectory(r, lineno) -> Trajectory:
         points = tuple(
             TrajectoryPoint(
-                frame=_typed(p["frame"], (int,), path, lineno, "frame"),
+                frame=_frame(p["frame"], path, lineno),
                 location=_numbers(p["location"], path, lineno, "location", 2),
                 state=_member(_STATES, p["state"], path, lineno, "state"),
                 action=_typed(p.get("action"), (str, type(None)), path, lineno, "action"),
@@ -476,19 +496,19 @@ def _trajectory_records(path) -> List[Trajectory]:
 # -- track outputs ---------------------------------------------------------------
 
 def write_frame_parses(path, parses: Sequence[FrameParse]) -> None:
-    _check_finite([e.location for p in parses for e in p.entries])
+    _check_finite([p.location for parse in parses for _, p in parse.entries])
 
     def record(parse: FrameParse) -> dict:
         objects = []
-        for e in parse.entries:
+        for object_id, p in parse.entries:
             entry = {
-                "object_id": e.object_id,
-                "location": e.location.tolist(),
-                "state": _NAMES[e.state],
-                "action": e.action,
+                "object_id": object_id,
+                "location": p.location.tolist(),
+                "state": _NAMES[p.state],
+                "action": p.action,
             }
-            if e.container_id is not None:
-                entry["container_id"] = e.container_id
+            if p.container_id is not None:
+                entry["container_id"] = p.container_id
             objects.append(entry)
         return {"frame": parse.frame, "objects": objects}
 
@@ -533,7 +553,7 @@ def _ground_truth_columns(path) -> Optional[List[GroundTruthRecord]]:
     locations = _numbers_column([r["location"] for r in records], 2)
     states = _members(_STATES, [r["state"] for r in records])
     container_ids = [r.get("container_id") for r in records]
-    if not (_all_of(frames, int) and _all_of(object_ids, int) and classes is not None
+    if not (_frames(frames) and _all_of(object_ids, int) and classes is not None
             and locations is not None and states is not None
             and _all_of(container_ids, *_OPTIONAL_INT)):
         return None
@@ -555,7 +575,7 @@ def _ground_truth_records(path) -> List[GroundTruthRecord]:
     first bad record raises its ``path:line: message``."""
     def record(r, lineno) -> GroundTruthRecord:
         return GroundTruthRecord(
-            frame=_typed(r["frame"], (int,), path, lineno, "frame"),
+            frame=_frame(r["frame"], path, lineno),
             object_id=_typed(r["object_id"], (int,), path, lineno, "object_id"),
             object_class=_member(_CLASSES, r.get("class", "person"), path, lineno, "class"),
             location=np.asarray(_numbers(r["location"], path, lineno, "location", 2),

@@ -2,8 +2,10 @@
 
 Declares which (state, action, next state) transitions are physically legal,
 holds the fitted transition probabilities, and groups solved trajectories
-into per-frame parses, checking each solved step against the grammar. The
-topology is declared; only the probabilities are fitted.
+into per-frame parses, checking each solved step against the grammar. A
+parse holds each trajectory's own points, paired with their object ids, so a
+solved point is one object from the solve to the files. The topology is
+declared; only the probabilities are fitted.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .core import (
     AtomicAction,
     FrameParse,
     ModelParameters,
-    ParseEntry,
     Trajectory,
+    TrajectoryPoint,
     VisibilityState,
 )
 
@@ -239,34 +241,32 @@ def min_inertial_energy(
 def extract_frame_parses(trajectories: Sequence[Trajectory]) -> List[FrameParse]:
     """Group solved trajectory points by frame into per-frame parses.
 
-    Each entry keeps its point's location, state, action and container: the
-    action of a step is the one the solver chose and priced for it. Every
-    step ``(state, action, next state)`` must be legal in the default
-    grammar, otherwise :class:`IllegalTransitionError` is raised.
+    Each entry is an ``(object_id, point)`` pair holding the trajectory's
+    own point: the action of a step is the one the solver chose and priced
+    for it. Every step ``(state, action, next state)`` must be legal in the
+    default grammar, otherwise :class:`IllegalTransitionError` is raised;
+    then two trajectories of one object id must not share a frame, otherwise
+    ``ValueError`` is raised.
     """
-    grammar = default_grammar()
-    by_frame: Dict[int, List[ParseEntry]] = {}
+    legal = default_grammar().transitions
     for traj in trajectories:
         for point, succ in zip(traj.points, traj.points[1:]):
-            if not grammar.is_legal(point.state, point.action, succ.state):
+            if (point.state, point.action, succ.state) not in legal:
                 raise IllegalTransitionError(
                     f"object {traj.object_id}: illegal transition {point.state.value} "
                     f"-{point.action}-> {succ.state.value} at frame {point.frame}"
                 )
+    # a trajectory's frames are contiguous, so two of one id share a frame
+    # iff, in birth order, one is born before the previous one dies
+    spans = sorted((t.object_id, t.birth_frame, t.death_frame) for t in trajectories)
+    if any(a[0] == b[0] and b[1] <= a[2] for a, b in zip(spans, spans[1:])):
+        raise ValueError("object ids must be unique within a frame")
+    by_frame: Dict[int, List[Tuple[int, TrajectoryPoint]]] = {}
+    for traj in sorted(trajectories, key=lambda t: t.object_id):
+        object_id = traj.object_id
         for point in traj.points:
-            entry = ParseEntry(
-                object_id=traj.object_id,
-                location=point.location,
-                state=point.state,
-                action=point.action,
-                container_id=point.container_id,
-            )
-            by_frame.setdefault(point.frame, []).append(entry)
-    parses = []
-    for frame in sorted(by_frame):
-        entries = tuple(sorted(by_frame[frame], key=lambda e: e.object_id))
-        parses.append(FrameParse(frame=frame, entries=entries))
-    return parses
+            by_frame.setdefault(point.frame, []).append((object_id, point))
+    return [FrameParse(frame, tuple(by_frame[frame])) for frame in sorted(by_frame)]
 
 
 # ---------------------------------------------------------------------------

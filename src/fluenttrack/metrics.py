@@ -10,8 +10,8 @@ matched toggles.
 Evaluation runs on columns. ``ground_truth_observations`` (in ``fileio``)
 and ``trajectories_to_observations`` return one :class:`Observations`
 record: a frame, an id, an ``(n, 2)`` location and a state code per
-observation. ``match_frames`` and ``fluent_metrics`` also take a sequence of
-:class:`TrackObservation`, which they turn into those columns.
+observation; ``match_frames`` and ``fluent_metrics`` take both sides in that
+form.
 
 ``match_frames`` sorts each side by (frame, id) with ``np.lexsort`` and
 measures every same-frame (ground truth, prediction) pair of a sequence at
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -52,16 +52,6 @@ STATE_ORDER = (VisibilityState.VISIBLE, VisibilityState.OCCLUDED, VisibilityStat
 # an observation's state as an index of STATE_ORDER; NO_STATE when it has none
 STATE_CODES = {s: i for i, s in enumerate(STATE_ORDER)}
 NO_STATE = -1
-
-
-@dataclass(frozen=True)
-class TrackObservation:
-    """One (frame, id) observation of either ground truth or a prediction."""
-
-    frame: int
-    object_id: int
-    location: np.ndarray
-    state: Optional[VisibilityState] = None
 
 
 @dataclass(frozen=True)
@@ -92,17 +82,6 @@ def observations(frames: Sequence[int], object_ids: Sequence[int],
     location = np.array(locations, dtype=float).reshape(-1, 2)
     state = np.array([STATE_CODES.get(s, NO_STATE) for s in states], dtype=np.int8)
     return Observations(frame, object_id, location, state)
-
-
-ObservationsLike = Union[Observations, Sequence[TrackObservation]]
-
-
-def _columns(obs: ObservationsLike) -> Observations:
-    """``obs`` as columns."""
-    if isinstance(obs, Observations):
-        return obs
-    return observations([o.frame for o in obs], [o.object_id for o in obs],
-                        [o.location for o in obs], [o.state for o in obs])
 
 
 @dataclass(frozen=True)
@@ -156,10 +135,10 @@ def _sorted(obs: Observations, what: str) -> Observations:
     return Observations(frame, object_id, obs.location[order], obs.state[order])
 
 
-def match_frames(gt: ObservationsLike, pred: ObservationsLike, gate: Gate = Gate()) -> MatchResult:
+def match_frames(gt: Observations, pred: Observations, gate: Gate = Gate()) -> MatchResult:
     """Optimal per-frame one-to-one assignment with persistence preference."""
-    gt = _sorted(_columns(gt), "gt")
-    pred = _sorted(_columns(pred), "prediction")
+    gt = _sorted(gt, "gt")
+    pred = _sorted(pred, "prediction")
 
     # every same-frame (gt, prediction) pair, row-major per frame, measured
     # in one call; rows are in (frame, id) order
@@ -323,14 +302,12 @@ def _states_at(obs: Observations, frames: np.ndarray, object_ids: np.ndarray) ->
     return codes
 
 
-def fluent_metrics(gt: ObservationsLike, pred: ObservationsLike,
-                   match: MatchResult) -> FluentReport:
+def fluent_metrics(gt: Observations, pred: Observations, match: MatchResult) -> FluentReport:
     """Per-state precision/recall over matched (gt, pred) frame pairs.
 
     States without any support (no true or predicted instance among the
     matched pairs) report NaN.
     """
-    gt, pred = _columns(gt), _columns(pred)
     frames = np.array([frame for frame, pairs in match.matches.items() for _ in pairs],
                       dtype=np.int64)
     pairs = [pair for pairs in match.matches.values() for pair in pairs]

@@ -31,10 +31,12 @@ first access; the solve never builds them.
 Trajectories are extracted one at a time by dynamic programming over the
 DAG, reading plain lists built once from the columns; in tests, an
 exhaustive oracle (``tests/oracle_reference.py``) bounds its optimality gap
-on small instances. Each extraction returns the edges it walked, and a
-trajectory is decoded from the rows of those edges alone: every point keeps
-the action its outgoing edge was priced with, so the frame parses are the
-solved paths grouped by frame, not a second labelling pass.
+on small instances. Each extraction returns the edges it walked, and
+``_decode_paths`` reads every path's node, edge and interior rows in one
+pass and builds the trajectories with ``core.trajectories_from_columns``:
+every point keeps the action its outgoing edge was priced with, so the frame
+parses are the trajectories' own points grouped by frame, not a second
+labelling pass.
 
 Maximizing the raw edge scores is degenerate (every term is non-positive, so
 the empty solution would win); nodes therefore carry log-odds evidence
@@ -53,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,10 +68,10 @@ from .core import (
     ObjectClass,
     Tracklet,
     Trajectory,
-    TrajectoryPoint,
     VisibilityState,
     ground_distances,
     ground_points,
+    trajectories_from_columns,
 )
 from .energy import (
     ACTIONS,
@@ -158,32 +160,30 @@ def solve_containers(
     paths, flow_cost = link_detections(dets, positions, camera.frame_rate, params,
                                        CONTAINER_LINK_GAP)
 
-    trajectories: List[Trajectory] = []
+    locations: List[np.ndarray] = []
     evidence: Dict[int, Dict[int, Tuple[float, Optional[np.ndarray]]]] = {}
     margin = 0.0
     for cid, path in enumerate(paths):
         margin += sum(dets[i].score - 1.0 for i in path[:-1])
-        points: List[TrajectoryPoint] = []
         ev: Dict[int, Tuple[float, Optional[np.ndarray]]] = {}
         for a, b in zip(path, path[1:] + [None]):
             fa = dets[a].frame
-            points.append(
-                TrajectoryPoint(fa, positions[a], VisibilityState.VISIBLE, INERTIAL_ACTION)
-            )
+            locations.append(positions[a])
             ev[fa] = (dets[a].score, dets[a].vehicle_fluent_feature)
             if b is not None and dets[b].frame > fa + 1:
                 # linear fill across a short detection dropout
                 fb = dets[b].frame
                 for f in range(fa + 1, fb):
                     w = (f - fa) / (fb - fa)
-                    loc = (1 - w) * positions[a] + w * positions[b]
-                    points.append(
-                        TrajectoryPoint(f, loc, VisibilityState.VISIBLE, INERTIAL_ACTION)
-                    )
+                    locations.append((1 - w) * positions[a] + w * positions[b])
                     ev[f] = ((1 - w) * dets[a].score + w * dets[b].score, None)
-        trajectories.append(Trajectory(object_id=cid, object_class=ObjectClass.VEHICLE,
-                                       points=tuple(points)))
         evidence[cid] = ev
+    # each container's frames are its evidence's keys, in frame order
+    n = len(locations)
+    trajectories = trajectories_from_columns(
+        range(len(paths)), [ObjectClass.VEHICLE] * len(paths), list(map(len, evidence.values())),
+        [f for ev in evidence.values() for f in ev], np.reshape(locations, (n, 2)),
+        [VisibilityState.VISIBLE] * n, [INERTIAL_ACTION] * n, [None] * n)
     return ContainerSolution(tuple(trajectories), evidence, -flow_cost, margin)
 
 
@@ -243,13 +243,6 @@ class Interior(NamedTuple):
     state: VisibilityState
     actions: Tuple[Tuple[str, int], ...]
 
-    def stops(self) -> Iterator[Tuple[int, np.ndarray, VisibilityState, str]]:
-        """(frame, location, state, action) of each stop, in frame order."""
-        i = 0
-        for action, count in self.actions:
-            for _ in range(count):
-                yield self.first_frame + i, self.locations[i], self.state, action
-                i += 1
 
 
 @dataclass(frozen=True)
@@ -474,6 +467,12 @@ def _price_poses(features: Sequence[Optional[np.ndarray]], params: ModelParamete
             energies[with_pose, k] = pose_distances([features[i] for i in with_pose],
                                                     pose_model(action, params))
     return energies
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``starts[i], starts[i] + 1, ...``, ``counts[i]`` values, for each
+    ``i`` in turn."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
 def _sequential_sums(parts: np.ndarray, first: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -895,8 +894,7 @@ def build_graph(
     ends = np.stack((starts, starts + lengths - 1), axis=1)[endpoint]
     kinds = np.stack((np.where(single, _SINGLE, _HEAD), np.full(len(ordered), _TAIL)),
                      axis=1)[endpoint]
-    stop_frames = np.repeat(np.array([t.start_frame for t in ordered], dtype=np.int64) - starts,
-                            lengths) + np.arange(len(positions))
+    stop_frames = _ranges(np.array([t.start_frame for t in ordered], dtype=np.int64), lengths)
     ids = b.add_nodes(
         len(ends), frame=stop_frames[ends], location=positions[ends], state=_VISIBLE, kind=kinds,
         object_class=np.repeat([OBJECT_CLASSES.index(t.object_class) for t in ordered],
@@ -955,7 +953,7 @@ def build_graph(
     low = np.searchsorted(nodes.frame[receivers], target, "left")
     count = np.searchsorted(nodes.frame[receivers], target, "right") - low
     src = np.repeat(emitters, count)
-    dst = receivers[np.repeat(low - (np.cumsum(count) - count), count) + np.arange(count.sum())]
+    dst = receivers[_ranges(low, count)]
     cls, tracklet = nodes.object_class, nodes.tracklet_id.values
     keep = (cls[src] == cls[dst]) & ~((tracklet[src] >= 0) & (tracklet[src] == tracklet[dst]))
     src, dst = src[keep], dst[keep]
@@ -985,7 +983,7 @@ def build_graph(
     steps = lengths - 1  # vestibule hops per chain
     owner = np.repeat(np.arange(len(chains)), steps)
     # the source of each vestibule hop: every vestibule but its chain's last
-    hops = firsts[owner] + np.arange(steps.sum()) - np.repeat(np.cumsum(steps) - steps, steps)
+    hops = _ranges(firsts, steps)
     frames = nodes.frame[hops]
     # the contained node of each hop's container at the hop's frame
     rides = np.array([contained[cid] - containers.trajectories[cid].birth_frame
@@ -1181,7 +1179,7 @@ def solve_objects(graph: TransitionGraph, params: ModelParameters) -> FlowSoluti
     breakdown = graph.edge_columns.breakdown
     object_flows: Dict[int, int] = {}
     paths: List[Tuple[int, ...]] = []
-    trajectories: List[Trajectory] = []
+    edge_paths: List[List[int]] = []
     objective = 0.0
     totals = [0.0] * 5
 
@@ -1200,12 +1198,12 @@ def solve_objects(graph: TransitionGraph, params: ModelParameters) -> FlowSoluti
                 totals[k] += value
         objective += -cost
         paths.append(tuple(path))
-        trajectories.append(_decode_path(graph, path, edge_ids, object_id=len(trajectories)))
+        edge_paths.append(edge_ids)
 
     solution = FlowSolution(
         object_flows=object_flows,
         objective=objective,
-        trajectories=tuple(trajectories),
+        trajectories=_decode_paths(graph, paths, edge_paths, len(graph.containers.trajectories)),
         paths=tuple(paths),
         energy_totals=EnergyBreakdown(*totals),
     )
@@ -1213,32 +1211,50 @@ def solve_objects(graph: TransitionGraph, params: ModelParameters) -> FlowSoluti
     return solution
 
 
-def _decode_path(graph: TransitionGraph, path: Sequence[int], edge_ids: Sequence[int],
-                 object_id: int) -> Trajectory:
-    """The trajectory along ``path``, whose hops are the edges ``edge_ids``,
-    read from the rows of those nodes and edges alone.
+def _decode_paths(graph: TransitionGraph, paths: Sequence[Sequence[int]],
+                  edge_paths: Sequence[Sequence[int]], first_id: int) -> Tuple[Trajectory, ...]:
+    """The trajectories along ``paths``, numbered from ``first_id``, whose
+    hops are the edges ``edge_paths``, read in one pass from the rows of
+    those nodes and edges and of the edges' interiors. Each point keeps the
+    action its outgoing edge was priced with; a path's last point keeps the
+    inertial action."""
+    if not paths:
+        return ()
+    nodes, edges, interiors = graph.node_columns, graph.edge_columns, graph.interior_columns
+    node = np.concatenate(paths)
+    # each node's out-edge on its path, -1 after a path's last node, which
+    # reads a row appended to the edge columns: the inertial action, and no
+    # interior
+    out = np.concatenate([(*e, -1) for e in edge_paths])
+    action = np.append(edges.action, ACTIONS.index(INERTIAL_ACTION))[out]
+    interior = np.append(edges.interior, -1)[out]
+    inner = interior[interior >= 0]  # the walked interiors, in path order
+    locations = [interiors.locations[k] for k in inner.tolist()]
+    inner_stops = np.array(list(map(len, locations)), dtype=np.int64)
+    stops = np.zeros(len(node), dtype=np.int64)  # each node's interior stops
+    stops[interior >= 0] = inner_stops
+    runs = _ranges(interiors.run_offsets[inner], np.diff(interiors.run_offsets)[inner])
+    # each node's point is followed by its interior's stops
+    at = np.arange(len(node)) + np.cumsum(stops) - stops
+    order = np.argsort(np.concatenate([at, _ranges(at + 1, stops)]))
 
-    Each point keeps the action its outgoing edge was priced with; the last
-    point keeps the inertial action.
-    """
-    nodes, edges = graph.node_columns, graph.edge_columns
-    path, edge_ids = np.asarray(path, dtype=np.int64), np.asarray(edge_ids, dtype=np.int64)
-    actions = [ACTIONS[code] for code in edges.action[edge_ids].tolist()] + [INERTIAL_ACTION]
-    interiors = edges.interior[edge_ids].tolist() + [-1]
-    points: List[TrajectoryPoint] = []
-    for frame, location, state, cid, action, interior in zip(
-            nodes.frame[path].tolist(), nodes.location[path], nodes.state[path].tolist(),
-            nodes.container_id.values[path].tolist(), actions, interiors):
-        state = STATES[state]
-        points.append(TrajectoryPoint(frame=frame, location=location, state=state, action=action,
-                                      container_id=cid if state is VisibilityState.CONTAINED
-                                      else None))
-        if interior >= 0:
-            for frame, loc, state, action in graph.interior(interior).stops():
-                points.append(TrajectoryPoint(frame=frame, location=loc, state=state,
-                                              action=action))
-    cls = OBJECT_CLASSES[nodes.object_class[path[0]]]
-    return Trajectory(object_id=object_id, object_class=cls, points=tuple(points))
+    def column(of_nodes: np.ndarray, of_stops: np.ndarray) -> list:
+        return np.concatenate([of_nodes, of_stops])[order].tolist()
+
+    lengths = list(map(len, paths))
+    return tuple(trajectories_from_columns(
+        range(first_id, first_id + len(paths)),
+        [OBJECT_CLASSES[code] for code in nodes.object_class[[p[0] for p in paths]].tolist()],
+        np.add.reduceat(1 + stops, np.cumsum(lengths) - lengths),
+        column(nodes.frame[node], _ranges(interiors.first_frame[inner], inner_stops)),
+        np.concatenate([nodes.location[node], *locations])[order],
+        [STATES[c] for c in column(nodes.state[node], np.repeat(interiors.state[inner],
+                                                                 inner_stops))],
+        [ACTIONS[c] for c in column(action, np.repeat(interiors.run_action[runs],
+                                                      interiors.run_length[runs]))],
+        [c if c >= 0 else None for c in column(
+            np.where(nodes.state[node] == _CONTAINED, nodes.container_id.values[node], -1),
+            np.full(inner_stops.sum(), -1))]))
 
 
 def _validate_solution(graph: TransitionGraph, solution: FlowSolution,
@@ -1306,10 +1322,7 @@ def joint_solve(
     solution = solve_objects(graph, params)
 
     n_containers = len(containers.trajectories)
-    trajectories = list(containers.trajectories)
-    for traj in solution.trajectories:
-        trajectories.append(Trajectory(object_id=traj.object_id + n_containers,
-                                       object_class=traj.object_class, points=traj.points))
+    trajectories = containers.trajectories + solution.trajectories
     parses = extract_frame_parses(trajectories)
 
     summary = {
@@ -1330,7 +1343,7 @@ def joint_solve(
     return JointResult(
         solution=solution,
         containers=containers,
-        trajectories=tuple(trajectories),
+        trajectories=trajectories,
         frame_parses=tuple(parses),
         summary=summary,
     )

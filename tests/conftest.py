@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -62,6 +62,21 @@ class Stop(NamedTuple):
     gap_similarity: Optional[float] = None
     pose_feature: Optional[np.ndarray] = None
     pose_energies: Optional[Mapping[str, float]] = None
+
+
+def interior_stops(interior) -> Iterator[Tuple[int, np.ndarray, core.VisibilityState, str]]:
+    """(frame, location, state, action) of each stop of a ``solver.Interior``,
+    in frame order: its action runs expanded one stop at a time."""
+    i = 0
+    for action, count in interior.actions:
+        for _ in range(count):
+            yield interior.first_frame + i, interior.locations[i], interior.state, action
+            i += 1
+
+
+def point_at(trajectory: core.Trajectory, frame: int) -> core.TrajectoryPoint:
+    """The point of ``trajectory`` at ``frame``, which it must cover."""
+    return trajectory.points[frame - trajectory.birth_frame]
 
 
 def unit_vector(rng, dim=8):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from fluenttrack.solver import ENTRY_KINDS, FlowSolution, TransitionGraph, _decode_path
+from fluenttrack.solver import ENTRY_KINDS, FlowSolution, TransitionGraph, _decode_paths
 
 
 class OracleLimitError(ValueError):
@@ -111,13 +111,11 @@ def brute_force_oracle(graph: TransitionGraph) -> FlowSolution:
     for idx in best_subset:
         for eid in candidates[idx][2]:
             flows[eid] = flows.get(eid, 0) + 1
-    trajectories = tuple(
-        _decode_path(graph, candidates[idx][1], candidates[idx][2], object_id=i)
-        for i, idx in enumerate(best_subset)
-    )
     return FlowSolution(
         object_flows=flows,
         objective=-best_total,
-        trajectories=trajectories,
+        trajectories=_decode_paths(graph, [candidates[idx][1] for idx in best_subset],
+                                   [candidates[idx][2] for idx in best_subset],
+                                   len(graph.containers.trajectories)),
         paths=tuple(candidates[idx][1] for idx in best_subset),
     )

@@ -5,6 +5,7 @@ lines. The heavy fixtures (simulator suite + both solver modes) are shared
 across criteria.
 """
 
+import dataclasses
 import math
 import time
 from collections import Counter
@@ -22,16 +23,16 @@ from fluenttrack.grammar import (
 from fluenttrack.metrics import (
     MatchResult,
     STATE_ORDER,
-    TrackObservation,
     clear_metrics,
     fluent_metrics,
     match_frames,
+    observations,
     trajectories_to_observations,
 )
 from fluenttrack.simulator import default_camera, scenario_by_name, simulate, standard_suite
 from fluenttrack.solver import joint_solve, pipeline_graph, solve_objects
 
-from conftest import random_walk_instance
+from conftest import point_at, random_walk_instance
 from energy_reference import log_odds, pose_distance, vehicle_fluent_distance
 from oracle_reference import brute_force_oracle
 
@@ -135,7 +136,7 @@ class TestCriterion3ContainmentRecovery:
         for r in contained_gt:
             if not (person.birth_frame <= r.frame <= person.death_frame):
                 continue
-            point = person.point_at(r.frame)
+            point = point_at(person, r.frame)
             if point.state is VisibilityState.CONTAINED and (
                 np.linalg.norm(point.location - vehicle_pos[r.frame]) <= 1.0
             ):
@@ -151,7 +152,7 @@ class TestCriterion3ContainmentRecovery:
         for r in contained_gt:
             for t in base_persons:
                 if t.birth_frame <= r.frame <= t.death_frame:
-                    p = t.point_at(r.frame)
+                    p = point_at(t, r.frame)
                     if p.state is VisibilityState.CONTAINED:
                         base_covered += 1
         base_coverage = base_covered / len(contained_gt)
@@ -194,17 +195,16 @@ class TestCriterion5ClearCorrectness:
             c = clear_metrics(m, gt_count=int(rng.integers(50, 200)))
             assert c.mota <= c.moda + 1e-12
 
-        def obs(frame, oid, x):
-            return TrackObservation(frame=frame, object_id=oid,
-                                    location=np.array([x, 0.0]))
+        def obs(count):
+            # ids 0 .. count - 1 in each of 5 frames, each at a uniform x
+            keys = [(f, i) for f in range(5) for i in range(count)]
+            return observations([f for f, _ in keys], [i for _, i in keys],
+                                [[float(rng.uniform(0, 4)), 0.0] for _ in keys],
+                                [None] * len(keys))
 
         for trial in range(30):
-            gt = [obs(f, i, float(rng.uniform(0, 4)))
-                  for f in range(5) for i in range(2)]
-            pred = [obs(f, i, float(rng.uniform(0, 4)))
-                    for f in range(5) for i in range(3)]
-            shuffled = [TrackObservation(o.frame, 999 - o.object_id, o.location)
-                        for o in pred]
+            gt, pred = obs(2), obs(3)
+            shuffled = dataclasses.replace(pred, object_id=999 - pred.object_id)
             c1 = clear_metrics(match_frames(gt, pred), len(gt))
             c2 = clear_metrics(match_frames(gt, shuffled), len(gt))
             assert c1.as_dict() == c2.as_dict()

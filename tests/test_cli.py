@@ -251,6 +251,27 @@ class TestTrackCommand:
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
         assert sorted(p.name for p in out.iterdir()) == ["a", "b"]
 
+    @pytest.mark.parametrize("frame", [2**63, 2**64])
+    def test_frame_beyond_int64_is_input_error(self, simulated, tmp_path, capsys, frame):
+        # a frame that no int64 holds is refused by the reader with its line
+        # (not an OverflowError in a later stage), and --out keeps the
+        # earlier run's files
+        seq = tmp_path / "in" / "seq"
+        shutil.copytree(simulated, seq)
+        out = tmp_path / "out"
+        assert run(["track", seq, "--out", out]) == EXIT_OK
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        lines = (seq / "detections.jsonl").read_text().splitlines()
+        record = json.loads(lines[-1])
+        record["frame"] = frame
+        (seq / "detections.jsonl").write_text("\n".join([*lines, json.dumps(record)]) + "\n")
+        assert run(["track", seq, "--out", out]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{seq / 'detections.jsonl'}:{len(lines) + 1}: frame must lie within" in err
+        assert "Traceback" not in err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert [p.name for p in out.iterdir()] == ["seq"]
+
     @pytest.mark.parametrize("blocked", ["b/summary.json", "b"])
     def test_blocked_target_keeps_earlier_outputs(self, simulated, tmp_path, capsys, blocked):
         # a batch succeeds; then one of its targets is blocked (an output

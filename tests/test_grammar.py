@@ -119,18 +119,27 @@ class TestExtractFrameParses:
     def test_constant_visible_labeled_walking(self):
         traj = straight_trajectory([V] * 5)
         parses = extract_frame_parses([traj])
-        assert all(p.entries[0].action == "walking" for p in parses)
+        assert all(p.entries[0][1].action == "walking" for p in parses)
 
     def test_points_grouped_by_frame(self):
         late = straight_trajectory([V, V, V], object_id=4, start=2)
         early = straight_trajectory([V, O, C, C], object_id=1, container_id=7)
         parses = extract_frame_parses([late, early])
         assert [p.frame for p in parses] == [0, 1, 2, 3, 4]
-        assert [[e.object_id for e in p.entries] for p in parses] == [
+        assert [[object_id for object_id, _ in p.entries] for p in parses] == [
             [1], [1], [1, 4], [1, 4], [4]]
-        entry = parses[2].entries[0]
-        assert (entry.state, entry.container_id) == (C, 7)
-        np.testing.assert_array_equal(entry.location, early.points[2].location)
+        # each entry is the trajectory's own point
+        assert parses[2].entries == ((1, early.points[2]), (4, late.points[0]))
+        assert parses[2].entries[0][1] is early.points[2]
+
+    def test_repeated_id_in_a_frame_rejected(self):
+        first = straight_trajectory([V, V, V], object_id=3)
+        second = straight_trajectory([V, V], object_id=3, start=2)
+        with pytest.raises(ValueError, match="object ids must be unique within a frame"):
+            extract_frame_parses([first, second])
+        # one id over frames that do not meet is allowed
+        later = straight_trajectory([V, V], object_id=3, start=3)
+        assert [p.frame for p in extract_frame_parses([later, first])] == [0, 1, 2, 3, 4]
 
     def test_states_never_altered(self):
         # states and solved actions pass through unchanged, including
@@ -147,8 +156,8 @@ class TestExtractFrameParses:
                 states.append(nxt)
             traj = straight_trajectory(states, actions + ["walking"], container_id=0)
             parses = extract_frame_parses([traj])
-            assert [p.entries[0].state for p in parses] == states
-            assert [p.entries[0].action for p in parses] == actions + ["walking"]
+            assert [p.entries[0][1].state for p in parses] == states
+            assert [p.entries[0][1].action for p in parses] == actions + ["walking"]
 
     def test_illegal_transition_rejected(self):
         traj = straight_trajectory([V, C], container_id=1)

@@ -1,3 +1,5 @@
+from typing import NamedTuple, Optional
+
 import numpy as np
 import pytest
 
@@ -18,19 +20,34 @@ from fluenttrack.metrics import (
     STATE_CODES,
     Gate,
     MatchResult,
-    TrackObservation,
+    Observations,
     clear_metrics,
     fluent_metrics,
     match_frames,
+    observations,
     trajectories_to_observations,
 )
 
 from conftest import same_bits
 
 
+class Obs(NamedTuple):
+    """One (frame, id) observation, as the per-pair references read it."""
+
+    frame: int
+    object_id: int
+    location: np.ndarray
+    state: Optional[VisibilityState] = None
+
+
 def obs(frame, oid, x, y=0.0, state=None):
-    return TrackObservation(frame=frame, object_id=oid,
-                            location=np.array([float(x), float(y)]), state=state)
+    return Obs(frame, oid, np.array([float(x), float(y)]), state)
+
+
+def columns(items) -> Observations:
+    """The observations ``items`` as the columns ``metrics`` evaluates."""
+    return observations([o.frame for o in items], [o.object_id for o in items],
+                        [o.location for o in items], [o.state for o in items])
 
 
 def track(oid, frames, xs, jitter=0.0):
@@ -144,8 +161,9 @@ class TestMatcherEquivalence:
             for threshold in (0.25, 0.5, 1.0):
                 gate = Gate(threshold)
                 expected = per_pair_match(gt, pred, gate)
-                assert_same_match(match_frames(gt, pred, gate), expected, (trial, threshold))
-                got_confusion = fluent_metrics(gt, pred, expected).confusion
+                assert_same_match(match_frames(columns(gt), columns(pred), gate), expected,
+                                  (trial, threshold))
+                got_confusion = fluent_metrics(columns(gt), columns(pred), expected).confusion
                 assert (got_confusion == per_pair_fluent(gt, pred, expected)).all()
                 at_gate += sum(ground_distance(g.location, p.location) == threshold
                                for g in gt for p in pred if g.frame == p.frame)
@@ -161,18 +179,19 @@ class TestMatcherEquivalence:
         gt = [obs(f, i, 3.0 * i) for f in range(8) for i in range(40)]
         pred = [obs(f, 100 + i, 3.0 * i + rng.uniform(-0.9, 0.9)) for f in range(8)
                 for i in range(40)] + [obs(0, 200, 0.5)]
-        m = match_frames(gt, pred)
+        m = match_frames(columns(gt), columns(pred))
         assert [len(pairs) for pairs in m.matches.values()] == [40] * 8
         assert_same_match(m, per_pair_match(gt, pred, Gate()))
 
     def test_pair_at_the_gate_matches_with_quality_zero(self):
         gt = [obs(0, 0, 0.0), obs(1, 0, 0.0), obs(1, 1, 2.0)]
         pred = [obs(0, 5, 0.5), obs(1, 5, 0.5), obs(1, 6, 1.5)]
-        m = match_frames(gt, pred, Gate(0.5))
+        m = match_frames(columns(gt), columns(pred), Gate(0.5))
         assert m.matches == {0: ((0, 5),), 1: ((0, 5), (1, 6))}
         assert m.frame_precisions == [0.0, 0.0]
         assert_same_match(m, per_pair_match(gt, pred, Gate(0.5)))
-        assert match_frames(gt, [obs(0, 5, np.nextafter(0.5, 1.0))], Gate(0.5)).matches[0] == ()
+        far = columns([obs(0, 5, np.nextafter(0.5, 1.0))])
+        assert match_frames(columns(gt), far, Gate(0.5)).matches[0] == ()
 
     @pytest.mark.parametrize("kept", [7, 8])
     def test_persistence_decides_a_contested_tie(self, kept):
@@ -180,7 +199,7 @@ class TestMatcherEquivalence:
         # cost the same: the pair kept from frame 0 wins
         gt = [obs(0, 0, 0.0), obs(1, 0, 0.0), obs(1, 1, 1.0)]
         pred = [obs(0, kept, 0.5, 0.2), obs(1, 7, 0.5, 0.2), obs(1, 8, 0.5, -0.2)]
-        m = match_frames(gt, pred)
+        m = match_frames(columns(gt), columns(pred))
         assert m.matches[1] == ((0, kept), (1, 15 - kept))
         assert m.ids == 0
         assert_same_match(m, per_pair_match(gt, pred, Gate()))
@@ -190,7 +209,7 @@ class TestMatcherEquivalence:
         with pytest.raises(ValueError):
             per_pair_match(gt, pred, Gate())
         with pytest.raises(ValueError):
-            match_frames(gt, pred)
+            match_frames(columns(gt), columns(pred))
 
     def test_gate_beyond_infeasible_rejected(self):
         # a pair within such a gate could cost as much as one outside it, and
@@ -200,14 +219,14 @@ class TestMatcherEquivalence:
                 Gate(threshold)
         gate = Gate(0.4 * INFEASIBLE)
         gt, pred = [obs(0, 0, 0.0), obs(1, 0, 0.0)], [obs(0, 1, 0.3 * INFEASIBLE), obs(1, 1, 0.5)]
-        m = match_frames(gt, pred, gate)
+        m = match_frames(columns(gt), columns(pred), gate)
         assert m.matches == {0: ((0, 1),), 1: ((0, 1),)}
         assert_same_match(m, per_pair_match(gt, pred, gate))
 
     def test_frames_with_one_side_only(self):
         gt = [obs(0, 0, 0.0), obs(2, 0, 0.0)]
         pred = [obs(1, 4, 0.0), obs(2, 4, 0.1)]
-        m = match_frames(gt, pred)
+        m = match_frames(columns(gt), columns(pred))
         assert m.matches == {0: (), 1: (), 2: ((0, 4),)}
         assert (m.fp, m.fn) == (1, 1)
         assert_same_match(m, per_pair_match(gt, pred, Gate()))
@@ -217,11 +236,11 @@ class TestMatcherEquivalence:
         gt = [obs(1, 3, 0.0), obs(0, 0, 0.0), obs(1, 5, 0.0), obs(1, 3, 1.0), obs(0, 0, 1.0)]
         pred = [obs(2, 7, 0.0), obs(2, 7, 0.5)]
         with pytest.raises(ValueError, match=r"^duplicate gt id 3 in frame 1$"):
-            match_frames(gt, [])
+            match_frames(columns(gt), columns([]))
         with pytest.raises(ValueError, match=r"^duplicate prediction id 7 in frame 2$"):
-            match_frames([], pred)
+            match_frames(columns([]), columns(pred))
         with pytest.raises(ValueError, match=r"^duplicate gt id 3 in frame 1$"):
-            match_frames(gt, pred)
+            match_frames(columns(gt), columns(pred))
 
     @pytest.mark.parametrize("threshold", [1.0, 0.3])
     def test_suite_outputs(self, suite_prior_only, threshold):
@@ -229,9 +248,8 @@ class TestMatcherEquivalence:
         for name, sim, result in suite_prior_only:
             records = fileio.ground_truth_observations(sim.ground_truth)
             pred_columns = trajectories_to_observations(result.trajectories)
-            gt = [TrackObservation(r.frame, r.object_id, r.location, r.state)
-                  for r in sim.ground_truth]
-            pred = [TrackObservation(p.frame, t.object_id, p.location, p.state)
+            gt = [Obs(r.frame, r.object_id, r.location, r.state) for r in sim.ground_truth]
+            pred = [Obs(p.frame, t.object_id, p.location, p.state)
                     for t in result.trajectories for p in t.points]
             expected = per_pair_match(gt, pred, gate)
             got = match_frames(records, pred_columns, gate)
@@ -244,32 +262,32 @@ class TestMatchFrames:
     def test_perfect_tracking(self):
         gt = track(0, range(10), [0.1 * f for f in range(10)])
         pred = track(5, range(10), [0.1 * f for f in range(10)])
-        m = match_frames(gt, pred)
+        m = match_frames(columns(gt), columns(pred))
         assert (m.fp, m.fn, m.ids, m.frag) == (0, 0, 0, 0)
 
     def test_all_missed(self):
         gt = track(0, range(10), [0.0] * 10)
-        m = match_frames(gt, [])
+        m = match_frames(columns(gt), columns([]))
         assert m.fn == 10 and m.fp == 0
 
     def test_identity_switch_counted_once(self):
         gt = track(0, range(10), [0.0] * 10)
         pred = track(1, range(5), [0.0] * 5) + track(2, range(5, 10), [0.0] * 5)
-        m = match_frames(gt, pred)
+        m = match_frames(columns(gt), columns(pred))
         assert m.ids == 1
         assert m.fp == 0 and m.fn == 0
 
     def test_fragmentation(self):
         gt = track(0, range(9), [0.0] * 9)
         pred = track(1, [0, 1, 2], [0.0] * 3) + track(1, [6, 7, 8], [0.0] * 3)
-        m = match_frames(gt, pred)
+        m = match_frames(columns(gt), columns(pred))
         assert m.frag == 1
         assert m.fn == 3
 
     def test_gate_excludes_distant_pairs(self):
         gt = [obs(0, 0, 0.0)]
         pred = [obs(0, 1, 5.0)]
-        m = match_frames(gt, pred, Gate(threshold=1.0))
+        m = match_frames(columns(gt), columns(pred), Gate(threshold=1.0))
         assert m.fp == 1 and m.fn == 1
 
     @pytest.mark.parametrize("threshold,jitter", [(1.0, 0.3), (0.05, 0.02)])
@@ -279,20 +297,19 @@ class TestMatchFrames:
         rng = np.random.default_rng(12)
         gate = Gate(threshold=threshold)
         for name, sim in suite_runs:
-            gt = [TrackObservation(r.frame, r.object_id, r.location, r.state)
-                  for r in sim.ground_truth]
-            pred = [TrackObservation(o.frame, (o.object_id * 7 + o.frame // 40) % 23,
-                                     o.location + rng.normal(scale=jitter, size=2))
+            gt = [Obs(r.frame, r.object_id, r.location, r.state) for r in sim.ground_truth]
+            pred = [Obs(o.frame, (o.object_id * 7 + o.frame // 40) % 23,
+                        o.location + rng.normal(scale=jitter, size=2))
                     for o in gt if rng.random() > 0.1]
             pred = list({(o.frame, o.object_id): o for o in pred}.values())
-            assert_same_match(match_frames(gt, pred, gate), per_pair_match(gt, pred, gate),
-                              name)
+            assert_same_match(match_frames(columns(gt), columns(pred), gate),
+                              per_pair_match(gt, pred, gate), name)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
-            match_frames([obs(0, 0, 0.0), obs(0, 0, 1.0)], [])
+            match_frames(columns([obs(0, 0, 0.0), obs(0, 0, 1.0)]), columns([]))
         with pytest.raises(ValueError):
-            match_frames([], [obs(0, 0, 0.0), obs(0, 0, 1.0)])
+            match_frames(columns([]), columns([obs(0, 0, 0.0), obs(0, 0, 1.0)]))
 
     def test_persistence_preference(self):
         # two equidistant predictions: the previously matched one keeps winning
@@ -300,7 +317,7 @@ class TestMatchFrames:
         pred = ([obs(0, 7, 0.2)]
                 + [o for f in range(1, 4)
                    for o in (obs(f, 7, 0.2), obs(f, 8, -0.2))])
-        m = match_frames(gt, pred)
+        m = match_frames(columns(gt), columns(pred))
         assert m.ids == 0
         for f in range(1, 4):
             assert m.matches[f] == ((0, 7),)
@@ -312,8 +329,8 @@ class TestMatchFrames:
                   for f in range(4) for i in range(rng.integers(0, 4))]
             pred = [obs(f, 10 + i, rng.uniform(0, 5))
                     for f in range(4) for i in range(rng.integers(0, 4))]
-            m1 = match_frames(gt, pred)
-            m2 = match_frames(pred, gt)
+            m1 = match_frames(columns(gt), columns(pred))
+            m2 = match_frames(columns(pred), columns(gt))
             assert (m1.fp, m1.fn) == (m2.fn, m2.fp)
 
 
@@ -327,7 +344,7 @@ class TestClearMetrics:
     def test_perfect_scores(self):
         gt = track(0, range(10), [0.1 * f for f in range(10)])
         pred = track(3, range(10), [0.1 * f for f in range(10)])
-        m = match_frames(gt, pred)
+        m = match_frames(columns(gt), columns(pred))
         clear = clear_metrics(m, gt_count=10)
         assert clear.mota == 1.0 and clear.moda == 1.0
         assert clear.motp == pytest.approx(1.0)
@@ -357,10 +374,9 @@ class TestClearMetrics:
                   for f in range(6) for i in range(2)]
             pred = [obs(f, i, rng.uniform(0, 3), state=VisibilityState.VISIBLE)
                     for f in range(6) for i in range(3)]
-            relabeled = [TrackObservation(o.frame, o.object_id + 100, o.location,
-                                          state=o.state) for o in pred]
-            c1 = clear_metrics(match_frames(gt, pred), len(gt))
-            c2 = clear_metrics(match_frames(gt, relabeled), len(gt))
+            relabeled = [o._replace(object_id=o.object_id + 100) for o in pred]
+            c1 = clear_metrics(match_frames(columns(gt), columns(pred)), len(gt))
+            c2 = clear_metrics(match_frames(columns(gt), columns(relabeled)), len(gt))
             assert c1.as_dict() == c2.as_dict()
 
 
@@ -368,8 +384,8 @@ class TestFluentMetrics:
     def test_identical_states(self):
         gt = [obs(f, 0, 0.0, state=VisibilityState.VISIBLE) for f in range(6)]
         pred = [obs(f, 1, 0.0, state=VisibilityState.VISIBLE) for f in range(6)]
-        m = match_frames(gt, pred)
-        report = fluent_metrics(gt, pred, m)
+        m = match_frames(columns(gt), columns(pred))
+        report = fluent_metrics(columns(gt), columns(pred), m)
         assert report.precision[VisibilityState.VISIBLE] == 1.0
         assert report.recall[VisibilityState.VISIBLE] == 1.0
 
@@ -377,8 +393,8 @@ class TestFluentMetrics:
         states = [VisibilityState.VISIBLE] * 5 + [VisibilityState.OCCLUDED] * 5
         gt = [obs(f, 0, 0.0, state=s) for f, s in enumerate(states)]
         pred = [obs(f, 1, 0.0, state=VisibilityState.VISIBLE) for f in range(10)]
-        m = match_frames(gt, pred)
-        report = fluent_metrics(gt, pred, m)
+        m = match_frames(columns(gt), columns(pred))
+        report = fluent_metrics(columns(gt), columns(pred), m)
         assert report.recall[VisibilityState.OCCLUDED] == 0.0
 
     def test_confusion_row_sums_match_gt_counts(self):
@@ -386,8 +402,8 @@ class TestFluentMetrics:
         states = list(VisibilityState)
         gt = [obs(f, 0, 0.0, state=states[rng.integers(0, 3)]) for f in range(50)]
         pred = [obs(f, 1, 0.0, state=states[rng.integers(0, 3)]) for f in range(50)]
-        m = match_frames(gt, pred)
-        report = fluent_metrics(gt, pred, m)
+        m = match_frames(columns(gt), columns(pred))
+        report = fluent_metrics(columns(gt), columns(pred), m)
         from fluenttrack.metrics import STATE_ORDER
         gt_state = {o.frame: o.state for o in gt}
         matched_frames = [f for f, pairs in m.matches.items() if pairs]
@@ -403,8 +419,8 @@ class TestAdapters:
             for f in range(3)
         )
         traj = Trajectory(4, ObjectClass.PERSON, points)
-        observations = trajectories_to_observations([traj])
-        assert observations.frame.tolist() == [0, 1, 2]
-        assert observations.object_id.tolist() == [4, 4, 4]
-        assert observations.state.tolist() == [STATE_CODES[VisibilityState.VISIBLE]] * 3
-        assert same_bits(observations.location, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        got = trajectories_to_observations([traj])
+        assert got.frame.tolist() == [0, 1, 2]
+        assert got.object_id.tolist() == [4, 4, 4]
+        assert got.state.tolist() == [STATE_CODES[VisibilityState.VISIBLE]] * 3
+        assert same_bits(got.location, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])

@@ -15,6 +15,8 @@ from fluenttrack.core import (
     Detection,
     ObjectClass,
     Tracklet,
+    Trajectory,
+    TrajectoryPoint,
     VisibilityState,
     ground_distance,
 )
@@ -47,7 +49,14 @@ from fluenttrack.solver import (
 )
 from fluenttrack.tracklets import LINK_GATE_SLACK, GapLink, build_gap_links, generate_tracklets
 
-from conftest import Stop, make_detection, random_walk_instance, same_bits, unit_vector
+from conftest import (
+    Stop,
+    interior_stops,
+    make_detection,
+    random_walk_instance,
+    same_bits,
+    unit_vector,
+)
 from energy_reference import edge_cost, log_odds, node_exit_cost, vehicle_fluent_distance
 from oracle_reference import OracleLimitError, brute_force_oracle
 
@@ -577,7 +586,7 @@ class TestInvariants:
         bridges = [e for e in graph.edges
                    if graph.nodes[e.src].kind == "tail" and graph.nodes[e.dst].kind == "head"]
         assert len(bridges) == 1
-        stops = list(bridges[0].interior.stops())
+        stops = list(interior_stops(bridges[0].interior))
         assert [frame for frame, _, _, _ in stops] == list(range(12, 18))
         assert all(state is VisibilityState.OCCLUDED for _, _, state, _ in stops)
 
@@ -687,7 +696,7 @@ class TestInvariants:
         assert edge.breakdown == EnergyBreakdown(*sums)
         assert edge.net_cost == net
         assert edge.action == actions[0]
-        stops = list(edge.interior.stops())
+        stops = list(interior_stops(edge.interior))
         assert [a for _, _, _, a in stops] == actions[1:]
         assert [f for f, _, _, _ in stops] == list(range(5, 15))
         assert all(np.array_equal(loc, sample) for (_, loc, _, _), sample in zip(stops, samples))
@@ -756,7 +765,7 @@ class TestInvariants:
             assert row.breakdown == EnergyBreakdown(*sums)
             assert row.net_cost == net
             assert row.action == actions[0]
-            assert [a for _, _, _, a in row.interior.stops()] == actions[1:]
+            assert [a for _, _, _, a in interior_stops(row.interior)] == actions[1:]
 
     def test_suite_tracklet_edges_match_per_hop_reference(self, suite_runs, params):
         # every tracklet super-edge of the suite, in every mode, read from the
@@ -925,17 +934,39 @@ class TestInvariants:
             step, action, step.total - graph.node_columns.reward[tail_id], None))
 
 
+def decode_path_reference(graph, path, edge_ids, object_id):
+    """The trajectory along ``path``, whose hops are the edges ``edge_ids``,
+    read point by point from the graph's record views, every point checked:
+    the loop reference of ``solver._decode_paths``."""
+    edges = [graph.edges[eid] for eid in edge_ids]
+    points = []
+    for nid, action, interior in zip(path, [e.action for e in edges] + ["walking"],
+                                     [e.interior for e in edges] + [None]):
+        node = graph.nodes[nid]
+        contained = node.state is VisibilityState.CONTAINED
+        points.append(TrajectoryPoint(node.frame, node.location, node.state, action,
+                                      node.container_id if contained else None))
+        if interior is not None:
+            points.extend(TrajectoryPoint(*stop) for stop in interior_stops(interior))
+    return Trajectory(object_id, graph.nodes[path[0]].object_class, tuple(points))
+
+
 class TestJointSolve:
     def test_track_path_builds_no_records(self, suite_runs, params, monkeypatch):
         # joint_solve reads the graph's columns only: it builds no node or
-        # edge record, and one checked breakdown, the solution's totals
+        # edge record, one checked breakdown, the solution's totals, and no
+        # checked trajectory point: every point is built from checked columns
         def refuse(*args, **kwargs):
             raise AssertionError("a graph record was built")
+
+        def refuse_point(self):
+            raise AssertionError("a trajectory point was checked")
 
         checked = []
         check = EnergyBreakdown.__post_init__
         monkeypatch.setattr(solver, "GraphNode", refuse)
         monkeypatch.setattr(solver, "GraphEdge", refuse)
+        monkeypatch.setattr(TrajectoryPoint, "__post_init__", refuse_point)
         monkeypatch.setattr(EnergyBreakdown, "__post_init__",
                             lambda self: (checked.append(self), check(self)))
         sim = dict(suite_runs)["enter_drive_exit"]
@@ -948,23 +979,55 @@ class TestJointSolve:
             monkeypatch.setattr(solver, "GraphEdge", refuse)
             pipeline_graph(sim.detections, default_camera(), params).edges
 
+    def test_decode_matches_the_point_by_point_reference(self, suite_runs, params,
+                                                          monkeypatch):
+        # every suite sequence's paths, decoded in one pass, are the
+        # trajectories the loop reference builds, field for field and bit
+        # for bit, numbered after the containers
+        calls = []
+        decode = solver._decode_paths
+        monkeypatch.setattr(solver, "_decode_paths",
+                            lambda *args: calls.append(args) or decode(*args))
+        for _, sim in suite_runs:
+            joint_solve(sim.detections, default_camera(), params)
+        assert len(calls) == len(suite_runs)
+
+        def fields(t):
+            return (t.object_id, t.object_class,
+                    [(p.frame, p.state, p.action, p.container_id) for p in t.points])
+
+        for graph, paths, edge_paths, first_id in calls:
+            assert first_id == len(graph.containers.trajectories)
+            got = decode(graph, paths, edge_paths, first_id)
+            assert len(got) == len(paths)
+            for i, (path, edge_ids, traj) in enumerate(zip(paths, edge_paths, got)):
+                expected = decode_path_reference(graph, path, edge_ids, first_id + i)
+                assert fields(traj) == fields(expected)
+                assert same_bits([p.location for p in traj.points],
+                                 [p.location for p in expected.points])
+
     def test_empty_scene(self, camera, params):
         result = joint_solve([], camera, params)
         assert result.trajectories == ()
         assert result.frame_parses == ()
 
     def test_parse_graph_states_match_trajectories(self, camera, params):
+        # each frame parse holds, in object-id order, every trajectory's own
+        # point at that frame, not a copy
         dets = containment_setup(camera, params)
         result = joint_solve(dets, camera, params)
-        by_frame = {p.frame: p for p in result.frame_parses}
+        assert any(p.state is VisibilityState.CONTAINED
+                   for t in result.trajectories for p in t.points)
+        by_frame = {}
+        for parse in result.frame_parses:
+            ids = [object_id for object_id, _ in parse.entries]
+            assert ids == sorted(set(ids))
+            by_frame[parse.frame] = dict(parse.entries)
+        assert sum(map(len, by_frame.values())) == sum(len(t.points)
+                                                      for t in result.trajectories)
         for traj in result.trajectories:
             for point in traj.points:
-                entry = [e for e in by_frame[point.frame].entries
-                         if e.object_id == traj.object_id]
-                assert len(entry) == 1
-                assert entry[0].state is point.state
-                assert entry[0].action == point.action
-                assert entry[0].container_id == point.container_id
+                assert by_frame[point.frame][traj.object_id] is point
 
     def test_summary_fields(self, camera, params):
         dets = containment_setup(camera, params)

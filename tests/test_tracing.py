@@ -56,12 +56,14 @@ def test_traced_track_counts_match_outputs(tmp_path, monkeypatch):
     assert code == EXIT_OK
     report = tracer.report()
 
-    containers = objects = 0
+    containers = objects = parses = 0
     for name in SEQUENCES:
         summary = json.loads((tmp_path / "out" / name / "summary.json").read_text())
         containers += summary["num_containers"]
         objects += summary["num_trajectories"] - summary["num_containers"]
+        parses += len((tmp_path / "out" / name / "frame_parses.jsonl").read_text().splitlines())
     assert report["cli.sequences"] == len(SEQUENCES)
+    assert report["grammar.parses"] == parses > 0
     assert report["containers.count"] == containers > 0
     assert report["objects.paths"] == objects > 0
     assert report["tracklets.gap_frames"] == gap_frames > 0
